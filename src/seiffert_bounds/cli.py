@@ -18,6 +18,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from dataclasses import dataclass
 
@@ -50,8 +51,10 @@ class RunConfig:
             raise RangeError(
                 f"series order must lie in [1, {series.N_MAX}], got {self.series_order}"
             )
-        if not self.ratio_max > 1.0:
-            raise DomainError(f"ratio-max must exceed 1, got {self.ratio_max}")
+        if self.seed < 0:
+            raise DomainError(f"seed must be >= 0, got {self.seed}")
+        if not (math.isfinite(self.ratio_max) and self.ratio_max > 1.0):
+            raise DomainError(f"ratio-max must be finite and exceed 1, got {self.ratio_max}")
         if self.precision_digits < 1:
             raise DomainError(f"precision must be >= 1, got {self.precision_digits}")
         if self.output_format not in ("json", "csv", "plain"):
@@ -80,9 +83,10 @@ _ORACLE_FNS = {
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
+    cfg = _config(args)
     pair = PositivePair(args.a, args.b)
     if args.oracle:
-        dps = args.precision
+        dps = cfg.precision_digits
         if args.kind == "blend":
             if args.x is None:
                 raise DomainError("blend requires --x in [1/2, 1]")

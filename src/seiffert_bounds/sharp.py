@@ -30,11 +30,21 @@ arctan series.
 
 Sampling is log-uniform in a/b over (1, ratio_max] plus deterministic
 near-boundary points {1+10⁻ᵏ} and {10⁺ᵏ}: sharpness lives at the boundary and
-uniform sampling would miss it.  All scans are vectorized and pure.
+uniform sampling would miss it.
+
+The four suites stream through one engine (``_sweep``): ratios are drawn,
+checked and reduced in blocks of ``_BLOCK`` samples, so memory is O(block)
+and time linear in the sample count.  The blocks continue one random stream,
+so a suite sees exactly the samples of one full-length draw, and every
+reduction keeps the first occurrence (minima, maxima, the first violation of
+each check), so the report equals that of a single unblocked scan.  All
+functions are pure.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -100,44 +110,43 @@ def excess_ratio_taylor(order: int) -> tuple[Fraction, ...]:
 _RATIO_COEFFS = np.array([float(c) for c in excess_ratio_taylor(_SERIES_TERMS)])
 
 
-def _ratio_series(u: np.ndarray) -> np.ndarray:
-    acc = np.zeros_like(u)
-    for c in _RATIO_COEFFS[::-1]:
-        acc = acc * u + c
-    return acc
+def _ratio_and_upper(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """r(t) and the upper margin 1/3 - r(t) for t in (0, 1).
+
+    Beyond the switch both come from the direct quotient.  Up to it they are
+    overwritten from one in-place Horner pass over the small-t subset only,
+    for the tail Σ_{k>=1} coef[k]·u^{k-1} (u = t²): 1/3 - r = -u·tail has no
+    cancellation and r = tail·u + coef[0].  (Computing the quotient over the
+    whole array and overwriting beats gathering the large-t subset: most
+    sampled t lie above the switch.)
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):  # t² underflows below ~1e-154
+        r = t / np.arctan(t)
+        r -= 1.0
+        r /= t * t
+    upper = RATIO_UPPER - r
+    small = t <= _SERIES_SWITCH
+    u = t[small]
+    u *= u
+    tail = np.full_like(u, _RATIO_COEFFS[-1])
+    for c in _RATIO_COEFFS[-2:0:-1]:
+        tail *= u
+        tail += c
+    upper[small] = -u * tail
+    tail *= u
+    tail += _RATIO_COEFFS[0]
+    r[small] = tail
+    return r, upper
 
 
-def _tail_series(u: np.ndarray) -> np.ndarray:
-    """Σ_{k>=2} coef[k]·u^{k-1}  (so that 1/3 - r = -u·this… sign handled by caller)."""
-    acc = np.zeros_like(u)
-    for c in _RATIO_COEFFS[:0:-1]:
-        acc = acc * u + c
-    return acc
-
-
-def _validated_t(t) -> np.ndarray:
+def _on_profile(t, pick):
+    """``pick(r, 1/3 - r)`` at validated t in (0, 1); a float for scalar t."""
     arr = np.asarray(t, dtype=float)
     if arr.size and not np.all((arr > 0.0) & (arr < 1.0)):
         bad = arr[~((arr > 0.0) & (arr < 1.0))].ravel()
         raise DomainError(f"t must lie in (0, 1), got e.g. {bad[:3]}")
-    return arr
-
-
-def _excess_ratio_values(t: np.ndarray) -> np.ndarray:
-    u = t * t
-    small = np.abs(t) <= _SERIES_SWITCH
-    td = np.where(small, 0.75, t)
-    direct = (td / np.arctan(td) - 1.0) / (td * td)
-    return np.where(small, _ratio_series(u), direct)
-
-
-def _upper_margin_values(t: np.ndarray) -> np.ndarray:
-    """1/3 - r(t) > 0 without cancellation (series below the switch)."""
-    u = t * t
-    small = np.abs(t) <= _SERIES_SWITCH
-    td = np.where(small, 0.75, t)
-    direct = RATIO_UPPER - (td / np.arctan(td) - 1.0) / (td * td)
-    return np.where(small, -u * _tail_series(u), direct)
+    out = pick(*_ratio_and_upper(arr.reshape(-1))).reshape(arr.shape)
+    return float(out) if np.isscalar(t) or arr.ndim == 0 else out
 
 
 def excess_ratio(t):
@@ -146,23 +155,17 @@ def excess_ratio(t):
     Equals the mean composite (seiffert - A)/(contra-harmonic - A) at the pair
     ((1+t)/(1-t), 1).  Accurate to a few 1e-15 relative over the whole domain.
     """
-    arr = _validated_t(t)
-    out = _excess_ratio_values(arr)
-    return float(out) if np.isscalar(t) or arr.ndim == 0 else out
+    return _on_profile(t, lambda r, upper: r)
 
 
 def excess_ratio_upper_margin(t):
     """1/3 - r(t), strictly positive on (0, 1), fully accurate as t→0⁺."""
-    arr = _validated_t(t)
-    out = _upper_margin_values(arr)
-    return float(out) if np.isscalar(t) or arr.ndim == 0 else out
+    return _on_profile(t, lambda r, upper: upper)
 
 
 def excess_ratio_lower_margin(t):
     """r(t) - (4/π - 1), strictly positive on (0, 1), → 0 as t→1⁻."""
-    arr = _validated_t(t)
-    out = _excess_ratio_values(arr) - RATIO_LOWER
-    return float(out) if np.isscalar(t) or arr.ndim == 0 else out
+    return _on_profile(t, lambda r, upper: r - RATIO_LOWER)
 
 
 def blend_alpha_closed() -> float:
@@ -192,11 +195,16 @@ def sample_ratios(
     ratio_max: float = 1e8,
     include_boundary: bool = True,
 ) -> np.ndarray:
-    """Log-uniform ratios a/b in (1, ratio_max] plus boundary points."""
+    """Log-uniform ratios a/b in (1, ratio_max] plus boundary points.
+
+    Each ratio takes one draw of ``rng``, so successive calls continue one
+    stream; the sweeps draw it block by block and ask for the boundary points
+    with the last block.
+    """
     if n < 1:
         raise DomainError(f"samples must be >= 1, got {n}")
-    if not ratio_max > 1.0:
-        raise DomainError(f"ratio_max must exceed 1, got {ratio_max}")
+    if not (math.isfinite(ratio_max) and ratio_max > 1.0):
+        raise DomainError(f"ratio_max must be finite and exceed 1, got {ratio_max}")
     x = np.exp(rng.random(n) * math.log(ratio_max))
     np.maximum(x, 1.0 + 1e-12, out=x)
     if include_boundary:
@@ -240,24 +248,87 @@ class VerificationResult:
         return rep
 
 
-def _result(suite, x, left, right, witness, n, stats=None) -> VerificationResult:
-    kl = int(np.argmin(left))
-    kr = int(np.argmin(right))
-    return VerificationResult(
-        suite=suite,
-        passed=witness is None,
-        n_samples=n,
-        min_slack_left=float(left[kl]),
-        min_slack_right=float(right[kr]),
-        arg_left=float(x[kl]),
-        arg_right=float(x[kr]),
-        witness=witness,
-        stats=stats or {},
-    )
+#: Samples drawn, checked and reduced per step of a sweep.
+_BLOCK = 1 << 16
+
+
+def _ratio_blocks(seed: int, n: int, ratio_max: float, include_boundary: bool):
+    """(x, t) blocks of the stream ``sample_ratios(default_rng(seed), n, ...)``."""
+    rng = np.random.default_rng(seed)
+    for start in range(0, max(n, 1), _BLOCK):
+        last = start + _BLOCK >= n
+        x = sample_ratios(rng, min(_BLOCK, n - start), ratio_max, include_boundary and last)
+        yield x, (x - 1.0) / (x + 1.0)
+
+
+def _first(bad: np.ndarray) -> int | None:
+    """Index of the first True in ``bad``, or None."""
+    if not bad.size:
+        return None
+    k = int(np.argmax(bad))
+    return k if bad[k] else None
 
 
 def _mean_side_witness(x: float, side: str, lhs: float, rhs: float) -> dict:
     return {"ratio": x, "side": side, "lhs": lhs, "rhs": rhs}
+
+
+def _margin_witness(x, left, right, at) -> dict | None:
+    """Witness of the first sample with a non-positive margin, or None.
+
+    ``at(k, side)`` gives the (lhs, rhs) pair reported for sample k.
+    """
+    k = _first((left <= 0.0) | (right <= 0.0))
+    if k is None:
+        return None
+    side = "lower" if left[k] <= 0.0 else "upper"
+    return _mean_side_witness(float(x[k]), side, *at(k, side))
+
+
+def _raw_mean_witness(x, lo, mid, hi) -> dict | None:
+    """Witness of the first sample breaking lo < mid < hi in raw doubles, or None.
+
+    It names the broken side with its own pair: (lo, mid) for ``lower``,
+    (mid, hi) for ``upper``.
+    """
+    k = _first(~((lo < mid) & (mid < hi)))
+    if k is None:
+        return None
+    if not lo[k] < mid[k]:
+        return _mean_side_witness(float(x[k]), "lower", float(lo[k]), float(mid[k]))
+    return _mean_side_witness(float(x[k]), "upper", float(mid[k]), float(hi[k]))
+
+
+def _sweep(suite: str, blocks, stats=lambda best: {}) -> VerificationResult:
+    """Reduce a stream of ``(x, folds, checks)`` blocks to one suite result.
+
+    ``folds`` maps a name to ``(values, np.argmin | np.argmax)``; across blocks
+    only the first-occurrence extremum and its ratio are kept, as one pick
+    over the whole sample would give them (NaN included).  ``folds["left"]``
+    and ``folds["right"]`` are the reported slacks; ``stats`` turns the other
+    ``name -> (value, ratio)`` extrema into report fields.  ``checks`` are
+    callables returning the witness of their first violation in the block or
+    None.  An earlier check outranks a later one wherever the two fire, and
+    within a check the earlier sample wins, so once a check has fired neither
+    it nor any later check runs again.
+    """
+    n, best, found = 0, {}, None
+    for x, folds, checks in blocks:
+        n += len(x)
+        for key, (vals, pick) in folds.items():
+            k = int(pick(vals))
+            if key not in best or pick((best[key][0], vals[k])) == 1:
+                best[key] = (float(vals[k]), float(x[k]))
+        for rank, check in enumerate(checks[: len(checks) if found is None else found[0]]):
+            witness = check()
+            if witness is not None:
+                found = (rank, witness)
+                break
+    (left, arg_left), (right, arg_right) = best.pop("left"), best.pop("right")
+    witness = None if found is None else found[1]
+    return VerificationResult(
+        suite, witness is None, n, left, right, arg_left, arg_right, witness, stats(best)
+    )
 
 
 def verify_blend_bounds(
@@ -280,46 +351,31 @@ def verify_blend_bounds(
     for name, val in (("alpha", alpha), ("beta", beta)):
         if not (math.isfinite(val) and 0.5 <= val <= 1.0):
             raise DomainError(f"{name} must lie in [1/2, 1], got {val!r}")
-    rng = np.random.default_rng(seed)
-    x = sample_ratios(rng, samples, ratio_max, include_boundary)
-    t = (x - 1.0) / (x + 1.0)
-    r = _excess_ratio_values(t)
-
     lo_const = (2.0 * alpha - 1.0) ** 2 / 3.0
-    left = r - lo_const
-    if beta == 1.0:
-        right = _upper_margin_values(t)
-    else:
-        right = (2.0 * beta - 1.0) ** 2 / 3.0 - r
+    hi_const = (2.0 * beta - 1.0) ** 2 / 3.0
 
-    witness = None
-    bad = np.nonzero((left <= 0.0) | (right <= 0.0))[0]
-    if len(bad) == 0:
-        m = t >= _DIRECT_T_FLOOR
-        xm = x[m]
-        seif = means.seiffert_values(xm, 1.0)
-        lo_mean = means.blend_values(alpha, xm, 1.0)
-        hi_mean = means.blend_values(beta, xm, 1.0)
-        direct_bad = np.nonzero(~((lo_mean < seif) & (seif < hi_mean)))[0]
-        if len(direct_bad):
-            k = int(direct_bad[0])
-            side = "lower" if not lo_mean[k] < seif[k] else "upper"
-            lhs, rhs = (
-                (float(lo_mean[k]), float(seif[k]))
-                if side == "lower"
-                else (float(seif[k]), float(hi_mean[k]))
-            )
-            witness = _mean_side_witness(float(xm[k]), side, lhs, rhs)
-    else:
-        k = int(bad[0])
-        side = "lower" if left[k] <= 0.0 else "upper"
-        lhs = float(means.blend_values(alpha if side == "lower" else beta, x[k], 1.0))
-        rhs = float(means.seiffert_values(x[k], 1.0))
-        if side == "lower":
-            witness = _mean_side_witness(float(x[k]), side, lhs, rhs)
-        else:
-            witness = _mean_side_witness(float(x[k]), side, rhs, lhs)
-    return _result("thm1", x, left, right, witness, len(x))
+    def block(x, t):
+        r, upper = _ratio_and_upper(t)
+        left = r - lo_const
+        right = upper if beta == 1.0 else hi_const - r
+
+        def means_at(k, side):
+            blend = float(means.blend_values(alpha if side == "lower" else beta, x[k], 1.0))
+            seif = float(means.seiffert_values(x[k], 1.0))
+            return (blend, seif) if side == "lower" else (seif, blend)
+
+        def raw_means():
+            xm = x[t >= _DIRECT_T_FLOOR]
+            seif = means.seiffert_values(xm, 1.0)
+            lo_mean = means.blend_values(alpha, xm, 1.0)
+            hi_mean = means.blend_values(beta, xm, 1.0)
+            return _raw_mean_witness(xm, lo_mean, seif, hi_mean)
+
+        folds = {"left": (left, np.argmin), "right": (right, np.argmin)}
+        return x, folds, (lambda: _margin_witness(x, left, right, means_at), raw_means)
+
+    blocks = _ratio_blocks(seed, samples, ratio_max, include_boundary)
+    return _sweep("thm1", itertools.starmap(block, blocks))
 
 
 def verify_ratio_bounds(
@@ -338,43 +394,41 @@ def verify_ratio_bounds(
     """
     alpha1 = RATIO_LOWER if alpha1 is None else float(alpha1)
     beta1 = RATIO_UPPER if beta1 is None else float(beta1)
-    rng = np.random.default_rng(seed)
-    x = sample_ratios(rng, samples, ratio_max, include_boundary)
-    t = (x - 1.0) / (x + 1.0)
-    if include_boundary:
-        t_extra = np.concatenate([10.0 ** -np.arange(1.0, 8.0), 1.0 - 10.0 ** -np.arange(1.0, 8.0)])
-        t = np.concatenate([t, t_extra])
-        x = np.concatenate([x, (1.0 + t_extra) / (1.0 - t_extra)])
-    r = _excess_ratio_values(t)
 
-    left = r - alpha1
-    if beta1 == RATIO_UPPER:
-        right = _upper_margin_values(t)
-    else:
-        right = beta1 - r
+    def blocks():
+        yield from _ratio_blocks(seed, samples, ratio_max, include_boundary)
+        if include_boundary:
+            t = np.concatenate([10.0 ** -np.arange(1.0, 8.0), 1.0 - 10.0 ** -np.arange(1.0, 8.0)])
+            yield (1.0 + t) / (1.0 - t), t
 
-    witness = None
-    bad = np.nonzero((left <= 0.0) | (right <= 0.0))[0]
-    if len(bad):
-        k = int(bad[0])
-        side = "lower" if left[k] <= 0.0 else "upper"
-        witness = _mean_side_witness(float(x[k]), side, float(r[k]), alpha1 if side == "lower" else beta1)
-    else:
-        m = t >= _DIRECT_T_FLOOR
-        xm = x[m]
-        seif = means.seiffert_values(xm, 1.0)
-        arith = means.arithmetic_values(xm, 1.0)
-        contra = means.contra_harmonic_values(xm, 1.0)
-        lo_mean = alpha1 * contra + (1.0 - alpha1) * arith
-        hi_mean = beta1 * contra + (1.0 - beta1) * arith
-        direct_bad = np.nonzero(~((lo_mean < seif) & (seif < hi_mean)))[0]
-        if len(direct_bad):
-            k = int(direct_bad[0])
-            side = "lower" if not lo_mean[k] < seif[k] else "upper"
-            witness = _mean_side_witness(float(xm[k]), side, float(lo_mean[k]), float(seif[k]))
-    ki, ks = int(np.argmin(r)), int(np.argmax(r))
-    stats = {"inf": float(r[ki]), "sup": float(r[ks]), "arg_inf": float(x[ki]), "arg_sup": float(x[ks])}
-    return _result("thm2", x, left, right, witness, len(x), stats)
+    def block(x, t):
+        r, upper = _ratio_and_upper(t)
+        left = r - alpha1
+        right = upper if beta1 == RATIO_UPPER else beta1 - r
+
+        def raw_means():
+            xm = x[t >= _DIRECT_T_FLOOR]
+            seif = means.seiffert_values(xm, 1.0)
+            arith = means.arithmetic_values(xm, 1.0)
+            contra = means.contra_harmonic_values(xm, 1.0)
+            lo_mean = alpha1 * contra + (1.0 - alpha1) * arith
+            hi_mean = beta1 * contra + (1.0 - beta1) * arith
+            return _raw_mean_witness(xm, lo_mean, seif, hi_mean)
+
+        folds = {
+            "left": (left, np.argmin),
+            "right": (right, np.argmin),
+            "inf": (r, np.argmin),
+            "sup": (r, np.argmax),
+        }
+        at = lambda k, side: (float(r[k]), alpha1 if side == "lower" else beta1)  # noqa: E731
+        return x, folds, (lambda: _margin_witness(x, left, right, at), raw_means)
+
+    def stats(best):
+        (inf, arg_inf), (sup, arg_sup) = best["inf"], best["sup"]
+        return {"inf": inf, "sup": sup, "arg_inf": arg_inf, "arg_sup": arg_sup}
+
+    return _sweep("thm2", itertools.starmap(block, blocks()), stats)
 
 
 def ratio_grid_scan(n: int = 10**6, t_min: float = 1e-7, t_max: float = 1.0 - 1e-7) -> dict:
@@ -382,7 +436,7 @@ def ratio_grid_scan(n: int = 10**6, t_min: float = 1e-7, t_max: float = 1.0 - 1e
     if not (0.0 < t_min < t_max < 1.0):
         raise DomainError("need 0 < t_min < t_max < 1")
     grid = np.linspace(t_min, t_max, n)
-    vals = _excess_ratio_values(grid)
+    vals = _ratio_and_upper(grid)[0]
     diffs = np.diff(vals)
     return {
         "inf": float(vals[-1]),
@@ -421,60 +475,56 @@ def verify_prior_bounds(
 
     Cross-validates the Seiffert/root-square/arithmetic/contra-harmonic stack
     against the literature constants; raw-mean comparisons run for t >= 1e-3.
+    A witness names the first margin, in the order above, that went
+    non-positive anywhere, and else the raw-mean check.
     """
-    rng = np.random.default_rng(seed)
-    x = sample_ratios(rng, samples, ratio_max, include_boundary)
-    t = (x - 1.0) / (x + 1.0)
-    r = _excess_ratio_values(t)
-    u = np.sqrt(1.0 + t * t)
+    names = ("lower_S_combination", "upper_S_combination", "lower_C_blend", "upper_C_blend")
 
-    m_lower_s = r - _PRIOR_ALPHA_S / (1.0 + u)
-    # (2/3)/(1+u) - r, written against the stable upper margin:
-    m_upper_s = _upper_margin_values(t) - t * t / (3.0 * (1.0 + u) ** 2)
-    # (2·alpha_2-1)² = 4/π-1 and (2·beta_2-1)² = (sqrt(3)/3)² = 1/3 exactly, so
-    # the C-blend margins coincide with the ratio margins (float-squaring the
-    # constants would only inject ulp noise at the sharp ends).
-    m_lower_c = r - RATIO_LOWER
-    m_upper_c = _upper_margin_values(t)
-
-    margins = {
-        "lower_S_combination": m_lower_s,
-        "upper_S_combination": m_upper_s,
-        "lower_C_blend": m_lower_c,
-        "upper_C_blend": m_upper_c,
-    }
-    witness = None
-    for name, vals in margins.items():
-        bad = np.nonzero(vals <= 0.0)[0]
-        if len(bad):
-            k = int(bad[0])
-            witness = _mean_side_witness(float(x[k]), name, float(vals[k]), 0.0)
-            break
-
-    if witness is None:
-        m = t >= _DIRECT_T_FLOOR
-        xm = x[m]
-        seif = means.seiffert_values(xm, 1.0)
-        arith = means.arithmetic_values(xm, 1.0)
-        rootsq = means.root_square_values(xm, 1.0)
-        lo_s = _PRIOR_ALPHA_S * rootsq + (1.0 - _PRIOR_ALPHA_S) * arith
-        hi_s = _PRIOR_BETA_S * rootsq + (1.0 - _PRIOR_BETA_S) * arith
-        lo_c = means.contra_harmonic_values(
-            _PRIOR_ALPHA_2 * xm + (1.0 - _PRIOR_ALPHA_2), _PRIOR_ALPHA_2 + (1.0 - _PRIOR_ALPHA_2) * xm
+    def block(x, t):
+        r, upper = _ratio_and_upper(t)
+        u = np.sqrt(1.0 + t * t)
+        margins = (
+            r - _PRIOR_ALPHA_S / (1.0 + u),
+            # (2/3)/(1+u) - r, written against the stable upper margin:
+            upper - t * t / (3.0 * (1.0 + u) ** 2),
+            # (2·alpha_2-1)² = 4/π-1 and (2·beta_2-1)² = (sqrt(3)/3)² = 1/3
+            # exactly, so the C-blend margins coincide with the ratio margins
+            # (float-squaring the constants would only inject ulp noise at the
+            # sharp ends).
+            r - RATIO_LOWER,
+            upper,
         )
-        hi_c = means.contra_harmonic_values(
-            _PRIOR_BETA_2 * xm + (1.0 - _PRIOR_BETA_2), _PRIOR_BETA_2 + (1.0 - _PRIOR_BETA_2) * xm
-        )
-        ok = (lo_s < seif) & (seif < hi_s) & (lo_c < seif) & (seif < hi_c)
-        direct_bad = np.nonzero(~ok)[0]
-        if len(direct_bad):
-            k = int(direct_bad[0])
-            witness = _mean_side_witness(float(xm[k]), "raw-mean", float(seif[k]), 0.0)
 
-    left = np.minimum(m_lower_s, m_lower_c)
-    right = np.minimum(m_upper_s, m_upper_c)
-    stats = {name: float(vals.min()) for name, vals in margins.items()}
-    return _result("priors", x, left, right, witness, len(x), stats)
+        def margin(name, vals):
+            k = _first(vals <= 0.0)
+            return None if k is None else _mean_side_witness(float(x[k]), name, float(vals[k]), 0.0)
+
+        def raw_means():
+            xm = x[t >= _DIRECT_T_FLOOR]
+            seif = means.seiffert_values(xm, 1.0)
+            arith = means.arithmetic_values(xm, 1.0)
+            rootsq = means.root_square_values(xm, 1.0)
+            lo_s = _PRIOR_ALPHA_S * rootsq + (1.0 - _PRIOR_ALPHA_S) * arith
+            hi_s = _PRIOR_BETA_S * rootsq + (1.0 - _PRIOR_BETA_S) * arith
+            lo_c = means.contra_harmonic_values(
+                _PRIOR_ALPHA_2 * xm + (1.0 - _PRIOR_ALPHA_2), _PRIOR_ALPHA_2 + (1.0 - _PRIOR_ALPHA_2) * xm
+            )
+            hi_c = means.contra_harmonic_values(
+                _PRIOR_BETA_2 * xm + (1.0 - _PRIOR_BETA_2), _PRIOR_BETA_2 + (1.0 - _PRIOR_BETA_2) * xm
+            )
+            k = _first(~((lo_s < seif) & (seif < hi_s) & (lo_c < seif) & (seif < hi_c)))
+            return None if k is None else _mean_side_witness(float(xm[k]), "raw-mean", float(seif[k]), 0.0)
+
+        folds = {name: (vals, np.argmin) for name, vals in zip(names, margins)}
+        folds["left"] = (np.minimum(margins[0], margins[2]), np.argmin)
+        folds["right"] = (np.minimum(margins[1], margins[3]), np.argmin)
+        checks = [functools.partial(margin, name, vals) for name, vals in zip(names, margins)]
+        return x, folds, (*checks, raw_means)
+
+    blocks = _ratio_blocks(seed, samples, ratio_max, include_boundary)
+    return _sweep(
+        "priors", itertools.starmap(block, blocks), lambda best: {name: best[name][0] for name in names}
+    )
 
 
 def verify_ordering_chain(
@@ -490,27 +540,43 @@ def verify_ordering_chain(
     slack (≥ ~t²/6 relative) two orders above double rounding, so the strict
     raw comparisons are meaningful at every sample.
     """
-    rng = np.random.default_rng(seed)
+    if samples < 1:
+        raise DomainError(f"samples must be >= 1, got {samples}")
     lo = 1.0 + 2e-5
-    x = np.exp(rng.random(samples) * (math.log(ratio_max) - math.log(lo)) + math.log(lo))
-    k = np.exp(rng.uniform(math.log(1e-3), math.log(1e3), samples))
-    a, b = x * k, k
-    g = means.geometric_values(a, b)
-    am = means.arithmetic_values(a, b)
-    cb = means.centroidal_values(a, b)
-    s = means.root_square_values(a, b)
-    c = means.contra_harmonic_values(a, b)
-    tm = means.seiffert_values(a, b)
-    ok = (g < am) & (am < cb) & (cb < s) & (s < c) & (am < tm) & (tm < s)
-    witness = None
-    bad = np.nonzero(~ok)[0]
-    if len(bad):
-        j = int(bad[0])
-        witness = _mean_side_witness(float(x[j]), "chain", float(a[j]), float(b[j]))
-    rel = lambda hi_v, lo_v: (hi_v - lo_v) / am  # noqa: E731 - local shorthand
-    left = np.minimum.reduce([rel(am, g), rel(cb, am), rel(tm, am)])
-    right = np.minimum.reduce([rel(s, cb), rel(c, s), rel(s, tm)])
-    return _result("chain", x, left, right, witness, samples)
+
+    def draws():
+        # one stream holds every x and then every k; a copy of the generator
+        # advanced past the x draws reads the k draws block by block alongside
+        rng_x = np.random.default_rng(seed)
+        rng_k = np.random.default_rng(seed)
+        rng_k.bit_generator.advance(samples)
+        for start in range(0, samples, _BLOCK):
+            size = min(_BLOCK, samples - start)
+            x = np.exp(rng_x.random(size) * (math.log(ratio_max) - math.log(lo)) + math.log(lo))
+            yield x, np.exp(rng_k.uniform(math.log(1e-3), math.log(1e3), size))
+
+    def block(x, k):
+        a, b = x * k, k
+        g = means.geometric_values(a, b)
+        am = means.arithmetic_values(a, b)
+        cb = means.centroidal_values(a, b)
+        s = means.root_square_values(a, b)
+        c = means.contra_harmonic_values(a, b)
+        tm = means.seiffert_values(a, b)
+        ok = (g < am) & (am < cb) & (cb < s) & (s < c) & (am < tm) & (tm < s)
+
+        def ordering():
+            j = _first(~ok)
+            return None if j is None else _mean_side_witness(float(x[j]), "chain", float(a[j]), float(b[j]))
+
+        rel = lambda hi_v, lo_v: (hi_v - lo_v) / am  # noqa: E731 - local shorthand
+        folds = {
+            "left": (np.minimum.reduce([rel(am, g), rel(cb, am), rel(tm, am)]), np.argmin),
+            "right": (np.minimum.reduce([rel(s, cb), rel(c, s), rel(s, tm)]), np.argmin),
+        }
+        return x, folds, (ordering,)
+
+    return _sweep("chain", itertools.starmap(block, draws()))
 
 
 @dataclass(frozen=True)
@@ -577,7 +643,7 @@ def _blend_upper_violation_witness(beta: float, shift: float) -> SharpnessWitnes
 
 def _ratio_violation_witness(const: float, side: str, shift: float) -> SharpnessWitness:
     ts = np.geomspace(1e-6, 1.0 - 1e-10, 2000) if side == "upper" else 1.0 - np.geomspace(1e-10, 0.5, 2000)
-    r = _excess_ratio_values(ts)
+    r = _ratio_and_upper(ts)[0]
     mask = r >= const if side == "upper" else r <= const
     idx = np.nonzero(mask)[0]
     if len(idx) == 0:
@@ -611,7 +677,7 @@ def constants_report(probe_shift: float = 1e-6) -> list[SharpConstantReport]:
         witness=_blend_lower_violation_witness(min(1.0, lam_c + probe_shift), probe_shift),
     )
 
-    beta_disc = float(np.max(0.5 * (1.0 + np.sqrt(3.0 * _excess_ratio_values(small_t)))))
+    beta_disc = float(np.max(0.5 * (1.0 + np.sqrt(3.0 * _ratio_and_upper(small_t)[0]))))
     rep_beta = SharpConstantReport(
         name="blend_beta",
         closed_form=1.0,
@@ -620,7 +686,7 @@ def constants_report(probe_shift: float = 1e-6) -> list[SharpConstantReport]:
         witness=_blend_upper_violation_witness(1.0 - probe_shift, -probe_shift),
     )
 
-    inf_disc = float(np.min(_excess_ratio_values(big_t)))
+    inf_disc = float(np.min(_ratio_and_upper(big_t)[0]))
     rep_a1 = SharpConstantReport(
         name="ratio_alpha",
         closed_form=RATIO_LOWER,
@@ -628,7 +694,7 @@ def constants_report(probe_shift: float = 1e-6) -> list[SharpConstantReport]:
         abs_gap=abs(RATIO_LOWER - inf_disc),
         witness=_ratio_violation_witness(RATIO_LOWER + probe_shift, "lower", probe_shift),
     )
-    sup_disc = float(np.max(_excess_ratio_values(small_t)))
+    sup_disc = float(np.max(_ratio_and_upper(small_t)[0]))
     rep_b1 = SharpConstantReport(
         name="ratio_beta",
         closed_form=RATIO_UPPER,

@@ -182,6 +182,41 @@ class TestCertify:
         assert abs(rep["gap_at_1e8"]) < 1e-6
 
 
+class TestHardenedInputs:
+    """Invalid knobs exit 2 with a one-line message, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv, needle",
+        [
+            (["verify", "thm2", "--samples", "100", "--seed", "-1"], "seed"),
+            (["verify", "thm2", "--samples", "100", "--ratio-max", "inf"], "ratio-max"),
+            (["verify", "all", "--samples", "100", "--ratio-max", "nan"], "ratio-max"),
+            (["eval", "seiffert", "1.0", "3.0", "--oracle", "--precision", "0"], "precision"),
+        ],
+    )
+    def test_exit_2(self, capsys, argv, needle):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and needle in err and err.count("\n") == 1
+
+    def test_run_config_validate(self):
+        from seiffert_bounds.cli import RunConfig
+        from seiffert_bounds.errors import DomainError
+
+        for bad in (RunConfig(seed=-1), RunConfig(ratio_max=math.inf), RunConfig(ratio_max=math.nan)):
+            with pytest.raises(DomainError):
+                bad.validate()
+        RunConfig(seed=0, ratio_max=1e300).validate()
+
+    def test_seed_zero_and_large_ratio_max_still_run(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "verify", "chain", "--samples", "100", "--seed", "0", "--ratio-max", "1e300",
+            "--format", "json",
+        )
+        assert code == 0 and json.loads(out)["suites"][0]["pass"] is True
+
+
 def test_console_script_entry_point():
     out = subprocess.run(
         [sys.executable, "-m", "seiffert_bounds.cli", "eval", "arithmetic", "1", "3"],

@@ -1,0 +1,190 @@
+"""The blocked sweep engine: block-size invariance, witness precedence, memory."""
+
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from seiffert_bounds import DomainError, means, sharp
+from seiffert_bounds.sharp import (
+    RATIO_LOWER,
+    RATIO_UPPER,
+    blend_alpha_closed,
+    sample_ratios,
+    verify_blend_bounds,
+    verify_ordering_chain,
+    verify_prior_bounds,
+    verify_ratio_bounds,
+)
+
+SMALL_BLOCK = 1_000
+
+CASES = {
+    "thm1": (verify_blend_bounds, {}),
+    "thm1-alpha-out": (verify_blend_bounds, {"alpha": blend_alpha_closed() + 1e-4}),
+    "thm1-beta-out": (verify_blend_bounds, {"beta": 1.0 - 1e-6}),
+    "thm2": (verify_ratio_bounds, {}),
+    "thm2-alpha1-out": (verify_ratio_bounds, {"alpha1": RATIO_LOWER + 1e-6}),
+    "thm2-beta1-out": (verify_ratio_bounds, {"beta1": RATIO_UPPER - 1e-6}),
+    "priors": (verify_prior_bounds, {}),
+    # far-end ties: both lower margins fail, the first in margin order is named
+    "priors-far-end": (verify_prior_bounds, {"ratio_max": 1e300}),
+    "chain": (verify_ordering_chain, {}),
+}
+
+
+def _run(monkeypatch, block, fn, n, **kw):
+    monkeypatch.setattr(sharp, "_BLOCK", block)
+    return fn(n, seed=3, **kw)
+
+
+@pytest.mark.parametrize("n", [SMALL_BLOCK - 1, SMALL_BLOCK, SMALL_BLOCK + 1, 3 * SMALL_BLOCK + 7])
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_report_independent_of_block_size(monkeypatch, case, n):
+    fn, kw = CASES[case]
+    blocked = _run(monkeypatch, SMALL_BLOCK, fn, n, **kw)
+    whole = _run(monkeypatch, 10 * n, fn, n, **kw)
+    assert blocked == whole
+    assert blocked.as_report() == whole.as_report()
+    if case.endswith("-out") or case == "priors-far-end":
+        assert not blocked.passed
+
+
+class TestUnchangedStream:
+    """Reports at 70k samples (two default blocks) match a single full-length scan."""
+
+    def test_chain_reads_scales_after_all_ratios(self):
+        res = verify_ordering_chain(70_000, seed=11)
+        assert res.passed and res.n_samples == 70_000
+        assert res.min_slack_left == 8.115280154966746e-10
+        assert res.min_slack_right == 4.057640077483373e-10
+        assert res.arg_left == res.arg_right == 1.0000986878862645
+
+    def test_thm1_shifted_witness(self):
+        res = verify_blend_bounds(70_000, seed=11, alpha=blend_alpha_closed() + 1e-4)
+        assert res.n_samples == 70_018
+        assert res.witness == {
+            "ratio": 9867.858186837222, "side": "lower",
+            "lhs": 6282.759326260579, "rhs": 6282.247604801329,
+        }
+        assert res.min_slack_left == -0.00012072940944812816
+
+    def test_thm2_shifted_witness_and_stats(self):
+        res = verify_ratio_bounds(70_000, seed=11, beta1=RATIO_UPPER - 1e-6)
+        assert res.n_samples == 70_032
+        assert res.witness == {
+            "ratio": 1.0055302745730754, "side": "upper",
+            "lhs": 0.3333326574360645, "rhs": 0.33333233333333334,
+        }
+        assert res.stats == {
+            "inf": 0.273239546411343, "sup": 0.3333333333333333,
+            "arg_inf": 100000000.0, "arg_sup": 1.00000001,
+        }
+
+    def test_priors_margin_order(self):
+        res = verify_prior_bounds(70_000, seed=11, ratio_max=1e300)
+        assert res.witness == {
+            "ratio": 2115183919509234.5, "side": "lower_S_combination",
+            "lhs": -1.1102230246251565e-16, "rhs": 0.0,
+        }
+        assert res.arg_left == 3715998804182975.5
+
+
+def _inflated_seiffert(monkeypatch, factor):
+    original = means.seiffert_values
+    monkeypatch.setattr(means, "seiffert_values", lambda a, b: original(a, b) * factor)
+    return original
+
+
+class TestRawMeanWitness:
+    """The raw-mean check reports the broken side's own pair of means."""
+
+    def test_thm2_upper_side_names_seiffert_and_upper_mean(self, monkeypatch):
+        original = _inflated_seiffert(monkeypatch, 1.0 + 1e-9)
+        res = verify_ratio_bounds(5_000, seed=0)
+        w = res.witness
+        assert not res.passed and w["side"] == "upper"
+        x = w["ratio"]
+        contra, arith = means.contra_harmonic_values(x, 1.0), (x + 1.0) / 2.0
+        upper_mean = RATIO_UPPER * contra + (1.0 - RATIO_UPPER) * arith
+        assert w["lhs"] == float(original(x, 1.0)) * (1.0 + 1e-9)
+        assert w["lhs"] >= w["rhs"]
+        assert w["rhs"] == pytest.approx(float(upper_mean), rel=1e-15)
+
+    def test_thm2_lower_side_names_lower_mean_and_seiffert(self, monkeypatch):
+        _inflated_seiffert(monkeypatch, 1.0 - 1e-6)
+        w = verify_ratio_bounds(5_000, seed=0).witness
+        assert w["side"] == "lower" and w["lhs"] >= w["rhs"]
+
+    def test_margin_witness_outranks_earlier_raw_mean_witness(self, monkeypatch):
+        # beta just below 1 breaks the upper margin only at the near-diagonal
+        # boundary points, which close the last block; the inflated Seiffert
+        # mean breaks the raw-mean check at a sampled ratio in the first block
+        n, beta = 3 * SMALL_BLOCK + 7, 1.0 - 1e-8
+        x = sample_ratios(np.random.default_rng(0), n)
+        _inflated_seiffert(monkeypatch, 1.0 + 1e-9)
+        monkeypatch.setattr(sharp, "_BLOCK", SMALL_BLOCK)
+        raw = verify_blend_bounds(n, seed=0, beta=beta, include_boundary=False)
+        assert np.flatnonzero(x == raw.witness["ratio"])[0] < SMALL_BLOCK
+        res = verify_blend_bounds(n, seed=0, beta=beta)
+        assert np.flatnonzero(x == res.witness["ratio"])[0] >= n
+        assert res.witness["side"] == "upper" and res.witness["ratio"] < 1.001
+        monkeypatch.setattr(sharp, "_BLOCK", 10 * n)
+        assert verify_blend_bounds(n, seed=0, beta=beta) == res
+
+
+@pytest.mark.parametrize(
+    "fn", [verify_blend_bounds, verify_ratio_bounds, verify_prior_bounds, verify_ordering_chain]
+)
+def test_memory_bounded_at_1e6_samples(fn):
+    fn(1_000)  # first-call caches are not part of the sweep's footprint
+    tracemalloc.start()
+    try:
+        res = fn(10**6, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.passed
+    assert peak < 32 * 2**20
+
+
+class TestRatioKernel:
+    def test_matches_two_branch_evaluation(self):
+        # series (full Horner from zero) below the switch, direct quotient above
+        t = np.concatenate([
+            np.geomspace(1e-12, 1.0 - 1e-12, 20_001),
+            [0.5, np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0)],
+        ])
+        u = t * t
+        series = np.zeros_like(u)
+        for c in sharp._RATIO_COEFFS[::-1]:
+            series = series * u + c
+        tail = np.zeros_like(u)
+        for c in sharp._RATIO_COEFFS[:0:-1]:
+            tail = tail * u + c
+        direct = (t / np.arctan(t) - 1.0) / (t * t)
+        small = t <= 0.5
+        r, upper = sharp._ratio_and_upper(t)
+        assert np.array_equal(r, np.where(small, series, direct))
+        assert np.array_equal(upper, np.where(small, -u * tail, RATIO_UPPER - direct))
+
+    def test_scalar_and_shaped_input(self):
+        grid = np.array([[0.1, 0.6], [0.3, 0.9]])
+        vals = sharp.excess_ratio(grid)
+        assert vals.shape == (2, 2)
+        assert vals[1, 0] == sharp.excess_ratio(0.3)
+        assert isinstance(sharp.excess_ratio_upper_margin(np.float64(0.2)), float)
+
+
+class TestSamplingInputs:
+    @pytest.mark.parametrize("ratio_max", [math.inf, math.nan])
+    def test_non_finite_ratio_max_rejected(self, ratio_max):
+        with pytest.raises(DomainError):
+            sample_ratios(np.random.default_rng(0), 10, ratio_max=ratio_max)
+        with pytest.raises(DomainError):
+            verify_ratio_bounds(10, ratio_max=ratio_max)
+
+    def test_chain_needs_a_sample(self):
+        with pytest.raises(DomainError):
+            verify_ordering_chain(0)
