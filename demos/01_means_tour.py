@@ -12,38 +12,31 @@ sweeping continuously from A (x = 1/2) up to the centroidal mean (x = 1).
 
 import numpy as np
 
-from seiffert_bounds import (
-    MeanKind,
-    PositivePair,
-    blend_mean,
-    centroidal_mean,
-    classical_mean,
-    seiffert_mean,
-)
+from seiffert_bounds import PositivePair, mean
 
 pair = PositivePair(1.0, 3.0)
 print(f"pair (a, b) = ({pair.a}, {pair.b})")
-print(f"  geometric        G = {classical_mean(MeanKind.GEOMETRIC, pair):.12f}")
-print(f"  arithmetic       A = {classical_mean(MeanKind.ARITHMETIC, pair):.12f}")
-print(f"  Seiffert         T = {seiffert_mean(pair):.12f}")
-print(f"  centroidal           {centroidal_mean(pair):.12f}")
-print(f"  root-square      S = {classical_mean(MeanKind.ROOT_SQUARE, pair):.12f}")
-print(f"  contra-harmonic  C = {classical_mean(MeanKind.CONTRA_HARMONIC, pair):.12f}")
+print(f"  geometric        G = {mean('geometric', pair):.12f}")
+print(f"  arithmetic       A = {mean('arithmetic', pair):.12f}")
+print(f"  Seiffert         T = {mean('seiffert', pair):.12f}")
+print(f"  centroidal           {mean('centroidal', pair):.12f}")
+print(f"  root-square      S = {mean('root-square', pair):.12f}")
+print(f"  contra-harmonic  C = {mean('contra-harmonic', pair):.12f}")
 
 print("\npower mean sweep (strictly increasing in p, M_0 = G, M_2 = S):")
 for p in (-10.0, -1.0, 0.0, 1.0, 2.0, 10.0):
-    print(f"  M_{p:+5.1f} = {classical_mean(MeanKind.POWER, pair, p):.12f}")
+    print(f"  M_{p:+5.1f} = {mean('power', pair, p):.12f}")
 
 print("\nblend mean J(x) interpolates arithmetic -> centroidal:")
 for x in np.linspace(0.5, 1.0, 6):
-    print(f"  J({x:.1f}) = {blend_mean(float(x), pair):.12f}")
+    print(f"  J({x:.1f}) = {mean('blend', pair, float(x)):.12f}")
 
-t = seiffert_mean(pair)
-lo = blend_mean(0.5, pair)
-hi = blend_mean(1.0, pair)
+t = mean('seiffert', pair)
+lo = mean('blend', pair, 0.5)
+hi = mean('blend', pair, 1.0)
 print(f"\nJ(1/2) = A = {lo:.12f} < T = {t:.12f} < J(1) = centroidal = {hi:.12f}")
 print("so some x* in (1/2, 1) crosses T; the sharp bounds pin x* down exactly.")
 
 print("\nnear-diagonal stability: T at |a-b|/(a+b) = 1e-12 stays fully accurate")
 tiny = PositivePair((1 + 1e-12) / (1 - 1e-12), 1.0)
-print(f"  T = {seiffert_mean(tiny)!r} (arithmetic mean = {classical_mean(MeanKind.ARITHMETIC, tiny)!r})")
+print(f"  T = {mean('seiffert', tiny)!r} (arithmetic mean = {mean('arithmetic', tiny)!r})")

@@ -12,16 +12,14 @@ ladder behind the lower blend bound.  See README.md for a tour.
 
 from .errors import BracketError, DomainError, RangeError
 from .means import (
-    DEFAULT_REL_TOL,
-    MeanKind,
+    MEANS,
     PositivePair,
     blend_mean,
     centroidal_mean,
-    classical_mean,
-    mean_value,
+    excess_ratio_taylor,
+    mean,
     power_mean,
     seiffert_mean,
-    t_over_arctan,
 )
 from .series import (
     N_MAX,
@@ -58,7 +56,6 @@ from .sharp import (
     constants_report,
     excess_ratio,
     excess_ratio_lower_margin,
-    excess_ratio_taylor,
     excess_ratio_upper_margin,
     ratio_grid_scan,
     sample_ratios,
@@ -77,16 +74,14 @@ __all__ = [
     "DomainError",
     "RangeError",
     # means
-    "DEFAULT_REL_TOL",
-    "MeanKind",
+    "MEANS",
     "PositivePair",
     "blend_mean",
     "centroidal_mean",
-    "classical_mean",
-    "mean_value",
+    "excess_ratio_taylor",
+    "mean",
     "power_mean",
     "seiffert_mean",
-    "t_over_arctan",
     # series
     "N_MAX",
     "BernoulliTable",
@@ -120,7 +115,6 @@ __all__ = [
     "constants_report",
     "excess_ratio",
     "excess_ratio_lower_margin",
-    "excess_ratio_taylor",
     "excess_ratio_upper_margin",
     "ratio_grid_scan",
     "sample_ratios",

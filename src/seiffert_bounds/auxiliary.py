@@ -118,16 +118,18 @@ class BlendGapFamily:
         p = self.p
         w = p * p - p + 1.0
         m = 1.0 + 2.0 * p * (1.0 - p)
-        big = t >= 2.0
-        ts = np.where(big, 2.0, t)
+        # the t >= 2 form everywhere, then the t < 2 entries overwritten
+        with np.errstate(divide="ignore", invalid="ignore"):
+            val = (
+                ((_PI * w - 3.0) * t * t + _PI * m * t + (_PI * w + 3.0)) / self.quadratic_form(t)
+                - 4.0 * np.arctan(1.0 / t)
+            )
+        val = np.asarray(val)  # a 0-d t gives a numpy scalar
+        small = t < 2.0
+        ts = t[small]
         s = ts - 1.0
-        small_val = 4.0 * np.arctan(s / (ts + 1.0)) - 3.0 * s * (ts + 1.0) / self.quadratic_form(ts)
-        tb = np.where(big, t, 2.0)
-        big_val = (
-            ((_PI * w - 3.0) * tb * tb + _PI * m * tb + (_PI * w + 3.0)) / self.quadratic_form(tb)
-            - 4.0 * np.arctan(1.0 / tb)
-        )
-        return np.where(big, big_val, small_val)
+        val[small] = 4.0 * np.arctan(s / (ts + 1.0)) - 3.0 * s * (ts + 1.0) / self.quadratic_form(ts)
+        return val
 
     def gap(self, t: float) -> float:
         """gap(t) for scalar t > 1 (domain-checked)."""

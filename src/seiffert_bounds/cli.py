@@ -24,9 +24,8 @@ from dataclasses import dataclass
 
 import mpmath as mp
 
-from . import auxiliary, oracle, series, sharp
+from . import auxiliary, means, oracle, series, sharp
 from .errors import BracketError, DomainError, RangeError
-from .means import MeanKind, PositivePair, blend_mean, mean_value
 
 __all__ = ["RunConfig", "main"]
 
@@ -61,52 +60,24 @@ class RunConfig:
             raise DomainError(f"unknown format {self.output_format!r}")
 
 
-_EVAL_KINDS = {
-    "seiffert": MeanKind.SEIFFERT,
-    "arithmetic": MeanKind.ARITHMETIC,
-    "geometric": MeanKind.GEOMETRIC,
-    "root-square": MeanKind.ROOT_SQUARE,
-    "contra-harmonic": MeanKind.CONTRA_HARMONIC,
-    "centroidal": MeanKind.CENTROIDAL,
-    "power": MeanKind.POWER,
-    "blend": None,  # handled separately (takes --x)
-}
-
-_ORACLE_FNS = {
-    "seiffert": oracle.seiffert,
-    "arithmetic": oracle.arithmetic,
-    "geometric": oracle.geometric,
-    "root-square": oracle.root_square,
-    "contra-harmonic": oracle.contra_harmonic,
-    "centroidal": oracle.centroidal,
-}
-
-
 def _cmd_eval(args: argparse.Namespace) -> int:
     cfg = _config(args)
-    pair = PositivePair(args.a, args.b)
-    if args.oracle:
-        dps = cfg.precision_digits
-        if args.kind == "blend":
-            if args.x is None:
-                raise DomainError("blend requires --x in [1/2, 1]")
-            val = oracle.blend(args.x, pair.a, pair.b, dps=dps)
-        elif args.kind == "power":
-            if args.p is None:
-                raise DomainError("power requires --p")
-            val = oracle.power(pair.a, pair.b, args.p, dps=dps)
-        else:
-            val = _ORACLE_FNS[args.kind](pair.a, pair.b, dps=dps)
-        with mp.workdps(dps):
-            print(mp.nstr(val, dps))
+    pair = means.PositivePair(args.a, args.b)
+    param = args.x if args.kind == "blend" else args.p
+    value = means.mean(args.kind, pair, param)  # validates the parameter
+    if not args.oracle:
+        print(repr(value))
         return 0
-    if args.kind == "blend":
-        if args.x is None:
-            raise DomainError("blend requires --x in [1/2, 1]")
-        print(repr(blend_mean(args.x, pair)))
-        return 0
-    kind = _EVAL_KINDS[args.kind]
-    print(repr(mean_value(kind, pair, args.p)))
+    fn = getattr(oracle, args.kind.replace("-", "_"))
+    dps = cfg.precision_digits
+    if param is None:
+        val = fn(pair.a, pair.b, dps=dps)
+    elif args.kind == "blend":
+        val = fn(param, pair.a, pair.b, dps=dps)
+    else:
+        val = fn(pair.a, pair.b, param, dps=dps)
+    with mp.workdps(dps):
+        print(mp.nstr(val, dps))
     return 0
 
 
@@ -311,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_eval = sub.add_parser("eval", help="evaluate one mean at a pair (a, b)")
-    p_eval.add_argument("kind", choices=sorted(_EVAL_KINDS))
+    p_eval.add_argument("kind", choices=sorted(means.MEANS))
     p_eval.add_argument("a", type=float)
     p_eval.add_argument("b", type=float)
     p_eval.add_argument("--x", type=float, default=None, help="blend parameter in [1/2, 1]")

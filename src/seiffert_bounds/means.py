@@ -13,9 +13,27 @@ The main cast:
 * blend mean         ``J(x) = Cbar(xa+(1-x)b, xb+(1-x)a)`` for x in [1/2, 1],
   which interpolates from ``A`` (x = 1/2) to ``Cbar`` (x = 1).
 
-The scalar API takes a validated :class:`PositivePair`.  The ``*_values``
-functions are vectorized cores operating on arrays *without validation*; the
-bulk verification code builds on them.
+Every mean except ``G`` and ``M_p`` is evaluated on the profile ``A·f(t)``
+with ``A = a/2 + b/2`` and ``t = |a/2 - b/2|/A`` in [0, 1):
+
+    seiffert     t/arctan t          centroidal        1 + t²/3
+    arithmetic   1                   contra-harmonic   1 + t²
+    root-square  sqrt(1 + t²)        blend(x)          1 + (2x-1)²t²/3
+
+(the x-blend multiplies the pair difference by 2x-1 and keeps the sum).  No
+raw square or sum is formed, so nothing overflows or underflows and the
+cores are accurate to a few ulp over all normal doubles; subnormal inputs
+lose bits in the halving.  ``G`` is ``sqrt(a)·sqrt(b)`` and ``M_p`` is
+factored by its larger (p > 0) or smaller (p < 0) entry for the same reason.
+
+``t/arctan t`` comes from the same piecewise kernel as the excess ratio
+``r(t) = (t/arctan t - 1)/t²`` of :mod:`seiffert_bounds.sharp`: an
+exact-coefficient series up to t = 1/2, the direct quotient beyond.
+
+The scalar API takes a validated :class:`PositivePair` and goes through
+:func:`mean`, which looks the ``*_values`` core up in :data:`MEANS`.  The
+cores are vectorized and operate on arrays *without validation*; the bulk
+verification code builds on them.
 
 All functions are pure; there is no shared mutable state, so everything here
 is safe to call concurrently.
@@ -23,26 +41,23 @@ is safe to call concurrently.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from .errors import DomainError
 
 __all__ = [
-    "DEFAULT_REL_TOL",
-    "SEIFFERT_SERIES_CUTOFF",
+    "MEANS",
     "PositivePair",
-    "MeanKind",
+    "mean",
     "seiffert_mean",
     "centroidal_mean",
-    "classical_mean",
     "power_mean",
     "blend_mean",
-    "mean_value",
-    "t_over_arctan",
+    "excess_ratio_taylor",
     "seiffert_values",
     "centroidal_values",
     "blend_values",
@@ -53,13 +68,9 @@ __all__ = [
     "power_values",
 ]
 
-#: Default relative comparison tolerance; individual call sites may override.
-DEFAULT_REL_TOL = 1e-12
-
-#: Below this |a-b|/(a+b), the Seiffert quotient is evaluated through the
-#: reciprocal series of arctan(t)/t instead of the 0/0-prone raw quotient.
-#: At the cutoff the first neglected series term is t¹⁰/11 < 1e-41.
-SEIFFERT_SERIES_CUTOFF = 1e-4
+#: r(t) switches from the exact-coefficient series to the direct quotient here.
+_SERIES_SWITCH = 0.5
+_SERIES_TERMS = 32
 
 
 @dataclass(frozen=True)
@@ -83,92 +94,110 @@ class PositivePair:
         object.__setattr__(self, "b", b)
 
 
-class MeanKind(enum.Enum):
-    """Tags for the means exposed through :func:`mean_value`."""
+def excess_ratio_taylor(order: int) -> tuple[Fraction, ...]:
+    """Exact Taylor coefficients of r(t) in powers of t², by long division.
 
-    SEIFFERT = "seiffert"
-    ARITHMETIC = "arithmetic"
-    GEOMETRIC = "geometric"
-    ROOT_SQUARE = "root-square"
-    CONTRA_HARMONIC = "contra-harmonic"
-    CENTROIDAL = "centroidal"
-    POWER = "power"
-
-
-_CLASSICAL = (
-    MeanKind.ARITHMETIC,
-    MeanKind.GEOMETRIC,
-    MeanKind.ROOT_SQUARE,
-    MeanKind.CONTRA_HARMONIC,
-    MeanKind.POWER,
-)
-
-
-def t_over_arctan(t):
-    """``t / arctan(t)``, stable down to t = 0 (value 1 there).
-
-    For |t| < :data:`SEIFFERT_SERIES_CUTOFF` uses
-    ``1 / (1 - t²/3 + t⁴/5 - t⁶/7 + t⁸/9)``.  Array-capable.
+    Reciprocal of arctan(t)/t = Σ (-1)^k t^{2k}/(2k+1):  r(t) = Σ_k coef[k]·t^{2k}
+    with coef = (1/3, -4/45, 44/945, -428/14175, …).
     """
-    t = np.asarray(t, dtype=float)
-    u = t * t
-    small = np.abs(t) < SEIFFERT_SERIES_CUTOFF
-    us = np.where(small, u, 0.0)
-    recip = 1.0 / (1.0 - us / 3.0 + us * us / 5.0 - us * us * us / 7.0 + us * us * us * us / 9.0)
-    td = np.where(small, 0.5, t)
-    return np.where(small, recip, td / np.arctan(td))
+    if order < 1:
+        raise DomainError(f"order must be >= 1, got {order}")
+    a = [Fraction((-1) ** k, 2 * k + 1) for k in range(order + 1)]
+    b = [Fraction(1)]
+    for n in range(1, order + 1):
+        b.append(-sum(a[j] * b[n - j] for j in range(1, n + 1)))
+    return tuple(b[1:])
+
+
+_RATIO_COEFFS = np.array([float(c) for c in excess_ratio_taylor(_SERIES_TERMS)])
+
+
+def _ratio_kernel(t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """r(t), the upper margin 1/3 - r(t) and q(t) = t/arctan t for t in [0, 1).
+
+    Any shape; the three arrays take the shape of ``t``.
+
+    Beyond the switch all three come from the direct quotient q.  Up to it
+    they are overwritten from one in-place Horner pass over the small-t subset
+    only, for the tail Σ_{k>=1} coef[k]·u^{k-1} (u = t²): 1/3 - r = -u·tail has
+    no cancellation, r = tail·u + coef[0] and q = 1 + u·r.  (Computing the
+    quotient over the whole array and overwriting beats gathering the large-t
+    subset: most sampled t lie above the switch.)
+    """
+    shape = np.shape(t)
+    t = np.reshape(t, -1)
+    with np.errstate(divide="ignore", invalid="ignore"):  # t = 0; t² underflows below ~1e-154
+        q = t / np.arctan(t)
+        r = q - 1.0
+        r /= t * t
+    upper = _RATIO_COEFFS[0] - r
+    small = t <= _SERIES_SWITCH
+    u = t[small]
+    u *= u
+    tail = np.full_like(u, _RATIO_COEFFS[-1])
+    for c in _RATIO_COEFFS[-2:0:-1]:
+        tail *= u
+        tail += c
+    upper[small] = -u * tail
+    tail *= u
+    tail += _RATIO_COEFFS[0]
+    r[small] = tail
+    tail *= u
+    tail += 1.0
+    q[small] = tail
+    return r.reshape(shape), upper.reshape(shape), q.reshape(shape)
+
+
+def _profile(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """A = a/2 + b/2 and t = |a/2 - b/2|/A; halving first keeps both finite."""
+    a = 0.5 * np.asarray(a, dtype=float)
+    b = 0.5 * np.asarray(b, dtype=float)
+    am = a + b
+    return am, np.abs(a - b) / am
 
 
 def seiffert_values(a, b):
     """Seiffert mean on positive array input (no validation)."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    s = a + b
-    return 0.5 * s * t_over_arctan((a - b) / s)
+    am, t = _profile(a, b)
+    return am * _ratio_kernel(t)[2]
 
 
 def centroidal_values(a, b):
     """Centroidal mean on positive array input (no validation)."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    # diagonal short-circuit keeps the continuous extension bit-exact
-    return np.where(a == b, a, 2.0 * ((a * a + b * b) + a * b) / (3.0 * (a + b)))
+    am, t = _profile(a, b)
+    return am * (1.0 + t * t / 3.0)
 
 
 def blend_values(x, a, b):
     """Centroidal mean of the blended pair (xa+(1-x)b, xb+(1-x)a).
 
-    The blend is formed as b + x·(a-b) and a - x·(a-b), which is exact on the
-    diagonal and keeps the pair sum a+b bit-exact.
+    The blend keeps the pair sum and scales the difference, hence t, by
+    2x-1, which is exact for x in [1/2, 1].
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    d = x * (a - b)
-    return centroidal_values(b + d, a - d)
+    am, t = _profile(a, b)
+    t = (2.0 * x - 1.0) * t
+    return am * (1.0 + t * t / 3.0)
 
 
 def arithmetic_values(a, b):
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    return 0.5 * (a + b)
+    return 0.5 * np.asarray(a, dtype=float) + 0.5 * np.asarray(b, dtype=float)
 
 
 def geometric_values(a, b):
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    return np.where(a == b, a, np.sqrt(a * b))
+    # the diagonal short-cut keeps G(a, a) = a bit-exact (sqrt(a)² may round)
+    return np.where(a == b, a, np.sqrt(a) * np.sqrt(b))
 
 
 def root_square_values(a, b):
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    return np.where(a == b, a, np.sqrt(0.5 * (a * a + b * b)))
+    am, t = _profile(a, b)
+    return am * np.sqrt(1.0 + t * t)
 
 
 def contra_harmonic_values(a, b):
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    return np.where(a == b, a, (a * a + b * b) / (a + b))
+    am, t = _profile(a, b)
+    return am * (1.0 + t * t)
 
 
 def power_values(a, b, p):
@@ -189,52 +218,64 @@ def power_values(a, b, p):
     return lo * (0.5 * (1.0 + r ** (-p))) ** (1.0 / p)
 
 
+#: The vectorized core of each mean, by its CLI name.  ``power`` takes the
+#: exponent after the pair, ``blend`` the blend parameter before it.
+MEANS = {
+    "seiffert": seiffert_values,
+    "centroidal": centroidal_values,
+    "blend": blend_values,
+    "arithmetic": arithmetic_values,
+    "geometric": geometric_values,
+    "root-square": root_square_values,
+    "contra-harmonic": contra_harmonic_values,
+    "power": power_values,
+}
+
+
+def mean(name: str, pair: PositivePair, param: float | None = None) -> float:
+    """The mean ``name`` (a key of :data:`MEANS`) of ``pair``.
+
+    ``param`` is the exponent p of ``power`` (finite) and the parameter x of
+    ``blend`` (in [1/2, 1]); it is required for those two and rejected for
+    every other mean.
+    """
+    fn = MEANS.get(name)
+    if fn is None:
+        raise DomainError(f"unknown mean {name!r}; choose from {', '.join(sorted(MEANS))}")
+    if not isinstance(pair, PositivePair):
+        raise DomainError(f"expected PositivePair, got {type(pair).__name__}")
+    if name not in ("power", "blend"):
+        if param is not None:
+            raise DomainError(f"the {name} mean takes no parameter, got {param!r}")
+        return float(fn(pair.a, pair.b))
+    if param is None:
+        raise DomainError(f"the {name} mean requires a parameter")
+    param = float(param)
+    if name == "power":
+        if not math.isfinite(param):
+            raise DomainError(f"power exponent must be finite, got {param!r}")
+        return float(fn(pair.a, pair.b, param))
+    if not (math.isfinite(param) and 0.5 <= param <= 1.0):
+        raise DomainError(f"blend parameter must lie in [1/2, 1], got {param!r}")
+    return float(fn(param, pair.a, pair.b))
+
+
 def seiffert_mean(pair: PositivePair) -> float:
     """Seiffert mean ``(a-b) / (2 arctan((a-b)/(a+b)))``, = a on the diagonal.
 
     Lies strictly between the arithmetic and root-square means for a != b.
     """
-    _check_pair(pair)
-    return float(seiffert_values(pair.a, pair.b))
+    return mean("seiffert", pair)
 
 
 def centroidal_mean(pair: PositivePair) -> float:
     """Centroidal mean ``2(a² + ab + b²) / (3(a+b))``."""
-    _check_pair(pair)
-    return float(centroidal_values(pair.a, pair.b))
+    return mean("centroidal", pair)
 
 
 def power_mean(pair: PositivePair, p: float) -> float:
     """p-th power mean, continuous and strictly increasing in p; M_0 = G."""
-    _check_pair(pair)
-    if not math.isfinite(p):
-        raise DomainError(f"power exponent must be finite, got {p!r}")
-    return float(power_values(pair.a, pair.b, float(p)))
-
-
-def classical_mean(kind: MeanKind, pair: PositivePair, p: float | None = None) -> float:
-    """One of A, G, S, C or M_p selected by ``kind``.
-
-    ``p`` is required for (and only for) :attr:`MeanKind.POWER`.
-    """
-    _check_pair(pair)
-    if kind not in _CLASSICAL:
-        raise DomainError(
-            f"{kind} is not a classical mean; use seiffert_mean/centroidal_mean"
-        )
-    if kind is MeanKind.POWER:
-        if p is None:
-            raise DomainError("Power mean requires an exponent p")
-        return power_mean(pair, p)
-    if p is not None:
-        raise DomainError(f"exponent p is only meaningful for {MeanKind.POWER}")
-    fn = {
-        MeanKind.ARITHMETIC: arithmetic_values,
-        MeanKind.GEOMETRIC: geometric_values,
-        MeanKind.ROOT_SQUARE: root_square_values,
-        MeanKind.CONTRA_HARMONIC: contra_harmonic_values,
-    }[kind]
-    return float(fn(pair.a, pair.b))
+    return mean("power", pair, p)
 
 
 def blend_mean(x: float, pair: PositivePair) -> float:
@@ -243,22 +284,4 @@ def blend_mean(x: float, pair: PositivePair) -> float:
     Requires 1/2 <= x <= 1.  J(1/2) = A(a,b) and J(1) = Cbar(a,b); J is
     continuous and strictly increasing on [1/2, 1] for a != b.
     """
-    _check_pair(pair)
-    x = float(x)
-    if not (math.isfinite(x) and 0.5 <= x <= 1.0):
-        raise DomainError(f"blend parameter must lie in [1/2, 1], got {x!r}")
-    return float(blend_values(x, pair.a, pair.b))
-
-
-def mean_value(kind: MeanKind, pair: PositivePair, p: float | None = None) -> float:
-    """Dispatch any :class:`MeanKind` (CLI convenience)."""
-    if kind is MeanKind.SEIFFERT:
-        return seiffert_mean(pair)
-    if kind is MeanKind.CENTROIDAL:
-        return centroidal_mean(pair)
-    return classical_mean(kind, pair, p)
-
-
-def _check_pair(pair: PositivePair) -> None:
-    if not isinstance(pair, PositivePair):
-        raise DomainError(f"expected PositivePair, got {type(pair).__name__}")
+    return mean("blend", pair, x)

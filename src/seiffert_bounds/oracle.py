@@ -61,11 +61,14 @@ def contra_harmonic(a, b, dps: int = DEFAULT_DPS):
 
 
 def power(a, b, p, dps: int = DEFAULT_DPS):
+    """Factored by the larger entry (smaller for p < 0): the bracket then lies
+    in [1/2, 1], so the rounded 1/p costs no digits at any magnitude."""
     with mp.workdps(dps):
         a, b, p = mp.mpf(a), mp.mpf(b), mp.mpf(p)
         if p == 0:
             return mp.sqrt(a * b)
-        return ((a**p + b**p) / 2) ** (1 / p)
+        big, other = (max(a, b), min(a, b)) if p > 0 else (min(a, b), max(a, b))
+        return big * ((1 + (other / big) ** p) / 2) ** (1 / p)
 
 
 def blend(x, a, b, dps: int = DEFAULT_DPS):

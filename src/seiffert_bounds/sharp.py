@@ -26,7 +26,8 @@ double-precision means (below that the true slack ~t⁴ falls under one ulp of
 the means themselves and raw doubles tie).  Margins near the limits are
 evaluated through series forms that stay fully accurate, e.g.
 1/3 - r(t) = (4/45)t² - (44/945)t⁴ + … obtained by exact long division of the
-arctan series.
+arctan series.  That piecewise r(t) kernel lives in :mod:`seiffert_bounds.means`,
+which evaluates the Seiffert mean from the same pass.
 
 Sampling is log-uniform in a/b over (1, ratio_max] plus deterministic
 near-boundary points {1+10⁻ᵏ} and {10⁺ᵏ}: sharpness lives at the boundary and
@@ -47,20 +48,19 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import means
+from .auxiliary import _bisect
 from .errors import BracketError, DomainError
+from .means import _ratio_kernel
 
 __all__ = [
     "RATIO_LOWER",
     "RATIO_UPPER",
     "blend_alpha_closed",
     "blend_alpha_numeric",
-    "excess_ratio_taylor",
     "excess_ratio",
     "excess_ratio_upper_margin",
     "excess_ratio_lower_margin",
@@ -87,65 +87,13 @@ CONSTANT_GAP_LIMIT = 1e-10
 #: Below this t the raw-mean comparisons are skipped (true slack under 1 ulp).
 _DIRECT_T_FLOOR = 1e-3
 
-#: r(t) switches from the exact-coefficient series to the direct quotient here.
-_SERIES_SWITCH = 0.5
-_SERIES_TERMS = 32
-
-
-def excess_ratio_taylor(order: int) -> tuple[Fraction, ...]:
-    """Exact Taylor coefficients of r(t) in powers of t², by long division.
-
-    Reciprocal of arctan(t)/t = Σ (-1)^k t^{2k}/(2k+1):  r(t) = Σ_k coef[k]·t^{2k}
-    with coef = (1/3, -4/45, 44/945, -428/14175, …).
-    """
-    if order < 1:
-        raise DomainError(f"order must be >= 1, got {order}")
-    a = [Fraction((-1) ** k, 2 * k + 1) for k in range(order + 1)]
-    b = [Fraction(1)]
-    for n in range(1, order + 1):
-        b.append(-sum(a[j] * b[n - j] for j in range(1, n + 1)))
-    return tuple(b[1:])
-
-
-_RATIO_COEFFS = np.array([float(c) for c in excess_ratio_taylor(_SERIES_TERMS)])
-
-
-def _ratio_and_upper(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """r(t) and the upper margin 1/3 - r(t) for t in (0, 1).
-
-    Beyond the switch both come from the direct quotient.  Up to it they are
-    overwritten from one in-place Horner pass over the small-t subset only,
-    for the tail Σ_{k>=1} coef[k]·u^{k-1} (u = t²): 1/3 - r = -u·tail has no
-    cancellation and r = tail·u + coef[0].  (Computing the quotient over the
-    whole array and overwriting beats gathering the large-t subset: most
-    sampled t lie above the switch.)
-    """
-    with np.errstate(divide="ignore", invalid="ignore"):  # t² underflows below ~1e-154
-        r = t / np.arctan(t)
-        r -= 1.0
-        r /= t * t
-    upper = RATIO_UPPER - r
-    small = t <= _SERIES_SWITCH
-    u = t[small]
-    u *= u
-    tail = np.full_like(u, _RATIO_COEFFS[-1])
-    for c in _RATIO_COEFFS[-2:0:-1]:
-        tail *= u
-        tail += c
-    upper[small] = -u * tail
-    tail *= u
-    tail += _RATIO_COEFFS[0]
-    r[small] = tail
-    return r, upper
-
-
 def _on_profile(t, pick):
     """``pick(r, 1/3 - r)`` at validated t in (0, 1); a float for scalar t."""
     arr = np.asarray(t, dtype=float)
     if arr.size and not np.all((arr > 0.0) & (arr < 1.0)):
         bad = arr[~((arr > 0.0) & (arr < 1.0))].ravel()
         raise DomainError(f"t must lie in (0, 1), got e.g. {bad[:3]}")
-    out = pick(*_ratio_and_upper(arr.reshape(-1))).reshape(arr.shape)
+    out = pick(*_ratio_kernel(arr)[:2])
     return float(out) if np.isscalar(t) or arr.ndim == 0 else out
 
 
@@ -176,17 +124,12 @@ def blend_alpha_closed() -> float:
 def blend_alpha_numeric() -> float:
     """The same constant recovered by root-finding, not by the closed form.
 
-    Solves π - 3/(p²-p+1) = 0 (the t→∞ limit of the blend gap) on (1/2, 1);
-    the limit is strictly increasing there with a sign change, so the bracket
-    cannot fail.  Agrees with :func:`blend_alpha_closed` to well under 1e-12.
+    Bisects π - 3/(p²-p+1) (the t→∞ limit of the blend gap) on (1/2, 1) down
+    to adjacent doubles; the limit is strictly increasing there with a sign
+    change, so the bracket cannot fail.  Agrees with
+    :func:`blend_alpha_closed` to well under 1e-12.
     """
-    def limit(p: float) -> float:
-        return math.pi - 3.0 / (p * p - p + 1.0)
-
-    lo, hi = 0.5 + 1e-9, 1.0
-    if not limit(lo) < 0.0 < limit(hi):
-        raise BracketError("blend-gap limit failed to bracket a root on (1/2, 1)")
-    return float(brentq(limit, lo, hi, xtol=1e-15, rtol=8.9e-16))
+    return _bisect(lambda p: math.pi - 3.0 / (p * p - p + 1.0), 0.5 + 1e-9, 1.0)[0]
 
 
 def sample_ratios(
@@ -355,7 +298,7 @@ def verify_blend_bounds(
     hi_const = (2.0 * beta - 1.0) ** 2 / 3.0
 
     def block(x, t):
-        r, upper = _ratio_and_upper(t)
+        r, upper, _ = _ratio_kernel(t)
         left = r - lo_const
         right = upper if beta == 1.0 else hi_const - r
 
@@ -394,6 +337,9 @@ def verify_ratio_bounds(
     """
     alpha1 = RATIO_LOWER if alpha1 is None else float(alpha1)
     beta1 = RATIO_UPPER if beta1 is None else float(beta1)
+    for name, val in (("alpha1", alpha1), ("beta1", beta1)):
+        if not math.isfinite(val):
+            raise DomainError(f"{name} must be finite, got {val!r}")
 
     def blocks():
         yield from _ratio_blocks(seed, samples, ratio_max, include_boundary)
@@ -402,7 +348,7 @@ def verify_ratio_bounds(
             yield (1.0 + t) / (1.0 - t), t
 
     def block(x, t):
-        r, upper = _ratio_and_upper(t)
+        r, upper, _ = _ratio_kernel(t)
         left = r - alpha1
         right = upper if beta1 == RATIO_UPPER else beta1 - r
 
@@ -436,7 +382,7 @@ def ratio_grid_scan(n: int = 10**6, t_min: float = 1e-7, t_max: float = 1.0 - 1e
     if not (0.0 < t_min < t_max < 1.0):
         raise DomainError("need 0 < t_min < t_max < 1")
     grid = np.linspace(t_min, t_max, n)
-    vals = _ratio_and_upper(grid)[0]
+    vals = _ratio_kernel(grid)[0]
     diffs = np.diff(vals)
     return {
         "inf": float(vals[-1]),
@@ -481,7 +427,7 @@ def verify_prior_bounds(
     names = ("lower_S_combination", "upper_S_combination", "lower_C_blend", "upper_C_blend")
 
     def block(x, t):
-        r, upper = _ratio_and_upper(t)
+        r, upper, _ = _ratio_kernel(t)
         u = np.sqrt(1.0 + t * t)
         margins = (
             r - _PRIOR_ALPHA_S / (1.0 + u),
@@ -643,7 +589,7 @@ def _blend_upper_violation_witness(beta: float, shift: float) -> SharpnessWitnes
 
 def _ratio_violation_witness(const: float, side: str, shift: float) -> SharpnessWitness:
     ts = np.geomspace(1e-6, 1.0 - 1e-10, 2000) if side == "upper" else 1.0 - np.geomspace(1e-10, 0.5, 2000)
-    r = _ratio_and_upper(ts)[0]
+    r = _ratio_kernel(ts)[0]
     mask = r >= const if side == "upper" else r <= const
     idx = np.nonzero(mask)[0]
     if len(idx) == 0:
@@ -677,7 +623,7 @@ def constants_report(probe_shift: float = 1e-6) -> list[SharpConstantReport]:
         witness=_blend_lower_violation_witness(min(1.0, lam_c + probe_shift), probe_shift),
     )
 
-    beta_disc = float(np.max(0.5 * (1.0 + np.sqrt(3.0 * _ratio_and_upper(small_t)[0]))))
+    beta_disc = float(np.max(0.5 * (1.0 + np.sqrt(3.0 * _ratio_kernel(small_t)[0]))))
     rep_beta = SharpConstantReport(
         name="blend_beta",
         closed_form=1.0,
@@ -686,7 +632,7 @@ def constants_report(probe_shift: float = 1e-6) -> list[SharpConstantReport]:
         witness=_blend_upper_violation_witness(1.0 - probe_shift, -probe_shift),
     )
 
-    inf_disc = float(np.min(_ratio_and_upper(big_t)[0]))
+    inf_disc = float(np.min(_ratio_kernel(big_t)[0]))
     rep_a1 = SharpConstantReport(
         name="ratio_alpha",
         closed_form=RATIO_LOWER,
@@ -694,7 +640,7 @@ def constants_report(probe_shift: float = 1e-6) -> list[SharpConstantReport]:
         abs_gap=abs(RATIO_LOWER - inf_disc),
         witness=_ratio_violation_witness(RATIO_LOWER + probe_shift, "lower", probe_shift),
     )
-    sup_disc = float(np.max(_ratio_and_upper(small_t)[0]))
+    sup_disc = float(np.max(_ratio_kernel(small_t)[0]))
     rep_b1 = SharpConstantReport(
         name="ratio_beta",
         closed_form=RATIO_UPPER,

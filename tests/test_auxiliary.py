@@ -176,6 +176,25 @@ class TestFamilyBasics:
                     ref = 4 * mp.atan((tm - 1) / (tm + 1)) - 3 * (tm * tm - 1) / q
                     assert abs(fam.gap(t) - float(ref)) < 1e-14 + 1e-13 * abs(float(ref))
 
+    def test_gap_values_match_two_branch_evaluation(self):
+        # the t >= 2 form over the whole array with the t < 2 entries
+        # overwritten equals picking each entry's branch from two full passes
+        t = np.concatenate([
+            1.0 + np.geomspace(1e-12, 1e12, 20_001),
+            [2.0, np.nextafter(2.0, 0.0), np.nextafter(2.0, 3.0)],
+            2.0 + np.linspace(-1e-6, 1e-6, 101),
+        ])
+        for p in (0.6, SHARP, 1.0):
+            fam = BlendGapFamily(p)
+            w, m = p * p - p + 1.0, 1.0 + 2.0 * p * (1.0 - p)
+            s = t - 1.0
+            small = 4.0 * np.arctan(s / (t + 1.0)) - 3.0 * s * (t + 1.0) / fam.quadratic_form(t)
+            big = (
+                ((math.pi * w - 3.0) * t * t + math.pi * m * t + (math.pi * w + 3.0)) / fam.quadratic_form(t)
+                - 4.0 * np.arctan(1.0 / t)
+            )
+            assert np.array_equal(fam.gap_values(t), np.where(t >= 2.0, big, small))
+
 
 class TestFactorization:
     def test_identity_bulk(self):

@@ -7,6 +7,7 @@ import math
 import subprocess
 import sys
 
+import mpmath as mp
 import pytest
 
 from seiffert_bounds.cli import main
@@ -192,6 +193,8 @@ class TestHardenedInputs:
             (["verify", "thm2", "--samples", "100", "--ratio-max", "inf"], "ratio-max"),
             (["verify", "all", "--samples", "100", "--ratio-max", "nan"], "ratio-max"),
             (["eval", "seiffert", "1.0", "3.0", "--oracle", "--precision", "0"], "precision"),
+            (["verify", "thm2", "--samples", "100", "--alpha-shift", "nan"], "alpha1"),
+            (["verify", "thm2", "--samples", "100", "--beta-shift", "nan"], "beta1"),
         ],
     )
     def test_exit_2(self, capsys, argv, needle):
@@ -209,12 +212,62 @@ class TestHardenedInputs:
                 bad.validate()
         RunConfig(seed=0, ratio_max=1e300).validate()
 
+    @pytest.mark.parametrize("kw", [{"alpha1": math.nan}, {"beta1": math.inf}, {"beta1": -math.inf}])
+    def test_ratio_constants_must_be_finite(self, kw):
+        from seiffert_bounds.errors import DomainError
+        from seiffert_bounds.sharp import verify_ratio_bounds
+
+        with pytest.raises(DomainError):
+            verify_ratio_bounds(100, **kw)
+
     def test_seed_zero_and_large_ratio_max_still_run(self, capsys):
         code, out, _ = run_cli(
             capsys, "verify", "chain", "--samples", "100", "--seed", "0", "--ratio-max", "1e300",
             "--format", "json",
         )
         assert code == 0 and json.loads(out)["suites"][0]["pass"] is True
+
+
+class TestProfileRange:
+    """Means far from 1 in magnitude: no raw square overflows or underflows."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["seiffert", "1e308", "1e308"],
+            ["centroidal", "1e200", "3e199"],
+            ["root-square", "1e300", "1e299"],
+            ["blend", "1e300", "3e299", "--x", "0.8"],
+            ["geometric", "1e-200", "3e-200"],
+        ],
+    )
+    def test_eval_matches_oracle(self, capsys, argv):
+        code, out, _ = run_cli(capsys, "eval", *argv)
+        assert code == 0
+        code, ref, _ = run_cli(capsys, "eval", *argv, "--oracle", "--precision", "40")
+        assert code == 0
+        got, ref = float(out), float(mp.mpf(ref.strip()))
+        assert math.isfinite(got) and abs(got - ref) <= 4 * math.ulp(ref)
+
+    def test_oracle_power_digits_far_from_one(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "eval", "power", "1e250", "3e250", "--p=3", "--oracle", "--precision", "30"
+        )
+        assert code == 0
+        with mp.workdps(60):
+            a, b = mp.mpf(1e250), mp.mpf(3e250)
+            ref = ((a**3 + b**3) / 2) ** (1 / mp.mpf(3))
+            assert abs(mp.mpf(out.strip()) - ref) / ref <= mp.mpf(10) ** (1 - 30)
+
+
+def test_cli_import_leaves_scipy_out():
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, seiffert_bounds.cli; print('scipy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+    )
+    assert out.returncode == 0
+    assert out.stdout.strip() == "False"
 
 
 def test_console_script_entry_point():

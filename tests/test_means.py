@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,15 +10,12 @@ from hypothesis import strategies as st
 
 from seiffert_bounds import (
     DomainError,
-    MeanKind,
     PositivePair,
     blend_mean,
     centroidal_mean,
-    classical_mean,
-    mean_value,
+    mean,
     power_mean,
     seiffert_mean,
-    t_over_arctan,
 )
 from seiffert_bounds import means, oracle
 
@@ -60,11 +58,14 @@ class TestSeiffert:
             ref = oracle.seiffert(a, 1.0, dps=100)
             assert abs((got - ref) / ref) < 1e-12
 
-    def test_series_cutoff_continuity(self):
-        lo = float(t_over_arctan(1e-4 * (1 - 1e-9)))
-        hi = float(t_over_arctan(1e-4 * (1 + 1e-9)))
+    def test_series_switch_continuity(self):
+        # a = 3b puts t = (a-b)/(a+b) on the kernel's series/quotient switch at 1/2
+        below, above = PositivePair(3.0, 1.0), PositivePair(math.nextafter(3.0, 4.0), 1.0)
+        assert means._profile(below.a, below.b)[1] == 0.5 < means._profile(above.a, above.b)[1]
+        lo = seiffert_mean(below)
+        hi = seiffert_mean(above)
         assert lo == pytest.approx(hi, rel=1e-13)
-        assert float(t_over_arctan(0.0)) == 1.0
+        assert seiffert_mean(PositivePair(1.0, 1.0)) == 1.0
 
 
 class TestCentroidal:
@@ -83,35 +84,33 @@ class TestCentroidal:
 
 class TestClassical:
     def test_arithmetic(self):
-        assert classical_mean(MeanKind.ARITHMETIC, PositivePair(1, 3)) == 2.0
+        assert mean("arithmetic", PositivePair(1, 3)) == 2.0
 
     def test_contra_harmonic(self):
-        assert classical_mean(MeanKind.CONTRA_HARMONIC, PositivePair(1, 3)) == 2.5
+        assert mean("contra-harmonic", PositivePair(1, 3)) == 2.5
 
     def test_power_two_equals_root_square(self):
         pair = PositivePair(1, 3)
-        p2 = classical_mean(MeanKind.POWER, pair, 2.0)
-        s = classical_mean(MeanKind.ROOT_SQUARE, pair)
+        p2 = mean("power", pair, 2.0)
+        s = mean("root-square", pair)
         assert p2 == pytest.approx(math.sqrt(5.0), rel=1e-14)
         assert p2 == pytest.approx(s, rel=1e-14)
 
     def test_power_zero_is_geometric(self):
         pair = PositivePair(2, 9)
-        assert classical_mean(MeanKind.POWER, pair, 0.0) == classical_mean(
-            MeanKind.GEOMETRIC, pair
-        )
+        assert mean("power", pair, 0.0) == mean("geometric", pair)
 
     def test_power_requires_exponent(self):
         with pytest.raises(DomainError):
-            classical_mean(MeanKind.POWER, PositivePair(1, 2))
+            mean("power", PositivePair(1, 2))
         with pytest.raises(DomainError):
-            classical_mean(MeanKind.ARITHMETIC, PositivePair(1, 2), p=2.0)
+            mean("arithmetic", PositivePair(1, 2), 2.0)
         with pytest.raises(DomainError):
             power_mean(PositivePair(1, 2), math.inf)
 
-    def test_rejects_non_classical_kinds(self):
+    def test_rejects_unknown_name(self):
         with pytest.raises(DomainError):
-            classical_mean(MeanKind.SEIFFERT, PositivePair(1, 2))
+            mean("harmonic", PositivePair(1, 2))
 
     def test_power_overflow_guard(self):
         pair = PositivePair(1e-8, 1e8)
@@ -130,11 +129,9 @@ class TestClassical:
 
     def test_mean_value_dispatch(self):
         pair = PositivePair(1, 3)
-        assert mean_value(MeanKind.SEIFFERT, pair) == seiffert_mean(pair)
-        assert mean_value(MeanKind.CENTROIDAL, pair) == centroidal_mean(pair)
-        assert mean_value(MeanKind.POWER, pair, 2.0) == classical_mean(
-            MeanKind.POWER, pair, 2.0
-        )
+        assert mean("seiffert", pair) == seiffert_mean(pair)
+        assert mean("centroidal", pair) == centroidal_mean(pair)
+        assert mean("power", pair, 2.0) == power_mean(pair, 2.0)
 
 
 class TestBlend:
@@ -230,10 +227,51 @@ def test_mean_property_hypothesis(a, b):
     for v in (
         seiffert_mean(pair),
         centroidal_mean(pair),
-        classical_mean(MeanKind.GEOMETRIC, pair),
+        mean("geometric", pair),
         blend_mean(0.75, pair),
     ):
         assert lo <= v <= hi
+
+
+#: Exponents for the power core; it raises a rounded bracket to 1/p, which
+#: costs about 1/|p| ulp as p -> 0, so smaller |p| is not held to 4 ulp.
+_CORE_EXPONENTS = (-3.0, -2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 3.0)
+
+
+def _ulps(got, ref) -> float:
+    return float(abs(mp.mpf(float(got)) - ref) / mp.mpf(math.ulp(float(ref))))
+
+
+@given(
+    a=st.floats(min_value=-300.0, max_value=300.0).map(lambda e: 10.0**e),
+    b=st.floats(min_value=-300.0, max_value=300.0).map(lambda e: 10.0**e),
+    x=st.floats(min_value=0.5, max_value=1.0),
+    p=st.sampled_from(_CORE_EXPONENTS),
+)
+@settings(max_examples=300, deadline=None)
+def test_cores_match_oracle_to_4_ulp(a, b, x, p):
+    # a and b log-uniform over [1e-300, 1e300]: no raw square may overflow
+    for name, fn in means.MEANS.items():
+        ref_fn = getattr(oracle, name.replace("-", "_"))
+        if name == "blend":
+            got, ref = fn(x, a, b), ref_fn(x, a, b, dps=40)
+        elif name == "power":
+            got, ref = fn(a, b, p), ref_fn(a, b, p, dps=40)
+        else:
+            got, ref = fn(a, b), ref_fn(a, b, dps=40)
+        assert _ulps(got, ref) <= 4.0, (name, a, b, x, p)
+
+
+def test_oracle_power_keeps_every_digit_far_from_one():
+    # the bracket is factored by the larger entry (smaller for p < 0), so the
+    # rounded 1/p costs no digit at any magnitude
+    for a, b in ((1e250, 3e250), (1e-250, 3e-250), (2e300, 1e-300)):
+        for p in (3.0, -3.0, 7.0):
+            got = oracle.power(a, b, p, dps=30)
+            with mp.workdps(60):
+                am, bm, pm = mp.mpf(a), mp.mpf(b), mp.mpf(p)
+                ref = ((am**pm + bm**pm) / 2) ** (1 / pm)
+                assert abs(got - ref) / ref <= mp.mpf(10) ** (1 - 30), (a, b, p)
 
 
 @given(st.floats(allow_nan=True, allow_infinity=True))

@@ -57,7 +57,11 @@ class TestUnchangedStream:
     def test_chain_reads_scales_after_all_ratios(self):
         res = verify_ordering_chain(70_000, seed=11)
         assert res.passed and res.n_samples == 70_000
-        assert res.min_slack_left == 8.115280154966746e-10
+        # (seiffert - A)/A at the arg sample is 8.1152815077968362e-10 (mpmath,
+        # 50 digits); the double slack carries ~1e-7 relative cancellation
+        # noise, so it is pinned together with its distance from that value
+        assert res.min_slack_left == 8.115282212714605e-10
+        assert abs(res.min_slack_left - 8.1152815077968362e-10) <= 4.5e-16
         assert res.min_slack_right == 4.057640077483373e-10
         assert res.arg_left == res.arg_right == 1.0000986878862645
 
@@ -158,16 +162,17 @@ class TestRatioKernel:
         ])
         u = t * t
         series = np.zeros_like(u)
-        for c in sharp._RATIO_COEFFS[::-1]:
+        for c in means._RATIO_COEFFS[::-1]:
             series = series * u + c
         tail = np.zeros_like(u)
-        for c in sharp._RATIO_COEFFS[:0:-1]:
+        for c in means._RATIO_COEFFS[:0:-1]:
             tail = tail * u + c
         direct = (t / np.arctan(t) - 1.0) / (t * t)
         small = t <= 0.5
-        r, upper = sharp._ratio_and_upper(t)
+        r, upper, q = means._ratio_kernel(t)
         assert np.array_equal(r, np.where(small, series, direct))
         assert np.array_equal(upper, np.where(small, -u * tail, RATIO_UPPER - direct))
+        assert np.array_equal(q, np.where(small, 1.0 + u * series, t / np.arctan(t)))
 
     def test_scalar_and_shaped_input(self):
         grid = np.array([[0.1, 0.6], [0.3, 0.9]])
