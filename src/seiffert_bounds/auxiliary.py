@@ -336,7 +336,12 @@ def counterexample_witness(
       enough ratio; the scan returns the first such ratio found on (1, 1e12].
     * ``below_one`` (1/2 < p < 1): chain₃(1) = 6p²-6p < 0 forces gap < 0 just
       above the diagonal, so the Seiffert mean exceeds blend(p) there; the
-      scan walks t = 1+s upward from s = 1e-9.
+      scan walks t = 1+s upward from s = 1e-9 and returns the first t where
+      the two doubles differ by at least 4 ulp of the blend mean.  (The true
+      gap, about (1 - (2p-1)²)·s²/12 relative, stays below one ulp for the
+      smallest s, where rounding alone would decide the comparison.)  Its
+      largest relative value is about 5(1-p)², so a witness exists only for
+      p up to about 1 - 1.3e-8; closer to 1 the scan raises BracketError.
 
     The witness carries both mean values so the violated inequality can be
     re-checked directly.  A failed search raises :class:`BracketError`.
@@ -358,7 +363,7 @@ def counterexample_witness(
 
     blend = blend_values(p, ts, 1.0)
     seif = seiffert_values(ts, 1.0)
-    mask = blend > seif if side == "above_alpha" else seif > blend
+    mask = blend > seif if side == "above_alpha" else seif - blend >= 4.0 * np.spacing(blend)
     idx = np.nonzero(mask)[0]
     if len(idx) == 0:
         raise BracketError(f"no witness found on the {side} scan up to t={ts[-1]:.3g}")

@@ -22,9 +22,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-import mpmath as mp
-
-from . import auxiliary, means, oracle, series, sharp
+from . import auxiliary, means, series, sharp
 from .errors import BracketError, DomainError, RangeError
 
 __all__ = ["RunConfig", "main"]
@@ -68,6 +66,11 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     if not args.oracle:
         print(repr(value))
         return 0
+    # mpmath is imported here only: no other subcommand needs it
+    import mpmath as mp
+
+    from . import oracle
+
     fn = getattr(oracle, args.kind.replace("-", "_"))
     dps = cfg.precision_digits
     if param is None:

@@ -26,17 +26,24 @@ cores are accurate to a few ulp over all normal doubles; subnormal inputs
 lose bits in the halving.  ``G`` is ``sqrt(a)·sqrt(b)`` and ``M_p`` is
 factored by its larger (p > 0) or smaller (p < 0) entry for the same reason.
 
-``t/arctan t`` comes from the same piecewise kernel as the excess ratio
-``r(t) = (t/arctan t - 1)/t²`` of :mod:`seiffert_bounds.sharp`: an
-exact-coefficient series up to t = 1/2, the direct quotient beyond.
+``t/arctan t`` and the excess ratio ``r(t) = (t/arctan t - 1)/t²`` of
+:mod:`seiffert_bounds.sharp` are piecewise: the direct quotient beyond
+t = 1/2 and, up to it, an exact-coefficient series.  One helper
+(``_quotient_parts``) evaluates the quotient and the series tail for both and
+keeps its last result, because a bulk sweep asks for the same block twice.
+The r(t) kernel yields ``r`` and ``1/3 - r``; the Seiffert core computes
+``t/arctan t`` alone, as ``1 + t²·r`` up to the switch.  The factors ``f(t)``
+above live in one private helper each, which the cores and the bulk
+verifiers share.
 
 The scalar API takes a validated :class:`PositivePair` and goes through
 :func:`mean`, which looks the ``*_values`` core up in :data:`MEANS`.  The
 cores are vectorized and operate on arrays *without validation*; the bulk
 verification code builds on them.
 
-All functions are pure; there is no shared mutable state, so everything here
-is safe to call concurrently.
+All functions are pure.  The one piece of shared state, the result kept by
+``_quotient_parts``, is an immutable tuple replaced whole and handed out only
+for a bitwise-equal input, so everything here is safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -71,6 +78,9 @@ __all__ = [
 #: r(t) switches from the exact-coefficient series to the direct quotient here.
 _SERIES_SWITCH = 0.5
 _SERIES_TERMS = 32
+#: power_values takes its geometric-mean form where |p|·ln(max/min) is below
+#: this (the measured point where the two forms' errors cross).
+_POWER_SWITCH = 1.5
 
 
 @dataclass(frozen=True)
@@ -112,40 +122,82 @@ def excess_ratio_taylor(order: int) -> tuple[Fraction, ...]:
 _RATIO_COEFFS = np.array([float(c) for c in excess_ratio_taylor(_SERIES_TERMS)])
 
 
-def _ratio_kernel(t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """r(t), the upper margin 1/3 - r(t) and q(t) = t/arctan t for t in [0, 1).
+#: ``_quotient_parts`` keeps its result for arrays up to this size (a sweep
+#: block is far smaller), so no large call stays held after it returns.
+_KEPT_MAX = 1 << 16
+#: The last (t, parts) of ``_quotient_parts`` with t of at most _KEPT_MAX entries.
+_kept = None
 
-    Any shape; the three arrays take the shape of ``t``.
 
-    Beyond the switch all three come from the direct quotient q.  Up to it
-    they are overwritten from one in-place Horner pass over the small-t subset
-    only, for the tail Σ_{k>=1} coef[k]·u^{k-1} (u = t²): 1/3 - r = -u·tail has
-    no cancellation, r = tail·u + coef[0] and q = 1 + u·r.  (Computing the
-    quotient over the whole array and overwriting beats gathering the large-t
-    subset: most sampled t lie above the switch.)
+def _quotient_parts(t):
+    """The parts shared by the r(t) kernel and the Seiffert core, for flat ``t``.
+
+    Returns ``(q, small, u, tail)``: the direct quotient q = t/arctan t over
+    all of ``t``, the integer indices ``small`` of the entries up to the
+    switch, u = t² there, and the tail Σ_{k>=1} coef[k]·u^{k-1} from one
+    in-place Horner pass over that subset only.  Up to the switch
+    1/3 - r = -u·tail, r = tail·u + coef[0] and t/arctan t = 1 + u·r.
+
+    A sweep block of :mod:`seiffert_bounds.sharp` asks for the same t twice:
+    its margin kernel, then the Seiffert core of its raw-mean check (whose
+    profile t of (x, 1) equals the block's bit for bit).  The Horner pass is a
+    fixed 62 numpy calls on a few hundred entries and dominates both, so the
+    last result is kept and handed out again for an equal float64 t.  Callers
+    must not write to the returned arrays.
     """
-    shape = np.shape(t)
-    t = np.reshape(t, -1)
-    with np.errstate(divide="ignore", invalid="ignore"):  # t = 0; t² underflows below ~1e-154
+    global _kept
+    kept = _kept
+    # the head's bytes turn away another block cheaply; == then tells floats
+    # apart bit for bit except ±0, whose parts coincide
+    if kept is not None and t.dtype == np.float64 and kept[0].shape == t.shape:
+        if kept[0][:4].tobytes() == t[:4].tobytes() and np.array_equal(kept[0], t):
+            return kept[1]
+    with np.errstate(divide="ignore", invalid="ignore"):  # t = 0
         q = t / np.arctan(t)
-        r = q - 1.0
-        r /= t * t
-    upper = _RATIO_COEFFS[0] - r
-    small = t <= _SERIES_SWITCH
+    small = np.flatnonzero(t <= _SERIES_SWITCH)
     u = t[small]
     u *= u
     tail = np.full_like(u, _RATIO_COEFFS[-1])
     for c in _RATIO_COEFFS[-2:0:-1]:
         tail *= u
         tail += c
+    parts = (q, small, u, tail)
+    if t.size <= _KEPT_MAX and t.dtype == np.float64:
+        _kept = (t.copy(), parts)
+    return parts
+
+
+def _ratio_kernel(t) -> tuple[np.ndarray, np.ndarray]:
+    """r(t) and the upper margin 1/3 - r(t) for t in [0, 1).
+
+    Any shape; both arrays take the shape of ``t``.
+
+    Beyond the switch both come from the direct quotient t/arctan t; up to it
+    they are overwritten from the series tail of :func:`_quotient_parts`.
+    (Computing the quotient over the whole array and overwriting beats
+    gathering the large-t subset: most sampled t lie above the switch.)
+    """
+    shape = np.shape(t)
+    t = np.reshape(t, -1)
+    q, small, u, tail = _quotient_parts(t)
+    r = q - 1.0
+    with np.errstate(divide="ignore", invalid="ignore"):  # t = 0; t² underflows below ~1e-154
+        r /= t * t
+    upper = _RATIO_COEFFS[0] - r
     upper[small] = -u * tail
-    tail *= u
-    tail += _RATIO_COEFFS[0]
-    r[small] = tail
-    tail *= u
-    tail += 1.0
-    q[small] = tail
-    return r.reshape(shape), upper.reshape(shape), q.reshape(shape)
+    r[small] = tail * u + _RATIO_COEFFS[0]
+    return r.reshape(shape), upper.reshape(shape)
+
+
+def _t_over_arctan(t) -> np.ndarray:
+    """q(t) = t/arctan t: the direct quotient beyond the switch, 1 + u·r(t)
+    from the series tail of :func:`_quotient_parts` up to it."""
+    shape = np.shape(t)
+    t = np.reshape(t, -1)
+    q, small, u, tail = _quotient_parts(t)
+    q = q.copy()
+    q[small] = (tail * u + _RATIO_COEFFS[0]) * u + 1.0
+    return q.reshape(shape)
 
 
 def _profile(a, b) -> tuple[np.ndarray, np.ndarray]:
@@ -156,16 +208,36 @@ def _profile(a, b) -> tuple[np.ndarray, np.ndarray]:
     return am, np.abs(a - b) / am
 
 
+# The factors f(t) of the cores A·f(t); the bulk verifiers apply them to
+# profiles they already hold.
+
+
+def _centroidal_factor(t):
+    return 1.0 + t * t / 3.0
+
+
+def _blend_factor(x, t):
+    return _centroidal_factor((2.0 * x - 1.0) * t)
+
+
+def _root_square_factor(t):
+    return np.sqrt(1.0 + t * t)
+
+
+def _contra_harmonic_factor(t):
+    return 1.0 + t * t
+
+
 def seiffert_values(a, b):
     """Seiffert mean on positive array input (no validation)."""
     am, t = _profile(a, b)
-    return am * _ratio_kernel(t)[2]
+    return am * _t_over_arctan(t)
 
 
 def centroidal_values(a, b):
     """Centroidal mean on positive array input (no validation)."""
     am, t = _profile(a, b)
-    return am * (1.0 + t * t / 3.0)
+    return am * _centroidal_factor(t)
 
 
 def blend_values(x, a, b):
@@ -175,8 +247,7 @@ def blend_values(x, a, b):
     2x-1, which is exact for x in [1/2, 1].
     """
     am, t = _profile(a, b)
-    t = (2.0 * x - 1.0) * t
-    return am * (1.0 + t * t / 3.0)
+    return am * _blend_factor(x, t)
 
 
 def arithmetic_values(a, b):
@@ -192,12 +263,12 @@ def geometric_values(a, b):
 
 def root_square_values(a, b):
     am, t = _profile(a, b)
-    return am * np.sqrt(1.0 + t * t)
+    return am * _root_square_factor(t)
 
 
 def contra_harmonic_values(a, b):
     am, t = _profile(a, b)
-    return am * (1.0 + t * t)
+    return am * _contra_harmonic_factor(t)
 
 
 def power_values(a, b, p):
@@ -205,6 +276,14 @@ def power_values(a, b, p):
 
     M_p = max·((1+rᵖ)/2)^(1/p) with r = min/max for p > 0, and the
     min-factored mirror for p < 0; p = 0 short-circuits to the geometric mean.
+
+    Raising the rounded bracket to 1/p costs about 1/|p| ulp.  So for
+    0 < |p| < 1/2, with L = ln(max/min), M_p is G·exp(log1p(2·sinh²(p·L/4))/p)
+    wherever |p|·L is below :data:`_POWER_SWITCH`; this is exact algebra,
+    (aᵖ + bᵖ)/2 = Gᵖ·cosh(p·L/2) and cosh x = 1 + 2·sinh²(x/2), and its error
+    grows with the exponent, about p·L²/8.  Beyond the switch the factored form
+    stays, with r^|p| taken as exp(-|p|·L): min/max underflows beyond ratios of
+    ~4.5e307, where r^|p| is still far from negligible for small |p|.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -212,10 +291,20 @@ def power_values(a, b, p):
         return geometric_values(a, b)
     hi = np.maximum(a, b)
     lo = np.minimum(a, b)
-    r = lo / hi
-    if p > 0.0:
-        return hi * (0.5 * (1.0 + r**p)) ** (1.0 / p)
-    return lo * (0.5 * (1.0 + r ** (-p))) ** (1.0 / p)
+    if abs(p) >= 0.5:
+        r = lo / hi
+        if p > 0.0:
+            return hi * (0.5 * (1.0 + r**p)) ** (1.0 / p)
+        return lo * (0.5 * (1.0 + r ** (-p))) ** (1.0 / p)
+    # max/min overflows beyond ratios of ~1.8e308, where the log difference
+    # stands in; the geometric form overflows only far beyond the switch
+    with np.errstate(over="ignore"):
+        log_ratio = np.log(hi / lo)
+        log_ratio = np.where(np.isinf(log_ratio), np.log(hi) - np.log(lo), log_ratio)
+        s = np.sinh(p * log_ratio / 4.0)
+        near = geometric_values(a, b) * np.exp(np.log1p(2.0 * s * s) / p)
+    factored = (hi if p > 0.0 else lo) * (0.5 * (1.0 + np.exp(-abs(p) * log_ratio))) ** (1.0 / p)
+    return np.where(abs(p) * log_ratio < _POWER_SWITCH, near, factored)
 
 
 #: The vectorized core of each mean, by its CLI name.  ``power`` takes the

@@ -31,7 +31,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath as mp
 import numpy as np
 
 from .errors import DomainError, RangeError
@@ -123,6 +122,8 @@ def zeta_even(q: int) -> float:
     Note the binary64 horizon: ζ(2q) - 1 < 2^-53 for q >= 27, where the float
     collapses to exactly 1.0.
     """
+    import mpmath as mp  # here only, so importing the package does not load mpmath
+
     _check_order(q, what="zeta argument")
     b = abs(bernoulli_even(q))
     with mp.workdps(50):

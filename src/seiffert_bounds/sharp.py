@@ -27,7 +27,7 @@ the means themselves and raw doubles tie).  Margins near the limits are
 evaluated through series forms that stay fully accurate, e.g.
 1/3 - r(t) = (4/45)t² - (44/945)t⁴ + … obtained by exact long division of the
 arctan series.  That piecewise r(t) kernel lives in :mod:`seiffert_bounds.means`,
-which evaluates the Seiffert mean from the same pass.
+whose Seiffert core shares its series helper.
 
 Sampling is log-uniform in a/b over (1, ratio_max] plus deterministic
 near-boundary points {1+10⁻ᵏ} and {10⁺ᵏ}: sharpness lives at the boundary and
@@ -35,11 +35,22 @@ uniform sampling would miss it.
 
 The four suites stream through one engine (``_sweep``): ratios are drawn,
 checked and reduced in blocks of ``_BLOCK`` samples, so memory is O(block)
-and time linear in the sample count.  The blocks continue one random stream,
-so a suite sees exactly the samples of one full-length draw, and every
-reduction keeps the first occurrence (minima, maxima, the first violation of
-each check), so the report equals that of a single unblocked scan.  All
-functions are pure.
+and time linear in the sample count.  The streaming contract:
+
+* the blocks continue one random stream, so a suite sees exactly the samples
+  of one full-length draw, whatever the block size;
+* every reduction keeps the first occurrence (minima, maxima, the first
+  violation of each check), so the report equals that of a single unblocked
+  scan, bit for bit;
+* each block's work is done once: one r(t) kernel pass for the margins and
+  one profile (A, t), from which the raw-mean check builds every mean of the
+  pair (x, 1) except the Seiffert mean; that one comes from
+  ``means.seiffert_values``, the core any caller gets, which takes the
+  quotient t/arctan t and its series tail kept from the kernel's pass over
+  the same t (``means._quotient_parts``) instead of evaluating them again.
+
+The block is sized so that its temporaries stay in cache and in the
+allocator's free lists (see ``_BLOCK``).  All functions are pure.
 """
 
 from __future__ import annotations
@@ -93,7 +104,7 @@ def _on_profile(t, pick):
     if arr.size and not np.all((arr > 0.0) & (arr < 1.0)):
         bad = arr[~((arr > 0.0) & (arr < 1.0))].ravel()
         raise DomainError(f"t must lie in (0, 1), got e.g. {bad[:3]}")
-    out = pick(*_ratio_kernel(arr)[:2])
+    out = pick(*_ratio_kernel(arr))
     return float(out) if np.isscalar(t) or arr.ndim == 0 else out
 
 
@@ -191,12 +202,19 @@ class VerificationResult:
         return rep
 
 
-#: Samples drawn, checked and reduced per step of a sweep.
-_BLOCK = 1 << 16
+#: Samples drawn, checked and reduced per step of a sweep.  A block's dozen
+#: float64 temporaries of 64 KiB each stay in a 2 MiB L2, and each stays
+#: below glibc's 128 KiB mmap threshold, so freed blocks come back from the
+#: allocator's free lists instead of being unmapped and page-faulted in anew.
+_BLOCK = 1 << 13
 
 
 def _ratio_blocks(seed: int, n: int, ratio_max: float, include_boundary: bool):
-    """(x, t) blocks of the stream ``sample_ratios(default_rng(seed), n, ...)``."""
+    """(x, t) blocks of the stream ``sample_ratios(default_rng(seed), n, ...)``.
+
+    t is bit for bit the profile t of the pair (x, 1) (the profile's halvings
+    are exact), so the raw-mean checks may build means of (x, 1) from it.
+    """
     rng = np.random.default_rng(seed)
     for start in range(0, max(n, 1), _BLOCK):
         last = start + _BLOCK >= n
@@ -228,13 +246,14 @@ def _margin_witness(x, left, right, at) -> dict | None:
     return _mean_side_witness(float(x[k]), side, *at(k, side))
 
 
-def _raw_mean_witness(x, lo, mid, hi) -> dict | None:
-    """Witness of the first sample breaking lo < mid < hi in raw doubles, or None.
+def _raw_mean_witness(x, t, lo, mid, hi) -> dict | None:
+    """Witness of the first sample with t >= 1e-3 breaking lo < mid < hi in raw
+    doubles, or None.
 
     It names the broken side with its own pair: (lo, mid) for ``lower``,
     (mid, hi) for ``upper``.
     """
-    k = _first(~((lo < mid) & (mid < hi)))
+    k = _first((t >= _DIRECT_T_FLOOR) & ~((lo < mid) & (mid < hi)))
     if k is None:
         return None
     if not lo[k] < mid[k]:
@@ -298,7 +317,7 @@ def verify_blend_bounds(
     hi_const = (2.0 * beta - 1.0) ** 2 / 3.0
 
     def block(x, t):
-        r, upper, _ = _ratio_kernel(t)
+        r, upper = _ratio_kernel(t)
         left = r - lo_const
         right = upper if beta == 1.0 else hi_const - r
 
@@ -308,11 +327,10 @@ def verify_blend_bounds(
             return (blend, seif) if side == "lower" else (seif, blend)
 
         def raw_means():
-            xm = x[t >= _DIRECT_T_FLOOR]
-            seif = means.seiffert_values(xm, 1.0)
-            lo_mean = means.blend_values(alpha, xm, 1.0)
-            hi_mean = means.blend_values(beta, xm, 1.0)
-            return _raw_mean_witness(xm, lo_mean, seif, hi_mean)
+            am = means.arithmetic_values(x, 1.0)
+            lo_mean = am * means._blend_factor(alpha, t)
+            hi_mean = am * means._blend_factor(beta, t)
+            return _raw_mean_witness(x, t, lo_mean, means.seiffert_values(x, 1.0), hi_mean)
 
         folds = {"left": (left, np.argmin), "right": (right, np.argmin)}
         return x, folds, (lambda: _margin_witness(x, left, right, means_at), raw_means)
@@ -342,24 +360,26 @@ def verify_ratio_bounds(
             raise DomainError(f"{name} must be finite, got {val!r}")
 
     def blocks():
-        yield from _ratio_blocks(seed, samples, ratio_max, include_boundary)
+        # (x, t, profile t of x): the boundary block fixes t and derives x,
+        # whose own profile may differ from that t in the last bit
+        for x, t in _ratio_blocks(seed, samples, ratio_max, include_boundary):
+            yield x, t, t
         if include_boundary:
             t = np.concatenate([10.0 ** -np.arange(1.0, 8.0), 1.0 - 10.0 ** -np.arange(1.0, 8.0)])
-            yield (1.0 + t) / (1.0 - t), t
+            x = (1.0 + t) / (1.0 - t)
+            yield x, t, (x - 1.0) / (x + 1.0)
 
-    def block(x, t):
-        r, upper, _ = _ratio_kernel(t)
+    def block(x, t, t_x):
+        r, upper = _ratio_kernel(t)
         left = r - alpha1
         right = upper if beta1 == RATIO_UPPER else beta1 - r
 
         def raw_means():
-            xm = x[t >= _DIRECT_T_FLOOR]
-            seif = means.seiffert_values(xm, 1.0)
-            arith = means.arithmetic_values(xm, 1.0)
-            contra = means.contra_harmonic_values(xm, 1.0)
+            arith = means.arithmetic_values(x, 1.0)
+            contra = arith * means._contra_harmonic_factor(t_x)
             lo_mean = alpha1 * contra + (1.0 - alpha1) * arith
             hi_mean = beta1 * contra + (1.0 - beta1) * arith
-            return _raw_mean_witness(xm, lo_mean, seif, hi_mean)
+            return _raw_mean_witness(x, t, lo_mean, means.seiffert_values(x, 1.0), hi_mean)
 
         folds = {
             "left": (left, np.argmin),
@@ -427,8 +447,8 @@ def verify_prior_bounds(
     names = ("lower_S_combination", "upper_S_combination", "lower_C_blend", "upper_C_blend")
 
     def block(x, t):
-        r, upper, _ = _ratio_kernel(t)
-        u = np.sqrt(1.0 + t * t)
+        r, upper = _ratio_kernel(t)
+        u = means._root_square_factor(t)
         margins = (
             r - _PRIOR_ALPHA_S / (1.0 + u),
             # (2/3)/(1+u) - r, written against the stable upper margin:
@@ -446,20 +466,23 @@ def verify_prior_bounds(
             return None if k is None else _mean_side_witness(float(x[k]), name, float(vals[k]), 0.0)
 
         def raw_means():
-            xm = x[t >= _DIRECT_T_FLOOR]
-            seif = means.seiffert_values(xm, 1.0)
-            arith = means.arithmetic_values(xm, 1.0)
-            rootsq = means.root_square_values(xm, 1.0)
-            lo_s = _PRIOR_ALPHA_S * rootsq + (1.0 - _PRIOR_ALPHA_S) * arith
-            hi_s = _PRIOR_BETA_S * rootsq + (1.0 - _PRIOR_BETA_S) * arith
-            lo_c = means.contra_harmonic_values(
-                _PRIOR_ALPHA_2 * xm + (1.0 - _PRIOR_ALPHA_2), _PRIOR_ALPHA_2 + (1.0 - _PRIOR_ALPHA_2) * xm
+            seif = means.seiffert_values(x, 1.0)
+            arith = means.arithmetic_values(x, 1.0)
+            rootsq = arith * u
+            # one comparison at a time, so each mean's temporaries are freed
+            # before the next is built
+            ok = _PRIOR_ALPHA_S * rootsq + (1.0 - _PRIOR_ALPHA_S) * arith < seif
+            ok &= seif < _PRIOR_BETA_S * rootsq + (1.0 - _PRIOR_BETA_S) * arith
+            # the blended pairs round differently from (x, 1), so they keep
+            # their own profile
+            ok &= means.contra_harmonic_values(
+                _PRIOR_ALPHA_2 * x + (1.0 - _PRIOR_ALPHA_2), _PRIOR_ALPHA_2 + (1.0 - _PRIOR_ALPHA_2) * x
+            ) < seif
+            ok &= seif < means.contra_harmonic_values(
+                _PRIOR_BETA_2 * x + (1.0 - _PRIOR_BETA_2), _PRIOR_BETA_2 + (1.0 - _PRIOR_BETA_2) * x
             )
-            hi_c = means.contra_harmonic_values(
-                _PRIOR_BETA_2 * xm + (1.0 - _PRIOR_BETA_2), _PRIOR_BETA_2 + (1.0 - _PRIOR_BETA_2) * xm
-            )
-            k = _first(~((lo_s < seif) & (seif < hi_s) & (lo_c < seif) & (seif < hi_c)))
-            return None if k is None else _mean_side_witness(float(xm[k]), "raw-mean", float(seif[k]), 0.0)
+            k = _first((t >= _DIRECT_T_FLOOR) & ~ok)
+            return None if k is None else _mean_side_witness(float(x[k]), "raw-mean", float(seif[k]), 0.0)
 
         folds = {name: (vals, np.argmin) for name, vals in zip(names, margins)}
         folds["left"] = (np.minimum(margins[0], margins[2]), np.argmin)
@@ -503,11 +526,11 @@ def verify_ordering_chain(
 
     def block(x, k):
         a, b = x * k, k
+        am, t = means._profile(a, b)
         g = means.geometric_values(a, b)
-        am = means.arithmetic_values(a, b)
-        cb = means.centroidal_values(a, b)
-        s = means.root_square_values(a, b)
-        c = means.contra_harmonic_values(a, b)
+        cb = am * means._centroidal_factor(t)
+        s = am * means._root_square_factor(t)
+        c = am * means._contra_harmonic_factor(t)
         tm = means.seiffert_values(a, b)
         ok = (g < am) & (am < cb) & (cb < s) & (s < c) & (am < tm) & (tm < s)
 
@@ -515,10 +538,11 @@ def verify_ordering_chain(
             j = _first(~ok)
             return None if j is None else _mean_side_witness(float(x[j]), "chain", float(a[j]), float(b[j]))
 
-        rel = lambda hi_v, lo_v: (hi_v - lo_v) / am  # noqa: E731 - local shorthand
+        # relative slacks; dividing by am > 0 after the minimum rounds the same
+        # as dividing each slack first (rounding is monotone)
         folds = {
-            "left": (np.minimum.reduce([rel(am, g), rel(cb, am), rel(tm, am)]), np.argmin),
-            "right": (np.minimum.reduce([rel(s, cb), rel(c, s), rel(s, tm)]), np.argmin),
+            "left": (np.minimum.reduce([am - g, cb - am, tm - am]) / am, np.argmin),
+            "right": (np.minimum.reduce([s - cb, c - s, s - tm]) / am, np.argmin),
         }
         return x, folds, (ordering,)
 

@@ -313,6 +313,20 @@ class TestWitnesses:
         w = counterexample_witness(0.75, "below_one")
         assert 1.0 < w.t < 1.01
 
+    @pytest.mark.parametrize(
+        "p", [*np.linspace(0.501, 0.999, 24), *(1.0 - np.geomspace(1e-6, 1e-3, 6))]
+    )
+    def test_below_one_means_are_4_ulp_apart(self, p):
+        # the reported doubles show the violation instead of a rounding tie
+        w = counterexample_witness(float(p), "below_one")
+        assert w.seiffert_value - w.blend_value >= 4.0 * np.spacing(w.blend_value)
+        assert oracle.seiffert(w.t, 1.0, dps=40) > oracle.blend(float(p), w.t, 1.0, dps=40)
+
+    def test_below_one_has_no_4_ulp_witness_next_to_one(self):
+        # the relative gap peaks near 5(1-p)², below 4 ulp once 1-p < ~1.3e-8
+        with pytest.raises(BracketError):
+            counterexample_witness(1.0 - 1e-10, "below_one")
+
     def test_side_validation(self):
         with pytest.raises(DomainError):
             counterexample_witness(0.94, "above_alpha")  # below the sharp constant

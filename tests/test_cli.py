@@ -270,6 +270,20 @@ def test_cli_import_leaves_scipy_out():
     assert out.stdout.strip() == "False"
 
 
+def test_cli_import_and_verify_leave_mpmath_out():
+    # only `eval --oracle` and zeta_even need mpmath
+    code = (
+        "import contextlib, io, sys, seiffert_bounds.cli as cli\n"
+        "loaded = 'mpmath' in sys.modules\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    rc = cli.main(['verify', 'thm1', '--samples', '100'])\n"
+        "print(loaded, rc, 'mpmath' in sys.modules)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert out.returncode == 0
+    assert out.stdout.strip() == "False 0 False"
+
+
 def test_console_script_entry_point():
     out = subprocess.run(
         [sys.executable, "-m", "seiffert_bounds.cli", "eval", "arithmetic", "1", "3"],

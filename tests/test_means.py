@@ -233,8 +233,8 @@ def test_mean_property_hypothesis(a, b):
         assert lo <= v <= hi
 
 
-#: Exponents for the power core; it raises a rounded bracket to 1/p, which
-#: costs about 1/|p| ulp as p -> 0, so smaller |p| is not held to 4 ulp.
+#: Exponents for the power core held to 4 ulp; 0 < |p| < 1/2 takes another
+#: form, held to 16 ulp at ratios up to 1e6 below.
 _CORE_EXPONENTS = (-3.0, -2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 3.0)
 
 
@@ -260,6 +260,41 @@ def test_cores_match_oracle_to_4_ulp(a, b, x, p):
         else:
             got, ref = fn(a, b), ref_fn(a, b, dps=40)
         assert _ulps(got, ref) <= 4.0, (name, a, b, x, p)
+
+
+@given(
+    a=st.floats(min_value=-300.0, max_value=294.0).map(lambda e: 10.0**e),
+    ratio=st.floats(min_value=0.0, max_value=6.0).map(lambda e: 10.0**e),
+    swap=st.booleans(),
+    p=st.tuples(st.floats(min_value=-300.0, max_value=math.log10(0.4999)), st.sampled_from((-1.0, 1.0)))
+    .map(lambda e: e[1] * 10.0 ** e[0]),
+)
+@settings(max_examples=300, deadline=None)
+def test_power_near_zero_exponent_to_16_ulp(a, ratio, swap, p):
+    # 0 < |p| < 1/2 at ratios up to 1e6; the oracle's bracket cancels about
+    # log10(1/|p|) digits, which its precision makes up for
+    b = a * ratio
+    if swap:
+        a, b = b, a
+    ref = oracle.power(a, b, p, dps=40 + math.ceil(-math.log10(abs(p))))
+    assert _ulps(means.power_values(a, b, p), ref) <= 16.0, (a, b, p)
+
+
+@pytest.mark.parametrize("p", [1e-3, -1e-3, 1e-2, -1e-2, 0.1, -0.1])
+@pytest.mark.parametrize(
+    "a, b, bound",
+    [
+        (3.0, 1e300, 110.0),  # ratio below 1e300
+        (1.0, 1e305, 530.0),
+        (1e-8, 1e300, 530.0),  # min/max underflows to a subnormal
+        (1e-300, 1e300, 530.0),  # max/min overflows: ln(max) - ln(min) stands in
+    ],
+)
+def test_power_small_exponent_far_from_the_diagonal(a, b, bound, p):
+    # the README's accuracy bounds for small |p| at ratios up to 1e300 and beyond
+    ref = oracle.power(a, b, p, dps=60)
+    assert _ulps(means.power_values(a, b, p), ref) <= bound, (a, b, p)
+    assert _ulps(means.power_values(b, a, p), ref) <= bound, (b, a, p)
 
 
 def test_oracle_power_keeps_every_digit_far_from_one():

@@ -150,7 +150,79 @@ def test_memory_bounded_at_1e6_samples(fn):
     finally:
         tracemalloc.stop()
     assert res.passed
-    assert peak < 32 * 2**20
+    assert peak < 4 * 2**20  # cache-sized blocks; was 32 MiB at blocks of 1 << 16
+
+
+def _counting(monkeypatch, owner, name):
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args):
+        calls.append(np.size(args[0]))
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+class TestWorkOncePerBlock:
+    """Each block runs the r(t) kernel and the Seiffert core once, and chain
+    builds one profile of its own."""
+
+    N = 3 * SMALL_BLOCK + 7
+
+    @pytest.mark.parametrize(
+        "fn, extra_blocks",
+        [(verify_blend_bounds, 0), (verify_ratio_bounds, 1), (verify_prior_bounds, 0)],
+    )
+    def test_kernel_and_seiffert_core_once(self, monkeypatch, fn, extra_blocks):
+        monkeypatch.setattr(sharp, "_BLOCK", SMALL_BLOCK)
+        kernel = _counting(monkeypatch, sharp, "_ratio_kernel")
+        seiffert = _counting(monkeypatch, means, "seiffert_values")
+        res = fn(self.N, seed=2)
+        assert res.passed
+        assert len(kernel) == len(seiffert) == 4 + extra_blocks
+        assert sum(kernel) == sum(seiffert) == res.n_samples
+
+    @pytest.mark.parametrize("fn", [verify_blend_bounds, verify_prior_bounds])
+    def test_one_quotient_per_block(self, monkeypatch, fn):
+        # the Seiffert core takes the quotient and series tail the margin
+        # kernel computed for the same block
+        monkeypatch.setattr(sharp, "_BLOCK", SMALL_BLOCK)
+        arctan = _counting(monkeypatch, np, "arctan")
+        assert fn(self.N, seed=2).passed
+        assert len(arctan) == 4
+
+    def test_chain_one_profile_besides_the_seiffert_core(self, monkeypatch):
+        monkeypatch.setattr(sharp, "_BLOCK", SMALL_BLOCK)
+        profile = _counting(monkeypatch, means, "_profile")
+        seiffert = _counting(monkeypatch, means, "seiffert_values")
+        assert verify_ordering_chain(self.N, seed=2).passed
+        assert len(seiffert) == 4
+        assert len(profile) == 2 * 4
+
+
+def test_block_profile_means_equal_the_cores(monkeypatch):
+    # the raw-mean checks build A·f(t) from the block's own t; that must be
+    # the cores' value at (x, 1) bit for bit, across the whole ratio range
+    # and on both sides of the t = 1e-3 floor of the raw-mean check
+    floor_x = (1.0 + 1e-3) / (1.0 - 1e-3)
+    x = np.concatenate([
+        1.0 + np.geomspace(1e-12, 1e-2, 5_000),
+        np.geomspace(1.01, 1e300, 5_000),
+        floor_x + np.arange(-8, 9) * np.spacing(floor_x),
+    ])
+    monkeypatch.setattr(sharp, "sample_ratios", lambda rng, n, ratio_max, include_boundary: x)
+    monkeypatch.setattr(sharp, "_BLOCK", len(x))
+    (xb, t), = sharp._ratio_blocks(0, len(x), 2.0, False)
+    assert np.array_equal(t, means._profile(x, 1.0)[1])
+    assert np.any(t[-17:] < 1e-3) and np.any(t[-17:] >= 1e-3)
+    am = means.arithmetic_values(xb, 1.0)
+    for p in (0.5, blend_alpha_closed(), 0.99, 1.0):
+        assert np.array_equal(am * means._blend_factor(p, t), means.blend_values(p, x, 1.0))
+    assert np.array_equal(am * means._contra_harmonic_factor(t), means.contra_harmonic_values(x, 1.0))
+    assert np.array_equal(am * means._root_square_factor(t), means.root_square_values(x, 1.0))
+    assert np.array_equal(am * means._centroidal_factor(t), means.centroidal_values(x, 1.0))
 
 
 class TestRatioKernel:
@@ -169,13 +241,42 @@ class TestRatioKernel:
             tail = tail * u + c
         direct = (t / np.arctan(t) - 1.0) / (t * t)
         small = t <= 0.5
-        r, upper, q = means._ratio_kernel(t)
+        r, upper = means._ratio_kernel(t)
         assert np.array_equal(r, np.where(small, series, direct))
         assert np.array_equal(upper, np.where(small, -u * tail, RATIO_UPPER - direct))
+        # the Seiffert core's q-only path: 1 + u·r(t) below the switch
+        q = means._t_over_arctan(t)
         assert np.array_equal(q, np.where(small, 1.0 + u * series, t / np.arctan(t)))
+        x = (1.0 + t) / (1.0 - t)
+        am, t_x = means._profile(x, 1.0)
+        assert np.array_equal(means.seiffert_values(x, 1.0), am * means._t_over_arctan(t_x))
+
+    def test_kept_parts_match_a_fresh_evaluation(self, monkeypatch):
+        def fresh(f, t):
+            monkeypatch.setattr(means, "_kept", None)
+            return f(t)
+
+        t = np.geomspace(1e-9, 1.0 - 1e-9, 4_001)
+        r, upper = means._ratio_kernel(t)
+        # a bitwise-equal copy reuses the kept parts
+        assert np.array_equal(means._t_over_arctan(t.copy()), fresh(means._t_over_arctan, t))
+        # writing to the caller's array after the call changes nothing kept
+        t[::7] *= 0.5
+        assert np.array_equal(means._t_over_arctan(t), fresh(means._t_over_arctan, t))
+        fresh_r, fresh_upper = fresh(means._ratio_kernel, t)
+        r, upper = means._ratio_kernel(t)
+        assert np.array_equal(r, fresh_r) and np.array_equal(upper, fresh_upper)
+        # a caller writing to its results does not reach the kept parts
+        r[:] = 0.0
+        assert np.array_equal(means._ratio_kernel(t)[0], fresh_r)
+        assert np.array_equal(means._t_over_arctan(t[:-1]), fresh(means._t_over_arctan, t[:-1]))
 
     def test_scalar_and_shaped_input(self):
         grid = np.array([[0.1, 0.6], [0.3, 0.9]])
+        q = means._t_over_arctan(grid)
+        assert q.shape == (2, 2)
+        assert np.array_equal(q.ravel(), means._t_over_arctan(grid.ravel()))
+        assert means._t_over_arctan(0.3) == q[1, 0]
         vals = sharp.excess_ratio(grid)
         assert vals.shape == (2, 2)
         assert vals[1, 0] == sharp.excess_ratio(0.3)
