@@ -277,8 +277,15 @@ def _config(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as the one-line message of every other invalid input."""
+
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="seiffert-bounds",
         description="Evaluate bivariate means and verify the sharp Seiffert-mean bounds.",
     )
@@ -312,7 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_const = sub.add_parser("constants", help="closed-form vs discovered sharp constants")
     p_const.add_argument("--format", choices=("json", "csv", "plain"), default="plain")
-    p_const.add_argument("--precision", type=int, default=100)
     p_const.set_defaults(func=_cmd_constants)
 
     p_series = sub.add_parser("series", help="dump exact series coefficients")
@@ -329,11 +335,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except (DomainError, RangeError) as exc:
+    except (argparse.ArgumentError, DomainError, RangeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BracketError as exc:

@@ -28,22 +28,17 @@ factored by its larger (p > 0) or smaller (p < 0) entry for the same reason.
 
 ``t/arctan t`` and the excess ratio ``r(t) = (t/arctan t - 1)/t²`` of
 :mod:`seiffert_bounds.sharp` are piecewise: the direct quotient beyond
-t = 1/2 and, up to it, an exact-coefficient series.  One helper
-(``_quotient_parts``) evaluates the quotient and the series tail for both and
-keeps its last result, because a bulk sweep asks for the same block twice.
-The r(t) kernel yields ``r`` and ``1/3 - r``; the Seiffert core computes
-``t/arctan t`` alone, as ``1 + t²·r`` up to the switch.  The factors ``f(t)``
-above live in one private helper each, which the cores and the bulk
-verifiers share.
+t = 1/2 and, up to it, an exact-coefficient series.  One kernel
+(``_ratio_kernel``) evaluates both in one pass and returns ``r``,
+``1/3 - r`` and ``t/arctan t``; the Seiffert core is ``A`` times the last.
+The factors ``f(t)`` above live in one private helper each, which the cores
+and the bulk verifiers share, so a verifier builds every raw mean of a block
+from the block's own profile and kernel pass.
 
 The scalar API takes a validated :class:`PositivePair` and goes through
 :func:`mean`, which looks the ``*_values`` core up in :data:`MEANS`.  The
 cores are vectorized and operate on arrays *without validation*; the bulk
-verification code builds on them.
-
-All functions are pure.  The one piece of shared state, the result kept by
-``_quotient_parts``, is an immutable tuple replaced whole and handed out only
-for a bitwise-equal input, so everything here is safe to call concurrently.
+verification code builds on them.  All functions are pure.
 """
 
 from __future__ import annotations
@@ -122,36 +117,20 @@ def excess_ratio_taylor(order: int) -> tuple[Fraction, ...]:
 _RATIO_COEFFS = np.array([float(c) for c in excess_ratio_taylor(_SERIES_TERMS)])
 
 
-#: ``_quotient_parts`` keeps its result for arrays up to this size (a sweep
-#: block is far smaller), so no large call stays held after it returns.
-_KEPT_MAX = 1 << 16
-#: The last (t, parts) of ``_quotient_parts`` with t of at most _KEPT_MAX entries.
-_kept = None
+def _ratio_kernel(t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """r(t), the upper margin 1/3 - r(t) and q(t) = t/arctan t for t in [0, 1).
 
+    Any shape; all three arrays take the shape of ``t``.
 
-def _quotient_parts(t):
-    """The parts shared by the r(t) kernel and the Seiffert core, for flat ``t``.
-
-    Returns ``(q, small, u, tail)``: the direct quotient q = t/arctan t over
-    all of ``t``, the integer indices ``small`` of the entries up to the
-    switch, u = t² there, and the tail Σ_{k>=1} coef[k]·u^{k-1} from one
-    in-place Horner pass over that subset only.  Up to the switch
-    1/3 - r = -u·tail, r = tail·u + coef[0] and t/arctan t = 1 + u·r.
-
-    A sweep block of :mod:`seiffert_bounds.sharp` asks for the same t twice:
-    its margin kernel, then the Seiffert core of its raw-mean check (whose
-    profile t of (x, 1) equals the block's bit for bit).  The Horner pass is a
-    fixed 62 numpy calls on a few hundred entries and dominates both, so the
-    last result is kept and handed out again for an equal float64 t.  Callers
-    must not write to the returned arrays.
+    Beyond the switch all three come from the direct quotient q.  Up to it
+    they are overwritten from the series: with u = t² and the tail
+    Σ_{k>=1} coef[k]·u^{k-1} (one in-place Horner pass over that subset only),
+    1/3 - r = -u·tail, r = tail·u + coef[0] and q = 1 + u·r.  (Computing the
+    quotient over the whole array and overwriting beats gathering the large-t
+    subset: most sampled t lie above the switch.)
     """
-    global _kept
-    kept = _kept
-    # the head's bytes turn away another block cheaply; == then tells floats
-    # apart bit for bit except ±0, whose parts coincide
-    if kept is not None and t.dtype == np.float64 and kept[0].shape == t.shape:
-        if kept[0][:4].tobytes() == t[:4].tobytes() and np.array_equal(kept[0], t):
-            return kept[1]
+    shape = np.shape(t)
+    t = np.reshape(t, -1)
     with np.errstate(divide="ignore", invalid="ignore"):  # t = 0
         q = t / np.arctan(t)
     small = np.flatnonzero(t <= _SERIES_SWITCH)
@@ -161,43 +140,15 @@ def _quotient_parts(t):
     for c in _RATIO_COEFFS[-2:0:-1]:
         tail *= u
         tail += c
-    parts = (q, small, u, tail)
-    if t.size <= _KEPT_MAX and t.dtype == np.float64:
-        _kept = (t.copy(), parts)
-    return parts
-
-
-def _ratio_kernel(t) -> tuple[np.ndarray, np.ndarray]:
-    """r(t) and the upper margin 1/3 - r(t) for t in [0, 1).
-
-    Any shape; both arrays take the shape of ``t``.
-
-    Beyond the switch both come from the direct quotient t/arctan t; up to it
-    they are overwritten from the series tail of :func:`_quotient_parts`.
-    (Computing the quotient over the whole array and overwriting beats
-    gathering the large-t subset: most sampled t lie above the switch.)
-    """
-    shape = np.shape(t)
-    t = np.reshape(t, -1)
-    q, small, u, tail = _quotient_parts(t)
     r = q - 1.0
     with np.errstate(divide="ignore", invalid="ignore"):  # t = 0; t² underflows below ~1e-154
         r /= t * t
     upper = _RATIO_COEFFS[0] - r
     upper[small] = -u * tail
-    r[small] = tail * u + _RATIO_COEFFS[0]
-    return r.reshape(shape), upper.reshape(shape)
-
-
-def _t_over_arctan(t) -> np.ndarray:
-    """q(t) = t/arctan t: the direct quotient beyond the switch, 1 + u·r(t)
-    from the series tail of :func:`_quotient_parts` up to it."""
-    shape = np.shape(t)
-    t = np.reshape(t, -1)
-    q, small, u, tail = _quotient_parts(t)
-    q = q.copy()
-    q[small] = (tail * u + _RATIO_COEFFS[0]) * u + 1.0
-    return q.reshape(shape)
+    r_small = tail * u + _RATIO_COEFFS[0]
+    r[small] = r_small
+    q[small] = r_small * u + 1.0
+    return r.reshape(shape), upper.reshape(shape), q.reshape(shape)
 
 
 def _profile(a, b) -> tuple[np.ndarray, np.ndarray]:
@@ -231,7 +182,7 @@ def _contra_harmonic_factor(t):
 def seiffert_values(a, b):
     """Seiffert mean on positive array input (no validation)."""
     am, t = _profile(a, b)
-    return am * _t_over_arctan(t)
+    return am * _ratio_kernel(t)[2]
 
 
 def centroidal_values(a, b):

@@ -27,7 +27,7 @@ the means themselves and raw doubles tie).  Margins near the limits are
 evaluated through series forms that stay fully accurate, e.g.
 1/3 - r(t) = (4/45)t² - (44/945)t⁴ + … obtained by exact long division of the
 arctan series.  That piecewise r(t) kernel lives in :mod:`seiffert_bounds.means`,
-whose Seiffert core shares its series helper.
+whose Seiffert core is A times its q = t/arctan t.
 
 Sampling is log-uniform in a/b over (1, ratio_max] plus deterministic
 near-boundary points {1+10⁻ᵏ} and {10⁺ᵏ}: sharpness lives at the boundary and
@@ -42,12 +42,9 @@ and time linear in the sample count.  The streaming contract:
 * every reduction keeps the first occurrence (minima, maxima, the first
   violation of each check), so the report equals that of a single unblocked
   scan, bit for bit;
-* each block's work is done once: one r(t) kernel pass for the margins and
-  one profile (A, t), from which the raw-mean check builds every mean of the
-  pair (x, 1) except the Seiffert mean; that one comes from
-  ``means.seiffert_values``, the core any caller gets, which takes the
-  quotient t/arctan t and its series tail kept from the kernel's pass over
-  the same t (``means._quotient_parts``) instead of evaluating them again.
+* each block's work is done once: one profile (A, t) and one r(t) kernel
+  pass, which gives the margins and q = t/arctan t; the raw-mean check builds
+  every mean of the pair (x, 1) from them, the Seiffert mean as A·q.
 
 The block is sized so that its temporaries stay in cache and in the
 allocator's free lists (see ``_BLOCK``).  All functions are pure.
@@ -104,7 +101,7 @@ def _on_profile(t, pick):
     if arr.size and not np.all((arr > 0.0) & (arr < 1.0)):
         bad = arr[~((arr > 0.0) & (arr < 1.0))].ravel()
         raise DomainError(f"t must lie in (0, 1), got e.g. {bad[:3]}")
-    out = pick(*_ratio_kernel(arr))
+    out = pick(*_ratio_kernel(arr)[:2])
     return float(out) if np.isscalar(t) or arr.ndim == 0 else out
 
 
@@ -317,20 +314,21 @@ def verify_blend_bounds(
     hi_const = (2.0 * beta - 1.0) ** 2 / 3.0
 
     def block(x, t):
-        r, upper = _ratio_kernel(t)
+        r, upper, q = _ratio_kernel(t)
         left = r - lo_const
         right = upper if beta == 1.0 else hi_const - r
 
         def means_at(k, side):
-            blend = float(means.blend_values(alpha if side == "lower" else beta, x[k], 1.0))
-            seif = float(means.seiffert_values(x[k], 1.0))
+            am = means.arithmetic_values(x[k], 1.0)
+            blend = float(am * means._blend_factor(alpha if side == "lower" else beta, t[k]))
+            seif = float(am * q[k])
             return (blend, seif) if side == "lower" else (seif, blend)
 
         def raw_means():
             am = means.arithmetic_values(x, 1.0)
             lo_mean = am * means._blend_factor(alpha, t)
             hi_mean = am * means._blend_factor(beta, t)
-            return _raw_mean_witness(x, t, lo_mean, means.seiffert_values(x, 1.0), hi_mean)
+            return _raw_mean_witness(x, t, lo_mean, am * q, hi_mean)
 
         folds = {"left": (left, np.argmin), "right": (right, np.argmin)}
         return x, folds, (lambda: _margin_witness(x, left, right, means_at), raw_means)
@@ -370,7 +368,7 @@ def verify_ratio_bounds(
             yield x, t, (x - 1.0) / (x + 1.0)
 
     def block(x, t, t_x):
-        r, upper = _ratio_kernel(t)
+        r, upper, q = _ratio_kernel(t)
         left = r - alpha1
         right = upper if beta1 == RATIO_UPPER else beta1 - r
 
@@ -379,7 +377,9 @@ def verify_ratio_bounds(
             contra = arith * means._contra_harmonic_factor(t_x)
             lo_mean = alpha1 * contra + (1.0 - alpha1) * arith
             hi_mean = beta1 * contra + (1.0 - beta1) * arith
-            return _raw_mean_witness(x, t, lo_mean, means.seiffert_values(x, 1.0), hi_mean)
+            # the boundary block's x has its own profile t (see blocks)
+            seif = arith * (q if t_x is t else _ratio_kernel(t_x)[2])
+            return _raw_mean_witness(x, t, lo_mean, seif, hi_mean)
 
         folds = {
             "left": (left, np.argmin),
@@ -447,7 +447,7 @@ def verify_prior_bounds(
     names = ("lower_S_combination", "upper_S_combination", "lower_C_blend", "upper_C_blend")
 
     def block(x, t):
-        r, upper = _ratio_kernel(t)
+        r, upper, q = _ratio_kernel(t)
         u = means._root_square_factor(t)
         margins = (
             r - _PRIOR_ALPHA_S / (1.0 + u),
@@ -466,8 +466,8 @@ def verify_prior_bounds(
             return None if k is None else _mean_side_witness(float(x[k]), name, float(vals[k]), 0.0)
 
         def raw_means():
-            seif = means.seiffert_values(x, 1.0)
             arith = means.arithmetic_values(x, 1.0)
+            seif = arith * q
             rootsq = arith * u
             # one comparison at a time, so each mean's temporaries are freed
             # before the next is built
@@ -531,7 +531,7 @@ def verify_ordering_chain(
         cb = am * means._centroidal_factor(t)
         s = am * means._root_square_factor(t)
         c = am * means._contra_harmonic_factor(t)
-        tm = means.seiffert_values(a, b)
+        tm = am * _ratio_kernel(t)[2]
         ok = (g < am) & (am < cb) & (cb < s) & (s < c) & (am < tm) & (tm < s)
 
         def ordering():
@@ -587,28 +587,18 @@ class SharpConstantReport:
         }
 
 
-def _blend_lower_violation_witness(alpha: float, shift: float) -> SharpnessWitness:
-    """First large ratio where blend(alpha) >= seiffert (alpha pushed past sharp)."""
-    xs = np.geomspace(10.0, 1e8, 600)
-    blend = means.blend_values(alpha, xs, 1.0)
+def _blend_violation_witness(p: float, side: str, shift: float) -> SharpnessWitness:
+    """First ratio where the blend bound on ``side`` fails at parameter p:
+    blend(p) > seiffert at a large ratio (``lower``, p pushed above the sharp
+    alpha) or seiffert > blend(p) near the diagonal (``upper``, p below 1)."""
+    xs = np.geomspace(10.0, 1e8, 600) if side == "lower" else 1.0 + np.geomspace(1e-3, 1e-1, 400)
+    blend = means.blend_values(p, xs, 1.0)
     seif = means.seiffert_values(xs, 1.0)
-    idx = np.nonzero(blend > seif)[0]
-    if len(idx) == 0:
-        raise BracketError(f"no blend violation found for alpha={alpha}")
-    k = int(idx[0])
-    return SharpnessWitness(shift=shift, ratio=float(xs[k]), lhs=float(blend[k]), rhs=float(seif[k]))
-
-
-def _blend_upper_violation_witness(beta: float, shift: float) -> SharpnessWitness:
-    """Near-diagonal ratio where seiffert >= blend(beta) (beta pushed below 1)."""
-    xs = 1.0 + np.geomspace(1e-3, 1e-1, 400)
-    blend = means.blend_values(beta, xs, 1.0)
-    seif = means.seiffert_values(xs, 1.0)
-    idx = np.nonzero(seif > blend)[0]
-    if len(idx) == 0:
-        raise BracketError(f"no blend violation found for beta={beta}")
-    k = int(idx[0])
-    return SharpnessWitness(shift=shift, ratio=float(xs[k]), lhs=float(seif[k]), rhs=float(blend[k]))
+    lhs, rhs = (blend, seif) if side == "lower" else (seif, blend)
+    k = _first(lhs > rhs)
+    if k is None:
+        raise BracketError(f"no blend violation found for {'alpha' if side == 'lower' else 'beta'}={p}")
+    return SharpnessWitness(shift=shift, ratio=float(xs[k]), lhs=float(lhs[k]), rhs=float(rhs[k]))
 
 
 def _ratio_violation_witness(const: float, side: str, shift: float) -> SharpnessWitness:
@@ -644,16 +634,17 @@ def constants_report(probe_shift: float = 1e-6) -> list[SharpConstantReport]:
         closed_form=lam_c,
         discovered=lam_n,
         abs_gap=abs(lam_c - lam_n),
-        witness=_blend_lower_violation_witness(min(1.0, lam_c + probe_shift), probe_shift),
+        witness=_blend_violation_witness(min(1.0, lam_c + probe_shift), "lower", probe_shift),
     )
 
-    beta_disc = float(np.max(0.5 * (1.0 + np.sqrt(3.0 * _ratio_kernel(small_t)[0]))))
+    r_small = _ratio_kernel(small_t)[0]
+    beta_disc = float(np.max(0.5 * (1.0 + np.sqrt(3.0 * r_small))))
     rep_beta = SharpConstantReport(
         name="blend_beta",
         closed_form=1.0,
         discovered=beta_disc,
         abs_gap=abs(1.0 - beta_disc),
-        witness=_blend_upper_violation_witness(1.0 - probe_shift, -probe_shift),
+        witness=_blend_violation_witness(1.0 - probe_shift, "upper", -probe_shift),
     )
 
     inf_disc = float(np.min(_ratio_kernel(big_t)[0]))
@@ -664,7 +655,7 @@ def constants_report(probe_shift: float = 1e-6) -> list[SharpConstantReport]:
         abs_gap=abs(RATIO_LOWER - inf_disc),
         witness=_ratio_violation_witness(RATIO_LOWER + probe_shift, "lower", probe_shift),
     )
-    sup_disc = float(np.max(_ratio_kernel(small_t)[0]))
+    sup_disc = float(np.max(r_small))
     rep_b1 = SharpConstantReport(
         name="ratio_beta",
         closed_form=RATIO_UPPER,

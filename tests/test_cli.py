@@ -195,6 +195,8 @@ class TestHardenedInputs:
             (["eval", "seiffert", "1.0", "3.0", "--oracle", "--precision", "0"], "precision"),
             (["verify", "thm2", "--samples", "100", "--alpha-shift", "nan"], "alpha1"),
             (["verify", "thm2", "--samples", "100", "--beta-shift", "nan"], "beta1"),
+            (["verify", "thm9"], "thm9"),
+            (["constants", "--precision", "5"], "--precision"),
         ],
     )
     def test_exit_2(self, capsys, argv, needle):

@@ -96,23 +96,29 @@ class TestUnchangedStream:
 
 
 def _inflated_seiffert(monkeypatch, factor):
-    original = means.seiffert_values
-    monkeypatch.setattr(means, "seiffert_values", lambda a, b: original(a, b) * factor)
-    return original
+    # the suites build the raw Seiffert mean as A·q from the kernel's q
+    original = sharp._ratio_kernel
+
+    def inflated(t):
+        r, upper, q = original(t)
+        return r, upper, q * factor
+
+    monkeypatch.setattr(sharp, "_ratio_kernel", inflated)
 
 
 class TestRawMeanWitness:
     """The raw-mean check reports the broken side's own pair of means."""
 
     def test_thm2_upper_side_names_seiffert_and_upper_mean(self, monkeypatch):
-        original = _inflated_seiffert(monkeypatch, 1.0 + 1e-9)
+        _inflated_seiffert(monkeypatch, 1.0 + 1e-9)
         res = verify_ratio_bounds(5_000, seed=0)
         w = res.witness
         assert not res.passed and w["side"] == "upper"
         x = w["ratio"]
         contra, arith = means.contra_harmonic_values(x, 1.0), (x + 1.0) / 2.0
         upper_mean = RATIO_UPPER * contra + (1.0 - RATIO_UPPER) * arith
-        assert w["lhs"] == float(original(x, 1.0)) * (1.0 + 1e-9)
+        q = means._ratio_kernel(means._profile(x, 1.0)[1])[2]
+        assert w["lhs"] == float(arith * (q * (1.0 + 1e-9)))
         assert w["lhs"] >= w["rhs"]
         assert w["rhs"] == pytest.approx(float(upper_mean), rel=1e-15)
 
@@ -166,8 +172,9 @@ def _counting(monkeypatch, owner, name):
 
 
 class TestWorkOncePerBlock:
-    """Each block runs the r(t) kernel and the Seiffert core once, and chain
-    builds one profile of its own."""
+    """Each block runs the r(t) kernel once, which gives its margins and its
+    Seiffert mean, and builds no profile besides chain's own and the blended
+    pairs of priors."""
 
     N = 3 * SMALL_BLOCK + 7
 
@@ -176,30 +183,33 @@ class TestWorkOncePerBlock:
         [(verify_blend_bounds, 0), (verify_ratio_bounds, 1), (verify_prior_bounds, 0)],
     )
     def test_kernel_and_seiffert_core_once(self, monkeypatch, fn, extra_blocks):
+        # the Seiffert mean is A times the kernel's q; thm2's boundary block
+        # (14 fixed t) also takes q at the profile t of its derived x
         monkeypatch.setattr(sharp, "_BLOCK", SMALL_BLOCK)
         kernel = _counting(monkeypatch, sharp, "_ratio_kernel")
-        seiffert = _counting(monkeypatch, means, "seiffert_values")
         res = fn(self.N, seed=2)
         assert res.passed
-        assert len(kernel) == len(seiffert) == 4 + extra_blocks
-        assert sum(kernel) == sum(seiffert) == res.n_samples
+        assert len(kernel) == 4 + 2 * extra_blocks
+        assert sum(kernel) == res.n_samples + 14 * extra_blocks
 
-    @pytest.mark.parametrize("fn", [verify_blend_bounds, verify_prior_bounds])
+    @pytest.mark.parametrize(
+        "fn", [verify_blend_bounds, verify_ratio_bounds, verify_prior_bounds, verify_ordering_chain]
+    )
     def test_one_quotient_per_block(self, monkeypatch, fn):
-        # the Seiffert core takes the quotient and series tail the margin
-        # kernel computed for the same block
         monkeypatch.setattr(sharp, "_BLOCK", SMALL_BLOCK)
         arctan = _counting(monkeypatch, np, "arctan")
-        assert fn(self.N, seed=2).passed
-        assert len(arctan) == 4
-
-    def test_chain_one_profile_besides_the_seiffert_core(self, monkeypatch):
-        monkeypatch.setattr(sharp, "_BLOCK", SMALL_BLOCK)
         profile = _counting(monkeypatch, means, "_profile")
         seiffert = _counting(monkeypatch, means, "seiffert_values")
-        assert verify_ordering_chain(self.N, seed=2).passed
-        assert len(seiffert) == 4
-        assert len(profile) == 2 * 4
+        assert fn(self.N, seed=2).passed
+        arctans, profiles = {
+            verify_blend_bounds: (4, 0),
+            verify_ratio_bounds: (6, 0),
+            verify_prior_bounds: (4, 2 * 4),
+            verify_ordering_chain: (4, 4),
+        }[fn]
+        assert len(arctan) == arctans
+        assert len(profile) == profiles
+        assert seiffert == []
 
 
 def test_block_profile_means_equal_the_cores(monkeypatch):
@@ -223,6 +233,7 @@ def test_block_profile_means_equal_the_cores(monkeypatch):
     assert np.array_equal(am * means._contra_harmonic_factor(t), means.contra_harmonic_values(x, 1.0))
     assert np.array_equal(am * means._root_square_factor(t), means.root_square_values(x, 1.0))
     assert np.array_equal(am * means._centroidal_factor(t), means.centroidal_values(x, 1.0))
+    assert np.array_equal(am * means._ratio_kernel(t)[2], means.seiffert_values(x, 1.0))
 
 
 class TestRatioKernel:
@@ -241,42 +252,22 @@ class TestRatioKernel:
             tail = tail * u + c
         direct = (t / np.arctan(t) - 1.0) / (t * t)
         small = t <= 0.5
-        r, upper = means._ratio_kernel(t)
+        r, upper, q = means._ratio_kernel(t)
         assert np.array_equal(r, np.where(small, series, direct))
         assert np.array_equal(upper, np.where(small, -u * tail, RATIO_UPPER - direct))
-        # the Seiffert core's q-only path: 1 + u·r(t) below the switch
-        q = means._t_over_arctan(t)
+        # q = t/arctan t is 1 + u·r(t) below the switch
         assert np.array_equal(q, np.where(small, 1.0 + u * series, t / np.arctan(t)))
         x = (1.0 + t) / (1.0 - t)
         am, t_x = means._profile(x, 1.0)
-        assert np.array_equal(means.seiffert_values(x, 1.0), am * means._t_over_arctan(t_x))
-
-    def test_kept_parts_match_a_fresh_evaluation(self, monkeypatch):
-        def fresh(f, t):
-            monkeypatch.setattr(means, "_kept", None)
-            return f(t)
-
-        t = np.geomspace(1e-9, 1.0 - 1e-9, 4_001)
-        r, upper = means._ratio_kernel(t)
-        # a bitwise-equal copy reuses the kept parts
-        assert np.array_equal(means._t_over_arctan(t.copy()), fresh(means._t_over_arctan, t))
-        # writing to the caller's array after the call changes nothing kept
-        t[::7] *= 0.5
-        assert np.array_equal(means._t_over_arctan(t), fresh(means._t_over_arctan, t))
-        fresh_r, fresh_upper = fresh(means._ratio_kernel, t)
-        r, upper = means._ratio_kernel(t)
-        assert np.array_equal(r, fresh_r) and np.array_equal(upper, fresh_upper)
-        # a caller writing to its results does not reach the kept parts
-        r[:] = 0.0
-        assert np.array_equal(means._ratio_kernel(t)[0], fresh_r)
-        assert np.array_equal(means._t_over_arctan(t[:-1]), fresh(means._t_over_arctan, t[:-1]))
+        assert np.array_equal(means.seiffert_values(x, 1.0), am * means._ratio_kernel(t_x)[2])
 
     def test_scalar_and_shaped_input(self):
         grid = np.array([[0.1, 0.6], [0.3, 0.9]])
-        q = means._t_over_arctan(grid)
-        assert q.shape == (2, 2)
-        assert np.array_equal(q.ravel(), means._t_over_arctan(grid.ravel()))
-        assert means._t_over_arctan(0.3) == q[1, 0]
+        parts = means._ratio_kernel(grid)
+        for flat, part in zip(means._ratio_kernel(grid.ravel()), parts):
+            assert part.shape == (2, 2)
+            assert np.array_equal(part.ravel(), flat)
+        assert means._ratio_kernel(0.3)[2] == parts[2][1, 0]
         vals = sharp.excess_ratio(grid)
         assert vals.shape == (2, 2)
         assert vals[1, 0] == sharp.excess_ratio(0.3)
