@@ -5,7 +5,8 @@ blend(p) - seiffert factorizes as a positive factor times the gap function
 gap(t) = 4 arctan((t-1)/(t+1)) - 3(t^2-1)/Q(t).  At the sharp parameter the
 gap vanishes at both ends (t -> 1 and t -> infinity) and stays negative in
 between; the derivative chain chain_4 -> chain_1 pins down the turning
-points 1 < t0 < t1 < t2 < t3 that force that shape.
+points 1 < t0 < t1 < t2 < t3 that force that shape, and a few exact
+rational facts prove it.
 """
 
 import numpy as np
@@ -15,6 +16,7 @@ from seiffert_bounds import (
     blend_alpha_closed,
     counterexample_witness,
     derivative_identity_residual,
+    ladder_proof,
     locate_critical_points,
 )
 
@@ -28,16 +30,23 @@ for t in (1 + 1e-6, 1.5, 6.14, 100.0, 1e8):
     print(f"  gap({t:<12.8g}) = {fam.gap(t): .3e}")
 
 report = locate_critical_points(fam)
-print("\ncritical-point ladder (roots of chain_4..chain_1, bisection-located):")
+print("\ncritical-point ladder (roots of chain_4..chain_1, closed form):")
 print(f"  t0 = {report.t0:.12f}   (chain_4 sign change; chain_3 turns here)")
 print(f"  t1 = {report.t1:.12f}   (chain_3 sign change; chain_2 turns here)")
 print(f"  t2 = {report.t2:.12f}   (chain_2 sign change; chain_1 turns here)")
 print(f"  t3 = {report.t3:.12f}   (chain_1 sign change; gap minimum)")
-print(f"  max root residual = {max(report.residuals):.2e}, bracket width = {report.bracket_width:.2e}")
+print(f"  max root residual = {max(report.residuals):.2e}")
 
 grid = np.geomspace(1.0001, 50.0, 100)
 resid = derivative_identity_residual(fam, grid)
-print(f"\nfinite-difference check of gap' * Q^2(1+t^2) = chain_1: residual {resid:.2e}")
+print(f"\nexact identity gap' * Q^2(1+t^2) = chain_1 on 100 points: residual {resid}")
+
+proof = ladder_proof()
+lo, hi = proof["pi_bounds"]
+print(f"\nproof: {lo} < pi < {hi} puts u = 3/pi - 1 in [{proof['u'][0]}, {proof['u'][1]}]")
+print(f"  and c_1 in [{proof['c1'][0]}, {proof['c1'][1]}]: u < 0 < c_1 is {proof['signs']}, so")
+print("  each chain has one sign change (Descartes) and gap < 0 on (1, inf)")
+print(f"  identity exact on the 5 x 6 rational (p, t) grid, hence for all p: {proof['identity_exact']}")
 
 print("\nendpoint identities of the chain (any p):")
 for p in (0.7, lam, 1.0):

@@ -6,8 +6,8 @@ re-derives the sharp constants of the two double inequalities
     blend(alpha) < seiffert < blend(beta)        (sharp: alpha = (1+sqrt(12/pi-3))/2, beta = 1)
     a1*C + (1-a1)*A < seiffert < b1*C + (1-b1)*A (sharp: a1 = 4/pi-1, b1 = 1/3)
 
-by root-finding and extremal scans, and certifies the auxiliary-function
-ladder behind the lower blend bound.  See README.md for a tour.
+by root-finding and extremal scans, and proves the auxiliary-function
+ladder behind the lower blend bound in exact arithmetic.  See README.md for a tour.
 """
 
 from .errors import BracketError, DomainError, RangeError
@@ -42,6 +42,7 @@ from .auxiliary import (
     CriticalPointReport,
     counterexample_witness,
     derivative_identity_residual,
+    ladder_proof,
     locate_critical_points,
 )
 from .sharp import (
@@ -102,6 +103,7 @@ __all__ = [
     "CriticalPointReport",
     "counterexample_witness",
     "derivative_identity_residual",
+    "ladder_proof",
     "locate_critical_points",
     # sharp constants
     "CONSTANT_GAP_LIMIT",

@@ -28,21 +28,33 @@ coefficients are built from
 
 Endpoint values: chain₁(1) = chain₂(1) = 0, chain₃(1) = 6p²-6p,
 chain₄(1) = 9p²-9p.  For numerical conditioning the polynomials are evaluated
-in the shifted variable s = t-1 (e.g. chain₁ = 36(p²-p)(s²+s³) + c₁s⁴, which
-reduces to (t-1)⁴ bit-exactly at p = 1); the shifted forms are algebraically
-identical to the t-power forms and the test suite checks that identity in
-exact rational arithmetic.
+in the shifted variable s = t-1; with u = p²-p (so c₁ = 4u²+14u+1)
 
-At the sharp parameter, chain₄ is increasing with chain₄(1) < 0, which forces
-the sign-change ladder 1 < t₀ < t₁ < t₂ < t₃ (roots of chain₄ … chain₁, with
-t₃ the minimizer of gap).  :func:`locate_critical_points` reconstructs that
-ladder by scan+bisection and verifies every structural claim post hoc.
+    chain₄ = c₁s + 9u                 chain₃ = c₁s² + 18us + 6u
+    chain₂ = s·(c₁s² + 27us + 18u)    chain₁ = s²·(c₁s² + 36us + 36u),
+
+which reduce chain₁ to (t-1)⁴ bit-exactly at p = 1.  The shifted forms are
+algebraically identical to the t-power forms; the test suite checks that
+identity in exact rational arithmetic.
+
+When u < 0 < c₁ every bracketed factor has coefficient signs (+, -, -), so by
+Descartes' rule each has exactly one positive root, in closed form: t₀ =
+1 - 9u/c₁ and the positive roots of the three quadratics.  As chain₃' =
+2chain₄, chain₂' = 3chain₃ and chain₁' = 4chain₂, each chainₖ falls while
+chainₖ₊₁ < 0 and rises after; with chain₃(1) = 6u < 0 and chain₂(1) =
+chain₁(1) = 0 this orders the roots 1 < t₀ < t₁ < t₂ < t₃.  gap' has the sign
+of chain₁, so gap falls from gap(1) = 0 to its minimum at t₃ and then rises to
+its limit, which is 0 at the sharp parameter: there gap < 0 on (1, ∞).
+:func:`locate_critical_points` returns the closed-form roots and
+:func:`ladder_proof` proves the signs and the derivative identity in exact
+arithmetic.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from fractions import Fraction
 from typing import Literal
 
 import numpy as np
@@ -55,11 +67,24 @@ __all__ = [
     "CriticalPointReport",
     "CounterexampleWitness",
     "derivative_identity_residual",
+    "ladder_proof",
     "locate_critical_points",
     "counterexample_witness",
 ]
 
 _PI = math.pi
+
+
+def _shifted_chain(s, u, level: int):
+    """chain_level in s = t-1 from u = p²-p (floats, arrays or Fractions)."""
+    c1 = 4 * u * u + 14 * u + 1
+    if level == 1:
+        return 36 * u * (s * s) * (1 + s) + c1 * s**4
+    if level == 2:
+        return s * (18 * u + 27 * u * s + c1 * s * s)
+    if level == 3:
+        return 6 * u + 18 * u * s + c1 * s * s
+    return 9 * u + c1 * s
 
 
 @dataclass(frozen=True)
@@ -138,12 +163,6 @@ class BlendGapFamily:
             raise DomainError(f"gap is defined for t > 1, got {t!r}")
         return float(self.gap_values(t))
 
-    def gap_denominator(self, t):
-        """h₁(t) = Q(t)²·(1+t²), the denominator of gap'(t) (array-ok)."""
-        t = np.asarray(t, dtype=float)
-        q = self.quadratic_form(t)
-        return q * q * (1.0 + t * t)
-
     def difference_factor(self, t):
         """Strictly positive F(t) with blend(p) - seiffert = F·gap on t > 1."""
         t = np.asarray(t, dtype=float)
@@ -155,18 +174,7 @@ class BlendGapFamily:
         """chain_level(t) on arrays (shifted-form evaluation), no t validation."""
         if level not in (1, 2, 3, 4):
             raise DomainError(f"chain level must be in 1..4, got {level!r}")
-        t = np.asarray(t, dtype=float)
-        p = self.p
-        c1 = self.chain_coefficients()[0]
-        u = p * p - p
-        s = t - 1.0
-        if level == 1:
-            return 36.0 * u * (s * s) * (1.0 + s) + c1 * s**4
-        if level == 2:
-            return s * (18.0 * u + 27.0 * u * s + c1 * s * s)
-        if level == 3:
-            return 6.0 * u + 18.0 * u * s + c1 * s * s
-        return 9.0 * u + c1 * s
+        return _shifted_chain(np.asarray(t, dtype=float) - 1.0, self.p * self.p - self.p, level)
 
     def chain(self, t: float, level: int) -> float:
         """Scalar chain polynomial at level 1..4."""
@@ -175,28 +183,16 @@ class BlendGapFamily:
 
 @dataclass(frozen=True)
 class CriticalPointReport:
-    """The ladder 1 < t₀ < t₁ < t₂ < t₃ with post-hoc verification data.
-
-    ``residuals[k]`` is |chain_{4-k}(t_k)| at the located root and
-    ``bracket_width`` the widest final bisection bracket.
-    """
+    """The ladder 1 < t₀ < t₁ < t₂ < t₃; ``residuals[k]`` is |chain_{4-k}(t_k)|."""
 
     t0: float
     t1: float
     t2: float
     t3: float
-    bracket_width: float
     residuals: tuple[float, float, float, float]
 
     def as_dict(self) -> dict:
-        return {
-            "t0": self.t0,
-            "t1": self.t1,
-            "t2": self.t2,
-            "t3": self.t3,
-            "bracket_width": self.bracket_width,
-            "residuals": list(self.residuals),
-        }
+        return {**asdict(self), "residuals": list(self.residuals)}
 
 
 @dataclass(frozen=True)
@@ -209,120 +205,87 @@ class CounterexampleWitness:
     seiffert_value: float
 
 
+def _identity_residual(p: Fraction, t: Fraction) -> Fraction:
+    """gap'(t)·Q(t)²(1+t²) - chain₁(t), exactly.
+
+    With gap = 4·arctan((t-1)/(t+1)) - 3(t²-1)/Q and d/dt arctan((t-1)/(t+1))
+    = 1/(1+t²), the left side is 4Q² - 3(1+t²)(2tQ - (t²-1)Q'); chain₁ is the
+    library's own shifted form replayed in Fractions.
+    """
+    u1, u2 = p * t + 1 - p, p + (1 - p) * t
+    q = u1 * u1 + u1 * u2 + u2 * u2
+    dq = (2 * u1 + u2) * p + (u1 + 2 * u2) * (1 - p)
+    lhs = 4 * q * q - 3 * (1 + t * t) * (2 * t * q - (t * t - 1) * dq)
+    return lhs - _shifted_chain(t - 1, p * p - p, 1)
+
+
 def derivative_identity_residual(family: BlendGapFamily, grid) -> float:
-    """Max normalized residual of gap'(t)·h₁(t) = chain₁(t) over the grid.
+    """Max |gap'(t)·Q(t)²(1+t²) - chain₁(t)| over the grid.
 
-    gap' is a central finite difference with step h = 1e-6·max(1, t); the step
-    balances truncation against rounding at double precision.  The residual is
-    normalized by max(1, Σᵢ|cᵢ|·tⁱ), the evaluation magnitude of the printed
-    quartic, i.e. a backward-error scale.
+    Both sides are evaluated exactly in rational arithmetic at the family's p
+    and each grid point, so the result is exactly 0.0 when the identity holds.
+    The grid must be non-empty with every point finite and > 1.
     """
-    t = np.asarray(grid, dtype=float)
-    h = 1e-6 * np.maximum(1.0, t)
-    if np.any(t - h <= 1.0):
-        raise DomainError("grid points must satisfy t - 1e-6·max(1,t) > 1")
-    fd = (family.gap_values(t + h) - family.gap_values(t - h)) / (2.0 * h)
-    lhs = fd * family.gap_denominator(t)
-    rhs = family.chain_values(t, 1)
-    c1, c2, c3 = (abs(c) for c in family.chain_coefficients())
-    scale = c1 * t**4 + 4.0 * c2 * t**3 + 6.0 * c3 * t**2 + 4.0 * c2 * t + c1
-    return float(np.max(np.abs(lhs - rhs) / np.maximum(1.0, scale)))
+    t = np.asarray(grid, dtype=float).ravel()
+    if t.size == 0 or not np.all(np.isfinite(t) & (t > 1.0)):
+        raise DomainError("grid must be non-empty with every point finite and > 1")
+    p = Fraction(family.p)
+    return float(max(abs(_identity_residual(p, Fraction(x))) for x in t.tolist()))
 
 
-def _bisect(fn, lo: float, hi: float) -> tuple[float, float]:
-    """Bisection on a sign-change bracket, driven to ~1e-13 relative width."""
-    flo, fhi = fn(lo), fn(hi)
-    if flo == 0.0:
-        return lo, 0.0
-    if fhi == 0.0:
-        return hi, 0.0
-    if (flo < 0.0) == (fhi < 0.0):
-        raise BracketError(f"no sign change on [{lo}, {hi}]")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        fm = fn(mid)
-        if fm == 0.0:
-            return mid, 0.0
-        if (fm < 0.0) == (flo < 0.0):
-            lo, flo = mid, fm
-        else:
-            hi, fhi = mid, fm
-    return 0.5 * (lo + hi), hi - lo
+def locate_critical_points(family: BlendGapFamily) -> CriticalPointReport:
+    """The ladder t₀ < t₁ < t₂ < t₃ in closed form (see the module docstring).
 
-
-def _first_sign_change(values: np.ndarray, grid: np.ndarray) -> tuple[float, float]:
-    sign = np.sign(values)
-    flips = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
-    if len(flips) == 0:
-        raise BracketError("scan found no sign change; a structural claim is violated")
-    k = flips[0]
-    return float(grid[k]), float(grid[k + 1])
-
-
-def _check_vee(values: np.ndarray, grid: np.ndarray, switch: float, label: str, pad: int = 3) -> None:
-    """Assert decreasing-then-increasing shape with the turn at ``switch``."""
-    d = np.diff(values)
-    k = int(np.searchsorted(grid, switch))
-    if not np.all(d[: max(0, k - pad)] < 0.0):
-        raise BracketError(f"{label} is not strictly decreasing before its turning point")
-    if not np.all(d[k + pad :] > 0.0):
-        raise BracketError(f"{label} is not strictly increasing after its turning point")
-
-
-def locate_critical_points(
-    family: BlendGapFamily,
-    *,
-    scan_hi: float = 1e6,
-    scan_points: int = 2000,
-) -> CriticalPointReport:
-    """Locate t₀ < t₁ < t₂ < t₃ and certify the monotonicity ladder.
-
-    Intended for the sharp parameter (where the t→∞ limit of gap vanishes);
-    the preconditions chain₃(1) < 0, chain₄(1) < 0 and c₁ > 0 are what make
-    the ladder exist, and a failed bracket raises :class:`BracketError`
-    instead of returning a bogus report.
-
-    t₀, t₁, t₂ are the sign changes of chain₄, chain₃, chain₂; t₃, the
-    minimizer of gap, is located as the sign change of chain₁ beyond t₂
-    (gap' and chain₁ share their sign through the derivative identity), and
-    gap itself is checked to turn exactly there.
+    Requires u = p²-p < 0 < c₁, checked exactly at the family's p; otherwise
+    the ladder does not exist and :class:`BracketError` is raised.  u and c₁
+    are the exact values rounded once; t₀ = 1 - 9u/c₁, and t₁, t₂, t₃ are
+    1 + (-k₁u + sqrt((k₁u)² - 4c₁k₀u))/(2c₁) for the quadratic factors
+    c₁s² + k₁us + k₀u, where -k₁u > 0 leaves no cancellation.
     """
-    roots: list[float] = []
-    residuals: list[float] = []
-    widths: list[float] = []
-    start = 1.0
-    for level in (4, 3, 2, 1):
-        grid = np.geomspace(max(start, 1.0 + 1e-9), scan_hi, scan_points)
-        vals = family.chain_values(grid, level)
-        lo, hi = _first_sign_change(vals, grid)
-        root, width = _bisect(lambda t, lv=level: family.chain(t, lv), lo, hi)
-        roots.append(root)
-        residuals.append(abs(family.chain(root, level)))
-        widths.append(width)
-        start = root  # chain_{level-1} is still negative here; scan onward
-    t0, t1, t2, t3 = roots
-    if not (1.0 < t0 < t1 < t2 < t3):
-        raise BracketError(f"critical points are not ordered: {roots}")
+    p = Fraction(family.p)
+    u_exact = p * p - p
+    c1_exact = 4 * u_exact * u_exact + 14 * u_exact + 1
+    if not u_exact < 0 < c1_exact:
+        raise BracketError(f"no ladder at p={family.p}: needs p²-p < 0 < c₁ = {float(c1_exact):.6g}")
+    u, c1 = float(u_exact), float(c1_exact)
+    s = [-9.0 * u / c1]
+    for k0, k1 in ((6, 18), (18, 27), (36, 36)):  # chain₃, chain₂/s, chain₁/s²
+        b = k1 * u
+        s.append((-b + math.sqrt(b * b - 4.0 * c1 * (k0 * u))) / (2.0 * c1))
+    t0, t1, t2, t3 = roots = [1.0 + sk for sk in s]
+    residuals = tuple(abs(family.chain(t, level)) for t, level in zip(roots, (4, 3, 2, 1)))
+    return CriticalPointReport(t0=t0, t1=t1, t2=t2, t3=t3, residuals=residuals)
 
-    shape_grid = np.geomspace(1.0, 4.0 * t3, 400)
-    if not np.all(np.diff(family.chain_values(shape_grid, 4)) > 0.0):
-        raise BracketError("chain₄ is not strictly increasing")
-    _check_vee(family.chain_values(shape_grid, 3), shape_grid, t0, "chain₃")
-    _check_vee(family.chain_values(shape_grid, 2), shape_grid, t1, "chain₂")
-    _check_vee(family.chain_values(shape_grid, 1), shape_grid, t2, "chain₁")
-    gap_grid = np.geomspace(1.0 + 1e-4, 1e3, 400)
-    _check_vee(family.gap_values(gap_grid), gap_grid, t3, "gap")
 
-    return CriticalPointReport(
-        t0=t0,
-        t1=t1,
-        t2=t2,
-        t3=t3,
-        bracket_width=max(widths),
-        residuals=(residuals[0], residuals[1], residuals[2], residuals[3]),
-    )
+#: Archimedes' bounds 223/71 < π < 22/7
+_PI_BOUNDS = (Fraction(223, 71), Fraction(22, 7))
+
+
+def ladder_proof() -> dict:
+    """Exact facts that prove gap < 0 on (1, ∞) at the sharp parameter.
+
+    * At p = (1 + sqrt(12/π - 3))/2, u = p²-p = 3/π - 1; Archimedes' bounds
+      on π put u in an interval, and c₁ = (2u + 7/2)² - 45/4, increasing for
+      u > -7/4, in the interval of its endpoint values.
+    * ``signs``: u < 0 < c₁ on those intervals, so the ladder exists (module
+      docstring) and gap, 0 at t = 1 and at t = ∞, is negative in between.
+    * ``identity_exact``: gap'·Q²(1+t²) = chain₁ holds on the 5 × 6 grid
+      p ∈ {1/2, 5/8, 3/4, 7/8, 1}, t ∈ {3/2, 2, …, 4}.  The residual is a
+      polynomial of degree ≤ 4 in p and ≤ 5 in t, so vanishing on that grid
+      makes it zero, which ties the sign of gap' to chain₁ for every p.
+    """
+    pi_lo, pi_hi = _PI_BOUNDS
+    u = (3 / pi_hi - 1, 3 / pi_lo - 1)
+    c1 = tuple(4 * x * x + 14 * x + 1 for x in u)
+    grid_p = [Fraction(k, 8) for k in range(4, 9)]
+    grid_t = [Fraction(k, 2) for k in range(3, 9)]
+    return {
+        "pi_bounds": _PI_BOUNDS,
+        "u": u,
+        "c1": c1,
+        "signs": u[1] < 0 < c1[0],
+        "identity_exact": all(_identity_residual(p, t) == 0 for p in grid_p for t in grid_t),
+    }
 
 
 def counterexample_witness(

@@ -6,7 +6,7 @@ Subcommands:
 * ``verify``    — bulk inequality suites (thm1 | thm2 | priors | chain | all),
 * ``constants`` — closed-form vs discovered sharp constants,
 * ``series``    — exact series coefficients and tail bound,
-* ``certify``   — critical-point ladder report for the sharp parameter.
+* ``certify``   — critical-point ladder and its exact proof at the sharp parameter.
 
 Exit codes: 0 pass, 1 violated inequality / constant gap, 2 usage or domain
 error.  Reports are deterministic given the same configuration and seed.
@@ -236,6 +236,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
 
     family = auxiliary.BlendGapFamily(sharp.blend_alpha_closed())
     report = auxiliary.locate_critical_points(family)
+    proof = auxiliary.ladder_proof()
     s = np.geomspace(1e-5, 1e8 - 1.0, 10**4)
     gap_vals = family.gap_values(1.0 + s)
     gap_negative = bool(np.all(gap_vals < 0.0))
@@ -245,6 +246,8 @@ def _cmd_certify(args: argparse.Namespace) -> int:
         and abs(gap_at_big) <= 1e-6
         and max(report.residuals) < 1e-10
         and 1.0 < report.t0 < report.t1 < report.t2 < report.t3
+        and proof["signs"]
+        and proof["identity_exact"]
     )
     payload = {
         "schema": _SCHEMA,
@@ -253,6 +256,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
         "gap_negative_on_grid": gap_negative,
         "gap_at_1e8": gap_at_big,
         "limit_at_infinity": family.limit_at_infinity(),
+        "proof": {k: [str(x) for x in v] if isinstance(v, tuple) else v for k, v in proof.items()},
         "pass": ok,
     }
     if cfg.output_format == "json":
@@ -261,6 +265,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
         for key in ("parameter", "gap_negative_on_grid", "gap_at_1e8", "limit_at_infinity", "pass"):
             print(f"{key}: {payload[key]!r}")
         print(f"critical_points: {json.dumps(report.as_dict(), sort_keys=True)}")
+        print(f"proof: {json.dumps(payload['proof'], sort_keys=True)}")
     return 0 if ok else 1
 
 

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["BracketError", "DomainError", "RangeError"]
+
 
 class DomainError(ValueError):
     """An argument lies outside the mathematical domain of an operation."""
@@ -10,8 +12,9 @@ class RangeError(DomainError):
 
 
 class BracketError(RuntimeError):
-    """A sign-change bracket could not be established.
+    """A sign change or root that a claim needs does not exist.
 
-    Raised by the certification scans; it signals either a numerical bug or a
-    violated structural claim, and is therefore never silently swallowed.
+    Raised when the ladder's preconditions fail or a witness search comes up
+    empty; it signals either a numerical bug or a violated structural claim,
+    and is therefore never silently swallowed.
     """

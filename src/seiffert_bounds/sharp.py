@@ -60,7 +60,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import means
-from .auxiliary import _bisect
 from .errors import BracketError, DomainError
 from .means import _ratio_kernel
 
@@ -129,6 +128,19 @@ def blend_alpha_closed() -> float:
     return 0.5 * (1.0 + math.sqrt(12.0 / math.pi - 3.0))
 
 
+def _bisect(fn, lo: float, hi: float) -> float:
+    """Root of an increasing fn with fn(lo) < 0 < fn(hi), down to adjacent doubles."""
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        fm = fn(mid)
+        if fm == 0.0:
+            return mid
+        if fm < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return mid
+
+
 def blend_alpha_numeric() -> float:
     """The same constant recovered by root-finding, not by the closed form.
 
@@ -137,7 +149,7 @@ def blend_alpha_numeric() -> float:
     change, so the bracket cannot fail.  Agrees with
     :func:`blend_alpha_closed` to well under 1e-12.
     """
-    return _bisect(lambda p: math.pi - 3.0 / (p * p - p + 1.0), 0.5 + 1e-9, 1.0)[0]
+    return _bisect(lambda p: math.pi - 3.0 / (p * p - p + 1.0), 0.5 + 1e-9, 1.0)
 
 
 def sample_ratios(
@@ -401,6 +413,8 @@ def ratio_grid_scan(n: int = 10**6, t_min: float = 1e-7, t_max: float = 1.0 - 1e
     """Uniform grid scan of r(t) on [t_min, t_max]: extremes + monotonicity."""
     if not (0.0 < t_min < t_max < 1.0):
         raise DomainError("need 0 < t_min < t_max < 1")
+    if n < 2:
+        raise DomainError(f"need at least 2 grid points, got n={n!r}")
     grid = np.linspace(t_min, t_max, n)
     vals = _ratio_kernel(grid)[0]
     diffs = np.diff(vals)

@@ -14,9 +14,10 @@ from seiffert_bounds import (
     blend_alpha_closed,
     counterexample_witness,
     derivative_identity_residual,
+    ladder_proof,
     locate_critical_points,
 )
-from seiffert_bounds import means, oracle
+from seiffert_bounds import auxiliary, means, oracle
 
 SHARP = blend_alpha_closed()
 
@@ -44,6 +45,10 @@ def _rational_coeff_lists(p: Fraction):
         3: [c3, -2 * c2, c1],
         4: [-c2, c1],
     }
+
+
+def _mpf(x: Fraction):
+    return mp.mpf(x.numerator) / x.denominator
 
 
 def _poly_eval(coeffs, t: Fraction) -> Fraction:
@@ -239,16 +244,30 @@ class TestDerivativeIdentity:
         fam = BlendGapFamily(p)
         grid = np.geomspace(1.0001, 50.0, 100)
         assert derivative_identity_residual(fam, grid) <= 1e-6
+        assert derivative_identity_residual(fam, grid) == 0.0
 
     def test_near_diagonal_points(self):
         fam = BlendGapFamily(SHARP)
         grid = np.geomspace(1.001, 1.1, 50)
         assert derivative_identity_residual(fam, grid) <= 1e-6
+        assert derivative_identity_residual(fam, grid) == 0.0
 
     def test_grid_validation(self):
         fam = BlendGapFamily(0.8)
-        with pytest.raises(DomainError):
-            derivative_identity_residual(fam, [1.0000001, 2.0])
+        for grid in ([], [math.nan, 2.0], [1.0, 2.0], [2.0, 0.5], [2.0, math.inf]):
+            with pytest.raises(DomainError):
+                derivative_identity_residual(fam, grid)
+
+    def test_points_next_to_one_are_valid(self):
+        # exact evaluation has no step to cross t = 1
+        assert derivative_identity_residual(BlendGapFamily(0.8), [1.0000001, 2.0]) == 0.0
+
+    def test_wrong_chain_is_caught(self, monkeypatch):
+        # a chain₁ off by s⁴ (its leading coefficient off by one) breaks the identity
+        chain = auxiliary._shifted_chain
+        monkeypatch.setattr(auxiliary, "_shifted_chain", lambda s, u, level: chain(s, u, level) + s**4)
+        assert derivative_identity_residual(BlendGapFamily(SHARP), [2.0]) > 0.0
+        assert ladder_proof()["identity_exact"] is False
 
 
 class TestCriticalPoints:
@@ -294,6 +313,39 @@ class TestCriticalPoints:
         # at p = 0.8 the quartic's leading coefficient is negative: no ladder
         with pytest.raises(BracketError):
             locate_critical_points(BlendGapFamily(0.8))
+
+
+class TestClosedFormLadder:
+    def _mp_roots(self, p: float):
+        """Roots of the printed t-power chains at the double p, 50 digits."""
+        lists = _rational_coeff_lists(Fraction(p))
+        with mp.workdps(50):
+            return [
+                mp.findroot(lambda t, c=lists[level]: mp.polyval([_mpf(x) for x in reversed(c)], t), guess)
+                for level, guess in zip((4, 3, 2, 1), (T0_REF, T1_REF, T2_REF, T3_REF))
+            ]
+
+    def test_roots_within_one_ulp(self):
+        report = locate_critical_points(BlendGapFamily(SHARP))
+        got = (report.t0, report.t1, report.t2, report.t3)
+        with mp.workdps(50):
+            for t, ref in zip(got, self._mp_roots(SHARP)):
+                assert abs(mp.mpf(t) - ref) <= np.spacing(t)
+
+    def test_proof_intervals(self):
+        proof = ladder_proof()
+        assert proof["pi_bounds"] == (Fraction(223, 71), Fraction(22, 7))
+        assert proof["u"] == (Fraction(-1, 22), Fraction(-10, 223))
+        assert proof["c1"] == (Fraction(45, 121), Fraction(18909, 49729))
+        with mp.workdps(50):
+            p = (1 + mp.sqrt(12 / mp.pi - 3)) / 2
+            u = p * p - p
+            c1 = 4 * p**4 - 8 * p**3 + 18 * p**2 - 14 * p + 1
+            assert abs(u - (3 / mp.pi - 1)) < mp.mpf("1e-45")
+            for value, (lo, hi) in ((u, proof["u"]), (c1, proof["c1"])):
+                assert _mpf(lo) < value < _mpf(hi)
+        assert proof["signs"] is True
+        assert proof["identity_exact"] is True
 
 
 class TestWitnesses:

@@ -181,6 +181,14 @@ class TestCertify:
         assert 1.0 < pts["t0"] < pts["t1"] < pts["t2"] < pts["t3"]
         assert rep["gap_negative_on_grid"] is True
         assert abs(rep["gap_at_1e8"]) < 1e-6
+        assert "bracket_width" not in pts
+        assert rep["proof"] == {
+            "pi_bounds": ["223/71", "22/7"],
+            "u": ["-1/22", "-10/223"],
+            "c1": ["45/121", "18909/49729"],
+            "signs": True,
+            "identity_exact": True,
+        }
 
 
 class TestHardenedInputs:

@@ -259,6 +259,12 @@ class TestGridScan:
         with pytest.raises(DomainError):
             ratio_grid_scan(100, t_min=0.0)
 
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_needs_two_points(self, n):
+        # one point cannot show monotonicity; zero has no extremes
+        with pytest.raises(DomainError):
+            ratio_grid_scan(n)
+
 
 class TestConstantsReport:
     def test_all_constants(self):
