@@ -20,46 +20,16 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 from . import auxiliary, means, series, sharp
 from .errors import BracketError, DomainError, RangeError
 
-__all__ = ["RunConfig", "main"]
+__all__ = ["main"]
 
 _SCHEMA = 1
 
 
-@dataclass
-class RunConfig:
-    """Validated knobs shared by the sweep commands."""
-
-    samples: int = 10**6
-    seed: int = 0
-    ratio_max: float = 1e8
-    series_order: int = 40
-    precision_digits: int = 100
-    output_format: str = "plain"
-
-    def validate(self) -> None:
-        if self.samples < 1:
-            raise DomainError(f"samples must be >= 1, got {self.samples}")
-        if not 1 <= self.series_order <= series.N_MAX:
-            raise RangeError(
-                f"series order must lie in [1, {series.N_MAX}], got {self.series_order}"
-            )
-        if self.seed < 0:
-            raise DomainError(f"seed must be >= 0, got {self.seed}")
-        if not (math.isfinite(self.ratio_max) and self.ratio_max > 1.0):
-            raise DomainError(f"ratio-max must be finite and exceed 1, got {self.ratio_max}")
-        if self.precision_digits < 1:
-            raise DomainError(f"precision must be >= 1, got {self.precision_digits}")
-        if self.output_format not in ("json", "csv", "plain"):
-            raise DomainError(f"unknown format {self.output_format!r}")
-
-
 def _cmd_eval(args: argparse.Namespace) -> int:
-    cfg = _config(args)
     pair = means.PositivePair(args.a, args.b)
     param = args.x if args.kind == "blend" else args.p
     value = means.mean(args.kind, pair, param)  # validates the parameter
@@ -72,7 +42,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     from . import oracle
 
     fn = getattr(oracle, args.kind.replace("-", "_"))
-    dps = cfg.precision_digits
+    dps = args.precision
     if param is None:
         val = fn(pair.a, pair.b, dps=dps)
     elif args.kind == "blend":
@@ -87,21 +57,21 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 _SUITES = ("thm1", "thm2", "priors", "chain")
 
 
-def _run_suite(name: str, cfg: RunConfig, alpha_shift: float, beta_shift: float):
+def _run_suite(name: str, args: argparse.Namespace):
     if name == "thm1":
-        alpha = sharp.blend_alpha_closed() + alpha_shift
+        alpha = sharp.blend_alpha_closed() + args.alpha_shift
         return sharp.verify_blend_bounds(
-            cfg.samples, seed=cfg.seed, ratio_max=cfg.ratio_max,
-            alpha=alpha, beta=1.0 + beta_shift,
+            args.samples, seed=args.seed, ratio_max=args.ratio_max,
+            alpha=alpha, beta=1.0 + args.beta_shift,
         )
     if name == "thm2":
         return sharp.verify_ratio_bounds(
-            cfg.samples, seed=cfg.seed, ratio_max=cfg.ratio_max,
-            alpha1=sharp.RATIO_LOWER + alpha_shift, beta1=sharp.RATIO_UPPER + beta_shift,
+            args.samples, seed=args.seed, ratio_max=args.ratio_max,
+            alpha1=sharp.RATIO_LOWER + args.alpha_shift, beta1=sharp.RATIO_UPPER + args.beta_shift,
         )
     if name == "priors":
-        return sharp.verify_prior_bounds(cfg.samples, seed=cfg.seed, ratio_max=cfg.ratio_max)
-    return sharp.verify_ordering_chain(cfg.samples, seed=cfg.seed, ratio_max=min(cfg.ratio_max, 1e6))
+        return sharp.verify_prior_bounds(args.samples, seed=args.seed, ratio_max=args.ratio_max)
+    return sharp.verify_ordering_chain(args.samples, seed=args.seed, ratio_max=min(args.ratio_max, 1e6))
 
 
 def _csv_dump(rows: list[dict]) -> str:
@@ -118,18 +88,17 @@ def _csv_dump(rows: list[dict]) -> str:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    cfg = _config(args)
     which = list(_SUITES) if args.which == "all" else [args.which]
-    results = [_run_suite(name, cfg, args.alpha_shift, args.beta_shift) for name in which]
+    results = [_run_suite(name, args) for name in which]
     results.sort(key=lambda r: r.suite)
 
-    if cfg.output_format == "json":
+    if args.format == "json":
         print(json.dumps(
-            {"schema": _SCHEMA, "seed": cfg.seed, "samples": cfg.samples,
+            {"schema": _SCHEMA, "seed": args.seed, "samples": args.samples,
              "suites": [r.as_report() for r in results]},
             sort_keys=True,
         ))
-    elif cfg.output_format == "csv":
+    elif args.format == "csv":
         rows = [
             {
                 "name": r.suite,
@@ -158,12 +127,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_constants(args: argparse.Namespace) -> int:
-    cfg = _config(args)
     reports = sharp.constants_report()
-    if cfg.output_format == "json":
+    if args.format == "json":
         for rep in reports:
             print(json.dumps({"schema": _SCHEMA, **rep.as_dict()}, sort_keys=True))
-    elif cfg.output_format == "csv":
+    elif args.format == "csv":
         rows = [
             {
                 "name": rep.name,
@@ -191,8 +159,7 @@ def _cmd_constants(args: argparse.Namespace) -> int:
 
 
 def _cmd_series(args: argparse.Namespace) -> int:
-    cfg = _config(args)
-    order = cfg.series_order
+    order = args.order
     what = args.what
     if what == "bernoulli":
         terms = [{"n": n, "coefficient": str(series.bernoulli_even(n))} for n in range(1, order + 1)]
@@ -208,13 +175,13 @@ def _cmd_series(args: argparse.Namespace) -> int:
         ts = series.truncated_series(what, order)
         tail_bound, radius = ts.tail_bound, ts.radius
 
-    if cfg.output_format == "json":
+    if args.format == "json":
         payload = {"schema": _SCHEMA, "series": what, "order": order, "terms": terms}
         if tail_bound is not None:
             payload["tail_bound"] = tail_bound
             payload["radius"] = radius
         print(json.dumps(payload, sort_keys=True))
-    elif cfg.output_format == "csv":
+    elif args.format == "csv":
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=["n", "coefficient"], lineterminator="\n")
         writer.writeheader()
@@ -231,7 +198,6 @@ def _cmd_series(args: argparse.Namespace) -> int:
 
 
 def _cmd_certify(args: argparse.Namespace) -> int:
-    cfg = _config(args)
     import numpy as np
 
     family = auxiliary.BlendGapFamily(sharp.blend_alpha_closed())
@@ -259,7 +225,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
         "proof": {k: [str(x) for x in v] if isinstance(v, tuple) else v for k, v in proof.items()},
         "pass": ok,
     }
-    if cfg.output_format == "json":
+    if args.format == "json":
         print(json.dumps(payload, sort_keys=True))
     else:
         for key in ("parameter", "gap_negative_on_grid", "gap_at_1e8", "limit_at_infinity", "pass"):
@@ -269,17 +235,23 @@ def _cmd_certify(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
-def _config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(
-        samples=getattr(args, "samples", 10**6),
-        seed=getattr(args, "seed", 0),
-        ratio_max=getattr(args, "ratio_max", 1e8),
-        series_order=getattr(args, "order", 40),
-        precision_digits=getattr(args, "precision", 100),
-        output_format=getattr(args, "format", "plain"),
-    )
-    cfg.validate()
-    return cfg
+def _checked(convert, ok, rule: str):
+    """An argparse ``type=`` that converts the text and rejects values breaking ``rule``."""
+
+    def parse(text: str):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must {rule}, got {text}")
+        return value
+
+    parse.__name__ = convert.__name__  # argparse names it in "invalid int value"
+    return parse
+
+
+_POSITIVE = _checked(int, lambda n: n >= 1, "be >= 1")
+_SEED = _checked(int, lambda n: n >= 0, "be >= 0")
+_RATIO_MAX = _checked(float, lambda x: math.isfinite(x) and x > 1.0, "be finite and exceed 1")
+_ORDER = _checked(int, lambda n: 1 <= n <= series.N_MAX, f"lie in [1, {series.N_MAX}]")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -303,14 +275,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--x", type=float, default=None, help="blend parameter in [1/2, 1]")
     p_eval.add_argument("--p", type=float, default=None, help="power-mean exponent")
     p_eval.add_argument("--oracle", action="store_true", help="print the mpmath reference value")
-    p_eval.add_argument("--precision", type=int, default=100, help="oracle digits")
+    p_eval.add_argument("--precision", type=_POSITIVE, default=100, help="oracle digits")
     p_eval.set_defaults(func=_cmd_eval)
 
     p_verify = sub.add_parser("verify", help="run bulk inequality suites")
     p_verify.add_argument("which", choices=(*_SUITES, "all"))
-    p_verify.add_argument("--samples", type=int, default=10**6)
-    p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--ratio-max", dest="ratio_max", type=float, default=1e8)
+    p_verify.add_argument("--samples", type=_POSITIVE, default=10**6)
+    p_verify.add_argument("--seed", type=_SEED, default=0)
+    p_verify.add_argument("--ratio-max", dest="ratio_max", type=_RATIO_MAX, default=1e8)
     p_verify.add_argument("--format", choices=("json", "csv", "plain"), default="plain")
     p_verify.add_argument(
         "--alpha-shift", dest="alpha_shift", type=float, default=0.0,
@@ -328,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_series = sub.add_parser("series", help="dump exact series coefficients")
     p_series.add_argument("what", choices=("bernoulli", "cot", "csc2", "ratio"))
-    p_series.add_argument("--order", type=int, default=40)
+    p_series.add_argument("--order", type=_ORDER, default=40)
     p_series.add_argument("--format", choices=("json", "csv", "plain"), default="plain")
     p_series.set_defaults(func=_cmd_series)
 

@@ -30,8 +30,11 @@ arctan series.  That piecewise r(t) kernel lives in :mod:`seiffert_bounds.means`
 whose Seiffert core is A times its q = t/arctan t.
 
 Sampling is log-uniform in a/b over (1, ratio_max] plus deterministic
-near-boundary points {1+10⁻ᵏ} and {10⁺ᵏ}: sharpness lives at the boundary and
-uniform sampling would miss it.
+near-boundary points {1+10⁻ᵏ} and {10⁺ᵏ} up to ratio_max: sharpness lives at
+the boundary and uniform sampling would miss it.  Every suite but the ordering
+chain (which draws its own pairs) samples exactly
+``sample_ratios(default_rng(seed), samples, ratio_max)``, so no reported ratio
+leaves (1, ratio_max].
 
 The four suites stream through one engine (``_sweep``): ratios are drawn,
 checked and reduced in blocks of ``_BLOCK`` samples, so memory is O(block)
@@ -59,7 +62,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import means
+from . import auxiliary, means
 from .errors import BracketError, DomainError
 from .means import _ratio_kernel
 
@@ -93,6 +96,10 @@ CONSTANT_GAP_LIMIT = 1e-10
 
 #: Below this t the raw-mean comparisons are skipped (true slack under 1 ulp).
 _DIRECT_T_FLOOR = 1e-3
+
+#: How far past its optimum ``constants_report`` pushes each constant.
+_PROBE_SHIFT = 1e-6
+
 
 def _on_profile(t, pick):
     """``pick(r, 1/3 - r)`` at validated t in (0, 1); a float for scalar t."""
@@ -152,6 +159,19 @@ def blend_alpha_numeric() -> float:
     return _bisect(lambda p: math.pi - 3.0 / (p * p - p + 1.0), 0.5 + 1e-9, 1.0)
 
 
+def _check_range(n: int, ratio_max: float) -> None:
+    if n < 1:
+        raise DomainError(f"samples must be >= 1, got {n}")
+    if not (math.isfinite(ratio_max) and ratio_max > 1.0):
+        raise DomainError(f"ratio_max must be finite and exceed 1, got {ratio_max}")
+
+
+def _rng(seed: int) -> np.random.Generator:
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
+    return np.random.default_rng(seed)
+
+
 def sample_ratios(
     rng: np.random.Generator,
     n: int,
@@ -164,12 +184,9 @@ def sample_ratios(
     stream; the sweeps draw it block by block and ask for the boundary points
     with the last block.
     """
-    if n < 1:
-        raise DomainError(f"samples must be >= 1, got {n}")
-    if not (math.isfinite(ratio_max) and ratio_max > 1.0):
-        raise DomainError(f"ratio_max must be finite and exceed 1, got {ratio_max}")
+    _check_range(n, ratio_max)
     x = np.exp(rng.random(n) * math.log(ratio_max))
-    np.maximum(x, 1.0 + 1e-12, out=x)
+    np.clip(x, 1.0 + 1e-12, ratio_max, out=x)
     if include_boundary:
         near = 1.0 + 10.0 ** -np.arange(1.0, 10.0)
         far = 10.0 ** np.arange(1.0, math.floor(math.log10(max(ratio_max, 10.0))) + 1.0)
@@ -218,16 +235,15 @@ class VerificationResult:
 _BLOCK = 1 << 13
 
 
-def _ratio_blocks(seed: int, n: int, ratio_max: float, include_boundary: bool):
-    """(x, t) blocks of the stream ``sample_ratios(default_rng(seed), n, ...)``.
+def _ratio_blocks(seed: int, n: int, ratio_max: float):
+    """(x, t) blocks of the stream ``sample_ratios(default_rng(seed), n, ratio_max)``.
 
     t is bit for bit the profile t of the pair (x, 1) (the profile's halvings
     are exact), so the raw-mean checks may build means of (x, 1) from it.
     """
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     for start in range(0, max(n, 1), _BLOCK):
-        last = start + _BLOCK >= n
-        x = sample_ratios(rng, min(_BLOCK, n - start), ratio_max, include_boundary and last)
+        x = sample_ratios(rng, min(_BLOCK, n - start), ratio_max, start + _BLOCK >= n)
         yield x, (x - 1.0) / (x + 1.0)
 
 
@@ -309,7 +325,6 @@ def verify_blend_bounds(
     ratio_max: float = 1e8,
     alpha: float | None = None,
     beta: float = 1.0,
-    include_boundary: bool = True,
 ) -> VerificationResult:
     """Bulk check of blend(α) < seiffert < blend(β) over sampled ratios.
 
@@ -345,8 +360,7 @@ def verify_blend_bounds(
         folds = {"left": (left, np.argmin), "right": (right, np.argmin)}
         return x, folds, (lambda: _margin_witness(x, left, right, means_at), raw_means)
 
-    blocks = _ratio_blocks(seed, samples, ratio_max, include_boundary)
-    return _sweep("thm1", itertools.starmap(block, blocks))
+    return _sweep("thm1", itertools.starmap(block, _ratio_blocks(seed, samples, ratio_max)))
 
 
 def verify_ratio_bounds(
@@ -356,7 +370,6 @@ def verify_ratio_bounds(
     ratio_max: float = 1e8,
     alpha1: float | None = None,
     beta1: float | None = None,
-    include_boundary: bool = True,
 ) -> VerificationResult:
     """Bulk check of α₁ < r(t) < β₁ (and the equivalent mean combination).
 
@@ -369,29 +382,17 @@ def verify_ratio_bounds(
         if not math.isfinite(val):
             raise DomainError(f"{name} must be finite, got {val!r}")
 
-    def blocks():
-        # (x, t, profile t of x): the boundary block fixes t and derives x,
-        # whose own profile may differ from that t in the last bit
-        for x, t in _ratio_blocks(seed, samples, ratio_max, include_boundary):
-            yield x, t, t
-        if include_boundary:
-            t = np.concatenate([10.0 ** -np.arange(1.0, 8.0), 1.0 - 10.0 ** -np.arange(1.0, 8.0)])
-            x = (1.0 + t) / (1.0 - t)
-            yield x, t, (x - 1.0) / (x + 1.0)
-
-    def block(x, t, t_x):
+    def block(x, t):
         r, upper, q = _ratio_kernel(t)
         left = r - alpha1
         right = upper if beta1 == RATIO_UPPER else beta1 - r
 
         def raw_means():
             arith = means.arithmetic_values(x, 1.0)
-            contra = arith * means._contra_harmonic_factor(t_x)
+            contra = arith * means._contra_harmonic_factor(t)
             lo_mean = alpha1 * contra + (1.0 - alpha1) * arith
             hi_mean = beta1 * contra + (1.0 - beta1) * arith
-            # the boundary block's x has its own profile t (see blocks)
-            seif = arith * (q if t_x is t else _ratio_kernel(t_x)[2])
-            return _raw_mean_witness(x, t, lo_mean, seif, hi_mean)
+            return _raw_mean_witness(x, t, lo_mean, arith * q, hi_mean)
 
         folds = {
             "left": (left, np.argmin),
@@ -406,7 +407,7 @@ def verify_ratio_bounds(
         (inf, arg_inf), (sup, arg_sup) = best["inf"], best["sup"]
         return {"inf": inf, "sup": sup, "arg_inf": arg_inf, "arg_sup": arg_sup}
 
-    return _sweep("thm2", itertools.starmap(block, blocks()), stats)
+    return _sweep("thm2", itertools.starmap(block, _ratio_blocks(seed, samples, ratio_max)), stats)
 
 
 def ratio_grid_scan(n: int = 10**6, t_min: float = 1e-7, t_max: float = 1.0 - 1e-7) -> dict:
@@ -442,7 +443,6 @@ def verify_prior_bounds(
     *,
     seed: int = 0,
     ratio_max: float = 1e8,
-    include_boundary: bool = True,
 ) -> VerificationResult:
     """Regression of the four earlier sharp bounds at their stated constants.
 
@@ -504,7 +504,7 @@ def verify_prior_bounds(
         checks = [functools.partial(margin, name, vals) for name, vals in zip(names, margins)]
         return x, folds, (*checks, raw_means)
 
-    blocks = _ratio_blocks(seed, samples, ratio_max, include_boundary)
+    blocks = _ratio_blocks(seed, samples, ratio_max)
     return _sweep(
         "priors", itertools.starmap(block, blocks), lambda best: {name: best[name][0] for name in names}
     )
@@ -523,15 +523,14 @@ def verify_ordering_chain(
     slack (≥ ~t²/6 relative) two orders above double rounding, so the strict
     raw comparisons are meaningful at every sample.
     """
-    if samples < 1:
-        raise DomainError(f"samples must be >= 1, got {samples}")
+    _check_range(samples, ratio_max)
     lo = 1.0 + 2e-5
 
     def draws():
         # one stream holds every x and then every k; a copy of the generator
         # advanced past the x draws reads the k draws block by block alongside
-        rng_x = np.random.default_rng(seed)
-        rng_k = np.random.default_rng(seed)
+        rng_x = _rng(seed)
+        rng_k = _rng(seed)
         rng_k.bit_generator.advance(samples)
         for start in range(0, samples, _BLOCK):
             size = min(_BLOCK, samples - start)
@@ -601,34 +600,18 @@ class SharpConstantReport:
         }
 
 
-def _blend_violation_witness(p: float, side: str, shift: float) -> SharpnessWitness:
-    """First ratio where the blend bound on ``side`` fails at parameter p:
-    blend(p) > seiffert at a large ratio (``lower``, p pushed above the sharp
-    alpha) or seiffert > blend(p) near the diagonal (``upper``, p below 1)."""
-    xs = np.geomspace(10.0, 1e8, 600) if side == "lower" else 1.0 + np.geomspace(1e-3, 1e-1, 400)
-    blend = means.blend_values(p, xs, 1.0)
-    seif = means.seiffert_values(xs, 1.0)
-    lhs, rhs = (blend, seif) if side == "lower" else (seif, blend)
-    k = _first(lhs > rhs)
-    if k is None:
-        raise BracketError(f"no blend violation found for {'alpha' if side == 'lower' else 'beta'}={p}")
-    return SharpnessWitness(shift=shift, ratio=float(xs[k]), lhs=float(lhs[k]), rhs=float(rhs[k]))
-
-
 def _ratio_violation_witness(const: float, side: str, shift: float) -> SharpnessWitness:
     ts = np.geomspace(1e-6, 1.0 - 1e-10, 2000) if side == "upper" else 1.0 - np.geomspace(1e-10, 0.5, 2000)
     r = _ratio_kernel(ts)[0]
-    mask = r >= const if side == "upper" else r <= const
-    idx = np.nonzero(mask)[0]
-    if len(idx) == 0:
+    k = _first(r >= const if side == "upper" else r <= const)
+    if k is None:
         raise BracketError(f"no ratio violation found for constant {const} ({side})")
-    k = int(idx[0])
     xr = (1.0 + ts[k]) / (1.0 - ts[k])
     lhs, rhs = (float(r[k]), const) if side == "upper" else (const, float(r[k]))
     return SharpnessWitness(shift=shift, ratio=float(xr), lhs=lhs, rhs=rhs)
 
 
-def constants_report(probe_shift: float = 1e-6) -> list[SharpConstantReport]:
+def constants_report() -> list[SharpConstantReport]:
     """All four sharp constants: closed form vs independent numeric discovery.
 
     * blend_alpha — root-finding on the t→∞ gap limit;
@@ -636,29 +619,32 @@ def constants_report(probe_shift: float = 1e-6) -> list[SharpConstantReport]:
     * ratio_alpha / ratio_beta — extremes of r(t) on boundary-refined grids.
 
     Each report carries a sharpness witness: a ratio violating the bound with
-    the constant pushed ``probe_shift`` past its optimum.
+    the constant pushed ``_PROBE_SHIFT`` past its optimum.  The blend witnesses
+    are :func:`seiffert_bounds.auxiliary.counterexample_witness`'s.
     """
     small_t = np.geomspace(1e-8, 1e-2, 400)
     big_t = 1.0 - np.geomspace(1e-10, 1e-2, 400)
 
     lam_c = blend_alpha_closed()
     lam_n = blend_alpha_numeric()
+    above = auxiliary.counterexample_witness(lam_c + _PROBE_SHIFT, "above_alpha")
     rep_alpha = SharpConstantReport(
         name="blend_alpha",
         closed_form=lam_c,
         discovered=lam_n,
         abs_gap=abs(lam_c - lam_n),
-        witness=_blend_violation_witness(min(1.0, lam_c + probe_shift), "lower", probe_shift),
+        witness=SharpnessWitness(_PROBE_SHIFT, above.t, above.blend_value, above.seiffert_value),
     )
 
     r_small = _ratio_kernel(small_t)[0]
     beta_disc = float(np.max(0.5 * (1.0 + np.sqrt(3.0 * r_small))))
+    below = auxiliary.counterexample_witness(1.0 - _PROBE_SHIFT, "below_one")
     rep_beta = SharpConstantReport(
         name="blend_beta",
         closed_form=1.0,
         discovered=beta_disc,
         abs_gap=abs(1.0 - beta_disc),
-        witness=_blend_violation_witness(1.0 - probe_shift, "upper", -probe_shift),
+        witness=SharpnessWitness(-_PROBE_SHIFT, below.t, below.seiffert_value, below.blend_value),
     )
 
     inf_disc = float(np.min(_ratio_kernel(big_t)[0]))
@@ -667,7 +653,7 @@ def constants_report(probe_shift: float = 1e-6) -> list[SharpConstantReport]:
         closed_form=RATIO_LOWER,
         discovered=inf_disc,
         abs_gap=abs(RATIO_LOWER - inf_disc),
-        witness=_ratio_violation_witness(RATIO_LOWER + probe_shift, "lower", probe_shift),
+        witness=_ratio_violation_witness(RATIO_LOWER + _PROBE_SHIFT, "lower", _PROBE_SHIFT),
     )
     sup_disc = float(np.max(r_small))
     rep_b1 = SharpConstantReport(
@@ -675,6 +661,6 @@ def constants_report(probe_shift: float = 1e-6) -> list[SharpConstantReport]:
         closed_form=RATIO_UPPER,
         discovered=sup_disc,
         abs_gap=abs(RATIO_UPPER - sup_disc),
-        witness=_ratio_violation_witness(RATIO_UPPER - probe_shift, "upper", -probe_shift),
+        witness=_ratio_violation_witness(RATIO_UPPER - _PROBE_SHIFT, "upper", -_PROBE_SHIFT),
     )
     return [rep_alpha, rep_beta, rep_a1, rep_b1]

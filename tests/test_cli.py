@@ -213,15 +213,6 @@ class TestHardenedInputs:
         assert out == ""
         assert err.startswith("error: ") and needle in err and err.count("\n") == 1
 
-    def test_run_config_validate(self):
-        from seiffert_bounds.cli import RunConfig
-        from seiffert_bounds.errors import DomainError
-
-        for bad in (RunConfig(seed=-1), RunConfig(ratio_max=math.inf), RunConfig(ratio_max=math.nan)):
-            with pytest.raises(DomainError):
-                bad.validate()
-        RunConfig(seed=0, ratio_max=1e300).validate()
-
     @pytest.mark.parametrize("kw", [{"alpha1": math.nan}, {"beta1": math.inf}, {"beta1": -math.inf}])
     def test_ratio_constants_must_be_finite(self, kw):
         from seiffert_bounds.errors import DomainError

@@ -51,6 +51,18 @@ def test_report_independent_of_block_size(monkeypatch, case, n):
         assert not blocked.passed
 
 
+@pytest.mark.parametrize("ratio_max", [1.5, 10.0, 1e3])
+@pytest.mark.parametrize("case", sorted(case for case in CASES if "ratio_max" not in CASES[case][1]))
+def test_reported_ratios_stay_in_range(case, ratio_max):
+    fn, kw = CASES[case]
+    res = fn(2_000, seed=4, ratio_max=ratio_max, **kw)
+    ratios = [res.arg_left, res.arg_right]
+    ratios += [res.stats[key] for key in ("arg_inf", "arg_sup") if key in res.stats]
+    if res.witness is not None:
+        ratios.append(res.witness["ratio"])
+    assert all(1.0 < x <= ratio_max for x in ratios), ratios
+
+
 class TestUnchangedStream:
     """Reports at 70k samples (two default blocks) match a single full-length scan."""
 
@@ -76,7 +88,7 @@ class TestUnchangedStream:
 
     def test_thm2_shifted_witness_and_stats(self):
         res = verify_ratio_bounds(70_000, seed=11, beta1=RATIO_UPPER - 1e-6)
-        assert res.n_samples == 70_032
+        assert res.n_samples == 70_018
         assert res.witness == {
             "ratio": 1.0055302745730754, "side": "upper",
             "lhs": 0.3333326574360645, "rhs": 0.33333233333333334,
@@ -130,12 +142,15 @@ class TestRawMeanWitness:
     def test_margin_witness_outranks_earlier_raw_mean_witness(self, monkeypatch):
         # beta just below 1 breaks the upper margin only at the near-diagonal
         # boundary points, which close the last block; the inflated Seiffert
-        # mean breaks the raw-mean check at a sampled ratio in the first block
+        # mean breaks the raw-mean check at a sampled ratio in the first block.
+        # That is shown at beta = 1, where no margin breaks; beta below 1 only
+        # lowers the upper mean, so the raw-mean check breaks there too.
         n, beta = 3 * SMALL_BLOCK + 7, 1.0 - 1e-8
         x = sample_ratios(np.random.default_rng(0), n)
         _inflated_seiffert(monkeypatch, 1.0 + 1e-9)
         monkeypatch.setattr(sharp, "_BLOCK", SMALL_BLOCK)
-        raw = verify_blend_bounds(n, seed=0, beta=beta, include_boundary=False)
+        raw = verify_blend_bounds(n, seed=0)
+        assert raw.min_slack_left > 0.0 and raw.min_slack_right > 0.0
         assert np.flatnonzero(x == raw.witness["ratio"])[0] < SMALL_BLOCK
         res = verify_blend_bounds(n, seed=0, beta=beta)
         assert np.flatnonzero(x == res.witness["ratio"])[0] >= n
@@ -178,19 +193,15 @@ class TestWorkOncePerBlock:
 
     N = 3 * SMALL_BLOCK + 7
 
-    @pytest.mark.parametrize(
-        "fn, extra_blocks",
-        [(verify_blend_bounds, 0), (verify_ratio_bounds, 1), (verify_prior_bounds, 0)],
-    )
-    def test_kernel_and_seiffert_core_once(self, monkeypatch, fn, extra_blocks):
-        # the Seiffert mean is A times the kernel's q; thm2's boundary block
-        # (14 fixed t) also takes q at the profile t of its derived x
+    @pytest.mark.parametrize("fn", [verify_blend_bounds, verify_ratio_bounds, verify_prior_bounds])
+    def test_kernel_and_seiffert_core_once(self, monkeypatch, fn):
+        # the Seiffert mean is A times the kernel's q
         monkeypatch.setattr(sharp, "_BLOCK", SMALL_BLOCK)
         kernel = _counting(monkeypatch, sharp, "_ratio_kernel")
         res = fn(self.N, seed=2)
         assert res.passed
-        assert len(kernel) == 4 + 2 * extra_blocks
-        assert sum(kernel) == res.n_samples + 14 * extra_blocks
+        assert len(kernel) == 4
+        assert sum(kernel) == res.n_samples
 
     @pytest.mark.parametrize(
         "fn", [verify_blend_bounds, verify_ratio_bounds, verify_prior_bounds, verify_ordering_chain]
@@ -203,7 +214,7 @@ class TestWorkOncePerBlock:
         assert fn(self.N, seed=2).passed
         arctans, profiles = {
             verify_blend_bounds: (4, 0),
-            verify_ratio_bounds: (6, 0),
+            verify_ratio_bounds: (4, 0),
             verify_prior_bounds: (4, 2 * 4),
             verify_ordering_chain: (4, 4),
         }[fn]
@@ -224,7 +235,7 @@ def test_block_profile_means_equal_the_cores(monkeypatch):
     ])
     monkeypatch.setattr(sharp, "sample_ratios", lambda rng, n, ratio_max, include_boundary: x)
     monkeypatch.setattr(sharp, "_BLOCK", len(x))
-    (xb, t), = sharp._ratio_blocks(0, len(x), 2.0, False)
+    (xb, t), = sharp._ratio_blocks(0, len(x), 2.0)
     assert np.array_equal(t, means._profile(x, 1.0)[1])
     assert np.any(t[-17:] < 1e-3) and np.any(t[-17:] >= 1e-3)
     am = means.arithmetic_values(xb, 1.0)
@@ -285,3 +296,15 @@ class TestSamplingInputs:
     def test_chain_needs_a_sample(self):
         with pytest.raises(DomainError):
             verify_ordering_chain(0)
+
+    @pytest.mark.parametrize(
+        "fn", [verify_blend_bounds, verify_ratio_bounds, verify_prior_bounds, verify_ordering_chain]
+    )
+    def test_negative_seed_rejected(self, fn):
+        with pytest.raises(DomainError, match="seed"):
+            fn(10, seed=-1)
+
+    @pytest.mark.parametrize("ratio_max", [math.nan, math.inf, 0.5, 1.0])
+    def test_chain_ratio_max_must_exceed_one(self, ratio_max):
+        with pytest.raises(DomainError, match="ratio_max"):
+            verify_ordering_chain(10, ratio_max=ratio_max)
