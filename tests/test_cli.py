@@ -4,12 +4,14 @@ import csv
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 
 import mpmath as mp
 import pytest
 
+from seiffert_bounds import cli
 from seiffert_bounds.cli import main
 
 LAMBDA_REF = 0.9526915711070529
@@ -205,6 +207,8 @@ class TestHardenedInputs:
             (["verify", "thm2", "--samples", "100", "--beta-shift", "nan"], "beta1"),
             (["verify", "thm9"], "thm9"),
             (["constants", "--precision", "5"], "--precision"),
+            (["verify", "chain", "--samples", "100", "--ratio-max", "1.00001"], "1 + 2e-5"),
+            (["verify", "all", "--samples", "100", "--ratio-max", "1.00001"], "1 + 2e-5"),
         ],
     )
     def test_exit_2(self, capsys, argv, needle):
@@ -259,6 +263,79 @@ class TestProfileRange:
             a, b = mp.mpf(1e250), mp.mpf(3e250)
             ref = ((a**3 + b**3) / 2) ** (1 / mp.mpf(3))
             assert abs(mp.mpf(out.strip()) - ref) / ref <= mp.mpf(10) ** (1 - 30)
+
+
+class TestLanes:
+    """``verify all`` in forked lanes prints what one process prints."""
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """Lanes from one sample on; returns the pids forked so far."""
+        monkeypatch.setattr(cli, "_LANE_MIN_SAMPLES", 1)
+        pids = []
+        fork = os.fork
+
+        def counting_fork():
+            pid = fork()
+            if pid:
+                pids.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", counting_fork)
+        return pids
+
+    @staticmethod
+    def assert_no_child_left():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("fmt", ["json", "plain", "csv"])
+    @pytest.mark.parametrize("shift, code", [([], 0), (["--alpha-shift=1e-4"], 1)])
+    def test_same_output_as_one_lane(self, capsys, monkeypatch, forks, fmt, shift, code):
+        argv = ["verify", "all", "--samples", "20000", "--seed", "5", "--format", fmt, *shift]
+        runs = {}
+        for cpus in (1, 2, 4):
+            monkeypatch.setattr(cli, "_cpus", lambda: cpus)
+            del forks[:]
+            runs[cpus] = run_cli(capsys, *argv)
+            assert len(forks) == cpus - 1
+            self.assert_no_child_left()
+        assert runs[1][0] == code and runs[1][1] and runs[1][2] == ""
+        assert runs[2] == runs[1] and runs[4] == runs[1]
+
+    @pytest.mark.parametrize(
+        "order", [cli._COST_ORDER, ("thm1", "thm2", "priors", "chain")], ids=["own-lane", "child-lane"]
+    )
+    def test_suite_error_exits_2(self, capsys, monkeypatch, forks, order):
+        # the chain raises at this ratio_max; with two lanes it runs in this
+        # process under the cost order and in the child under the other
+        monkeypatch.setattr(cli, "_cpus", lambda: 2)
+        monkeypatch.setattr(cli, "_COST_ORDER", order)
+        code, out, err = run_cli(capsys, "verify", "all", "--samples", "2000", "--ratio-max", "1.00001")
+        assert len(forks) == 1
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "1 + 2e-5" in err and err.count("\n") == 1
+        self.assert_no_child_left()
+
+    @pytest.mark.parametrize(
+        "cpus, min_samples, argv",
+        [
+            (1, 1, ["all"]),
+            (2, None, ["all"]),
+            (4, 1, ["thm1"]),
+        ],
+        ids=["one-cpu", "below-threshold", "one-suite"],
+    )
+    def test_one_lane_never_forks(self, capsys, monkeypatch, cpus, min_samples, argv):
+        def no_fork():
+            raise AssertionError("forked")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        monkeypatch.setattr(cli, "_cpus", lambda: cpus)
+        if min_samples is not None:
+            monkeypatch.setattr(cli, "_LANE_MIN_SAMPLES", min_samples)
+        code, out, _ = run_cli(capsys, "verify", *argv, "--samples", "5000")
+        assert code == 0 and "PASS" in out
 
 
 def test_cli_import_leaves_scipy_out():

@@ -308,3 +308,17 @@ class TestSamplingInputs:
     def test_chain_ratio_max_must_exceed_one(self, ratio_max):
         with pytest.raises(DomainError, match="ratio_max"):
             verify_ordering_chain(10, ratio_max=ratio_max)
+
+    @pytest.mark.parametrize("ratio_max", [1.00001, 1.0 + 2e-5])
+    def test_chain_ratio_max_must_exceed_its_floor(self, ratio_max):
+        # the chain draws x in [1 + 2e-5, ratio_max]; at or below the floor
+        # that range is empty and the draws would land above ratio_max
+        with pytest.raises(DomainError, match="1 \\+ 2e-5"):
+            verify_ordering_chain(100, ratio_max=ratio_max)
+
+    def test_chain_just_above_its_floor_stays_in_range(self):
+        ratio_max = 1.0000201
+        res = verify_ordering_chain(100, ratio_max=ratio_max)
+        assert res.passed
+        assert 1.0 + 2e-5 <= min(res.arg_left, res.arg_right)
+        assert max(res.arg_left, res.arg_right) <= ratio_max
