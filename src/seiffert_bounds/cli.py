@@ -55,6 +55,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 _SUITES = ("thm1", "thm2", "priors", "chain")
+#: The ordering chain's pairs stay within ratios of 1e6 whatever --ratio-max is.
+_CHAIN_RATIO_MAX = 1e6
 
 
 def _run_suite(name: str, args: argparse.Namespace):
@@ -71,18 +73,23 @@ def _run_suite(name: str, args: argparse.Namespace):
         )
     if name == "priors":
         return sharp.verify_prior_bounds(args.samples, seed=args.seed, ratio_max=args.ratio_max)
-    return sharp.verify_ordering_chain(args.samples, seed=args.seed, ratio_max=min(args.ratio_max, 1e6))
+    return sharp.verify_ordering_chain(
+        args.samples, seed=args.seed, ratio_max=min(args.ratio_max, _CHAIN_RATIO_MAX)
+    )
 
 
 #: Samples per suite from which ``verify all`` runs its suites in lanes, one
 #: per CPU.  A lane costs a fork and a pipe, and its child warms up on its own.
-#: Measured as fresh ``verify all`` processes on a 2-core host (medians of 11
-#: alternating pairs): two lanes lose 8 ms at 2e4 samples, are within 4% of
-#: one lane from 5e4 to 2.6e5, and win 1.19x at 5e5 and 1.27x at 1e6.  So
-#: smaller runs stay in one process.
+#: Measured as fresh ``verify all`` processes on a 2-core host (medians of 15
+#: alternating pairs): two lanes lose 6 ms at 2e4 and 5e4 samples, break even
+#: from 1e5 to 2e5, and win 1.05x at 2.6e5 (14 of 15 pairs), 1.11x at 5e5 and
+#: 1.22x at 1e6.  So smaller runs stay in one process.
 _LANE_MIN_SAMPLES = 1 << 18
-#: The suites from the costliest down (at 2e6 samples: chain about 200 ms,
-#: priors 180, thm2 85, thm1 80), dealt round-robin to the lanes.
+#: The order in which the suites are dealt round-robin to the lanes: the two
+#: costly suites, then the two cheap ones.  At 2e6 samples in one process
+#: priors takes about 76 ms, chain 67, thm2 and thm1 43 each; putting priors
+#: first would deal 2 or 4 CPUs the same lanes and 3 CPUs a longer longest
+#: lane (119 ms against 110).
 _COST_ORDER = ("chain", "priors", "thm2", "thm1")
 
 
@@ -156,6 +163,9 @@ def _csv_dump(rows: list[dict]) -> str:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     which = list(_SUITES) if args.which == "all" else [args.which]
+    if "chain" in which:
+        # before any suite runs, so that no other suite is computed for nothing
+        sharp._check_chain_range(min(args.ratio_max, _CHAIN_RATIO_MAX))
     results = _run_suites(which, args)
     results.sort(key=lambda r: r.suite)
 

@@ -31,9 +31,10 @@ factored by its larger (p > 0) or smaller (p < 0) entry for the same reason.
 t = 1/2 and, up to it, an exact-coefficient series.  One kernel
 (``_ratio_kernel``) evaluates both in one pass and returns ``r``,
 ``1/3 - r`` and ``t/arctan t``; the Seiffert core is ``A`` times the last.
-The factors ``f(t)`` above live in one private helper each, which the cores
-and the bulk verifiers share, so a verifier builds every raw mean of a block
-from the block's own profile and kernel pass.
+The factors ``f(t)`` above live in one private helper each, all but the
+blend's taken of t², which the cores and the bulk verifiers share, so a
+verifier builds every raw mean of a block from the block's own profile and
+kernel pass (which also hands back t²), writing into its own buffers.
 
 The scalar API takes a validated :class:`PositivePair` and goes through
 :func:`mean`, which looks the ``*_values`` core up in :data:`MEANS`.  The
@@ -117,10 +118,13 @@ def excess_ratio_taylor(order: int) -> tuple[Fraction, ...]:
 _RATIO_COEFFS = np.array([float(c) for c in excess_ratio_taylor(_SERIES_TERMS)])
 
 
-def _ratio_kernel(t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _ratio_kernel(t, out=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """r(t), the upper margin 1/3 - r(t) and q(t) = t/arctan t for t in [0, 1).
 
-    Any shape; all three arrays take the shape of ``t``.
+    Any shape; all three arrays take the shape of ``t``.  ``out``, if given,
+    is four float arrays shaped like a 1-d ``t`` that receive t², r, 1/3 - r
+    and q: a sweep passes one set for every block and reads t² from the
+    first.
 
     Beyond the switch all three come from the direct quotient q.  Up to it
     they are overwritten from the series: with u = t² and the tail
@@ -131,52 +135,75 @@ def _ratio_kernel(t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """
     shape = np.shape(t)
     t = np.reshape(t, -1)
-    with np.errstate(divide="ignore", invalid="ignore"):  # t = 0
-        q = t / np.arctan(t)
+    tt, r, upper, q = (np.empty(t.shape) for _ in range(4)) if out is None else out
+    np.multiply(t, t, out=tt)
+    # t = 0 divides by zero; t² underflows below ~1e-154
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(t, np.arctan(t, out=q), out=q)
+        np.subtract(q, 1.0, out=r)
+        r /= tt
+    np.subtract(_RATIO_COEFFS[0], r, out=upper)
     small = np.flatnonzero(t <= _SERIES_SWITCH)
-    u = t[small]
-    u *= u
-    tail = np.full_like(u, _RATIO_COEFFS[-1])
-    for c in _RATIO_COEFFS[-2:0:-1]:
+    u = tt[small]
+    tail = u * _RATIO_COEFFS[-1]
+    tail += _RATIO_COEFFS[-2]
+    for c in _RATIO_COEFFS[-3:0:-1]:
         tail *= u
         tail += c
-    r = q - 1.0
-    with np.errstate(divide="ignore", invalid="ignore"):  # t = 0; t² underflows below ~1e-154
-        r /= t * t
-    upper = _RATIO_COEFFS[0] - r
     upper[small] = -u * tail
-    r_small = tail * u + _RATIO_COEFFS[0]
-    r[small] = r_small
-    q[small] = r_small * u + 1.0
+    tail *= u
+    tail += _RATIO_COEFFS[0]
+    r[small] = tail
+    tail *= u
+    tail += 1.0
+    q[small] = tail
     return r.reshape(shape), upper.reshape(shape), q.reshape(shape)
 
 
-def _profile(a, b) -> tuple[np.ndarray, np.ndarray]:
-    """A = a/2 + b/2 and t = |a/2 - b/2|/A; halving first keeps both finite."""
-    a = 0.5 * np.asarray(a, dtype=float)
-    b = 0.5 * np.asarray(b, dtype=float)
-    am = a + b
-    return am, np.abs(a - b) / am
+def _profile(a, b, out=None) -> tuple[np.ndarray, np.ndarray]:
+    """A = a/2 + b/2 and t = |a/2 - b/2|/A; halving first keeps both finite.
+
+    ``out``, if given, is two float arrays shaped like a and b that receive A
+    and t; ``a`` must then be a float array too, and is overwritten.
+    """
+    if out is None:
+        a = 0.5 * np.asarray(a, dtype=float)
+        b = 0.5 * np.asarray(b, dtype=float)
+        am = a + b
+        return am, np.abs(a - b) / am
+    am, t = out
+    a *= 0.5
+    np.multiply(b, 0.5, out=am)
+    np.subtract(a, am, out=t)
+    np.add(a, am, out=am)
+    np.abs(t, out=t)
+    t /= am
+    return am, t
 
 
-# The factors f(t) of the cores A·f(t); the bulk verifiers apply them to
-# profiles they already hold.
+# The factors f(t) of the cores A·f(t), all but the blend's taken of t²; the
+# bulk verifiers apply them to profiles they already hold, writing into
+# ``out`` if given.
 
 
-def _centroidal_factor(t):
-    return 1.0 + t * t / 3.0
+def _centroidal_factor(tt, out=None):
+    f = np.divide(tt, 3.0, out=out)
+    f += 1.0
+    return f
 
 
-def _blend_factor(x, t):
-    return _centroidal_factor((2.0 * x - 1.0) * t)
+def _blend_factor(x, t, out=None):
+    s = np.multiply(t, 2.0 * x - 1.0, out=out)
+    s *= s
+    return _centroidal_factor(s, out)
 
 
-def _root_square_factor(t):
-    return np.sqrt(1.0 + t * t)
+def _root_square_factor(tt, out=None):
+    return np.sqrt(np.add(tt, 1.0, out=out), out=out)
 
 
-def _contra_harmonic_factor(t):
-    return 1.0 + t * t
+def _contra_harmonic_factor(tt, out=None):
+    return np.add(tt, 1.0, out=out)
 
 
 def seiffert_values(a, b):
@@ -188,7 +215,7 @@ def seiffert_values(a, b):
 def centroidal_values(a, b):
     """Centroidal mean on positive array input (no validation)."""
     am, t = _profile(a, b)
-    return am * _centroidal_factor(t)
+    return am * _centroidal_factor(t * t)
 
 
 def blend_values(x, a, b):
@@ -205,21 +232,28 @@ def arithmetic_values(a, b):
     return 0.5 * np.asarray(a, dtype=float) + 0.5 * np.asarray(b, dtype=float)
 
 
-def geometric_values(a, b):
+def geometric_values(a, b, *, _out=None):
+    """sqrt(a)·sqrt(b); written into ``_out``, a float array shaped like a and
+    b, if one is given (private: the ordering chain reuses one per sweep)."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
+    g = np.sqrt(a, out=_out)
+    g *= np.sqrt(b)
     # the diagonal short-cut keeps G(a, a) = a bit-exact (sqrt(a)² may round)
-    return np.where(a == b, a, np.sqrt(a) * np.sqrt(b))
+    if _out is None:
+        return np.where(a == b, a, g)
+    np.copyto(g, a, where=a == b)
+    return g
 
 
 def root_square_values(a, b):
     am, t = _profile(a, b)
-    return am * _root_square_factor(t)
+    return am * _root_square_factor(t * t)
 
 
 def contra_harmonic_values(a, b):
     am, t = _profile(a, b)
-    return am * _contra_harmonic_factor(t)
+    return am * _contra_harmonic_factor(t * t)
 
 
 def power_values(a, b, p):

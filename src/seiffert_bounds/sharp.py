@@ -46,11 +46,12 @@ and time linear in the sample count.  The streaming contract:
   violation of each check), so the report equals that of a single unblocked
   scan, bit for bit;
 * each block's work is done once: one profile (A, t) and one r(t) kernel
-  pass, which gives the margins and q = t/arctan t; the raw-mean check builds
+  pass, which gives t², the margins and q = t/arctan t; the raw-mean check builds
   every mean of the pair (x, 1) from them, the Seiffert mean as A·q.
 
-The block is sized so that its temporaries stay in cache (see ``_BLOCK``).
-All functions are pure.
+Each sweep writes its blocks into one workspace of block-sized rows, made
+per call and reused by every block (see ``_BLOCK``): the heap is not
+re-faulted block by block.  All functions are pure.
 """
 
 from __future__ import annotations
@@ -166,10 +167,27 @@ def _check_range(n: int, ratio_max: float) -> None:
         raise DomainError(f"ratio_max must be finite and exceed 1, got {ratio_max}")
 
 
+#: The ordering chain draws its ratios from here up (see verify_ordering_chain).
+_CHAIN_RATIO_FLOOR = 1.0 + 2e-5
+
+
+def _check_chain_range(ratio_max: float) -> None:
+    if not ratio_max > _CHAIN_RATIO_FLOOR:
+        raise DomainError(f"ratio_max must exceed 1 + 2e-5 for the ordering chain, got {ratio_max}")
+
+
 def _rng(seed: int) -> np.random.Generator:
     if seed < 0:
         raise DomainError(f"seed must be >= 0, got {seed}")
     return np.random.default_rng(seed)
+
+
+def _boundary_points(ratio_max: float) -> np.ndarray:
+    """The near-boundary ratios {1+10⁻ᵏ} and {10⁺ᵏ} up to ratio_max, and ratio_max."""
+    near = 1.0 + 10.0 ** -np.arange(1.0, 10.0)
+    far = 10.0 ** np.arange(1.0, math.floor(math.log10(max(ratio_max, 10.0))) + 1.0)
+    extra = np.concatenate([near, far, [ratio_max]])
+    return extra[extra <= ratio_max]
 
 
 def sample_ratios(
@@ -177,21 +195,25 @@ def sample_ratios(
     n: int,
     ratio_max: float = 1e8,
     include_boundary: bool = True,
+    *,
+    _out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Log-uniform ratios a/b in (1, ratio_max] plus boundary points.
 
     Each ratio takes one draw of ``rng``, so successive calls continue one
-    stream; the sweeps draw it block by block and ask for the boundary points
-    with the last block.
+    stream; the sweeps draw it block by block, ask for the boundary points
+    with the last block and pass one float array as ``_out`` (private) for
+    every block, whose head the result then is.
     """
     _check_range(n, ratio_max)
-    x = np.exp(rng.random(n) * math.log(ratio_max))
-    np.clip(x, 1.0 + 1e-12, ratio_max, out=x)
-    if include_boundary:
-        near = 1.0 + 10.0 ** -np.arange(1.0, 10.0)
-        far = 10.0 ** np.arange(1.0, math.floor(math.log10(max(ratio_max, 10.0))) + 1.0)
-        extra = np.concatenate([near, far, [ratio_max]])
-        x = np.concatenate([x, extra[extra <= ratio_max]])
+    extra = _boundary_points(ratio_max) if include_boundary else ()
+    x = np.empty(n + len(extra)) if _out is None else _out[: n + len(extra)]
+    drawn = x[:n]
+    rng.random(out=drawn)
+    drawn *= math.log(ratio_max)
+    np.exp(drawn, out=drawn)
+    np.clip(drawn, 1.0 + 1e-12, ratio_max, out=drawn)
+    x[n:] = extra
     return x
 
 
@@ -228,61 +250,108 @@ class VerificationResult:
         return rep
 
 
-#: Samples drawn, checked and reduced per step of a sweep.  A block's dozen
-#: float64 temporaries of 64 KiB each stay in a 2 MiB L2, and each stays
-#: below glibc's 128 KiB mmap threshold.  Their memory is still not always
-#: reused: glibc trims the freed top of the heap, and the next block faults it
-#: in again.  Measured with getrusage after a warm-up, one 2e6-sample call
-#: (245 blocks) takes about 13.8k minor page faults in chain, 600 in priors,
-#: 50 in thm1 and 16 in thm2; with MALLOC_TRIM_THRESHOLD_=268435456 each takes
-#: none.  ROADMAP item 3 is the fix.
-_BLOCK = 1 << 13
+#: Samples drawn, checked and reduced per step of a sweep.  Every block is
+#: written into one workspace of 6 to 12 float64 rows and two bool rows (0.8
+#: to 1.6 MB, within one core's 2 MiB L2), so no block allocates or frees a
+#: block-sized array and glibc no longer trims and re-faults the heap block
+#: by block (chain took 13.8k minor faults per 2e6-sample call).  At this
+#: size a row, with room for the boundary points, stays below glibc's
+#: 128 KiB mmap threshold and comes from the heap; one 1-2 MB array per call
+#: raised the probe workload's peak RSS by 1.8 MB.  See ``BENCH_10.json``.
+_BLOCK = 16_000
 
 
-def _ratio_blocks(seed: int, n: int, ratio_max: float):
-    """(x, t) blocks of the stream ``sample_ratios(default_rng(seed), n, ratio_max)``.
+def _workspace(size: int, floats: int, flags: int) -> tuple[list, list]:
+    """``floats`` float64 and ``flags`` bool rows of ``size`` for one sweep.
+
+    Each row is an array of its own, so that each stays below glibc's 128 KiB
+    mmap threshold (see ``_BLOCK``).
+    """
+    return [np.empty(size) for _ in range(floats)], [np.empty(size, dtype=bool) for _ in range(flags)]
+
+
+def _ratio_blocks(seed: int, n: int, ratio_max: float, floats: int, flags: int):
+    """Blocks ``(x, t, rows, flags)`` of the stream ``sample_ratios(default_rng(seed), n, ratio_max)``.
+
+    Every block is written into one workspace, made here for the whole sweep:
+    x, t, ``floats`` float rows and ``flags`` bool rows for the suite's own
+    arrays (the first float row is scratch for t), each cut to the block's
+    length, so no block allocates a block-sized array.
 
     t is bit for bit the profile t of the pair (x, 1) (the profile's halvings
     are exact), so the raw-mean checks may build means of (x, 1) from it.
     """
     rng = _rng(seed)
-    for start in range(0, max(n, 1), _BLOCK):
-        x = sample_ratios(rng, min(_BLOCK, n - start), ratio_max, start + _BLOCK >= n)
-        yield x, (x - 1.0) / (x + 1.0)
+    _check_range(n, ratio_max)
+    # the last block also carries the boundary points
+    work, bits = _workspace(min(n, _BLOCK) + len(_boundary_points(ratio_max)), 2 + floats, flags)
+    for start in range(0, n, _BLOCK):
+        x = sample_ratios(rng, min(_BLOCK, n - start), ratio_max, start + _BLOCK >= n, _out=work[0])
+        t, *rows = (row[: len(x)] for row in work[1:])
+        np.subtract(x, 1.0, out=t)
+        t /= np.add(x, 1.0, out=rows[0])
+        yield x, t, rows, [row[: len(x)] for row in bits]
 
 
-def _first(bad: np.ndarray) -> int | None:
-    """Index of the first True in ``bad``, or None."""
-    if not bad.size:
+def _first(flags: np.ndarray, value: bool = True) -> int | None:
+    """Index of the first element of ``flags`` equal to ``value``, or None."""
+    if not flags.size:
         return None
-    k = int(np.argmax(bad))
-    return k if bad[k] else None
+    k = int(np.argmax(flags) if value else np.argmin(flags))
+    return k if flags[k] == value else None
+
+
+def _first_raw_failure(ok: np.ndarray, t: np.ndarray, spare: np.ndarray) -> int | None:
+    """First sample with t >= 1e-3 where ``ok`` is False, or None; ``ok`` is overwritten."""
+    ok |= np.less(t, _DIRECT_T_FLOOR, out=spare)
+    return _first(ok, False)
+
+
+def _half_sum(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The arithmetic mean of the pairs (x, 1), rounded as ``means.arithmetic_values`` rounds it."""
+    np.multiply(x, 0.5, out=out)
+    out += 0.5
+    return out
+
+
+def _mix(c: float, m: np.ndarray, am: np.ndarray, out: np.ndarray, spare: np.ndarray) -> np.ndarray:
+    """c·m + (1 - c)·am into ``out``, rounded as that expression rounds it."""
+    np.multiply(m, c, out=out)
+    out += np.multiply(am, 1.0 - c, out=spare)
+    return out
 
 
 def _mean_side_witness(x: float, side: str, lhs: float, rhs: float) -> dict:
     return {"ratio": x, "side": side, "lhs": lhs, "rhs": rhs}
 
 
-def _margin_witness(x, left, right, at) -> dict | None:
+def _margin_witness(x, left, right, at, flags) -> dict | None:
     """Witness of the first sample with a non-positive margin, or None.
 
-    ``at(k, side)`` gives the (lhs, rhs) pair reported for sample k.
+    ``at(k, side)`` gives the (lhs, rhs) pair reported for sample k; ``flags``
+    are two bool rows it may overwrite.
     """
-    k = _first((left <= 0.0) | (right <= 0.0))
+    bad, spare = flags
+    np.less_equal(left, 0.0, out=bad)
+    bad |= np.less_equal(right, 0.0, out=spare)
+    k = _first(bad)
     if k is None:
         return None
     side = "lower" if left[k] <= 0.0 else "upper"
     return _mean_side_witness(float(x[k]), side, *at(k, side))
 
 
-def _raw_mean_witness(x, t, lo, mid, hi) -> dict | None:
+def _raw_mean_witness(x, t, lo, mid, hi, flags) -> dict | None:
     """Witness of the first sample with t >= 1e-3 breaking lo < mid < hi in raw
     doubles, or None.
 
     It names the broken side with its own pair: (lo, mid) for ``lower``,
-    (mid, hi) for ``upper``.
+    (mid, hi) for ``upper``.  ``flags`` are two bool rows it may overwrite.
     """
-    k = _first((t >= _DIRECT_T_FLOOR) & ~((lo < mid) & (mid < hi)))
+    ok, spare = flags
+    np.less(lo, mid, out=ok)
+    ok &= np.less(mid, hi, out=spare)
+    k = _first_raw_failure(ok, t, spare)
     if k is None:
         return None
     if not lo[k] < mid[k]:
@@ -301,7 +370,9 @@ def _sweep(suite: str, blocks, stats=lambda best: {}) -> VerificationResult:
     callables returning the witness of their first violation in the block or
     None.  An earlier check outranks a later one wherever the two fire, and
     within a check the earlier sample wins, so once a check has fired neither
-    it nor any later check runs again.
+    it nor any later check runs again.  A block's folds are taken before its
+    checks run, in order, so a check may overwrite the arrays that the folds
+    and the checks before it read.
     """
     n, best, found = 0, {}, None
     for x, folds, checks in blocks:
@@ -344,10 +415,12 @@ def verify_blend_bounds(
     lo_const = (2.0 * alpha - 1.0) ** 2 / 3.0
     hi_const = (2.0 * beta - 1.0) ** 2 / 3.0
 
-    def block(x, t):
-        r, upper, q = _ratio_kernel(t)
-        left = r - lo_const
-        right = upper if beta == 1.0 else hi_const - r
+    def block(x, t, rows, flags):
+        tt, r, upper, q = rows
+        r, upper, q = _ratio_kernel(t, out=(tt, r, upper, q))
+        # the margins take the place of r and 1/3 - r, which thm1 needs no further
+        right = upper if beta == 1.0 else np.subtract(hi_const, r, out=upper)
+        left = np.subtract(r, lo_const, out=r)
 
         def means_at(k, side):
             am = means.arithmetic_values(x[k], 1.0)
@@ -356,15 +429,19 @@ def verify_blend_bounds(
             return (blend, seif) if side == "lower" else (seif, blend)
 
         def raw_means():
-            am = means.arithmetic_values(x, 1.0)
-            lo_mean = am * means._blend_factor(alpha, t)
-            hi_mean = am * means._blend_factor(beta, t)
-            return _raw_mean_witness(x, t, lo_mean, am * q, hi_mean)
+            # t² and the margins are spent by now (see _sweep): their rows
+            # hold the means, and the Seiffert mean takes q's
+            arith = _half_sum(x, tt)
+            lo_mean = means._blend_factor(alpha, t, left)
+            lo_mean *= arith
+            hi_mean = means._blend_factor(beta, t, right)
+            hi_mean *= arith
+            return _raw_mean_witness(x, t, lo_mean, np.multiply(arith, q, out=q), hi_mean, flags)
 
         folds = {"left": (left, np.argmin), "right": (right, np.argmin)}
-        return x, folds, (lambda: _margin_witness(x, left, right, means_at), raw_means)
+        return x, folds, (lambda: _margin_witness(x, left, right, means_at, flags), raw_means)
 
-    return _sweep("thm1", itertools.starmap(block, _ratio_blocks(seed, samples, ratio_max)))
+    return _sweep("thm1", itertools.starmap(block, _ratio_blocks(seed, samples, ratio_max, 4, 2)))
 
 
 def verify_ratio_bounds(
@@ -386,17 +463,23 @@ def verify_ratio_bounds(
         if not math.isfinite(val):
             raise DomainError(f"{name} must be finite, got {val!r}")
 
-    def block(x, t):
-        r, upper, q = _ratio_kernel(t)
-        left = r - alpha1
-        right = upper if beta1 == RATIO_UPPER else beta1 - r
+    def block(x, t, rows, flags):
+        tt, r, upper, q, left, spare = rows
+        r, upper, q = _ratio_kernel(t, out=(tt, r, upper, q))
+        np.subtract(r, alpha1, out=left)
+        # the upper margin takes the place of 1/3 - r when beta1 moves
+        right = upper if beta1 == RATIO_UPPER else np.subtract(beta1, r, out=upper)
 
         def raw_means():
-            arith = means.arithmetic_values(x, 1.0)
-            contra = arith * means._contra_harmonic_factor(t)
-            lo_mean = alpha1 * contra + (1.0 - alpha1) * arith
-            hi_mean = beta1 * contra + (1.0 - beta1) * arith
-            return _raw_mean_witness(x, t, lo_mean, arith * q, hi_mean)
+            # r and the margins are spent by now (see _sweep): their rows hold
+            # the means, the contra-harmonic mean takes t²'s and the Seiffert
+            # mean q's
+            arith = _half_sum(x, left)
+            contra = means._contra_harmonic_factor(tt, tt)
+            contra *= arith
+            lo_mean = _mix(alpha1, contra, arith, r, spare)
+            hi_mean = _mix(beta1, contra, arith, upper, spare)
+            return _raw_mean_witness(x, t, lo_mean, np.multiply(arith, q, out=q), hi_mean, flags)
 
         folds = {
             "left": (left, np.argmin),
@@ -405,13 +488,13 @@ def verify_ratio_bounds(
             "sup": (r, np.argmax),
         }
         at = lambda k, side: (float(r[k]), alpha1 if side == "lower" else beta1)  # noqa: E731
-        return x, folds, (lambda: _margin_witness(x, left, right, at), raw_means)
+        return x, folds, (lambda: _margin_witness(x, left, right, at, flags), raw_means)
 
     def stats(best):
         (inf, arg_inf), (sup, arg_sup) = best["inf"], best["sup"]
         return {"inf": inf, "sup": sup, "arg_inf": arg_inf, "arg_sup": arg_sup}
 
-    return _sweep("thm2", itertools.starmap(block, _ratio_blocks(seed, samples, ratio_max)), stats)
+    return _sweep("thm2", itertools.starmap(block, _ratio_blocks(seed, samples, ratio_max, 6, 2)), stats)
 
 
 def ratio_grid_scan(n: int = 10**6, t_min: float = 1e-7, t_max: float = 1.0 - 1e-7) -> dict:
@@ -464,51 +547,59 @@ def verify_prior_bounds(
     """
     names = ("lower_S_combination", "upper_S_combination", "lower_C_blend", "upper_C_blend")
 
-    def block(x, t):
-        r, upper, q = _ratio_kernel(t)
-        u = means._root_square_factor(t)
-        margins = (
-            r - _PRIOR_ALPHA_S / (1.0 + u),
-            # (2/3)/(1+u) - r, written against the stable upper margin:
-            upper - t * t / (3.0 * (1.0 + u) ** 2),
-            # (2·alpha_2-1)² = 4/π-1 and (2·beta_2-1)² = (sqrt(3)/3)² = 1/3
-            # exactly, so the C-blend margins coincide with the ratio margins
-            # (float-squaring the constants would only inject ulp noise at the
-            # sharp ends).
-            r - RATIO_LOWER,
-            upper,
-        )
+    def block(x, t, rows, flags):
+        tt, r, upper, q, u, lower_s, upper_s, lower_c, left, right = rows
+        r, upper, q = _ratio_kernel(t, out=(tt, r, upper, q))
+        means._root_square_factor(tt, u)
+        np.add(u, 1.0, out=upper_s)
+        np.subtract(r, np.divide(_PRIOR_ALPHA_S, upper_s, out=lower_s), out=lower_s)
+        # (2/3)/(1+u) - r, written against the stable upper margin as
+        # 1/3 - r - t²/(3(1+u)²):
+        upper_s *= upper_s
+        upper_s *= 3.0
+        np.subtract(upper, np.divide(tt, upper_s, out=upper_s), out=upper_s)
+        # (2·alpha_2-1)² = 4/π-1 and (2·beta_2-1)² = (sqrt(3)/3)² = 1/3
+        # exactly, so the C-blend margins coincide with the ratio margins
+        # (float-squaring the constants would only inject ulp noise at the
+        # sharp ends).
+        np.subtract(r, RATIO_LOWER, out=lower_c)
+        margins = (lower_s, upper_s, lower_c, upper)
 
         def margin(name, vals):
-            k = _first(vals <= 0.0)
+            k = _first(np.less_equal(vals, 0.0, out=flags[0]))
             return None if k is None else _mean_side_witness(float(x[k]), name, float(vals[k]), 0.0)
 
         def raw_means():
-            arith = means.arithmetic_values(x, 1.0)
-            seif = arith * q
-            rootsq = arith * u
-            # one comparison at a time, so each mean's temporaries are freed
-            # before the next is built
-            ok = _PRIOR_ALPHA_S * rootsq + (1.0 - _PRIOR_ALPHA_S) * arith < seif
-            ok &= seif < _PRIOR_BETA_S * rootsq + (1.0 - _PRIOR_BETA_S) * arith
+            # the rows of r, t² and the margins are spent by now (see _sweep)
+            am, v, w, am2, t2 = r, tt, lower_s, upper_s, lower_c
+            arith = _half_sum(x, am)
+            # the Seiffert and root-square means, in the place of q and u
+            seif = np.multiply(arith, q, out=q)
+            rootsq = np.multiply(arith, u, out=u)
+            ok, spare = flags
+            np.less(_mix(_PRIOR_ALPHA_S, rootsq, arith, v, w), seif, out=ok)
+            ok &= np.less(seif, _mix(_PRIOR_BETA_S, rootsq, arith, v, w), out=spare)
             # the blended pairs round differently from (x, 1), so they keep
             # their own profile
-            ok &= means.contra_harmonic_values(
-                _PRIOR_ALPHA_2 * x + (1.0 - _PRIOR_ALPHA_2), _PRIOR_ALPHA_2 + (1.0 - _PRIOR_ALPHA_2) * x
-            ) < seif
-            ok &= seif < means.contra_harmonic_values(
-                _PRIOR_BETA_2 * x + (1.0 - _PRIOR_BETA_2), _PRIOR_BETA_2 + (1.0 - _PRIOR_BETA_2) * x
-            )
-            k = _first((t >= _DIRECT_T_FLOOR) & ~ok)
+            for p, below in ((_PRIOR_ALPHA_2, True), (_PRIOR_BETA_2, False)):
+                pa = np.multiply(x, p, out=v)
+                pa += 1.0 - p
+                pb = np.multiply(x, 1.0 - p, out=w)
+                pb += p
+                blend_am, blend_t = means._profile(pa, pb, out=(am2, t2))
+                contra = means._contra_harmonic_factor(np.multiply(blend_t, blend_t, out=blend_t), blend_t)
+                contra *= blend_am
+                ok &= np.less(contra, seif, out=spare) if below else np.less(seif, contra, out=spare)
+            k = _first_raw_failure(ok, t, spare)
             return None if k is None else _mean_side_witness(float(x[k]), "raw-mean", float(seif[k]), 0.0)
 
         folds = {name: (vals, np.argmin) for name, vals in zip(names, margins)}
-        folds["left"] = (np.minimum(margins[0], margins[2]), np.argmin)
-        folds["right"] = (np.minimum(margins[1], margins[3]), np.argmin)
+        folds["left"] = (np.minimum(lower_s, lower_c, out=left), np.argmin)
+        folds["right"] = (np.minimum(upper_s, upper, out=right), np.argmin)
         checks = [functools.partial(margin, name, vals) for name, vals in zip(names, margins)]
         return x, folds, (*checks, raw_means)
 
-    blocks = _ratio_blocks(seed, samples, ratio_max)
+    blocks = _ratio_blocks(seed, samples, ratio_max, 10, 2)
     return _sweep(
         "priors", itertools.starmap(block, blocks), lambda best: {name: best[name][0] for name in names}
     )
@@ -529,9 +620,8 @@ def verify_ordering_chain(
     below the floor raises :class:`DomainError`.
     """
     _check_range(samples, ratio_max)
-    lo = 1.0 + 2e-5
-    if ratio_max <= lo:
-        raise DomainError(f"ratio_max must exceed 1 + 2e-5 for the ordering chain, got {ratio_max}")
+    _check_chain_range(ratio_max)
+    log_lo, log_span = math.log(_CHAIN_RATIO_FLOOR), math.log(ratio_max) - math.log(_CHAIN_RATIO_FLOOR)
 
     def draws():
         # one stream holds every x and then every k; a copy of the generator
@@ -539,31 +629,54 @@ def verify_ordering_chain(
         rng_x = _rng(seed)
         rng_k = _rng(seed)
         rng_k.bit_generator.advance(samples)
+        work, bits = _workspace(min(samples, _BLOCK), 10, 2)
         for start in range(0, samples, _BLOCK):
-            size = min(_BLOCK, samples - start)
-            x = np.exp(rng_x.random(size) * (math.log(ratio_max) - math.log(lo)) + math.log(lo))
-            yield x, np.exp(rng_k.uniform(math.log(1e-3), math.log(1e3), size))
+            m = min(_BLOCK, samples - start)
+            x, k, *rows = (row[:m] for row in work)
+            rng_x.random(out=x)
+            x *= log_span
+            x += log_lo
+            np.exp(x, out=x)
+            np.exp(rng_k.uniform(math.log(1e-3), math.log(1e3), m), out=k)
+            yield x, k, rows, [row[:m] for row in bits]
 
-    def block(x, k):
-        a, b = x * k, k
-        am, t = means._profile(a, b)
-        g = means.geometric_values(a, b)
-        cb = am * means._centroidal_factor(t)
-        s = am * means._root_square_factor(t)
-        c = am * means._contra_harmonic_factor(t)
-        tm = am * _ratio_kernel(t)[2]
-        ok = (g < am) & (am < cb) & (cb < s) & (s < c) & (am < tm) & (tm < s)
+    def block(x, k, rows, flags):
+        a, g, am, t, tt, r, upper, q = rows
+        # the pair is (a, b) = (x·k, k); G first, as the profile overwrites a
+        g = means.geometric_values(np.multiply(x, k, out=a), k, _out=g)
+        am, t = means._profile(a, k, out=(am, t))
+        tm = _ratio_kernel(t, out=(tt, r, upper, q))[2]
+        tm *= am
+        # the other means take the rows of a, t and 1/3 - r, spent by now
+        cb = means._centroidal_factor(tt, a)
+        cb *= am
+        s = means._root_square_factor(tt, t)
+        s *= am
+        c = means._contra_harmonic_factor(tt, upper)
+        c *= am
+        # the two minimum slacks, with r as scratch: A - G, Cbar - A, T - A ...
+        left = np.subtract(am, g, out=g)
+        np.minimum(left, np.subtract(cb, am, out=r), out=left)
+        np.minimum(left, np.subtract(tm, am, out=r), out=left)
+        # ... and S - Cbar, C - S, S - T
+        right = np.subtract(s, cb, out=cb)
+        np.minimum(right, np.subtract(c, s, out=c), out=right)
+        np.minimum(right, np.subtract(s, tm, out=c), out=right)
+        # every comparison holds iff both minima are positive (for doubles,
+        # p < q iff q - p > 0, and a NaN fails both forms)
+        ok, spare = flags
+        np.greater(left, 0.0, out=ok)
+        ok &= np.greater(right, 0.0, out=spare)
 
         def ordering():
-            j = _first(~ok)
-            return None if j is None else _mean_side_witness(float(x[j]), "chain", float(a[j]), float(b[j]))
+            j = _first(ok, False)
+            return None if j is None else _mean_side_witness(float(x[j]), "chain", float(x[j] * k[j]), float(k[j]))
 
         # relative slacks; dividing by am > 0 after the minimum rounds the same
         # as dividing each slack first (rounding is monotone)
-        folds = {
-            "left": (np.minimum.reduce([am - g, cb - am, tm - am]) / am, np.argmin),
-            "right": (np.minimum.reduce([s - cb, c - s, s - tm]) / am, np.argmin),
-        }
+        left /= am
+        right /= am
+        folds = {"left": (left, np.argmin), "right": (right, np.argmin)}
         return x, folds, (ordering,)
 
     return _sweep("chain", itertools.starmap(block, draws()))

@@ -11,7 +11,7 @@ import sys
 import mpmath as mp
 import pytest
 
-from seiffert_bounds import cli
+from seiffert_bounds import DomainError, cli
 from seiffert_bounds.cli import main
 
 LAMBDA_REF = 0.9526915711070529
@@ -307,15 +307,36 @@ class TestLanes:
         "order", [cli._COST_ORDER, ("thm1", "thm2", "priors", "chain")], ids=["own-lane", "child-lane"]
     )
     def test_suite_error_exits_2(self, capsys, monkeypatch, forks, order):
-        # the chain raises at this ratio_max; with two lanes it runs in this
-        # process under the cost order and in the child under the other
+        # a chain that raises: with two lanes it runs in this process under
+        # the cost order and in the child under the other
+        def failing_chain(*args, **kw):
+            raise DomainError("planted chain error")
+
         monkeypatch.setattr(cli, "_cpus", lambda: 2)
         monkeypatch.setattr(cli, "_COST_ORDER", order)
-        code, out, err = run_cli(capsys, "verify", "all", "--samples", "2000", "--ratio-max", "1.00001")
+        monkeypatch.setattr(cli.sharp, "verify_ordering_chain", failing_chain)
+        code, out, err = run_cli(capsys, "verify", "all", "--samples", "2000")
         assert len(forks) == 1
         assert code == 2 and out == ""
-        assert err.startswith("error: ") and "1 + 2e-5" in err and err.count("\n") == 1
+        assert err == "error: planted chain error\n"
         self.assert_no_child_left()
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("which", ["chain", "all"])
+    def test_chain_range_rejected_before_any_suite_runs(self, capsys, monkeypatch, forks, cpus, which):
+        def no_fork():
+            raise AssertionError("forked")
+
+        def not_run(*args, **kw):
+            raise AssertionError("a suite ran")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        monkeypatch.setattr(cli, "_cpus", lambda: cpus)
+        for name in ("verify_blend_bounds", "verify_ratio_bounds", "verify_prior_bounds", "verify_ordering_chain"):
+            monkeypatch.setattr(cli.sharp, name, not_run)
+        code, out, err = run_cli(capsys, "verify", which, "--samples", "2000", "--ratio-max", "1.00001")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "1 + 2e-5" in err and err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "cpus, min_samples, argv",

@@ -51,6 +51,47 @@ def test_report_independent_of_block_size(monkeypatch, case, n):
         assert not blocked.passed
 
 
+@pytest.mark.parametrize("ratio_max", [1e8, 1e300])
+@pytest.mark.parametrize("case", sorted(case for case in CASES if "ratio_max" not in CASES[case][1]))
+def test_report_independent_of_block_size_at_the_default_block(monkeypatch, case, ratio_max):
+    # every block of a sweep reuses one workspace: three blocks at the real
+    # block size, the short last one carrying the boundary points, must
+    # report what one whole-sample block reports
+    fn, kw = CASES[case]
+    n = 2 * sharp._BLOCK + 7
+    blocked = _run(monkeypatch, sharp._BLOCK, fn, n, ratio_max=ratio_max, **kw)
+    whole = _run(monkeypatch, 10 * n, fn, n, ratio_max=ratio_max, **kw)
+    assert blocked == whole
+    assert blocked.as_report() == whole.as_report()
+    if case.endswith("-out"):
+        assert not blocked.passed
+
+
+def test_chain_tie_in_a_later_block_is_its_witness(monkeypatch):
+    # G planted equal to A at one sample of the second block: the chain's
+    # ordering, read from the signs of its slack minima, must fail there
+    original = means.geometric_values
+    planted = {}
+
+    def tied(a, b, **kw):
+        g = original(a, b, **kw)
+        planted["calls"] = planted.get("calls", 0) + 1
+        if planted["calls"] == 2:
+            i = len(a) // 3
+            planted["pair"] = (float(a[i]), float(b[i]))
+            g[i] = means.arithmetic_values(a[i], b[i])
+        return g
+
+    monkeypatch.setattr(means, "geometric_values", tied)
+    n = 2 * sharp._BLOCK + 7
+    res = verify_ordering_chain(n, seed=5)
+    a, b = planted["pair"]
+    assert not res.passed
+    assert res.witness == {"ratio": res.witness["ratio"], "side": "chain", "lhs": a, "rhs": b}
+    assert res.witness["ratio"] == pytest.approx(a / b, rel=1e-15)
+    assert res.min_slack_left == 0.0 and res.arg_left == res.witness["ratio"]
+
+
 @pytest.mark.parametrize("ratio_max", [1.5, 10.0, 1e3])
 @pytest.mark.parametrize("case", sorted(case for case in CASES if "ratio_max" not in CASES[case][1]))
 def test_reported_ratios_stay_in_range(case, ratio_max):
@@ -111,8 +152,8 @@ def _inflated_seiffert(monkeypatch, factor):
     # the suites build the raw Seiffert mean as A·q from the kernel's q
     original = sharp._ratio_kernel
 
-    def inflated(t):
-        r, upper, q = original(t)
+    def inflated(t, **kw):
+        r, upper, q = original(t, **kw)
         return r, upper, q * factor
 
     monkeypatch.setattr(sharp, "_ratio_kernel", inflated)
@@ -178,9 +219,9 @@ def _counting(monkeypatch, owner, name):
     calls = []
     original = getattr(owner, name)
 
-    def counted(*args):
+    def counted(*args, **kw):
         calls.append(np.size(args[0]))
-        return original(*args)
+        return original(*args, **kw)
 
     monkeypatch.setattr(owner, name, counted)
     return calls
@@ -233,17 +274,21 @@ def test_block_profile_means_equal_the_cores(monkeypatch):
         np.geomspace(1.01, 1e300, 5_000),
         floor_x + np.arange(-8, 9) * np.spacing(floor_x),
     ])
-    monkeypatch.setattr(sharp, "sample_ratios", lambda rng, n, ratio_max, include_boundary: x)
+    monkeypatch.setattr(sharp, "sample_ratios", lambda rng, n, ratio_max, include_boundary, **kw: x)
     monkeypatch.setattr(sharp, "_BLOCK", len(x))
-    (xb, t), = sharp._ratio_blocks(0, len(x), 2.0)
+    (xb, t, _, _), = sharp._ratio_blocks(0, len(x), 2.0, 1, 0)
     assert np.array_equal(t, means._profile(x, 1.0)[1])
     assert np.any(t[-17:] < 1e-3) and np.any(t[-17:] >= 1e-3)
     am = means.arithmetic_values(xb, 1.0)
     for p in (0.5, blend_alpha_closed(), 0.99, 1.0):
         assert np.array_equal(am * means._blend_factor(p, t), means.blend_values(p, x, 1.0))
-    assert np.array_equal(am * means._contra_harmonic_factor(t), means.contra_harmonic_values(x, 1.0))
-    assert np.array_equal(am * means._root_square_factor(t), means.root_square_values(x, 1.0))
-    assert np.array_equal(am * means._centroidal_factor(t), means.centroidal_values(x, 1.0))
+    # the sweeps take t² from the kernel pass
+    tt, *rest = np.empty((4, len(t)))
+    means._ratio_kernel(t, out=(tt, *rest))
+    assert np.array_equal(tt, t * t)
+    assert np.array_equal(am * means._contra_harmonic_factor(tt), means.contra_harmonic_values(x, 1.0))
+    assert np.array_equal(am * means._root_square_factor(tt), means.root_square_values(x, 1.0))
+    assert np.array_equal(am * means._centroidal_factor(tt), means.centroidal_values(x, 1.0))
     assert np.array_equal(am * means._ratio_kernel(t)[2], means.seiffert_values(x, 1.0))
 
 
