@@ -10,118 +10,78 @@ by root-finding and extremal scans, and proves the auxiliary-function
 ladder behind the lower blend bound in exact arithmetic.  See README.md for a tour.
 """
 
-from .errors import BracketError, DomainError, RangeError
-from .means import (
-    MEANS,
-    PositivePair,
-    blend_mean,
-    centroidal_mean,
-    excess_ratio_taylor,
-    mean,
-    power_mean,
-    seiffert_mean,
-)
-from .series import (
-    N_MAX,
-    BernoulliTable,
-    TruncatedSeries,
-    bernoulli_even,
-    cot_coefficient,
-    cot_series,
-    csc2_coefficient,
-    csc2_series,
-    default_table,
-    ratio_coefficient,
-    ratio_series,
-    truncated_series,
-    zeta_even,
-)
-from .auxiliary import (
-    BlendGapFamily,
-    CounterexampleWitness,
-    CriticalPointReport,
-    counterexample_witness,
-    derivative_identity_residual,
-    ladder_proof,
-    locate_critical_points,
-)
-from .sharp import (
-    CONSTANT_GAP_LIMIT,
-    RATIO_LOWER,
-    RATIO_UPPER,
-    SharpConstantReport,
-    SharpnessWitness,
-    VerificationResult,
-    blend_alpha_closed,
-    blend_alpha_numeric,
-    constants_report,
-    excess_ratio,
-    excess_ratio_lower_margin,
-    excess_ratio_upper_margin,
-    ratio_grid_scan,
-    sample_ratios,
-    verify_blend_bounds,
-    verify_ordering_chain,
-    verify_prior_bounds,
-    verify_ratio_bounds,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # errors
-    "BracketError",
-    "DomainError",
-    "RangeError",
-    # means
-    "MEANS",
-    "PositivePair",
-    "blend_mean",
-    "centroidal_mean",
-    "excess_ratio_taylor",
-    "mean",
-    "power_mean",
-    "seiffert_mean",
-    # series
-    "N_MAX",
-    "BernoulliTable",
-    "TruncatedSeries",
-    "bernoulli_even",
-    "cot_coefficient",
-    "cot_series",
-    "csc2_coefficient",
-    "csc2_series",
-    "default_table",
-    "ratio_coefficient",
-    "ratio_series",
-    "truncated_series",
-    "zeta_even",
-    # auxiliary chain
-    "BlendGapFamily",
-    "CounterexampleWitness",
-    "CriticalPointReport",
-    "counterexample_witness",
-    "derivative_identity_residual",
-    "ladder_proof",
-    "locate_critical_points",
-    # sharp constants
-    "CONSTANT_GAP_LIMIT",
-    "RATIO_LOWER",
-    "RATIO_UPPER",
-    "SharpConstantReport",
-    "SharpnessWitness",
-    "VerificationResult",
-    "blend_alpha_closed",
-    "blend_alpha_numeric",
-    "constants_report",
-    "excess_ratio",
-    "excess_ratio_lower_margin",
-    "excess_ratio_upper_margin",
-    "ratio_grid_scan",
-    "sample_ratios",
-    "verify_blend_bounds",
-    "verify_ordering_chain",
-    "verify_prior_bounds",
-    "verify_ratio_bounds",
-]
+#: The public names by the submodule that defines them.  Each is imported on
+#: first access (PEP 562), so ``import seiffert_bounds`` loads no submodule
+#: and no numpy until a name that needs it is read.
+_EXPORTS = {
+    "errors": ("BracketError", "DomainError", "RangeError"),
+    "means": (
+        "MEANS",
+        "PositivePair",
+        "blend_mean",
+        "centroidal_mean",
+        "excess_ratio_taylor",
+        "mean",
+        "power_mean",
+        "seiffert_mean",
+    ),
+    "series": (
+        "N_MAX",
+        "BernoulliTable",
+        "TruncatedSeries",
+        "bernoulli_even",
+        "cot_coefficient",
+        "cot_series",
+        "csc2_coefficient",
+        "csc2_series",
+        "default_table",
+        "ratio_coefficient",
+        "ratio_series",
+        "truncated_series",
+        "zeta_even",
+    ),
+    "auxiliary": (
+        "BlendGapFamily",
+        "CounterexampleWitness",
+        "CriticalPointReport",
+        "counterexample_witness",
+        "derivative_identity_residual",
+        "ladder_proof",
+        "locate_critical_points",
+    ),
+    "sharp": (
+        "CONSTANT_GAP_LIMIT",
+        "RATIO_LOWER",
+        "RATIO_UPPER",
+        "SharpConstantReport",
+        "SharpnessWitness",
+        "VerificationResult",
+        "blend_alpha_closed",
+        "blend_alpha_numeric",
+        "constants_report",
+        "excess_ratio",
+        "excess_ratio_lower_margin",
+        "excess_ratio_upper_margin",
+        "ratio_grid_scan",
+        "sample_ratios",
+        "verify_blend_bounds",
+        "verify_ordering_chain",
+        "verify_prior_bounds",
+        "verify_ratio_bounds",
+    ),
+}
+_SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = ["__version__", *_SOURCE]
+
+
+def __getattr__(name: str):
+    if name not in _SOURCE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_SOURCE[name]}", __name__), name)
+    globals()[name] = value
+    return value

@@ -60,7 +60,7 @@ from typing import Literal
 import numpy as np
 
 from .errors import BracketError, DomainError
-from .means import blend_values, seiffert_values
+from .kernels import _blend_factor, _profile, _ratio_kernel
 
 __all__ = [
     "BlendGapFamily",
@@ -324,8 +324,9 @@ def counterexample_witness(
     else:
         raise DomainError(f"unknown side {side!r}")
 
-    blend = blend_values(p, ts, 1.0)
-    seif = seiffert_values(ts, 1.0)
+    am, t = _profile(ts, 1.0)
+    blend = am * _blend_factor(p, t)
+    seif = am * _ratio_kernel(t)[2]
     mask = blend > seif if side == "above_alpha" else seif - blend >= 4.0 * np.spacing(blend)
     idx = np.nonzero(mask)[0]
     if len(idx) == 0:

@@ -10,6 +10,10 @@ Subcommands:
 
 Exit codes: 0 pass, 1 violated inequality / constant gap, 2 usage or domain
 error.  Reports are deterministic given the same configuration and seed.
+
+``eval`` and ``series`` load no numpy: :mod:`seiffert_bounds.sharp` imports
+it, and the bulk modules, on the first call of ``verify``, ``constants`` or
+``certify``.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import json
 import math
 import sys
 
-from . import auxiliary, means, series, sharp
+from . import means, series, sharp
 from .errors import BracketError, DomainError, RangeError
 
 __all__ = ["main"]
@@ -30,6 +34,9 @@ _SCHEMA = 1
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
+    for option, kind in (("x", "blend"), ("p", "power")):
+        if getattr(args, option) is not None and args.kind != kind:
+            raise DomainError(f"--{option} applies to the {kind} mean only, not to {args.kind}")
     pair = means.PositivePair(args.a, args.b)
     param = args.x if args.kind == "blend" else args.p
     value = means.mean(args.kind, pair, param)  # validates the parameter
@@ -115,6 +122,8 @@ def _run_suites(which: list[str], args: argparse.Namespace) -> list:
     if lanes < 2 or args.samples < _LANE_MIN_SAMPLES or not hasattr(os, "fork"):
         return [_run_suite(name, args) for name in which]
     import pickle
+
+    from . import kernels  # loads numpy once, before the lanes fork, for all of them
 
     dealt = [name for name in _COST_ORDER if name in which]
     children = []  # (pid, read end) per child lane
@@ -276,6 +285,8 @@ def _cmd_series(args: argparse.Namespace) -> int:
 
 def _cmd_certify(args: argparse.Namespace) -> int:
     import numpy as np
+
+    from . import auxiliary
 
     family = auxiliary.BlendGapFamily(sharp.blend_alpha_closed())
     report = auxiliary.locate_critical_points(family)

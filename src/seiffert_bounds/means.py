@@ -23,32 +23,30 @@ with ``A = a/2 + b/2`` and ``t = |a/2 - b/2|/A`` in [0, 1):
 (the x-blend multiplies the pair difference by 2x-1 and keeps the sum).  No
 raw square or sum is formed, so nothing overflows or underflows and the
 cores are accurate to a few ulp over all normal doubles; subnormal inputs
-lose bits in the halving.  ``G`` is ``sqrt(a)·sqrt(b)`` and ``M_p`` is
-factored by its larger (p > 0) or smaller (p < 0) entry for the same reason.
+lose bits in the halving, but ``a == b`` returns ``a`` exactly down to the
+smallest subnormal.  ``G`` is ``sqrt(a)·sqrt(b)`` and ``M_p`` is factored by
+its larger (p > 0) or smaller (p < 0) entry for the same reason.
 
-``t/arctan t`` and the excess ratio ``r(t) = (t/arctan t - 1)/t²`` of
-:mod:`seiffert_bounds.sharp` are piecewise: the direct quotient beyond
-t = 1/2 and, up to it, an exact-coefficient series.  One kernel
-(``_ratio_kernel``) evaluates both in one pass and returns ``r``,
-``1/3 - r`` and ``t/arctan t``; the Seiffert core is ``A`` times the last.
-The factors ``f(t)`` above live in one private helper each, all but the
-blend's taken of t², which the cores and the bulk verifiers share, so a
-verifier builds every raw mean of a block from the block's own profile and
-kernel pass (which also hands back t²), writing into its own buffers.
+``t/arctan t`` is piecewise: the direct quotient beyond t = 1/2 and, up to
+it, ``1 + t²·r(t)`` from the exact-coefficient series of the excess ratio
+``r(t) = (t/arctan t - 1)/t²`` of :mod:`seiffert_bounds.sharp`.
 
-The scalar API takes a validated :class:`PositivePair` and goes through
-:func:`mean`, which looks the ``*_values`` core up in :data:`MEANS`.  The
-cores are vectorized and operate on arrays *without validation*; the bulk
-verification code builds on them.  All functions are pure.
+The cores (``*_values``) take one pair of floats, without validation, and
+use only :mod:`math`, so evaluating a mean loads no numpy.  The public API
+takes a validated :class:`PositivePair` and goes through :func:`mean`, which
+looks the core up in :data:`MEANS`.  The sweeps evaluate the same profile,
+factors and series on whole blocks in :mod:`seiffert_bounds.kernels`, in the
+same order: the rational factors give the same bits there, the Seiffert
+mean may differ by one ulp (``math.atan`` against ``np.arctan``).  All
+functions are pure.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from .errors import DomainError
 
@@ -77,6 +75,8 @@ _SERIES_TERMS = 32
 #: power_values takes its geometric-mean form where |p|·ln(max/min) is below
 #: this (the measured point where the two forms' errors cross).
 _POWER_SWITCH = 1.5
+#: 1/3!, 1/5!, …, 1/15!: sinh's Taylor series to double precision for |x| <= 3/8.
+_SINH_COEFFS = tuple(1.0 / math.factorial(2 * k + 1) for k in range(1, 8))
 
 
 @dataclass(frozen=True)
@@ -115,107 +115,48 @@ def excess_ratio_taylor(order: int) -> tuple[Fraction, ...]:
     return tuple(b[1:])
 
 
-_RATIO_COEFFS = np.array([float(c) for c in excess_ratio_taylor(_SERIES_TERMS)])
+@functools.cache
+def _ratio_coeffs() -> tuple[float, ...]:
+    """The coefficients of r(t) as doubles, built on first use (the long
+    division is most of this module's import time otherwise)."""
+    return tuple(float(c) for c in excess_ratio_taylor(_SERIES_TERMS))
 
 
-def _ratio_kernel(t, out=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """r(t), the upper margin 1/3 - r(t) and q(t) = t/arctan t for t in [0, 1).
-
-    Any shape; all three arrays take the shape of ``t``.  ``out``, if given,
-    is four float arrays shaped like a 1-d ``t`` that receive t², r, 1/3 - r
-    and q: a sweep passes one set for every block and reads t² from the
-    first.
-
-    Beyond the switch all three come from the direct quotient q.  Up to it
-    they are overwritten from the series: with u = t² and the tail
-    Σ_{k>=1} coef[k]·u^{k-1} (one in-place Horner pass over that subset only),
-    1/3 - r = -u·tail, r = tail·u + coef[0] and q = 1 + u·r.  (Computing the
-    quotient over the whole array and overwriting beats gathering the large-t
-    subset: most sampled t lie above the switch.)
-    """
-    shape = np.shape(t)
-    t = np.reshape(t, -1)
-    tt, r, upper, q = (np.empty(t.shape) for _ in range(4)) if out is None else out
-    np.multiply(t, t, out=tt)
-    # t = 0 divides by zero; t² underflows below ~1e-154
-    with np.errstate(divide="ignore", invalid="ignore"):
-        np.divide(t, np.arctan(t, out=q), out=q)
-        np.subtract(q, 1.0, out=r)
-        r /= tt
-    np.subtract(_RATIO_COEFFS[0], r, out=upper)
-    small = np.flatnonzero(t <= _SERIES_SWITCH)
-    u = tt[small]
-    tail = u * _RATIO_COEFFS[-1]
-    tail += _RATIO_COEFFS[-2]
-    for c in _RATIO_COEFFS[-3:0:-1]:
-        tail *= u
-        tail += c
-    upper[small] = -u * tail
-    tail *= u
-    tail += _RATIO_COEFFS[0]
-    r[small] = tail
-    tail *= u
-    tail += 1.0
-    q[small] = tail
-    return r.reshape(shape), upper.reshape(shape), q.reshape(shape)
-
-
-def _profile(a, b, out=None) -> tuple[np.ndarray, np.ndarray]:
+def _profile(a: float, b: float) -> tuple[float, float]:
     """A = a/2 + b/2 and t = |a/2 - b/2|/A; halving first keeps both finite.
 
-    ``out``, if given, is two float arrays shaped like a and b that receive A
-    and t; ``a`` must then be a float array too, and is overwritten.
+    A > 0 for a != b, however small the pair.
     """
-    if out is None:
-        a = 0.5 * np.asarray(a, dtype=float)
-        b = 0.5 * np.asarray(b, dtype=float)
-        am = a + b
-        return am, np.abs(a - b) / am
-    am, t = out
-    a *= 0.5
-    np.multiply(b, 0.5, out=am)
-    np.subtract(a, am, out=t)
-    np.add(a, am, out=am)
-    np.abs(t, out=t)
-    t /= am
-    return am, t
-
-
-# The factors f(t) of the cores A·f(t), all but the blend's taken of t²; the
-# bulk verifiers apply them to profiles they already hold, writing into
-# ``out`` if given.
-
-
-def _centroidal_factor(tt, out=None):
-    f = np.divide(tt, 3.0, out=out)
-    f += 1.0
-    return f
-
-
-def _blend_factor(x, t, out=None):
-    s = np.multiply(t, 2.0 * x - 1.0, out=out)
-    s *= s
-    return _centroidal_factor(s, out)
-
-
-def _root_square_factor(tt, out=None):
-    return np.sqrt(np.add(tt, 1.0, out=out), out=out)
-
-
-def _contra_harmonic_factor(tt, out=None):
-    return np.add(tt, 1.0, out=out)
+    a, b = 0.5 * a, 0.5 * b
+    am = a + b
+    return am, abs(a - b) / am
 
 
 def seiffert_values(a, b):
-    """Seiffert mean on positive array input (no validation)."""
+    """Seiffert mean A·t/arctan t (no validation).
+
+    Up to the switch, t/arctan t = 1 + u·r(t) with u = t², by Horner in the
+    bulk kernel's order, so those bits match the bulk path's.
+    """
+    if a == b:
+        return a
     am, t = _profile(a, b)
-    return am * _ratio_kernel(t)[2]
+    if t > _SERIES_SWITCH:
+        return am * (t / math.atan(t))
+    coeffs = _ratio_coeffs()
+    u = t * t
+    acc = u * coeffs[-1] + coeffs[-2]
+    for c in coeffs[-3::-1]:
+        acc = acc * u + c
+    return am * (acc * u + 1.0)
 
 
 def centroidal_values(a, b):
-    """Centroidal mean on positive array input (no validation)."""
+    """Centroidal mean A·(1 + t²/3) (no validation)."""
+    if a == b:
+        return a
     am, t = _profile(a, b)
-    return am * _centroidal_factor(t * t)
+    return am * (t * t / 3.0 + 1.0)
 
 
 def blend_values(x, a, b):
@@ -224,36 +165,44 @@ def blend_values(x, a, b):
     The blend keeps the pair sum and scales the difference, hence t, by
     2x-1, which is exact for x in [1/2, 1].
     """
+    if a == b:
+        return a
     am, t = _profile(a, b)
-    return am * _blend_factor(x, t)
+    s = t * (2.0 * x - 1.0)
+    return am * (s * s / 3.0 + 1.0)
 
 
 def arithmetic_values(a, b):
-    return 0.5 * np.asarray(a, dtype=float) + 0.5 * np.asarray(b, dtype=float)
+    return a if a == b else 0.5 * a + 0.5 * b
 
 
-def geometric_values(a, b, *, _out=None):
-    """sqrt(a)·sqrt(b); written into ``_out``, a float array shaped like a and
-    b, if one is given (private: the ordering chain reuses one per sweep)."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    g = np.sqrt(a, out=_out)
-    g *= np.sqrt(b)
-    # the diagonal short-cut keeps G(a, a) = a bit-exact (sqrt(a)² may round)
-    if _out is None:
-        return np.where(a == b, a, g)
-    np.copyto(g, a, where=a == b)
-    return g
+def geometric_values(a, b):
+    """sqrt(a)·sqrt(b), and a itself on the diagonal (sqrt(a)² may round)."""
+    return a if a == b else math.sqrt(a) * math.sqrt(b)
 
 
 def root_square_values(a, b):
+    if a == b:
+        return a
     am, t = _profile(a, b)
-    return am * _root_square_factor(t * t)
+    return am * math.sqrt(t * t + 1.0)
 
 
 def contra_harmonic_values(a, b):
+    if a == b:
+        return a
     am, t = _profile(a, b)
-    return am * _contra_harmonic_factor(t * t)
+    return am * (t * t + 1.0)
+
+
+def _sinh(x: float) -> float:
+    """sinh x for |x| <= 3/8 within 0.54 ulp (libm's is off by up to 1.6 ulp
+    there; the power core's exponent multiplies that about p·L²/4-fold)."""
+    xx = x * x
+    acc = 0.0
+    for c in reversed(_SINH_COEFFS):
+        acc = acc * xx + c
+    return x + x * (xx * acc)
 
 
 def power_values(a, b, p):
@@ -270,29 +219,24 @@ def power_values(a, b, p):
     stays, with r^|p| taken as exp(-|p|·L): min/max underflows beyond ratios of
     ~4.5e307, where r^|p| is still far from negligible for small |p|.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if p == 0.0:
+    if p == 0.0 or a == b:
         return geometric_values(a, b)
-    hi = np.maximum(a, b)
-    lo = np.minimum(a, b)
+    hi, lo = max(a, b), min(a, b)
     if abs(p) >= 0.5:
         r = lo / hi
         if p > 0.0:
             return hi * (0.5 * (1.0 + r**p)) ** (1.0 / p)
         return lo * (0.5 * (1.0 + r ** (-p))) ** (1.0 / p)
     # max/min overflows beyond ratios of ~1.8e308, where the log difference
-    # stands in; the geometric form overflows only far beyond the switch
-    with np.errstate(over="ignore"):
-        log_ratio = np.log(hi / lo)
-        log_ratio = np.where(np.isinf(log_ratio), np.log(hi) - np.log(lo), log_ratio)
-        s = np.sinh(p * log_ratio / 4.0)
-        near = geometric_values(a, b) * np.exp(np.log1p(2.0 * s * s) / p)
-    factored = (hi if p > 0.0 else lo) * (0.5 * (1.0 + np.exp(-abs(p) * log_ratio))) ** (1.0 / p)
-    return np.where(abs(p) * log_ratio < _POWER_SWITCH, near, factored)
+    # stands in
+    log_ratio = math.log(hi / lo) if hi / lo < math.inf else math.log(hi) - math.log(lo)
+    if abs(p) * log_ratio < _POWER_SWITCH:
+        s = _sinh(p * log_ratio / 4.0)
+        return geometric_values(a, b) * math.exp(math.log1p(2.0 * s * s) / p)
+    return (hi if p > 0.0 else lo) * (0.5 * (1.0 + math.exp(-abs(p) * log_ratio))) ** (1.0 / p)
 
 
-#: The vectorized core of each mean, by its CLI name.  ``power`` takes the
+#: The core of each mean, by its CLI name.  ``power`` takes the
 #: exponent after the pair, ``blend`` the blend parameter before it.
 MEANS = {
     "seiffert": seiffert_values,

@@ -31,8 +31,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import DomainError, RangeError
 
 __all__ = [
@@ -170,6 +168,8 @@ def _float_coeffs(kind: str) -> tuple[float, ...]:
 @functools.lru_cache(maxsize=4)
 def _extended_coeffs(kind: str) -> tuple:
     """Coefficients as 80-bit extended floats (hi+lo split of the exact value)."""
+    import numpy as np
+
     fns = {"cot": cot_coefficient, "csc2": csc2_coefficient, "ratio": ratio_coefficient}
     out = []
     for n in range(1, N_MAX + 1):
@@ -180,12 +180,18 @@ def _extended_coeffs(kind: str) -> tuple:
     return tuple(out)
 
 
-def _horner_extended(kind: str, n: int, u) -> object:
-    coeffs = _extended_coeffs(kind)
+def _horner_extended(kind: str, n: int, x: float) -> tuple:
+    """x as an 80-bit extended float and the sum of the first n coefficients
+    times powers of x², in that precision.  numpy provides the type; this
+    helper and ``_extended_coeffs`` import it, and nothing else here does."""
+    import numpy as np
+
+    xl = np.longdouble(x)
+    u = xl * xl
     acc = u * 0.0
-    for c in coeffs[n - 1 :: -1]:
+    for c in _extended_coeffs(kind)[n - 1 :: -1]:
         acc = acc * u + c
-    return acc
+    return xl, acc
 
 
 def cot_series(x: float, n: int) -> float:
@@ -198,8 +204,8 @@ def cot_series(x: float, n: int) -> float:
     """
     x = _check_x(x)
     _check_order(n, what="truncation order")
-    xl = np.longdouble(x)
-    return float(1.0 / xl - xl * _horner_extended("cot", n, xl * xl))
+    xl, acc = _horner_extended("cot", n, x)
+    return float(1.0 / xl - xl * acc)
 
 
 def csc2_series(x: float, n: int) -> float:
@@ -210,9 +216,8 @@ def csc2_series(x: float, n: int) -> float:
     """
     x = _check_x(x)
     _check_order(n, what="truncation order")
-    xl = np.longdouble(x)
-    u = xl * xl
-    return float(1.0 / u + _horner_extended("csc2", n, u))
+    xl, acc = _horner_extended("csc2", n, x)
+    return float(1.0 / (xl * xl) + acc)
 
 
 def ratio_series(theta: float, n: int) -> float:

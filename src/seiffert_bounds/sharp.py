@@ -26,8 +26,9 @@ double-precision means (below that the true slack ~t⁴ falls under one ulp of
 the means themselves and raw doubles tie).  Margins near the limits are
 evaluated through series forms that stay fully accurate, e.g.
 1/3 - r(t) = (4/45)t² - (44/945)t⁴ + … obtained by exact long division of the
-arctan series.  That piecewise r(t) kernel lives in :mod:`seiffert_bounds.means`,
-whose Seiffert core is A times its q = t/arctan t.
+arctan series.  That piecewise r(t) kernel lives in :mod:`seiffert_bounds.kernels`
+with the profile and the factors of the other means; the Seiffert mean of a
+block is A times its q = t/arctan t.
 
 Sampling is log-uniform in a/b over (1, ratio_max] plus deterministic
 near-boundary points {1+10⁻ᵏ} and {10⁺ᵏ} up to ratio_max: sharpness lives at
@@ -57,15 +58,12 @@ re-faulted block by block.  All functions are pure.
 from __future__ import annotations
 
 import functools
+import importlib
 import itertools
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from . import auxiliary, means
 from .errors import BracketError, DomainError
-from .means import _ratio_kernel
 
 __all__ = [
     "RATIO_LOWER",
@@ -87,6 +85,33 @@ __all__ = [
     "constants_report",
     "CONSTANT_GAP_LIMIT",
 ]
+
+
+class _OnFirstUse:
+    """A module imported on its first attribute access, which then takes the
+    place of this stand-in among the globals here.
+
+    So importing this module, and with it the CLI, loads no numpy: the first
+    call that computes does.
+    """
+
+    def __init__(self, name: str, binding: str):
+        self._name, self._binding = name, binding
+
+    def __getattr__(self, attr: str):
+        module = importlib.import_module(self._name, __package__)
+        globals()[self._binding] = module
+        return getattr(module, attr)
+
+
+np = _OnFirstUse("numpy", "np")
+auxiliary = _OnFirstUse(".auxiliary", "auxiliary")
+kernels = _OnFirstUse(".kernels", "kernels")
+
+
+def _ratio_kernel(t, out=None):
+    """:func:`seiffert_bounds.kernels._ratio_kernel`, imported on first use."""
+    return kernels._ratio_kernel(t, out)
 
 #: Sharp bounds of the excess ratio: inf = 4/π - 1, sup = 1/3.
 RATIO_LOWER = 4.0 / math.pi - 1.0
@@ -308,7 +333,7 @@ def _first_raw_failure(ok: np.ndarray, t: np.ndarray, spare: np.ndarray) -> int 
 
 
 def _half_sum(x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """The arithmetic mean of the pairs (x, 1), rounded as ``means.arithmetic_values`` rounds it."""
+    """The arithmetic mean of the pairs (x, 1), rounded as the arithmetic core rounds it."""
     np.multiply(x, 0.5, out=out)
     out += 0.5
     return out
@@ -423,8 +448,8 @@ def verify_blend_bounds(
         left = np.subtract(r, lo_const, out=r)
 
         def means_at(k, side):
-            am = means.arithmetic_values(x[k], 1.0)
-            blend = float(am * means._blend_factor(alpha if side == "lower" else beta, t[k]))
+            am = x[k] * 0.5 + 0.5
+            blend = float(am * kernels._blend_factor(alpha if side == "lower" else beta, t[k]))
             seif = float(am * q[k])
             return (blend, seif) if side == "lower" else (seif, blend)
 
@@ -432,9 +457,9 @@ def verify_blend_bounds(
             # t² and the margins are spent by now (see _sweep): their rows
             # hold the means, and the Seiffert mean takes q's
             arith = _half_sum(x, tt)
-            lo_mean = means._blend_factor(alpha, t, left)
+            lo_mean = kernels._blend_factor(alpha, t, left)
             lo_mean *= arith
-            hi_mean = means._blend_factor(beta, t, right)
+            hi_mean = kernels._blend_factor(beta, t, right)
             hi_mean *= arith
             return _raw_mean_witness(x, t, lo_mean, np.multiply(arith, q, out=q), hi_mean, flags)
 
@@ -475,7 +500,7 @@ def verify_ratio_bounds(
             # the means, the contra-harmonic mean takes t²'s and the Seiffert
             # mean q's
             arith = _half_sum(x, left)
-            contra = means._contra_harmonic_factor(tt, tt)
+            contra = kernels._contra_harmonic_factor(tt, tt)
             contra *= arith
             lo_mean = _mix(alpha1, contra, arith, r, spare)
             hi_mean = _mix(beta1, contra, arith, upper, spare)
@@ -550,7 +575,7 @@ def verify_prior_bounds(
     def block(x, t, rows, flags):
         tt, r, upper, q, u, lower_s, upper_s, lower_c, left, right = rows
         r, upper, q = _ratio_kernel(t, out=(tt, r, upper, q))
-        means._root_square_factor(tt, u)
+        kernels._root_square_factor(tt, u)
         np.add(u, 1.0, out=upper_s)
         np.subtract(r, np.divide(_PRIOR_ALPHA_S, upper_s, out=lower_s), out=lower_s)
         # (2/3)/(1+u) - r, written against the stable upper margin as
@@ -586,8 +611,8 @@ def verify_prior_bounds(
                 pa += 1.0 - p
                 pb = np.multiply(x, 1.0 - p, out=w)
                 pb += p
-                blend_am, blend_t = means._profile(pa, pb, out=(am2, t2))
-                contra = means._contra_harmonic_factor(np.multiply(blend_t, blend_t, out=blend_t), blend_t)
+                blend_am, blend_t = kernels._profile(pa, pb, out=(am2, t2))
+                contra = kernels._contra_harmonic_factor(np.multiply(blend_t, blend_t, out=blend_t), blend_t)
                 contra *= blend_am
                 ok &= np.less(contra, seif, out=spare) if below else np.less(seif, contra, out=spare)
             k = _first_raw_failure(ok, t, spare)
@@ -642,17 +667,18 @@ def verify_ordering_chain(
 
     def block(x, k, rows, flags):
         a, g, am, t, tt, r, upper, q = rows
-        # the pair is (a, b) = (x·k, k); G first, as the profile overwrites a
-        g = means.geometric_values(np.multiply(x, k, out=a), k, _out=g)
-        am, t = means._profile(a, k, out=(am, t))
+        # the pair is (a, b) = (x·k, k); G first, as the profile overwrites a,
+        # with r and the first flag row, free until the kernel, as scratch
+        g = kernels._geometric(np.multiply(x, k, out=a), k, g, r, flags[0])
+        am, t = kernels._profile(a, k, out=(am, t))
         tm = _ratio_kernel(t, out=(tt, r, upper, q))[2]
         tm *= am
         # the other means take the rows of a, t and 1/3 - r, spent by now
-        cb = means._centroidal_factor(tt, a)
+        cb = kernels._centroidal_factor(tt, a)
         cb *= am
-        s = means._root_square_factor(tt, t)
+        s = kernels._root_square_factor(tt, t)
         s *= am
-        c = means._contra_harmonic_factor(tt, upper)
+        c = kernels._contra_harmonic_factor(tt, upper)
         c *= am
         # the two minimum slacks, with r as scratch: A - G, Cbar - A, T - A ...
         left = np.subtract(am, g, out=g)

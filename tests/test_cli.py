@@ -5,8 +5,10 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import mpmath as mp
 import pytest
@@ -57,6 +59,10 @@ class TestEval:
     def test_blend_domain_error(self, capsys):
         code, _, _ = run_cli(capsys, "eval", "blend", "1", "3", "--x", "0.2")
         assert code == 2
+
+    def test_smallest_subnormal_diagonal(self, capsys):
+        # both halves of the pair round to 0: the diagonal must still give a
+        assert run_cli(capsys, "eval", "seiffert", "5e-324", "5e-324") == (0, "5e-324\n", "")
 
     def test_oracle_mode(self, capsys):
         code, out, _ = run_cli(
@@ -209,6 +215,9 @@ class TestHardenedInputs:
             (["constants", "--precision", "5"], "--precision"),
             (["verify", "chain", "--samples", "100", "--ratio-max", "1.00001"], "1 + 2e-5"),
             (["verify", "all", "--samples", "100", "--ratio-max", "1.00001"], "1 + 2e-5"),
+            (["eval", "seiffert", "1", "3", "--x", "0.7"], "--x"),
+            (["eval", "power", "1", "3", "--p", "2", "--x", "0.7"], "--x"),
+            (["eval", "blend", "1", "3", "--x", "0.75", "--p", "2"], "--p"),
         ],
     )
     def test_exit_2(self, capsys, argv, needle):
@@ -359,14 +368,29 @@ class TestLanes:
         assert code == 0 and "PASS" in out
 
 
-def test_cli_import_leaves_scipy_out():
-    out = subprocess.run(
-        [sys.executable, "-c", "import sys, seiffert_bounds.cli; print('scipy' in sys.modules)"],
-        capture_output=True,
-        text=True,
-    )
-    assert out.returncode == 0
-    assert out.stdout.strip() == "False"
+@pytest.mark.parametrize(
+    "args, returncode",
+    [
+        (["-c", "import seiffert_bounds"], 0),
+        (["-c", "import seiffert_bounds.cli"], 0),
+        (["-m", "seiffert_bounds.cli", "eval", "seiffert", "1", "3"], 0),
+        (["-m", "seiffert_bounds.cli", "eval", "power", "1", "3", "--p", "2", "--oracle"], 0),
+        (["-m", "seiffert_bounds.cli", "series", "ratio", "--format", "json"], 0),
+        (["-m", "seiffert_bounds.cli", "eval", "blend", "1", "3"], 2),
+    ],
+    ids=["import-package", "import-cli", "eval", "eval-oracle", "series", "usage-error"],
+)
+def test_small_commands_leave_numpy_out(args, returncode):
+    # -X importtime names every module the process imports on stderr
+    out = subprocess.run([sys.executable, "-X", "importtime", *args], capture_output=True, text=True)
+    assert out.returncode == returncode, out.stderr
+    imported = {
+        line.rsplit("|", 1)[1].strip().split(".")[0]
+        for line in out.stderr.splitlines()
+        if line.startswith("import time:")
+    }
+    assert "seiffert_bounds" in imported
+    assert not imported & {"numpy", "scipy"}
 
 
 def test_cli_import_and_verify_leave_mpmath_out():
@@ -381,6 +405,15 @@ def test_cli_import_and_verify_leave_mpmath_out():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert out.returncode == 0
     assert out.stdout.strip() == "False 0 False"
+
+
+def test_readme_eval_examples(capsys):
+    # every `seiffert-bounds eval` line of the README with its printed value
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    examples = re.findall(r"^seiffert-bounds (eval .*?)\s+# (\S+)$", readme, re.M)
+    assert len(examples) == 4
+    for command, printed in examples:
+        assert run_cli(capsys, *command.split()) == (0, printed + "\n", ""), command
 
 
 def test_console_script_entry_point():

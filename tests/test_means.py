@@ -68,6 +68,16 @@ class TestSeiffert:
         assert seiffert_mean(PositivePair(1.0, 1.0)) == 1.0
 
 
+@pytest.mark.parametrize("a", [5e-324, 1.5e-323, 2.2250738585072014e-308, 1.0, 3.7, 1.7976931348623157e308])
+def test_every_mean_returns_a_on_the_diagonal(a):
+    # down to the smallest subnormal, where both halves of the pair round to 0
+    pair = PositivePair(a, a)
+    for name in means.MEANS:
+        params = {"power": (-3.0, 0.0, 1e-3, 0.1, 2.0), "blend": (0.5, 0.75, 1.0)}.get(name, (None,))
+        for param in params:
+            assert mean(name, pair, param) == a, (name, param)
+
+
 class TestCentroidal:
     def test_diagonal(self):
         assert centroidal_mean(PositivePair(1, 1)) == 1.0
@@ -164,6 +174,12 @@ def _sample_pairs(n, seed, lo=1.0 + 1e-5, hi=1e6):
     return x * k, k
 
 
+def _each(fn, *args):
+    """``fn`` at each pair: array arguments are walked in step, scalars repeat."""
+    cols = [np.broadcast_to(arg, np.broadcast(*args).shape).tolist() for arg in args]
+    return np.array([fn(*row) for row in zip(*cols)])
+
+
 _ALL_VALUE_FNS = [
     means.seiffert_values,
     means.centroidal_values,
@@ -179,39 +195,45 @@ class TestInvariants:
         # >= 1e5 random pairs per mean
         a, b = _sample_pairs(100_000, seed=42)
         for fn in _ALL_VALUE_FNS:
-            lhs, rhs = fn(a, b), fn(b, a)
+            lhs, rhs = _each(fn, a, b), _each(fn, b, a)
             assert np.max(np.abs(lhs - rhs) / lhs) < 1e-15
         for p in (2.5, -3.0):
-            lhs, rhs = means.power_values(a, b, p), means.power_values(b, a, p)
+            lhs, rhs = _each(means.power_values, a, b, p), _each(means.power_values, b, a, p)
             assert np.max(np.abs(lhs - rhs) / lhs) < 1e-15
-        lhs, rhs = means.blend_values(0.8, a, b), means.blend_values(0.8, b, a)
+        lhs, rhs = _each(means.blend_values, 0.8, a, b), _each(means.blend_values, 0.8, b, a)
         assert np.max(np.abs(lhs - rhs) / lhs) < 1e-15
 
     def test_homogeneity(self):
         a, b = _sample_pairs(50, seed=7, lo=1.1, hi=1e3)
         for k in 10.0 ** np.arange(-6, 7):
             for fn in _ALL_VALUE_FNS:
-                assert np.max(np.abs(fn(k * a, k * b) - k * fn(a, b)) / (k * fn(a, b))) < 1e-12
+                base = _each(fn, a, b)
+                assert np.max(np.abs(_each(fn, k * a, k * b) - k * base) / (k * base)) < 1e-12
             for p in (3.0, -2.0):
-                base = means.power_values(a, b, p)
-                assert np.max(np.abs(means.power_values(k * a, k * b, p) - k * base) / (k * base)) < 1e-12
+                base = _each(means.power_values, a, b, p)
+                assert np.max(np.abs(_each(means.power_values, k * a, k * b, p) - k * base) / (k * base)) < 1e-12
 
     def test_mean_property_strict(self):
         a, b = _sample_pairs(100_000, seed=3)
         lo, hi = np.minimum(a, b), np.maximum(a, b)
         for fn in _ALL_VALUE_FNS:
-            v = fn(a, b)
+            v = _each(fn, a, b)
             assert np.all((lo < v) & (v < hi))
 
     def test_ordering_chain(self):
         # G < A < centroidal < S < C and the sandwich A < seiffert < S
         a, b = _sample_pairs(100_000, seed=11)
-        g = means.geometric_values(a, b)
-        am = means.arithmetic_values(a, b)
-        cb = means.centroidal_values(a, b)
-        s = means.root_square_values(a, b)
-        c = means.contra_harmonic_values(a, b)
-        t = means.seiffert_values(a, b)
+        g, am, cb, s, c, t = (
+            _each(fn, a, b)
+            for fn in (
+                means.geometric_values,
+                means.arithmetic_values,
+                means.centroidal_values,
+                means.root_square_values,
+                means.contra_harmonic_values,
+                means.seiffert_values,
+            )
+        )
         assert np.all((g < am) & (am < cb) & (cb < s) & (s < c))
         assert np.all((am < t) & (t < s))
 
