@@ -85,3 +85,21 @@ def __getattr__(name: str):
     value = getattr(importlib.import_module(f".{_SOURCE[name]}", __name__), name)
     globals()[name] = value
     return value
+
+
+class _OnFirstUse:
+    """A module imported on its first attribute access, which then takes the
+    place of this stand-in in ``namespace``, under ``binding``.
+
+    The submodules bind numpy, and the submodules that load it, this way: so
+    importing them loads no numpy, and the first call that computes on arrays
+    does.
+    """
+
+    def __init__(self, name: str, namespace: dict, binding: str):
+        self._name, self._namespace, self._binding = name, namespace, binding
+
+    def __getattr__(self, attr: str):
+        module = importlib.import_module(self._name, __name__)
+        self._namespace[self._binding] = module
+        return getattr(module, attr)

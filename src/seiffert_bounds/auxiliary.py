@@ -48,6 +48,15 @@ its limit, which is 0 at the sharp parameter: there gap < 0 on (1, ∞).
 :func:`locate_critical_points` returns the closed-form roots and
 :func:`ladder_proof` proves the signs and the derivative identity in exact
 arithmetic.
+
+Importing this module loads no numpy.  The scalar methods (``gap``,
+``chain``), the ladder, the proof and :func:`counterexample_witness` compute
+on floats with :mod:`math` or on Fractions; numpy loads on the first call
+that works on arrays (``gap_values`` or ``chain_values`` on an array,
+``quadratic_form``, ``difference_factor``,
+:func:`derivative_identity_residual`).  ``gap`` and ``gap_values`` share one
+written form of each branch, evaluated with ``math.atan`` on a float and
+``np.arctan`` on an array.
 """
 
 from __future__ import annotations
@@ -57,10 +66,9 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Literal
 
-import numpy as np
-
+from . import _OnFirstUse
 from .errors import BracketError, DomainError
-from .kernels import _blend_factor, _profile, _ratio_kernel
+from .means import _geomspace, _profile, _ratio
 
 __all__ = [
     "BlendGapFamily",
@@ -73,6 +81,30 @@ __all__ = [
 ]
 
 _PI = math.pi
+
+np = _OnFirstUse("numpy", globals(), "np")
+
+
+def _quadratic_form(p, t):
+    """Q(t) at the blend parameter p (float or array t)."""
+    u1 = p * t + (1.0 - p)
+    u2 = p + (1.0 - p) * t
+    return u1 * u1 + u1 * u2 + u2 * u2
+
+
+# gap's two forms, each right on its own side of t = 2 (see gap_values), for
+# a float t with math.atan or an array t with np.arctan
+
+
+def _gap_near(p, t, atan):
+    s = t - 1.0
+    return 4.0 * atan(s / (t + 1.0)) - 3.0 * s * (t + 1.0) / _quadratic_form(p, t)
+
+
+def _gap_far(p, t, atan):
+    w = p * p - p + 1.0
+    m = 1.0 + 2.0 * p * (1.0 - p)
+    return ((_PI * w - 3.0) * t * t + _PI * m * t + (_PI * w + 3.0)) / _quadratic_form(p, t) - 4.0 * atan(1.0 / t)
 
 
 def _shifted_chain(s, u, level: int):
@@ -113,11 +145,7 @@ class BlendGapFamily:
 
     def quadratic_form(self, t):
         """Q(t): the symmetric quadratic form of the blended pair (array-ok)."""
-        t = np.asarray(t, dtype=float)
-        p = self.p
-        u1 = p * t + (1.0 - p)
-        u2 = p + (1.0 - p) * t
-        return u1 * u1 + u1 * u2 + u2 * u2
+        return _quadratic_form(self.p, np.asarray(t, dtype=float))
 
     def limit_at_infinity(self) -> float:
         """lim_{t→∞} gap(t) = π - 3/(p²-p+1)."""
@@ -127,7 +155,8 @@ class BlendGapFamily:
     # -- gap ------------------------------------------------------------------
 
     def gap_values(self, t):
-        """gap(t) on arrays, no domain validation.
+        """gap(t) on arrays, no domain validation; a float t gives a float,
+        computed with :mod:`math`.
 
         Two branches keep the evaluation fully accurate:
 
@@ -139,29 +168,26 @@ class BlendGapFamily:
           coefficient πw-3 vanishes at the sharp parameter, which removes the
           large-t cancellation exactly where the sign checks are hardest.
         """
+        if isinstance(t, float):
+            return self._gap(t)
         t = np.asarray(t, dtype=float)
-        p = self.p
-        w = p * p - p + 1.0
-        m = 1.0 + 2.0 * p * (1.0 - p)
         # the t >= 2 form everywhere, then the t < 2 entries overwritten
         with np.errstate(divide="ignore", invalid="ignore"):
-            val = (
-                ((_PI * w - 3.0) * t * t + _PI * m * t + (_PI * w + 3.0)) / self.quadratic_form(t)
-                - 4.0 * np.arctan(1.0 / t)
-            )
-        val = np.asarray(val)  # a 0-d t gives a numpy scalar
+            val = np.asarray(_gap_far(self.p, t, np.arctan))  # a 0-d t gives a numpy scalar
         small = t < 2.0
-        ts = t[small]
-        s = ts - 1.0
-        val[small] = 4.0 * np.arctan(s / (ts + 1.0)) - 3.0 * s * (ts + 1.0) / self.quadratic_form(ts)
+        val[small] = _gap_near(self.p, t[small], np.arctan)
         return val
+
+    def _gap(self, t: float) -> float:
+        """gap at a float t in the branch :meth:`gap_values` picks, with math.atan."""
+        return (_gap_near if t < 2.0 else _gap_far)(self.p, t, math.atan)
 
     def gap(self, t: float) -> float:
         """gap(t) for scalar t > 1 (domain-checked)."""
         t = float(t)
         if not (math.isfinite(t) and t > 1.0):
             raise DomainError(f"gap is defined for t > 1, got {t!r}")
-        return float(self.gap_values(t))
+        return self.gap_values(t)
 
     def difference_factor(self, t):
         """Strictly positive F(t) with blend(p) - seiffert = F·gap on t > 1."""
@@ -172,13 +198,19 @@ class BlendGapFamily:
 
     def chain_values(self, t, level: int):
         """chain_level(t) on arrays (shifted-form evaluation), no t validation."""
-        if level not in (1, 2, 3, 4):
-            raise DomainError(f"chain level must be in 1..4, got {level!r}")
-        return _shifted_chain(np.asarray(t, dtype=float) - 1.0, self.p * self.p - self.p, level)
+        return self._chain(np.asarray(t, dtype=float), level)
 
     def chain(self, t: float, level: int) -> float:
-        """Scalar chain polynomial at level 1..4."""
-        return float(self.chain_values(float(t), level))
+        """Scalar chain polynomial at level 1..4, in floats."""
+        try:
+            return self._chain(float(t), level)
+        except OverflowError:  # a float power beyond the double range: numpy's ±inf
+            return float(self.chain_values(float(t), level))
+
+    def _chain(self, t, level: int):
+        if level not in (1, 2, 3, 4):
+            raise DomainError(f"chain level must be in 1..4, got {level!r}")
+        return _shifted_chain(t - 1.0, self.p * self.p - self.p, level)
 
 
 @dataclass(frozen=True)
@@ -306,8 +338,11 @@ def counterexample_witness(
       largest relative value is about 5(1-p)², so a witness exists only for
       p up to about 1 - 1.3e-8; closer to 1 the scan raises BracketError.
 
-    The witness carries both mean values so the violated inequality can be
-    re-checked directly.  A failed search raises :class:`BracketError`.
+    Each scan walks a geometric grid of ratios one float at a time, with the
+    means' profile and ``t/arctan t`` from :mod:`seiffert_bounds.means`, and
+    stops at the first violation.  The witness carries both mean values so
+    the violated inequality can be re-checked directly.  A failed search
+    raises :class:`BracketError`.
     """
     if side == "above_alpha":
         family = BlendGapFamily(p)
@@ -316,25 +351,21 @@ def counterexample_witness(
                 "above_alpha requires the gap limit π - 3/(p²-p+1) to be positive "
                 f"with p < 1, got p={p}"
             )
-        ts = np.geomspace(1.5, 1e12, 1200)
+        ts = _geomspace(1.5, 1e12, 1200)
     elif side == "below_one":
         if not 0.5 < p < 1.0:
             raise DomainError(f"below_one requires 1/2 < p < 1, got p={p}")
-        ts = 1.0 + np.geomspace(1e-9, 10.0, 800)
+        ts = [1.0 + s for s in _geomspace(1e-9, 10.0, 800)]
     else:
         raise DomainError(f"unknown side {side!r}")
 
-    am, t = _profile(ts, 1.0)
-    blend = am * _blend_factor(p, t)
-    seif = am * _ratio_kernel(t)[2]
-    mask = blend > seif if side == "above_alpha" else seif - blend >= 4.0 * np.spacing(blend)
-    idx = np.nonzero(mask)[0]
-    if len(idx) == 0:
-        raise BracketError(f"no witness found on the {side} scan up to t={ts[-1]:.3g}")
-    k = int(idx[0])
-    return CounterexampleWitness(
-        side=side,
-        t=float(ts[k]),
-        blend_value=float(blend[k]),
-        seiffert_value=float(seif[k]),
-    )
+    # the blend mean multiplies the profile t of the pair (x, 1) by 2p-1
+    k = 2.0 * float(p) - 1.0
+    for x in ts:
+        am, t = _profile(x, 1.0)
+        s = t * k
+        blend = am * (s * s / 3.0 + 1.0)
+        seif = am * _ratio(t)[2]
+        if blend > seif if side == "above_alpha" else seif - blend >= 4.0 * math.ulp(blend):
+            return CounterexampleWitness(side=side, t=x, blend_value=blend, seiffert_value=seif)
+    raise BracketError(f"no witness found on the {side} scan up to t={ts[-1]:.3g}")

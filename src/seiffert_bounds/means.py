@@ -37,7 +37,9 @@ takes a validated :class:`PositivePair` and goes through :func:`mean`, which
 looks the core up in :data:`MEANS`.  The sweeps evaluate the same profile,
 factors and series on whole blocks in :mod:`seiffert_bounds.kernels`, in the
 same order: the rational factors give the same bits there, the Seiffert
-mean may differ by one ulp (``math.atan`` against ``np.arctan``).  All
+mean may differ by one ulp (``math.atan`` against ``np.arctan``).  The
+private ``_ratio`` (r, 1/3 - r and t/arctan t at one t) and ``_geomspace``
+also serve the stdlib scans of ``constants`` and ``certify``.  All
 functions are pure.
 """
 
@@ -132,23 +134,47 @@ def _profile(a: float, b: float) -> tuple[float, float]:
     return am, abs(a - b) / am
 
 
-def seiffert_values(a, b):
-    """Seiffert mean A·t/arctan t (no validation).
+def _ratio(t: float) -> tuple[float, float, float]:
+    """r(t), the upper margin 1/3 - r(t) and q(t) = t/arctan t for t in [0, 1).
 
-    Up to the switch, t/arctan t = 1 + u·r(t) with u = t², by Horner in the
-    bulk kernel's order, so those bits match the bulk path's.
+    The scalar twin of :func:`seiffert_bounds.kernels._ratio_kernel`, in its
+    order of operations: beyond the switch all three come from the direct
+    quotient q; up to it, with u = t² and the Horner tail
+    Σ_{k>=1} coef[k]·u^{k-1}, 1/3 - r = -u·tail, r = tail·u + coef[0] and
+    q = 1 + u·r.  So the series branch gives the kernel's bits, and the
+    direct one may differ by an ulp (``math.atan`` against ``np.arctan``).
     """
+    coeffs = _ratio_coeffs()
+    if t > _SERIES_SWITCH:
+        q = t / math.atan(t)
+        r = (q - 1.0) / (t * t)
+        return r, coeffs[0] - r, q
+    u = t * t
+    tail = u * coeffs[-1] + coeffs[-2]
+    for c in coeffs[-3:0:-1]:
+        tail = tail * u + c
+    r = tail * u + coeffs[0]
+    return r, -u * tail, r * u + 1.0
+
+
+def _geomspace(start: float, stop: float, num: int) -> list[float]:
+    """``numpy.geomspace(start, stop, num)`` for 0 < start, stop and num >= 2.
+
+    The same steps in log10 with the ends kept exact; ``10.0**y`` comes from
+    libm, which rounds a few percent of the inner points an ulp away from
+    numpy's power.
+    """
+    lo, hi = math.log10(start), math.log10(stop)
+    step = (hi - lo) / (num - 1)
+    return [start, *(10.0 ** (k * step + lo) for k in range(1, num - 1)), stop]
+
+
+def seiffert_values(a, b):
+    """Seiffert mean A·t/arctan t (no validation)."""
     if a == b:
         return a
     am, t = _profile(a, b)
-    if t > _SERIES_SWITCH:
-        return am * (t / math.atan(t))
-    coeffs = _ratio_coeffs()
-    u = t * t
-    acc = u * coeffs[-1] + coeffs[-2]
-    for c in coeffs[-3::-1]:
-        acc = acc * u + c
-    return am * (acc * u + 1.0)
+    return am * _ratio(t)[2]
 
 
 def centroidal_values(a, b):

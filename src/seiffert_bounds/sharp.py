@@ -58,12 +58,13 @@ re-faulted block by block.  All functions are pure.
 from __future__ import annotations
 
 import functools
-import importlib
 import itertools
 import math
 from dataclasses import dataclass, field
 
+from . import _OnFirstUse
 from .errors import BracketError, DomainError
+from .means import _geomspace, _ratio
 
 __all__ = [
     "RATIO_LOWER",
@@ -87,26 +88,12 @@ __all__ = [
 ]
 
 
-class _OnFirstUse:
-    """A module imported on its first attribute access, which then takes the
-    place of this stand-in among the globals here.
-
-    So importing this module, and with it the CLI, loads no numpy: the first
-    call that computes does.
-    """
-
-    def __init__(self, name: str, binding: str):
-        self._name, self._binding = name, binding
-
-    def __getattr__(self, attr: str):
-        module = importlib.import_module(self._name, __package__)
-        globals()[self._binding] = module
-        return getattr(module, attr)
-
-
-np = _OnFirstUse("numpy", "np")
-auxiliary = _OnFirstUse(".auxiliary", "auxiliary")
-kernels = _OnFirstUse(".kernels", "kernels")
+# Importing this module, and with it the CLI, loads none of these: the bulk
+# code loads numpy and the kernels on its first call, and ``constants_report``
+# (stdlib scans only) loads auxiliary.
+np = _OnFirstUse("numpy", globals(), "np")
+auxiliary = _OnFirstUse(".auxiliary", globals(), "auxiliary")
+kernels = _OnFirstUse(".kernels", globals(), "kernels")
 
 
 def _ratio_kernel(t, out=None):
@@ -747,14 +734,19 @@ class SharpConstantReport:
 
 
 def _ratio_violation_witness(const: float, side: str, shift: float) -> SharpnessWitness:
-    ts = np.geomspace(1e-6, 1.0 - 1e-10, 2000) if side == "upper" else 1.0 - np.geomspace(1e-10, 0.5, 2000)
-    r = _ratio_kernel(ts)[0]
-    k = _first(r >= const if side == "upper" else r <= const)
-    if k is None:
-        raise BracketError(f"no ratio violation found for constant {const} ({side})")
-    xr = (1.0 + ts[k]) / (1.0 - ts[k])
-    lhs, rhs = (float(r[k]), const) if side == "upper" else (const, float(r[k]))
-    return SharpnessWitness(shift=shift, ratio=float(xr), lhs=lhs, rhs=rhs)
+    """The first t of a geometric grid where r(t) is on the wrong side of
+    ``const``: the grid runs up from t = 1e-6 for the upper side and down from
+    t = 1 - 1e-10 for the lower."""
+    if side == "upper":
+        ts = _geomspace(1e-6, 1.0 - 1e-10, 2000)
+    else:
+        ts = [1.0 - s for s in _geomspace(1e-10, 0.5, 2000)]
+    for t in ts:
+        r = _ratio(t)[0]
+        if r >= const if side == "upper" else r <= const:
+            lhs, rhs = (r, const) if side == "upper" else (const, r)
+            return SharpnessWitness(shift=shift, ratio=(1.0 + t) / (1.0 - t), lhs=lhs, rhs=rhs)
+    raise BracketError(f"no ratio violation found for constant {const} ({side})")
 
 
 def constants_report() -> list[SharpConstantReport]:
@@ -766,10 +758,12 @@ def constants_report() -> list[SharpConstantReport]:
 
     Each report carries a sharpness witness: a ratio violating the bound with
     the constant pushed ``_PROBE_SHIFT`` past its optimum.  The blend witnesses
-    are :func:`seiffert_bounds.auxiliary.counterexample_witness`'s.
+    are :func:`seiffert_bounds.auxiliary.counterexample_witness`'s.  Every
+    scan walks a stdlib grid in floats (``means._ratio`` at each t), so the
+    report loads no numpy.
     """
-    small_t = np.geomspace(1e-8, 1e-2, 400)
-    big_t = 1.0 - np.geomspace(1e-10, 1e-2, 400)
+    r_small = [_ratio(t)[0] for t in _geomspace(1e-8, 1e-2, 400)]
+    r_big = [_ratio(1.0 - s)[0] for s in _geomspace(1e-10, 1e-2, 400)]
 
     lam_c = blend_alpha_closed()
     lam_n = blend_alpha_numeric()
@@ -782,8 +776,7 @@ def constants_report() -> list[SharpConstantReport]:
         witness=SharpnessWitness(_PROBE_SHIFT, above.t, above.blend_value, above.seiffert_value),
     )
 
-    r_small = _ratio_kernel(small_t)[0]
-    beta_disc = float(np.max(0.5 * (1.0 + np.sqrt(3.0 * r_small))))
+    beta_disc = max(0.5 * (1.0 + math.sqrt(3.0 * r)) for r in r_small)
     below = auxiliary.counterexample_witness(1.0 - _PROBE_SHIFT, "below_one")
     rep_beta = SharpConstantReport(
         name="blend_beta",
@@ -793,7 +786,7 @@ def constants_report() -> list[SharpConstantReport]:
         witness=SharpnessWitness(-_PROBE_SHIFT, below.t, below.seiffert_value, below.blend_value),
     )
 
-    inf_disc = float(np.min(_ratio_kernel(big_t)[0]))
+    inf_disc = min(r_big)
     rep_a1 = SharpConstantReport(
         name="ratio_alpha",
         closed_form=RATIO_LOWER,
@@ -801,7 +794,7 @@ def constants_report() -> list[SharpConstantReport]:
         abs_gap=abs(RATIO_LOWER - inf_disc),
         witness=_ratio_violation_witness(RATIO_LOWER + _PROBE_SHIFT, "lower", _PROBE_SHIFT),
     )
-    sup_disc = float(np.max(r_small))
+    sup_disc = max(r_small)
     rep_b1 = SharpConstantReport(
         name="ratio_beta",
         closed_form=RATIO_UPPER,

@@ -17,7 +17,7 @@ from seiffert_bounds import (
     ladder_proof,
     locate_critical_points,
 )
-from seiffert_bounds import auxiliary, means, oracle
+from seiffert_bounds import auxiliary, kernels, means, oracle
 
 SHARP = blend_alpha_closed()
 
@@ -74,6 +74,16 @@ def _shifted_eval(level: int, p: Fraction, t: Fraction) -> Fraction:
 
 
 class TestChainPolynomials:
+    def test_scalar_chain_is_the_array_chain(self):
+        # chain computes in floats, chain_values in numpy: the same bits, and
+        # where s⁴ leaves the double range (t beyond ~1.3e77) the same -inf
+        fam = BlendGapFamily(0.8)
+        ts = [1.0 + 1e-9, 1.5, 2.0, 6.14, 1e4, 1e70]
+        for level in (1, 2, 3, 4):
+            assert [fam.chain(t, level) for t in ts] == fam.chain_values(ts, level).tolist()
+        with np.errstate(over="ignore"):
+            assert fam.chain(1e150, 1) == -math.inf == fam.chain_values(1e150, 1)
+
     def test_shifted_equals_printed_exactly(self):
         # degree <= 4: agreement at 5 rational points per level is identity
         rng = np.random.default_rng(0)
@@ -373,6 +383,33 @@ class TestWitnesses:
         w = counterexample_witness(float(p), "below_one")
         assert w.seiffert_value - w.blend_value >= 4.0 * np.spacing(w.blend_value)
         assert oracle.seiffert(w.t, 1.0, dps=40) > oracle.blend(float(p), w.t, 1.0, dps=40)
+
+    @pytest.mark.parametrize(
+        "side, p",
+        [
+            *(("above_alpha", SHARP + d) for d in np.geomspace(1e-7, 4e-2, 20)),
+            *(("below_one", p) for p in np.linspace(0.501, 0.999, 10)),
+            *(("below_one", 1.0 - d) for d in np.geomspace(1e-7, 1e-3, 10)),
+        ],
+    )
+    def test_scalar_scan_finds_the_bulk_scans_witness(self, side, p):
+        # the bulk scan on the same grid, from the kernels: the first ratio
+        # where the bound fails, with the blend mean bit for bit and the
+        # Seiffert mean within 1 ulp (math.atan against np.arctan)
+        p = float(p)
+        if side == "above_alpha":
+            ts = np.array(means._geomspace(1.5, 1e12, 1200))
+        else:
+            ts = 1.0 + np.array(means._geomspace(1e-9, 10.0, 800))
+        am, t = kernels._profile(ts, 1.0)
+        blend = am * kernels._blend_factor(p, t)
+        seif = am * kernels._ratio_kernel(t)[2]
+        fails = blend > seif if side == "above_alpha" else seif - blend >= 4.0 * np.spacing(blend)
+        k = int(np.flatnonzero(fails)[0])
+        w = counterexample_witness(p, side)
+        assert w.t == ts[k]
+        assert w.blend_value == blend[k]
+        assert abs(w.seiffert_value - seif[k]) <= np.spacing(seif[k])
 
     def test_below_one_has_no_4_ulp_witness_next_to_one(self):
         # the relative gap peaks near 5(1-p)², below 4 ulp once 1-p < ~1.3e-8

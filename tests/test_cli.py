@@ -135,6 +135,13 @@ class TestConstants:
         assert code == 0
         assert "blend_alpha" in out and "ratio_beta" in out
 
+    def test_plain_witness_ratio_is_the_reported_double(self, capsys):
+        # ratio_beta's witness lies at a/b ≈ 1.000002, which six digits round to 1
+        _, out, _ = run_cli(capsys, "constants", "--format", "json")
+        ratios = [json.loads(line)["witness"]["ratio"] for line in out.splitlines()]
+        _, out, _ = run_cli(capsys, "constants")
+        assert re.findall(r" a/b=(\S+) ", out) == [repr(x) for x in ratios]
+
     def test_json_lines(self, capsys):
         code, out, _ = run_cli(capsys, "constants", "--format", "json")
         assert code == 0
@@ -218,6 +225,10 @@ class TestHardenedInputs:
             (["eval", "seiffert", "1", "3", "--x", "0.7"], "--x"),
             (["eval", "power", "1", "3", "--p", "2", "--x", "0.7"], "--x"),
             (["eval", "blend", "1", "3", "--x", "0.75", "--p", "2"], "--p"),
+            (["verify", "chain", "--samples", "1000", "--alpha-shift", "0.5"], "--alpha-shift"),
+            (["verify", "chain", "--samples", "1000", "--beta-shift=-1e-3"], "--beta-shift"),
+            (["verify", "priors", "--samples", "1000", "--alpha-shift=1e-4"], "--alpha-shift"),
+            (["verify", "priors", "--samples", "1000", "--beta-shift", "nan"], "--beta-shift"),
         ],
     )
     def test_exit_2(self, capsys, argv, needle):
@@ -377,8 +388,13 @@ class TestLanes:
         (["-m", "seiffert_bounds.cli", "eval", "power", "1", "3", "--p", "2", "--oracle"], 0),
         (["-m", "seiffert_bounds.cli", "series", "ratio", "--format", "json"], 0),
         (["-m", "seiffert_bounds.cli", "eval", "blend", "1", "3"], 2),
+        *((["-m", "seiffert_bounds.cli", "constants", "--format", fmt], 0) for fmt in ("json", "csv", "plain")),
+        *((["-m", "seiffert_bounds.cli", "certify", "--format", fmt], 0) for fmt in ("json", "plain")),
     ],
-    ids=["import-package", "import-cli", "eval", "eval-oracle", "series", "usage-error"],
+    ids=[
+        "import-package", "import-cli", "eval", "eval-oracle", "series", "usage-error",
+        "constants-json", "constants-csv", "constants-plain", "certify-json", "certify-plain",
+    ],
 )
 def test_small_commands_leave_numpy_out(args, returncode):
     # -X importtime names every module the process imports on stderr

@@ -279,6 +279,31 @@ class TestConstantsReport:
         assert reports["ratio_beta"].closed_form == pytest.approx(1.0 / 3.0, rel=1e-15)
         assert reports["blend_beta"].closed_form == 1.0
 
+    def test_scalar_scans_match_a_bulk_reference(self):
+        # the report's stdlib scans against the kernel pass on the same grids:
+        # the series branch (t <= 1/2) bit for bit, the direct one within a
+        # few ulp of r (math.atan against np.arctan), and each ratio witness
+        # at the grid's first violation
+        from seiffert_bounds import kernels, means
+
+        def r(t):
+            return kernels._ratio_kernel(np.array(t))[0]
+
+        reports = {rep.name: rep for rep in constants_report()}
+        r_small = r(means._geomspace(1e-8, 1e-2, 400))
+        assert reports["ratio_beta"].discovered == np.max(r_small)
+        assert reports["blend_beta"].discovered == np.max(0.5 * (1.0 + np.sqrt(3.0 * r_small)))
+        inf_ref = np.min(r(1.0 - np.array(means._geomspace(1e-10, 1e-2, 400))))
+        assert abs(reports["ratio_alpha"].discovered - inf_ref) <= 8 * np.spacing(inf_ref)
+        upper_ts = np.array(means._geomspace(1e-6, 1.0 - 1e-10, 2000))
+        lower_ts = 1.0 - np.array(means._geomspace(1e-10, 0.5, 2000))
+        for name, ts, fails in (
+            ("ratio_beta", upper_ts, lambda v: v >= RATIO_UPPER - 1e-6),
+            ("ratio_alpha", lower_ts, lambda v: v <= RATIO_LOWER + 1e-6),
+        ):
+            k = int(np.flatnonzero(fails(r(ts)))[0])
+            assert reports[name].witness.ratio == (1.0 + ts[k]) / (1.0 - ts[k])
+
     def test_witnesses_violate_under_oracle(self):
         reports = {r.name: r for r in constants_report()}
         w = reports["blend_alpha"].witness

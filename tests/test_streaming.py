@@ -331,6 +331,37 @@ class TestRatioKernel:
         # q = t/arctan t is 1 + u·r(t) below the switch
         assert np.array_equal(q, np.where(small, 1.0 + u * series, t / np.arctan(t)))
 
+    def test_scalar_twin_takes_the_same_steps(self):
+        # means._ratio, behind the stdlib scans, is the kernel pass on one
+        # float: the series branch bit for bit, and the direct one too
+        # wherever math.atan and np.arctan round t/arctan t alike (q within
+        # 1 ulp everywhere)
+        t = np.concatenate([
+            [0.0], np.geomspace(1e-12, 0.5, 2_000), np.linspace(0.5, 1.0 - 1e-12, 2_000),
+            0.5 + np.arange(-8, 9) * np.spacing(0.5),
+        ])
+        bulk = kernels._ratio_kernel(t)
+        scalar = np.array([means._ratio(x) for x in t.tolist()]).T
+        series = t <= 0.5
+        for b, s in zip(bulk, scalar):
+            assert np.array_equal(b[series], s[series])
+        assert np.all(np.abs(bulk[2] - scalar[2]) <= np.spacing(bulk[2]))
+        same_q = bulk[2] == scalar[2]
+        assert np.count_nonzero(same_q & ~series) > 1_000
+        for b, s in zip(bulk, scalar):
+            assert np.array_equal(b[same_q], s[same_q])
+
+    @pytest.mark.parametrize(
+        "start, stop, num",
+        [(1e-8, 1e-2, 400), (1e-6, 1.0 - 1e-10, 2000), (1.5, 1e12, 1200), (1e-5, 1e8 - 1.0, 10**4)],
+    )
+    def test_stdlib_geomspace(self, start, stop, num):
+        # numpy's grid up to libm's rounding of 10**y: exact ends, inner
+        # points within 1 ulp
+        grid, ref = np.array(means._geomspace(start, stop, num)), np.geomspace(start, stop, num)
+        assert len(grid) == num and grid[0] == start and grid[-1] == stop
+        assert np.all(np.abs(grid - ref) <= np.spacing(ref))
+
     def test_scalar_and_shaped_input(self):
         grid = np.array([[0.1, 0.6], [0.3, 0.9]])
         parts = kernels._ratio_kernel(grid)
