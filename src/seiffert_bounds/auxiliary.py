@@ -62,6 +62,7 @@ written form of each branch, evaluated with ``math.atan`` on a float and
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Literal
@@ -101,9 +102,18 @@ def _gap_near(p, t, atan):
     return 4.0 * atan(s / (t + 1.0)) - 3.0 * s * (t + 1.0) / _quadratic_form(p, t)
 
 
-def _gap_far(p, t, atan):
+#: Beyond this t, t·t overflows.
+_SQUARE_MAX = math.sqrt(sys.float_info.max)
+
+
+def _gap_far(p, t, atan, huge=False):
     w = p * p - p + 1.0
     m = 1.0 + 2.0 * p * (1.0 - p)
+    if huge:
+        # numerator and Q(t) divided by t², where t·t would overflow; Q is
+        # symmetric, Q(t)/t² = Q(1/t)
+        s = 1.0 / t
+        return ((_PI * w - 3.0) + _PI * m * s + (_PI * w + 3.0) * (s * s)) / _quadratic_form(p, s) - 4.0 * atan(s)
     return ((_PI * w - 3.0) * t * t + _PI * m * t + (_PI * w + 3.0)) / _quadratic_form(p, t) - 4.0 * atan(1.0 / t)
 
 
@@ -167,20 +177,28 @@ class BlendGapFamily:
           gap = [(πw-3)t² + πm·t + (πw+3)]/Q - 4·arctan(1/t); the leading
           coefficient πw-3 vanishes at the sharp parameter, which removes the
           large-t cancellation exactly where the sign checks are hardest.
+          Beyond t ≈ 1.34e154, where t·t overflows, the numerator and Q are
+          both divided by t² first, so gap stays finite up to the largest
+          double.
         """
         if isinstance(t, float):
             return self._gap(t)
         t = np.asarray(t, dtype=float)
-        # the t >= 2 form everywhere, then the t < 2 entries overwritten
-        with np.errstate(divide="ignore", invalid="ignore"):
+        # the t >= 2 form everywhere, then the t < 2 entries and those whose
+        # square overflows overwritten
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             val = np.asarray(_gap_far(self.p, t, np.arctan))  # a 0-d t gives a numpy scalar
         small = t < 2.0
         val[small] = _gap_near(self.p, t[small], np.arctan)
+        huge = t > _SQUARE_MAX
+        val[huge] = _gap_far(self.p, t[huge], np.arctan, huge=True)
         return val
 
     def _gap(self, t: float) -> float:
         """gap at a float t in the branch :meth:`gap_values` picks, with math.atan."""
-        return (_gap_near if t < 2.0 else _gap_far)(self.p, t, math.atan)
+        if t < 2.0:
+            return _gap_near(self.p, t, math.atan)
+        return _gap_far(self.p, t, math.atan, t > _SQUARE_MAX)
 
     def gap(self, t: float) -> float:
         """gap(t) for scalar t > 1 (domain-checked)."""

@@ -64,40 +64,38 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 _SUITES = ("thm1", "thm2", "priors", "chain")
 #: The ordering chain's pairs stay within ratios of 1e6 whatever --ratio-max is.
 _CHAIN_RATIO_MAX = 1e6
+#: Each suite's public verifier in :mod:`seiffert_bounds.sharp`.
+_VERIFIERS = {
+    "thm1": "verify_blend_bounds",
+    "thm2": "verify_ratio_bounds",
+    "priors": "verify_prior_bounds",
+    "chain": "verify_ordering_chain",
+}
+
+
+def _keywords(name: str, args: argparse.Namespace) -> dict:
+    """The constants a suite checks: keywords of its verifier and of its row."""
+    if name == "thm1":
+        return {"alpha": sharp.blend_alpha_closed() + args.alpha_shift, "beta": 1.0 + args.beta_shift}
+    if name == "thm2":
+        return {"alpha1": sharp.RATIO_LOWER + args.alpha_shift, "beta1": sharp.RATIO_UPPER + args.beta_shift}
+    return {}
 
 
 def _run_suite(name: str, args: argparse.Namespace):
-    if name == "thm1":
-        alpha = sharp.blend_alpha_closed() + args.alpha_shift
-        return sharp.verify_blend_bounds(
-            args.samples, seed=args.seed, ratio_max=args.ratio_max,
-            alpha=alpha, beta=1.0 + args.beta_shift,
-        )
-    if name == "thm2":
-        return sharp.verify_ratio_bounds(
-            args.samples, seed=args.seed, ratio_max=args.ratio_max,
-            alpha1=sharp.RATIO_LOWER + args.alpha_shift, beta1=sharp.RATIO_UPPER + args.beta_shift,
-        )
-    if name == "priors":
-        return sharp.verify_prior_bounds(args.samples, seed=args.seed, ratio_max=args.ratio_max)
-    return sharp.verify_ordering_chain(
-        args.samples, seed=args.seed, ratio_max=min(args.ratio_max, _CHAIN_RATIO_MAX)
-    )
+    ratio_max = min(args.ratio_max, _CHAIN_RATIO_MAX) if name == "chain" else args.ratio_max
+    verify = getattr(sharp, _VERIFIERS[name])
+    return verify(args.samples, seed=args.seed, ratio_max=ratio_max, **_keywords(name, args))
 
 
-#: Samples per suite from which ``verify all`` runs its suites in lanes, one
-#: per CPU.  A lane costs a fork and a pipe, and its child warms up on its own.
-#: Measured as fresh ``verify all`` processes on a 2-core host (medians of 15
-#: alternating pairs): two lanes lose 6 ms at 2e4 and 5e4 samples, break even
-#: from 1e5 to 2e5, and win 1.05x at 2.6e5 (14 of 15 pairs), 1.11x at 5e5 and
-#: 1.22x at 1e6.  So smaller runs stay in one process.
+#: Samples per suite from which ``verify all`` makes one shared pass, in
+#: lanes split by sample range, one per CPU; below it each suite runs through
+#: its public verifier, one by one.  A lane costs a fork and a pipe, and its
+#: child warms up on its own.  Measured when lanes took whole suites, as fresh
+#: ``verify all`` processes on a 2-core host (medians of 15 alternating
+#: pairs): two lanes lost 6 ms at 2e4 and 5e4 samples, broke even from 1e5 to
+#: 2e5, and won 1.05x at 2.6e5 (14 of 15 pairs), 1.11x at 5e5 and 1.22x at 1e6.
 _LANE_MIN_SAMPLES = 1 << 18
-#: The order in which the suites are dealt round-robin to the lanes: the two
-#: costly suites, then the two cheap ones.  At 2e6 samples in one process
-#: priors takes about 76 ms, chain 67, thm2 and thm1 43 each; putting priors
-#: first would deal 2 or 4 CPUs the same lanes and 3 CPUs a longer longest
-#: lane (119 ms against 110).
-_COST_ORDER = ("chain", "priors", "thm2", "thm1")
 
 
 def _cpus() -> int:
@@ -110,32 +108,43 @@ def _cpus() -> int:
 
 
 def _run_suites(which: list[str], args: argparse.Namespace) -> list:
-    """Run the suites, in lanes when the run is large enough, else one by one.
+    """Run the suites: all four in one shared pass per lane when the run is
+    large enough, else one by one.
 
-    Lane 0 runs in this process and every other lane in a forked child, which
-    pickles its results, or the exception it raised, back through a pipe.  No
-    suite is split, so each result is the same bits as a serial run's.
+    The shared pass splits the samples into ``_BLOCK``-aligned ranges, one
+    per lane (:func:`sharp._lane_ranges`).  Each lane draws its range of the
+    ratio stream once, applies the thm1, thm2 and priors rows to every block
+    and runs the chain over the same range (:func:`sharp._lane`).  Lane 0
+    runs in this process and every other lane in a forked child, which
+    pickles its tallies, or the exception it raised, back through a pipe; the
+    tallies merge in range order into the same bits as a serial run's.
     """
     import os
 
-    lanes = min(len(which), _cpus())
-    if lanes < 2 or args.samples < _LANE_MIN_SAMPLES or not hasattr(os, "fork"):
+    if len(which) < 2 or args.samples < _LANE_MIN_SAMPLES:
         return [_run_suite(name, args) for name in which]
     import pickle
 
     from . import kernels  # loads numpy once, before the lanes fork, for all of them
 
-    dealt = [name for name in _COST_ORDER if name in which]
+    # built before any lane runs, so an invalid constant fails at once
+    rows = [sharp._ROWS[name](**_keywords(name, args)) for name in which if name != "chain"]
+
+    def lane(start: int, stop: int) -> list:
+        chain_ratio_max = min(args.ratio_max, _CHAIN_RATIO_MAX)
+        return sharp._lane(rows, args.seed, args.samples, args.ratio_max, chain_ratio_max, start, stop)
+
+    first, *rest = sharp._lane_ranges(args.samples, _cpus() if hasattr(os, "fork") else 1)
     children = []  # (pid, read end) per child lane
     try:
-        for lane in range(1, lanes):
+        for start, stop in rest:
             read_fd, write_fd = os.pipe()
             pid = os.fork()
             if pid == 0:
                 try:
                     os.close(read_fd)
                     try:
-                        payload = [_run_suite(name, args) for name in dealt[lane::lanes]]
+                        payload = lane(start, stop)
                     except BaseException as exc:
                         payload = exc
                     with os.fdopen(write_fd, "wb") as pipe:
@@ -144,13 +153,13 @@ def _run_suites(which: list[str], args: argparse.Namespace) -> list:
                     os._exit(0)
             os.close(write_fd)
             children.append((pid, os.fdopen(read_fd, "rb")))
-        results = [_run_suite(name, args) for name in dealt[0::lanes]]
+        lanes = [lane(*first)]
         for _, pipe in children:
             payload = pickle.load(pipe)
             if isinstance(payload, BaseException):
                 raise payload
-            results += payload
-        return results
+            lanes.append(payload)
+        return sharp._finish_lanes(rows, lanes)
     finally:
         for pid, pipe in children:
             pipe.close()

@@ -37,29 +37,41 @@ chain (which draws its own pairs) samples exactly
 ``sample_ratios(default_rng(seed), samples, ratio_max)``, so no reported ratio
 leaves (1, ratio_max].
 
-The four suites stream through one engine (``_sweep``): ratios are drawn,
-checked and reduced in blocks of ``_BLOCK`` samples, so memory is O(block)
-and time linear in the sample count.  The streaming contract:
+Each suite is a row (``_Row``): a block function that names its margins,
+its folds (the reported minima and maxima) and its checks, the raw-mean
+comparison among them, over one block.  The engine streams rows through
+blocks of ``_BLOCK`` samples, so memory is O(block) and time linear in the
+sample count, in three steps: ``_reduce`` turns a range of the samples into
+one partial ``_Tally`` (count, extrema, witness) per row, ``_Tally.merge``
+joins the tallies of consecutive ranges, and ``_Row.finish`` turns a tally
+into the suite's :class:`VerificationResult`.  The streaming contract:
 
 * the blocks continue one random stream, so a suite sees exactly the samples
-  of one full-length draw, whatever the block size;
+  of one full-length draw, whatever the block size or the range split (each
+  ratio takes one draw, so a range starts by advancing the generator);
 * every reduction keeps the first occurrence (minima, maxima, the first
-  violation of each check), so the report equals that of a single unblocked
-  scan, bit for bit;
+  violation of each check, and the lowest-ranked check that fired), so the
+  report equals that of a single unblocked scan, bit for bit;
 * each block's work is done once: one profile (A, t) and one r(t) kernel
   pass, which gives t², the margins and q = t/arctan t; the raw-mean check builds
   every mean of the pair (x, 1) from them, the Seiffert mean as A·q.
 
-Each sweep writes its blocks into one workspace of block-sized rows, made
-per call and reused by every block (see ``_BLOCK``): the heap is not
+A public ``verify_*`` is one row over the whole stream.  ``verify all`` at
+scale makes one shared pass instead (``_lane``): over each lane's range, the
+thm1, thm2 and priors rows all read one draw and one kernel pass per block in
+place, then the chain runs over the same range, and the lanes' tallies merge
+in range order into the same reports.
+
+Every pass writes its blocks into one workspace of block-sized rows, made per
+call and reused by every block and every row (see ``_BLOCK``): the heap is not
 re-faulted block by block.  All functions are pure.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from . import _OnFirstUse
@@ -188,10 +200,16 @@ def _check_chain_range(ratio_max: float) -> None:
         raise DomainError(f"ratio_max must exceed 1 + 2e-5 for the ordering chain, got {ratio_max}")
 
 
-def _rng(seed: int) -> np.random.Generator:
+def _check_seed(seed: int) -> None:
     if seed < 0:
         raise DomainError(f"seed must be >= 0, got {seed}")
-    return np.random.default_rng(seed)
+
+
+def _rng(seed: int, skip: int = 0) -> np.random.Generator:
+    """``default_rng(seed)`` advanced past its first ``skip`` draws."""
+    rng = np.random.default_rng(seed)
+    rng.bit_generator.advance(skip)
+    return rng
 
 
 def _boundary_points(ratio_max: float) -> np.ndarray:
@@ -272,6 +290,12 @@ class VerificationResult:
 #: raised the probe workload's peak RSS by 1.8 MB.  See ``BENCH_10.json``.
 _BLOCK = 16_000
 
+#: The kernel rows of a shared block, after x and t, by name: t², r, 1/3 - r and q.
+_SHARED = ("tt", "r", "upper", "q")
+#: Float and bool rows of one lane's pool: the shared block and the scratch of
+#: the widest row (priors' six); the chain's ten float rows reuse it after.
+_POOL = (12, 2)
+
 
 def _workspace(size: int, floats: int, flags: int) -> tuple[list, list]:
     """``floats`` float64 and ``flags`` bool rows of ``size`` for one sweep.
@@ -282,27 +306,27 @@ def _workspace(size: int, floats: int, flags: int) -> tuple[list, list]:
     return [np.empty(size) for _ in range(floats)], [np.empty(size, dtype=bool) for _ in range(flags)]
 
 
-def _ratio_blocks(seed: int, n: int, ratio_max: float, floats: int, flags: int):
-    """Blocks ``(x, t, rows, flags)`` of the stream ``sample_ratios(default_rng(seed), n, ratio_max)``.
+def _ratio_blocks(seed: int, n: int, ratio_max: float, start: int, stop: int, work: list, bits: list):
+    """Blocks ``(x, t, shared, pool, flags)`` of samples [start, stop) of the
+    stream ``sample_ratios(default_rng(seed), n, ratio_max)``.
 
-    Every block is written into one workspace, made here for the whole sweep:
-    x, t, ``floats`` float rows and ``flags`` bool rows for the suite's own
-    arrays (the first float row is scratch for t), each cut to the block's
-    length, so no block allocates a block-sized array.
+    Each ratio takes one draw, so the generator starts ``start`` draws in, and
+    the block that ends the stream carries the boundary points.  Every block
+    is written into the rows of ``work`` and ``bits``, cut to its length: x,
+    t, the ``shared`` kernel rows (t², r, 1/3 - r, q), one kernel pass over
+    the block, and the rest as the ``pool`` of scratch rows.
 
     t is bit for bit the profile t of the pair (x, 1) (the profile's halvings
     are exact), so the raw-mean checks may build means of (x, 1) from it.
     """
-    rng = _rng(seed)
-    _check_range(n, ratio_max)
-    # the last block also carries the boundary points
-    work, bits = _workspace(min(n, _BLOCK) + len(_boundary_points(ratio_max)), 2 + floats, flags)
-    for start in range(0, n, _BLOCK):
-        x = sample_ratios(rng, min(_BLOCK, n - start), ratio_max, start + _BLOCK >= n, _out=work[0])
-        t, *rows = (row[: len(x)] for row in work[1:])
+    rng = _rng(seed, start)
+    for lo in range(start, stop, _BLOCK):
+        x = sample_ratios(rng, min(_BLOCK, stop - lo), ratio_max, lo + _BLOCK >= n, _out=work[0])
+        t, tt, r, upper, q, *pool = (row[: len(x)] for row in work[1:])
         np.subtract(x, 1.0, out=t)
-        t /= np.add(x, 1.0, out=rows[0])
-        yield x, t, rows, [row[: len(x)] for row in bits]
+        t /= np.add(x, 1.0, out=tt)
+        r, upper, q = _ratio_kernel(t, out=(tt, r, upper, q))
+        yield x, t, (tt, r, upper, q), pool, [row[: len(x)] for row in bits]
 
 
 def _first(flags: np.ndarray, value: bool = True) -> int | None:
@@ -371,38 +395,268 @@ def _raw_mean_witness(x, t, lo, mid, hi, flags) -> dict | None:
     return _mean_side_witness(float(x[k]), "upper", float(mid[k]), float(hi[k]))
 
 
-def _sweep(suite: str, blocks, stats=lambda best: {}) -> VerificationResult:
-    """Reduce a stream of ``(x, folds, checks)`` blocks to one suite result.
+class _Tally:
+    """The partial result of one suite over one range of its samples.
 
-    ``folds`` maps a name to ``(values, np.argmin | np.argmax)``; across blocks
-    only the first-occurrence extremum and its ratio are kept, as one pick
-    over the whole sample would give them (NaN included).  ``folds["left"]``
-    and ``folds["right"]`` are the reported slacks; ``stats`` turns the other
-    ``name -> (value, ratio)`` extrema into report fields.  ``checks`` are
-    callables returning the witness of their first violation in the block or
-    None.  An earlier check outranks a later one wherever the two fire, and
-    within a check the earlier sample wins, so once a check has fired neither
-    it nor any later check runs again.  A block's folds are taken before its
-    checks run, in order, so a check may overwrite the arrays that the folds
-    and the checks before it read.
+    ``n`` counts the samples; ``best`` maps each fold to its first-occurrence
+    extremum ``(value, ratio)``, picked by ``picks[name]`` (``np.argmin`` or
+    ``np.argmax``), NaN included; ``found`` is ``(rank, witness)`` of the
+    highest-ranked check that fired, or None.  Tallies of consecutive ranges
+    merge into the tally of their union, bit for bit.
     """
-    n, best, found = 0, {}, None
-    for x, folds, checks in blocks:
-        n += len(x)
-        for key, (vals, pick) in folds.items():
+
+    def __init__(self) -> None:
+        self.n, self.best, self.picks, self.found = 0, {}, {}, None
+
+    def _keep(self, name: str, value: float, ratio: float, pick) -> None:
+        # a later candidate replaces the kept one only where pick((kept,
+        # value)) would choose it: the kept value is no NaN, and the candidate
+        # is a NaN or strictly better
+        kept = self.best[name][0] if name in self.best else None
+        if kept is None or kept == kept and (value != value or (value < kept if pick is np.argmin else value > kept)):
+            self.best[name] = (value, ratio)
+        self.picks[name] = pick
+
+    def add(self, x, folds: dict, checks) -> None:
+        """Reduce one block of ratios ``x``.
+
+        ``folds`` maps a name to ``(values, pick)``.  ``checks`` are callables
+        returning the witness of their first violation in the block or None.
+        An earlier check outranks a later one wherever the two fire, and
+        within a check the earlier sample wins, so once a check has fired
+        neither it nor any later check runs again.  The folds are taken
+        before the checks run, in order, so a check may overwrite the arrays
+        that the folds and the checks before it read.
+        """
+        self.n += len(x)
+        for name, (vals, pick) in folds.items():
             k = int(pick(vals))
-            if key not in best or pick((best[key][0], vals[k])) == 1:
-                best[key] = (float(vals[k]), float(x[k]))
-        for rank, check in enumerate(checks[: len(checks) if found is None else found[0]]):
+            self._keep(name, float(vals[k]), float(x[k]), pick)
+        for rank, check in enumerate(checks[: len(checks) if self.found is None else self.found[0]]):
             witness = check()
             if witness is not None:
-                found = (rank, witness)
+                self.found = (rank, witness)
                 break
-    (left, arg_left), (right, arg_right) = best.pop("left"), best.pop("right")
-    witness = None if found is None else found[1]
-    return VerificationResult(
-        suite, witness is None, n, left, right, arg_left, arg_right, witness, stats(best)
-    )
+
+    def merge(self, later: "_Tally") -> "_Tally":
+        """Fold in the tally of the range right after this one; returns self.
+
+        The earlier extremum stays on a tie and the lower-ranked check wins,
+        the earlier range on a tie, as one scan over both ranges would give.
+        """
+        self.n += later.n
+        for name, (value, ratio) in later.best.items():
+            self._keep(name, value, ratio, later.picks[name])
+        if later.found is not None and (self.found is None or later.found[0] < self.found[0]):
+            self.found = later.found
+        return self
+
+
+class _Row:
+    """One suite as a row of a pass over a block stream.
+
+    ``block(*blk)`` takes a block of the stream (for the ratio suites
+    ``x, t, shared, pool, flags``: it reads x, t and the shared kernel rows
+    in place and writes only into its first ``scratch`` rows of ``pool`` and
+    into ``flags``) and returns the block's ``(folds, checks)`` for
+    :meth:`_Tally.add`.  ``folds["left"]`` and ``folds["right"]`` are the
+    reported slacks; ``stats`` turns the other ``name -> (value, ratio)``
+    extrema into report fields.
+
+    ``alone`` names, for each pool row, the shared row (of ``_SHARED``) that
+    takes its place when the row runs alone, or None for a row of its own:
+    the row writes such a pool row only once it reads that shared row no
+    more, so a single suite needs no more rows than its own arithmetic.
+    """
+
+    def __init__(self, suite: str, alone: tuple, block: Callable, stats: Callable = lambda best: {}) -> None:
+        self.suite, self.alone, self.block, self.stats = suite, alone, block, stats
+
+    @property
+    def scratch(self) -> int:
+        return len(self.alone)
+
+    def finish(self, tally: _Tally) -> VerificationResult:
+        best = dict(tally.best)
+        (left, arg_left), (right, arg_right) = best.pop("left"), best.pop("right")
+        witness = None if tally.found is None else tally.found[1]
+        return VerificationResult(
+            self.suite, witness is None, tally.n, left, right, arg_left, arg_right, witness, self.stats(best)
+        )
+
+
+def _reduce(rows, blocks) -> list[_Tally]:
+    """One tally per row over ``blocks``: every row takes each block in turn."""
+    tallies = [_Tally() for _ in rows]
+    for blk in blocks:
+        for row, tally in zip(rows, tallies):
+            tally.add(blk[0], *row.block(*blk))
+    return tallies
+
+
+def _verify(row: _Row, samples: int, seed: int, ratio_max: float) -> VerificationResult:
+    """``row`` alone over the whole stream: its pool takes the shared rows
+    named in ``row.alone`` and a row of its own for each None."""
+    _check_seed(seed)
+    _check_range(samples, ratio_max)
+    size = min(samples, _BLOCK) + len(_boundary_points(ratio_max))
+    work, bits = _workspace(size, 2 + len(_SHARED) + row.alone.count(None), 2)
+
+    def alone(x, t, shared, own, flags):
+        own = iter(own)
+        pool = [next(own) if name is None else shared[_SHARED.index(name)] for name in row.alone]
+        return x, t, shared, pool, flags
+
+    blocks = (alone(*blk) for blk in _ratio_blocks(seed, samples, ratio_max, 0, samples, work, bits))
+    tally, = _reduce([row], blocks)
+    return row.finish(tally)
+
+
+def _blend_row(alpha: float | None = None, beta: float = 1.0) -> _Row:
+    """thm1: (2α-1)²/3 < r(t) < (2β-1)²/3, and blend(α) < seiffert < blend(β) in raw doubles."""
+    alpha = blend_alpha_closed() if alpha is None else float(alpha)
+    for name, val in (("alpha", alpha), ("beta", beta)):
+        if not (math.isfinite(val) and 0.5 <= val <= 1.0):
+            raise DomainError(f"{name} must lie in [1/2, 1], got {val!r}")
+    lo_const = (2.0 * alpha - 1.0) ** 2 / 3.0
+    hi_const = (2.0 * beta - 1.0) ** 2 / 3.0
+
+    def block(x, t, shared, pool, flags):
+        # alone, pool[0] to pool[3] are r, 1/3 - r, t² and q: the right
+        # margin reads r before the left one takes its row
+        _, r, upper, q = shared
+        right = upper if beta == 1.0 else np.subtract(hi_const, r, out=pool[1])
+        left = np.subtract(r, lo_const, out=pool[0])
+
+        def means_at(k, side):
+            am = x[k] * 0.5 + 0.5
+            blend = float(am * kernels._blend_factor(alpha if side == "lower" else beta, t[k]))
+            seif = float(am * q[k])
+            return (blend, seif) if side == "lower" else (seif, blend)
+
+        def raw_means():
+            # the margins are spent by now (see _Tally.add): their rows hold
+            # the means, and the Seiffert mean takes q's
+            arith = _half_sum(x, pool[0])
+            lo_mean = kernels._blend_factor(alpha, t, pool[1])
+            lo_mean *= arith
+            hi_mean = kernels._blend_factor(beta, t, pool[2])
+            hi_mean *= arith
+            return _raw_mean_witness(x, t, lo_mean, np.multiply(arith, q, out=pool[3]), hi_mean, flags)
+
+        folds = {"left": (left, np.argmin), "right": (right, np.argmin)}
+        return folds, (lambda: _margin_witness(x, left, right, means_at, flags), raw_means)
+
+    return _Row("thm1", ("r", "upper", "tt", "q"), block)
+
+
+def _ratio_row(alpha1: float | None = None, beta1: float | None = None) -> _Row:
+    """thm2: α₁ < r(t) < β₁, and α₁C + (1-α₁)A < seiffert < β₁C + (1-β₁)A in raw doubles."""
+    alpha1 = RATIO_LOWER if alpha1 is None else float(alpha1)
+    beta1 = RATIO_UPPER if beta1 is None else float(beta1)
+    for name, val in (("alpha1", alpha1), ("beta1", beta1)):
+        if not math.isfinite(val):
+            raise DomainError(f"{name} must be finite, got {val!r}")
+
+    def block(x, t, shared, pool, flags):
+        # alone, pool[1] to pool[3] are 1/3 - r, r and t²: r outlives the
+        # margin check, and t² the contra-harmonic mean
+        tt, r, upper, q = shared
+        left = np.subtract(r, alpha1, out=pool[0])
+        right = upper if beta1 == RATIO_UPPER else np.subtract(beta1, r, out=pool[1])
+
+        def raw_means():
+            # the margins are spent by now (see _Tally.add): their rows hold
+            # the means, and the Seiffert mean takes the contra-harmonic one's
+            arith = _half_sum(x, pool[0])
+            contra = kernels._contra_harmonic_factor(tt, pool[1])
+            contra *= arith
+            lo_mean = _mix(alpha1, contra, arith, pool[2], pool[3])
+            hi_mean = _mix(beta1, contra, arith, pool[3], pool[4])
+            return _raw_mean_witness(x, t, lo_mean, np.multiply(arith, q, out=pool[1]), hi_mean, flags)
+
+        folds = {
+            "left": (left, np.argmin),
+            "right": (right, np.argmin),
+            "inf": (r, np.argmin),
+            "sup": (r, np.argmax),
+        }
+        at = lambda k, side: (float(r[k]), alpha1 if side == "lower" else beta1)  # noqa: E731
+        return folds, (lambda: _margin_witness(x, left, right, at, flags), raw_means)
+
+    def stats(best):
+        (inf, arg_inf), (sup, arg_sup) = best["inf"], best["sup"]
+        return {"inf": inf, "sup": sup, "arg_inf": arg_inf, "arg_sup": arg_sup}
+
+    return _Row("thm2", (None, "upper", "r", "tt", None), block, stats)
+
+
+# Prior sharp constants regression-checked against the same mean stack:
+#   alpha_S·S + (1-alpha_S)·A < T < (2/3)·S + (1/3)·A
+#   C(alpha_2-blend) < T < C(beta_2-blend)
+_PRIOR_ALPHA_S = (4.0 - math.pi) / ((math.sqrt(2.0) - 1.0) * math.pi)
+_PRIOR_BETA_S = 2.0 / 3.0
+_PRIOR_ALPHA_2 = 0.5 * (1.0 + math.sqrt(4.0 / math.pi - 1.0))
+_PRIOR_BETA_2 = (3.0 + math.sqrt(3.0)) / 6.0
+_PRIOR_NAMES = ("lower_S_combination", "upper_S_combination", "lower_C_blend", "upper_C_blend")
+
+
+def _prior_block(x, t, shared, pool, flags):
+    """The priors row's block: four named margins, then one raw-mean check."""
+    tt, r, upper, q = shared
+    u, lower_s, upper_s, lower_c, left, right = pool[:6]
+    kernels._root_square_factor(tt, u)
+    np.add(u, 1.0, out=upper_s)
+    np.subtract(r, np.divide(_PRIOR_ALPHA_S, upper_s, out=lower_s), out=lower_s)
+    # (2/3)/(1+u) - r, written against the stable upper margin as
+    # 1/3 - r - t²/(3(1+u)²):
+    upper_s *= upper_s
+    upper_s *= 3.0
+    np.subtract(upper, np.divide(tt, upper_s, out=upper_s), out=upper_s)
+    # (2·alpha_2-1)² = 4/π-1 and (2·beta_2-1)² = (sqrt(3)/3)² = 1/3
+    # exactly, so the C-blend margins coincide with the ratio margins
+    # (float-squaring the constants would only inject ulp noise at the
+    # sharp ends).
+    np.subtract(r, RATIO_LOWER, out=lower_c)
+    margins = (lower_s, upper_s, lower_c, upper)
+
+    def margin(name, vals):
+        k = _first(np.less_equal(vals, 0.0, out=flags[0]))
+        return None if k is None else _mean_side_witness(float(x[k]), name, float(vals[k]), 0.0)
+
+    def raw_means():
+        # the margins are spent by now (see _Tally.add): their rows hold the
+        # means, the root-square mean in the place of u
+        arith = _half_sum(x, left)
+        seif = np.multiply(arith, q, out=right)
+        rootsq = np.multiply(arith, u, out=u)
+        v, w = lower_s, upper_s
+        ok, spare = flags
+        np.less(_mix(_PRIOR_ALPHA_S, rootsq, arith, v, w), seif, out=ok)
+        ok &= np.less(seif, _mix(_PRIOR_BETA_S, rootsq, arith, v, w), out=spare)
+        # the blended pairs round differently from (x, 1), so they keep
+        # their own profile, in the rows of u and lower_c
+        for p, below in ((_PRIOR_ALPHA_2, True), (_PRIOR_BETA_2, False)):
+            pa = np.multiply(x, p, out=v)
+            pa += 1.0 - p
+            pb = np.multiply(x, 1.0 - p, out=w)
+            pb += p
+            blend_am, blend_t = kernels._profile(pa, pb, out=(u, lower_c))
+            contra = kernels._contra_harmonic_factor(np.multiply(blend_t, blend_t, out=blend_t), blend_t)
+            contra *= blend_am
+            ok &= np.less(contra, seif, out=spare) if below else np.less(seif, contra, out=spare)
+        k = _first_raw_failure(ok, t, spare)
+        return None if k is None else _mean_side_witness(float(x[k]), "raw-mean", float(seif[k]), 0.0)
+
+    folds = {name: (vals, np.argmin) for name, vals in zip(_PRIOR_NAMES, margins)}
+    folds["left"] = (np.minimum(lower_s, lower_c, out=left), np.argmin)
+    folds["right"] = (np.minimum(upper_s, upper, out=right), np.argmin)
+    checks = [functools.partial(margin, name, vals) for name, vals in zip(_PRIOR_NAMES, margins)]
+    return folds, (*checks, raw_means)
+
+
+#: The priors row: it takes no parameters.
+_PRIORS = _Row("priors", (None,) * 6, _prior_block, lambda best: {name: best[name][0] for name in _PRIOR_NAMES})
 
 
 def verify_blend_bounds(
@@ -420,40 +674,7 @@ def verify_blend_bounds(
     values attached; shifting α above the sharp constant is expected to fail
     at large ratios, shifting β below 1 near the diagonal.
     """
-    alpha = blend_alpha_closed() if alpha is None else float(alpha)
-    for name, val in (("alpha", alpha), ("beta", beta)):
-        if not (math.isfinite(val) and 0.5 <= val <= 1.0):
-            raise DomainError(f"{name} must lie in [1/2, 1], got {val!r}")
-    lo_const = (2.0 * alpha - 1.0) ** 2 / 3.0
-    hi_const = (2.0 * beta - 1.0) ** 2 / 3.0
-
-    def block(x, t, rows, flags):
-        tt, r, upper, q = rows
-        r, upper, q = _ratio_kernel(t, out=(tt, r, upper, q))
-        # the margins take the place of r and 1/3 - r, which thm1 needs no further
-        right = upper if beta == 1.0 else np.subtract(hi_const, r, out=upper)
-        left = np.subtract(r, lo_const, out=r)
-
-        def means_at(k, side):
-            am = x[k] * 0.5 + 0.5
-            blend = float(am * kernels._blend_factor(alpha if side == "lower" else beta, t[k]))
-            seif = float(am * q[k])
-            return (blend, seif) if side == "lower" else (seif, blend)
-
-        def raw_means():
-            # t² and the margins are spent by now (see _sweep): their rows
-            # hold the means, and the Seiffert mean takes q's
-            arith = _half_sum(x, tt)
-            lo_mean = kernels._blend_factor(alpha, t, left)
-            lo_mean *= arith
-            hi_mean = kernels._blend_factor(beta, t, right)
-            hi_mean *= arith
-            return _raw_mean_witness(x, t, lo_mean, np.multiply(arith, q, out=q), hi_mean, flags)
-
-        folds = {"left": (left, np.argmin), "right": (right, np.argmin)}
-        return x, folds, (lambda: _margin_witness(x, left, right, means_at, flags), raw_means)
-
-    return _sweep("thm1", itertools.starmap(block, _ratio_blocks(seed, samples, ratio_max, 4, 2)))
+    return _verify(_blend_row(alpha, beta), samples, seed, ratio_max)
 
 
 def verify_ratio_bounds(
@@ -469,44 +690,7 @@ def verify_ratio_bounds(
     Reports the observed infimum/supremum, which approach 4/π-1 and 1/3
     monotonically from inside as the sampling reaches t → 1⁻ and t → 0⁺.
     """
-    alpha1 = RATIO_LOWER if alpha1 is None else float(alpha1)
-    beta1 = RATIO_UPPER if beta1 is None else float(beta1)
-    for name, val in (("alpha1", alpha1), ("beta1", beta1)):
-        if not math.isfinite(val):
-            raise DomainError(f"{name} must be finite, got {val!r}")
-
-    def block(x, t, rows, flags):
-        tt, r, upper, q, left, spare = rows
-        r, upper, q = _ratio_kernel(t, out=(tt, r, upper, q))
-        np.subtract(r, alpha1, out=left)
-        # the upper margin takes the place of 1/3 - r when beta1 moves
-        right = upper if beta1 == RATIO_UPPER else np.subtract(beta1, r, out=upper)
-
-        def raw_means():
-            # r and the margins are spent by now (see _sweep): their rows hold
-            # the means, the contra-harmonic mean takes t²'s and the Seiffert
-            # mean q's
-            arith = _half_sum(x, left)
-            contra = kernels._contra_harmonic_factor(tt, tt)
-            contra *= arith
-            lo_mean = _mix(alpha1, contra, arith, r, spare)
-            hi_mean = _mix(beta1, contra, arith, upper, spare)
-            return _raw_mean_witness(x, t, lo_mean, np.multiply(arith, q, out=q), hi_mean, flags)
-
-        folds = {
-            "left": (left, np.argmin),
-            "right": (right, np.argmin),
-            "inf": (r, np.argmin),
-            "sup": (r, np.argmax),
-        }
-        at = lambda k, side: (float(r[k]), alpha1 if side == "lower" else beta1)  # noqa: E731
-        return x, folds, (lambda: _margin_witness(x, left, right, at, flags), raw_means)
-
-    def stats(best):
-        (inf, arg_inf), (sup, arg_sup) = best["inf"], best["sup"]
-        return {"inf": inf, "sup": sup, "arg_inf": arg_inf, "arg_sup": arg_sup}
-
-    return _sweep("thm2", itertools.starmap(block, _ratio_blocks(seed, samples, ratio_max, 6, 2)), stats)
+    return _verify(_ratio_row(alpha1, beta1), samples, seed, ratio_max)
 
 
 def ratio_grid_scan(n: int = 10**6, t_min: float = 1e-7, t_max: float = 1.0 - 1e-7) -> dict:
@@ -526,15 +710,6 @@ def ratio_grid_scan(n: int = 10**6, t_min: float = 1e-7, t_max: float = 1.0 - 1e
         "monotone_decreasing": bool(np.all(diffs < 0.0)),
         "n": n,
     }
-
-
-# Prior sharp constants regression-checked against the same mean stack:
-#   alpha_S·S + (1-alpha_S)·A < T < (2/3)·S + (1/3)·A
-#   C(alpha_2-blend) < T < C(beta_2-blend)
-_PRIOR_ALPHA_S = (4.0 - math.pi) / ((math.sqrt(2.0) - 1.0) * math.pi)
-_PRIOR_BETA_S = 2.0 / 3.0
-_PRIOR_ALPHA_2 = 0.5 * (1.0 + math.sqrt(4.0 / math.pi - 1.0))
-_PRIOR_BETA_2 = (3.0 + math.sqrt(3.0)) / 6.0
 
 
 def verify_prior_bounds(
@@ -557,64 +732,82 @@ def verify_prior_bounds(
     A witness names the first margin, in the order above, that went
     non-positive anywhere, and else the raw-mean check.
     """
-    names = ("lower_S_combination", "upper_S_combination", "lower_C_blend", "upper_C_blend")
+    return _verify(_PRIORS, samples, seed, ratio_max)
 
-    def block(x, t, rows, flags):
-        tt, r, upper, q, u, lower_s, upper_s, lower_c, left, right = rows
-        r, upper, q = _ratio_kernel(t, out=(tt, r, upper, q))
-        kernels._root_square_factor(tt, u)
-        np.add(u, 1.0, out=upper_s)
-        np.subtract(r, np.divide(_PRIOR_ALPHA_S, upper_s, out=lower_s), out=lower_s)
-        # (2/3)/(1+u) - r, written against the stable upper margin as
-        # 1/3 - r - t²/(3(1+u)²):
-        upper_s *= upper_s
-        upper_s *= 3.0
-        np.subtract(upper, np.divide(tt, upper_s, out=upper_s), out=upper_s)
-        # (2·alpha_2-1)² = 4/π-1 and (2·beta_2-1)² = (sqrt(3)/3)² = 1/3
-        # exactly, so the C-blend margins coincide with the ratio margins
-        # (float-squaring the constants would only inject ulp noise at the
-        # sharp ends).
-        np.subtract(r, RATIO_LOWER, out=lower_c)
-        margins = (lower_s, upper_s, lower_c, upper)
 
-        def margin(name, vals):
-            k = _first(np.less_equal(vals, 0.0, out=flags[0]))
-            return None if k is None else _mean_side_witness(float(x[k]), name, float(vals[k]), 0.0)
+#: The scales k of the ordering chain's pairs (x·k, k) are log-uniform here.
+_CHAIN_LOG_K = (math.log(1e-3), math.log(1e3))
 
-        def raw_means():
-            # the rows of r, t² and the margins are spent by now (see _sweep)
-            am, v, w, am2, t2 = r, tt, lower_s, upper_s, lower_c
-            arith = _half_sum(x, am)
-            # the Seiffert and root-square means, in the place of q and u
-            seif = np.multiply(arith, q, out=q)
-            rootsq = np.multiply(arith, u, out=u)
-            ok, spare = flags
-            np.less(_mix(_PRIOR_ALPHA_S, rootsq, arith, v, w), seif, out=ok)
-            ok &= np.less(seif, _mix(_PRIOR_BETA_S, rootsq, arith, v, w), out=spare)
-            # the blended pairs round differently from (x, 1), so they keep
-            # their own profile
-            for p, below in ((_PRIOR_ALPHA_2, True), (_PRIOR_BETA_2, False)):
-                pa = np.multiply(x, p, out=v)
-                pa += 1.0 - p
-                pb = np.multiply(x, 1.0 - p, out=w)
-                pb += p
-                blend_am, blend_t = kernels._profile(pa, pb, out=(am2, t2))
-                contra = kernels._contra_harmonic_factor(np.multiply(blend_t, blend_t, out=blend_t), blend_t)
-                contra *= blend_am
-                ok &= np.less(contra, seif, out=spare) if below else np.less(seif, contra, out=spare)
-            k = _first_raw_failure(ok, t, spare)
-            return None if k is None else _mean_side_witness(float(x[k]), "raw-mean", float(seif[k]), 0.0)
 
-        folds = {name: (vals, np.argmin) for name, vals in zip(names, margins)}
-        folds["left"] = (np.minimum(lower_s, lower_c, out=left), np.argmin)
-        folds["right"] = (np.minimum(upper_s, upper, out=right), np.argmin)
-        checks = [functools.partial(margin, name, vals) for name, vals in zip(names, margins)]
-        return x, folds, (*checks, raw_means)
+def _chain_blocks(seed: int, samples: int, ratio_max: float, start: int, stop: int, work: list, bits: list):
+    """Blocks ``(x, k, rows, flags)`` of the ordering chain's pairs [start, stop).
 
-    blocks = _ratio_blocks(seed, samples, ratio_max, 10, 2)
-    return _sweep(
-        "priors", itertools.starmap(block, blocks), lambda best: {name: best[name][0] for name in names}
-    )
+    One stream holds every x and then every k; a second generator, advanced
+    past the x draws, reads the k draws block by block alongside.  k is
+    drawn as numpy's ``uniform`` draws it, low + (high - low)·random, but
+    into its row.
+    """
+    log_lo = math.log(_CHAIN_RATIO_FLOOR)
+    log_span = math.log(ratio_max) - log_lo
+    k_lo, k_hi = _CHAIN_LOG_K
+    rng_x, rng_k = _rng(seed, start), _rng(seed, samples + start)
+    for lo in range(start, stop, _BLOCK):
+        m = min(_BLOCK, stop - lo)
+        x, k, *rows = (row[:m] for row in work)
+        rng_x.random(out=x)
+        x *= log_span
+        x += log_lo
+        np.exp(x, out=x)
+        rng_k.random(out=k)
+        k *= k_hi - k_lo
+        k += k_lo
+        np.exp(k, out=k)
+        yield x, k, rows, [row[:m] for row in bits]
+
+
+def _chain_block(x, k, rows, flags):
+    """The chain's block: the slack minima of its ordering, and its one check."""
+    a, g, am, t, tt, r, upper, q = rows[:8]
+    # the pair is (a, b) = (x·k, k); G first, as the profile overwrites a,
+    # with r and the first flag row, free until the kernel, as scratch
+    g = kernels._geometric(np.multiply(x, k, out=a), k, g, r, flags[0])
+    am, t = kernels._profile(a, k, out=(am, t))
+    tm = _ratio_kernel(t, out=(tt, r, upper, q))[2]
+    tm *= am
+    # the other means take the rows of a, t and 1/3 - r, spent by now
+    cb = kernels._centroidal_factor(tt, a)
+    cb *= am
+    s = kernels._root_square_factor(tt, t)
+    s *= am
+    c = kernels._contra_harmonic_factor(tt, upper)
+    c *= am
+    # the two minimum slacks, with r as scratch: A - G, Cbar - A, T - A ...
+    left = np.subtract(am, g, out=g)
+    np.minimum(left, np.subtract(cb, am, out=r), out=left)
+    np.minimum(left, np.subtract(tm, am, out=r), out=left)
+    # ... and S - Cbar, C - S, S - T
+    right = np.subtract(s, cb, out=cb)
+    np.minimum(right, np.subtract(c, s, out=c), out=right)
+    np.minimum(right, np.subtract(s, tm, out=c), out=right)
+    # every comparison holds iff both minima are positive (for doubles,
+    # p < q iff q - p > 0, and a NaN fails both forms)
+    ok, spare = flags
+    np.greater(left, 0.0, out=ok)
+    ok &= np.greater(right, 0.0, out=spare)
+
+    def ordering():
+        j = _first(ok, False)
+        return None if j is None else _mean_side_witness(float(x[j]), "chain", float(x[j] * k[j]), float(k[j]))
+
+    # relative slacks; dividing by am > 0 after the minimum rounds the same
+    # as dividing each slack first (rounding is monotone)
+    left /= am
+    right /= am
+    return {"left": (left, np.argmin), "right": (right, np.argmin)}, (ordering,)
+
+
+#: The ordering chain as a row over its own pairs: x, k and eight rows.
+_CHAIN = _Row("chain", (None,) * 8, _chain_block)
 
 
 def verify_ordering_chain(
@@ -633,66 +826,49 @@ def verify_ordering_chain(
     """
     _check_range(samples, ratio_max)
     _check_chain_range(ratio_max)
-    log_lo, log_span = math.log(_CHAIN_RATIO_FLOOR), math.log(ratio_max) - math.log(_CHAIN_RATIO_FLOOR)
+    _check_seed(seed)
+    work = _workspace(min(samples, _BLOCK), 2 + _CHAIN.scratch, 2)
+    tally, = _reduce([_CHAIN], _chain_blocks(seed, samples, ratio_max, 0, samples, *work))
+    return _CHAIN.finish(tally)
 
-    def draws():
-        # one stream holds every x and then every k; a copy of the generator
-        # advanced past the x draws reads the k draws block by block alongside
-        rng_x = _rng(seed)
-        rng_k = _rng(seed)
-        rng_k.bit_generator.advance(samples)
-        work, bits = _workspace(min(samples, _BLOCK), 10, 2)
-        for start in range(0, samples, _BLOCK):
-            m = min(_BLOCK, samples - start)
-            x, k, *rows = (row[:m] for row in work)
-            rng_x.random(out=x)
-            x *= log_span
-            x += log_lo
-            np.exp(x, out=x)
-            np.exp(rng_k.uniform(math.log(1e-3), math.log(1e3), m), out=k)
-            yield x, k, rows, [row[:m] for row in bits]
 
-    def block(x, k, rows, flags):
-        a, g, am, t, tt, r, upper, q = rows
-        # the pair is (a, b) = (x·k, k); G first, as the profile overwrites a,
-        # with r and the first flag row, free until the kernel, as scratch
-        g = kernels._geometric(np.multiply(x, k, out=a), k, g, r, flags[0])
-        am, t = kernels._profile(a, k, out=(am, t))
-        tm = _ratio_kernel(t, out=(tt, r, upper, q))[2]
-        tm *= am
-        # the other means take the rows of a, t and 1/3 - r, spent by now
-        cb = kernels._centroidal_factor(tt, a)
-        cb *= am
-        s = kernels._root_square_factor(tt, t)
-        s *= am
-        c = kernels._contra_harmonic_factor(tt, upper)
-        c *= am
-        # the two minimum slacks, with r as scratch: A - G, Cbar - A, T - A ...
-        left = np.subtract(am, g, out=g)
-        np.minimum(left, np.subtract(cb, am, out=r), out=left)
-        np.minimum(left, np.subtract(tm, am, out=r), out=left)
-        # ... and S - Cbar, C - S, S - T
-        right = np.subtract(s, cb, out=cb)
-        np.minimum(right, np.subtract(c, s, out=c), out=right)
-        np.minimum(right, np.subtract(s, tm, out=c), out=right)
-        # every comparison holds iff both minima are positive (for doubles,
-        # p < q iff q - p > 0, and a NaN fails both forms)
-        ok, spare = flags
-        np.greater(left, 0.0, out=ok)
-        ok &= np.greater(right, 0.0, out=spare)
+#: The rows of the shared pass, by suite, each built from its verifier's keywords.
+_ROWS = {"thm1": _blend_row, "thm2": _ratio_row, "priors": lambda: _PRIORS}
 
-        def ordering():
-            j = _first(ok, False)
-            return None if j is None else _mean_side_witness(float(x[j]), "chain", float(x[j] * k[j]), float(k[j]))
 
-        # relative slacks; dividing by am > 0 after the minimum rounds the same
-        # as dividing each slack first (rounding is monotone)
-        left /= am
-        right /= am
-        folds = {"left": (left, np.argmin), "right": (right, np.argmin)}
-        return x, folds, (ordering,)
+def _lane_ranges(n: int, cpus: int) -> list[tuple[int, int]]:
+    """[0, n) in contiguous, ``_BLOCK``-aligned ranges, one per lane.
 
-    return _sweep("chain", itertools.starmap(block, draws()))
+    There are ``min(cpus, blocks)`` lanes with as even a share of blocks as
+    can be; the last range ends the stream and so carries the boundary points.
+    """
+    blocks = -(-n // _BLOCK)
+    lanes = max(1, min(cpus, blocks))
+    edges = [min(n, (i * blocks // lanes) * _BLOCK) for i in range(lanes + 1)]
+    return list(zip(edges, edges[1:]))
+
+
+def _lane(rows, seed: int, samples: int, ratio_max: float, chain_ratio_max: float,
+          start: int, stop: int) -> list[_Tally]:
+    """Tallies of ``rows`` and then of the ordering chain over samples [start, stop).
+
+    One pass applies every row to one draw and one kernel call per block, then
+    the chain runs over the same range of its own pairs, all in one pool of
+    ``_POOL`` rows.  Merged in range order (:meth:`_Tally.merge`), the lanes'
+    tallies finish into the reports of the suites run one by one, bit for bit.
+    """
+    _check_seed(seed)
+    _check_range(samples, ratio_max)
+    _check_chain_range(chain_ratio_max)
+    pool = _workspace(min(stop - start, _BLOCK) + len(_boundary_points(ratio_max)), *_POOL)
+    tallies = _reduce(rows, _ratio_blocks(seed, samples, ratio_max, start, stop, *pool))
+    return tallies + _reduce([_CHAIN], _chain_blocks(seed, samples, chain_ratio_max, start, stop, *pool))
+
+
+def _finish_lanes(rows, lanes: list[list[_Tally]]) -> list[VerificationResult]:
+    """The results of ``rows`` and the chain from the tallies of every lane, in range order."""
+    merged = (functools.reduce(_Tally.merge, column, _Tally()) for column in zip(*lanes))
+    return [row.finish(tally) for row, tally in zip((*rows, _CHAIN), merged)]
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """Auxiliary chain: endpoint identities, derivative structure, critical points."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import mpmath as mp
@@ -25,6 +26,8 @@ SHARP = blend_alpha_closed()
 CHAIN3_AT_1_SHARP = -0.2704220486917679  # 18/pi - 6
 LEAD_COEFF_SHARP = 0.37714056243239186  # (36 + 18 pi - 9 pi^2)/pi^2
 PI_MINUS_3 = 0.14159265358979323
+# The largest double whose square is finite.
+SQUARE_EDGE = math.sqrt(np.finfo(float).max)
 
 # Independent root-finding (mpmath.findroot on the printed polynomials,
 # development-time oracle) froze the expected ladder at the sharp parameter:
@@ -193,22 +196,41 @@ class TestFamilyBasics:
 
     def test_gap_values_match_two_branch_evaluation(self):
         # the t >= 2 form over the whole array with the t < 2 entries
-        # overwritten equals picking each entry's branch from two full passes
+        # overwritten equals picking each entry's branch from two full passes,
+        # up to the largest t whose square is finite
         t = np.concatenate([
             1.0 + np.geomspace(1e-12, 1e12, 20_001),
             [2.0, np.nextafter(2.0, 0.0), np.nextafter(2.0, 3.0)],
             2.0 + np.linspace(-1e-6, 1e-6, 101),
+            [1e150, SQUARE_EDGE],
         ])
         for p in (0.6, SHARP, 1.0):
             fam = BlendGapFamily(p)
             w, m = p * p - p + 1.0, 1.0 + 2.0 * p * (1.0 - p)
             s = t - 1.0
-            small = 4.0 * np.arctan(s / (t + 1.0)) - 3.0 * s * (t + 1.0) / fam.quadratic_form(t)
+            with np.errstate(over="ignore"):  # at the edge, discarded below
+                small = 4.0 * np.arctan(s / (t + 1.0)) - 3.0 * s * (t + 1.0) / fam.quadratic_form(t)
             big = (
                 ((math.pi * w - 3.0) * t * t + math.pi * m * t + (math.pi * w + 3.0)) / fam.quadratic_form(t)
                 - 4.0 * np.arctan(1.0 / t)
             )
             assert np.array_equal(fam.gap_values(t), np.where(t >= 2.0, big, small))
+
+    @pytest.mark.parametrize("p", [0.8, SHARP, 1.0])
+    def test_gap_finite_where_t_squared_overflows(self, p):
+        # beyond t ≈ 1.34e154 t·t overflows; gap lies within 1e-150 of its
+        # limit there, and both forms must say so without a warning
+        above = np.nextafter(SQUARE_EDGE, math.inf)
+        assert math.isfinite(SQUARE_EDGE * SQUARE_EDGE) and math.isinf(float(above) * float(above))
+        fam = BlendGapFamily(p)
+        t = np.array([above, 1e155, 1e300, np.finfo(float).max])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scalar = [fam.gap(float(x)) for x in t]
+            bulk = fam.gap_values(t)
+        assert np.array_equal(bulk, scalar)
+        assert np.all(np.isfinite(bulk))
+        assert np.all(np.abs(bulk - fam.limit_at_infinity()) <= 1e-15)
 
 
 class TestFactorization:

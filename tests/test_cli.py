@@ -312,33 +312,71 @@ class TestLanes:
     @pytest.mark.parametrize("fmt", ["json", "plain", "csv"])
     @pytest.mark.parametrize("shift, code", [([], 0), (["--alpha-shift=1e-4"], 1)])
     def test_same_output_as_one_lane(self, capsys, monkeypatch, forks, fmt, shift, code):
+        # four blocks, so that up to four lanes each take a range of them;
+        # the serial run calls each verifier once, below the lane threshold
+        monkeypatch.setattr(cli.sharp, "_BLOCK", 5_000)
         argv = ["verify", "all", "--samples", "20000", "--seed", "5", "--format", fmt, *shift]
         runs = {}
-        for cpus in (1, 2, 4):
+        for cpus in (1, 2, 3, 4):
             monkeypatch.setattr(cli, "_cpus", lambda: cpus)
             del forks[:]
             runs[cpus] = run_cli(capsys, *argv)
             assert len(forks) == cpus - 1
             self.assert_no_child_left()
-        assert runs[1][0] == code and runs[1][1] and runs[1][2] == ""
-        assert runs[2] == runs[1] and runs[4] == runs[1]
+        monkeypatch.setattr(cli, "_LANE_MIN_SAMPLES", 20_001)
+        del forks[:]
+        serial = run_cli(capsys, *argv)
+        assert forks == []
+        assert serial[0] == code and serial[1] and serial[2] == ""
+        assert all(run == serial for run in runs.values())
 
-    @pytest.mark.parametrize(
-        "order", [cli._COST_ORDER, ("thm1", "thm2", "priors", "chain")], ids=["own-lane", "child-lane"]
-    )
-    def test_suite_error_exits_2(self, capsys, monkeypatch, forks, order):
-        # a chain that raises: with two lanes it runs in this process under
-        # the cost order and in the child under the other
-        def failing_chain(*args, **kw):
-            raise DomainError("planted chain error")
+    @pytest.mark.parametrize("lane", ["own-lane", "child-lane"])
+    def test_suite_error_exits_2(self, capsys, monkeypatch, forks, lane):
+        # a chain that raises over one of two ranges: [0, 1000), run in this
+        # process, or [1000, 2000), run in the child
+        original = cli.sharp._chain_blocks
 
+        def planted(seed, samples, ratio_max, start, stop, *pool):
+            if (start == 0) == (lane == "own-lane"):
+                raise DomainError("planted chain error")
+            return original(seed, samples, ratio_max, start, stop, *pool)
+
+        monkeypatch.setattr(cli.sharp, "_BLOCK", 1_000)
         monkeypatch.setattr(cli, "_cpus", lambda: 2)
-        monkeypatch.setattr(cli, "_COST_ORDER", order)
-        monkeypatch.setattr(cli.sharp, "verify_ordering_chain", failing_chain)
+        monkeypatch.setattr(cli.sharp, "_chain_blocks", planted)
         code, out, err = run_cli(capsys, "verify", "all", "--samples", "2000")
         assert len(forks) == 1
         assert code == 2 and out == ""
         assert err == "error: planted chain error\n"
+        self.assert_no_child_left()
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("samples, serial", [(5_000, False), (4_999, True)], ids=["shared", "serial"])
+    def test_each_verifier_once_below_the_threshold(self, capsys, monkeypatch, cpus, samples, serial):
+        # below the lane threshold each suite runs through its public
+        # verifier, once; from it on no verifier runs, only the lanes
+        calls = []
+
+        def counted(name):
+            original = getattr(cli.sharp, name)
+
+            def verify(*args, **kw):
+                calls.append(name)
+                return original(*args, **kw)
+
+            return verify
+
+        for name in (*cli._VERIFIERS.values(), "_lane"):
+            monkeypatch.setattr(cli.sharp, name, counted(name))
+        monkeypatch.setattr(cli.sharp, "_BLOCK", 2_500)
+        monkeypatch.setattr(cli, "_LANE_MIN_SAMPLES", 5_000)
+        monkeypatch.setattr(cli, "_cpus", lambda: cpus)
+        code, out, _ = run_cli(capsys, "verify", "all", "--samples", str(samples))
+        assert code == 0 and out.count("PASS") == 4
+        if serial:
+            assert sorted(calls) == sorted(cli._VERIFIERS.values())
+        else:
+            assert calls == ["_lane"]  # a child lane's call is counted in the child
         self.assert_no_child_left()
 
     @pytest.mark.parametrize("cpus", [1, 2])

@@ -1,5 +1,6 @@
 """The blocked sweep engine: block-size invariance, witness precedence, memory."""
 
+import json
 import math
 import tracemalloc
 
@@ -280,7 +281,7 @@ def test_block_profile_means_equal_the_cores(monkeypatch):
     ])
     monkeypatch.setattr(sharp, "sample_ratios", lambda rng, n, ratio_max, include_boundary, **kw: x)
     monkeypatch.setattr(sharp, "_BLOCK", len(x))
-    (xb, t, _, _), = sharp._ratio_blocks(0, len(x), 2.0, 1, 0)
+    (xb, t, _, _, _), = sharp._ratio_blocks(0, len(x), 2.0, 0, len(x), *sharp._workspace(len(x), 6, 0))
     assert np.array_equal(t, kernels._profile(x, 1.0)[1])
     assert np.any(t[-34:-17] < 1e-3) and np.any(t[-34:-17] >= 1e-3)
     assert np.any(t[-17:] == 0.5) and np.any(t[-17:] > 0.5)
@@ -412,3 +413,208 @@ class TestSamplingInputs:
         assert res.passed
         assert 1.0 + 2e-5 <= min(res.arg_left, res.arg_right)
         assert max(res.arg_left, res.arg_right) <= ratio_max
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2**40 + 3])
+def test_chain_scales_are_numpys_uniform_draws(monkeypatch, seed):
+    # numpy's uniform is low + (high - low)·random(): drawn into the row and
+    # scaled in place, the scales are its bits, block by block
+    lo, hi = sharp._CHAIN_LOG_K
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    k = np.empty(100_000)
+    rng.random(out=k)
+    k *= hi - lo
+    k += lo
+    assert np.array_equal(k, ref.uniform(lo, hi, 100_000))
+    monkeypatch.setattr(sharp, "_BLOCK", SMALL_BLOCK)
+    n = 3 * SMALL_BLOCK + 7
+    work = sharp._workspace(SMALL_BLOCK, 10, 2)
+    drawn = np.concatenate([k.copy() for _, k, _, _ in sharp._chain_blocks(seed, n, 1e6, 0, n, *work)])
+    stream = np.random.default_rng(seed)
+    stream.bit_generator.advance(n)  # the scales follow the n ratios
+    assert np.array_equal(drawn, np.exp(stream.uniform(lo, hi, n)))
+
+
+def _serial(n, seed, ratio_max, keywords):
+    """Each suite of ``verify all`` run alone through its public verifier."""
+    return [
+        verify_blend_bounds(n, seed=seed, ratio_max=ratio_max, **keywords.get("thm1", {})),
+        verify_ratio_bounds(n, seed=seed, ratio_max=ratio_max, **keywords.get("thm2", {})),
+        verify_prior_bounds(n, seed=seed, ratio_max=ratio_max),
+        verify_ordering_chain(n, seed=seed, ratio_max=min(ratio_max, 1e6)),
+    ]
+
+
+def _shared(n, cpus, seed, ratio_max, keywords):
+    """``verify all``'s shared pass in this process: each lane's range in
+    turn; returns the ranges, the lanes' tallies and the merged results."""
+    rows = [sharp._ROWS[name](**keywords.get(name, {})) for name in ("thm1", "thm2", "priors")]
+    ranges = sharp._lane_ranges(n, cpus)
+    lanes = [sharp._lane(rows, seed, n, ratio_max, min(ratio_max, 1e6), *r) for r in ranges]
+    return ranges, lanes, sharp._finish_lanes(rows, lanes)
+
+
+def _plant_nan(monkeypatch, x_at):
+    """r(t) reads NaN at the sample with ratio ``x_at``, in every pass."""
+    original = sharp._ratio_kernel
+    t_at = (x_at - 1.0) / (x_at + 1.0)
+
+    def planted(t, **kw):
+        r, upper, q = original(t, **kw)
+        r[t == t_at] = math.nan
+        return r, upper, q
+
+    monkeypatch.setattr(sharp, "_ratio_kernel", planted)
+
+
+class TestRangeMerge:
+    """Tallies of consecutive sample ranges merge into the serial reports."""
+
+    SEED = 3
+
+    @staticmethod
+    def assert_same(shared, serial):
+        # repr shows every field, NaN included, which == would not match
+        assert [repr(r) for r in shared] == [repr(r) for r in serial]
+        for a, b in zip(shared, serial):
+            assert json.dumps(a.as_report(), sort_keys=True) == json.dumps(b.as_report(), sort_keys=True)
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [3 * SMALL_BLOCK + 7, 4 * SMALL_BLOCK])
+    @pytest.mark.parametrize("case", ["sharp", "shifted", "far-end"])
+    def test_ranges_merge_into_the_serial_reports(self, monkeypatch, case, n, cpus):
+        # n a multiple of the block or not; shifted and far-end fail with
+        # witnesses, in the lanes they fall in
+        keywords, ratio_max = {}, 1e8
+        if case == "shifted":
+            keywords = {"thm1": {"alpha": blend_alpha_closed() + 1e-4}, "thm2": {"beta1": RATIO_UPPER - 1e-6}}
+        elif case == "far-end":
+            ratio_max = 1e300
+        monkeypatch.setattr(sharp, "_BLOCK", SMALL_BLOCK)
+        ranges, lanes, shared = _shared(n, cpus, self.SEED, ratio_max, keywords)
+        assert len(ranges) == cpus
+        self.assert_same(shared, _serial(n, self.SEED, ratio_max, keywords))
+        if case != "sharp":
+            assert not all(r.passed for r in shared)
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 4])
+    def test_higher_ranked_check_in_a_later_range(self, monkeypatch, cpus):
+        # as in test_margin_witness_outranks_earlier_raw_mean_witness: beta
+        # just below 1 breaks thm1's margin only at the near-diagonal boundary
+        # points, in the last range, and the inflated Seiffert mean breaks its
+        # raw-mean check in the first block
+        n, keywords = 3 * SMALL_BLOCK + 7, {"thm1": {"beta": 1.0 - 1e-8}}
+        _inflated_seiffert(monkeypatch, 1.0 + 1e-9)
+        monkeypatch.setattr(sharp, "_BLOCK", SMALL_BLOCK)
+        ranges, lanes, shared = _shared(n, cpus, 0, 1e8, keywords)
+        self.assert_same(shared, _serial(n, 0, 1e8, keywords))
+        assert shared[0].witness["side"] == "upper" and shared[0].witness["ratio"] < 1.001
+        assert lanes[-1][0].found[0] == 0
+        if cpus > 1:
+            assert lanes[0][0].found[0] == 1  # the raw-mean check fired in the first range
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 4])
+    def test_nan_fold_in_a_later_range(self, monkeypatch, cpus):
+        # a NaN r(t) in the third block: every fold that reads r keeps it
+        # over the smaller margins of the earlier ranges
+        n = 3 * SMALL_BLOCK + 7
+        x = sample_ratios(np.random.default_rng(self.SEED), n)
+        _plant_nan(monkeypatch, float(x[2 * SMALL_BLOCK + 5]))
+        monkeypatch.setattr(sharp, "_BLOCK", SMALL_BLOCK)
+        _, _, shared = _shared(n, cpus, self.SEED, 1e8, {})
+        self.assert_same(shared, _serial(n, self.SEED, 1e8, {}))
+        thm1, thm2, priors, _ = shared
+        for res in (thm1, thm2, priors):
+            assert math.isnan(res.min_slack_left) and res.arg_left == x[2 * SMALL_BLOCK + 5]
+        assert math.isnan(thm2.stats["inf"]) and math.isnan(thm2.stats["sup"])
+
+    @pytest.mark.parametrize("cpus", [3, 4, 8])
+    def test_more_lanes_than_blocks(self, monkeypatch, cpus):
+        n = SMALL_BLOCK + 1
+        monkeypatch.setattr(sharp, "_BLOCK", SMALL_BLOCK)
+        ranges, _, shared = _shared(n, cpus, self.SEED, 1e8, {})
+        assert ranges == [(0, SMALL_BLOCK), (SMALL_BLOCK, n)]
+        self.assert_same(shared, _serial(n, self.SEED, 1e8, {}))
+
+    @pytest.mark.parametrize("cpus", [2, 3, 4])
+    def test_boundary_points_only_in_the_last_range(self, monkeypatch, cpus):
+        n = 4 * SMALL_BLOCK
+        monkeypatch.setattr(sharp, "_BLOCK", SMALL_BLOCK)
+        ranges, lanes, shared = _shared(n, cpus, self.SEED, 1e8, {})
+        extra = len(sharp._boundary_points(1e8))
+        assert [tallies[0].n for tallies in lanes] == [
+            stop - start + (extra if stop == n else 0) for start, stop in ranges
+        ]
+        # the chain draws no boundary points
+        assert [tallies[-1].n for tallies in lanes] == [stop - start for start, stop in ranges]
+        assert [r.n_samples for r in shared] == [n + extra] * 3 + [n]
+
+    def test_ranges_are_block_aligned_and_cover_the_stream(self, monkeypatch):
+        monkeypatch.setattr(sharp, "_BLOCK", SMALL_BLOCK)
+        for n in (1, SMALL_BLOCK, 5 * SMALL_BLOCK + 3, 125 * SMALL_BLOCK):
+            for cpus in (1, 2, 3, 4, 64):
+                ranges = sharp._lane_ranges(n, cpus)
+                assert len(ranges) == min(cpus, -(-n // SMALL_BLOCK))
+                assert ranges[0][0] == 0 and ranges[-1][1] == n
+                assert all(stop == start for (_, stop), (start, _) in zip(ranges, ranges[1:]))
+                assert all(start % SMALL_BLOCK == 0 and start < stop for start, stop in ranges)
+                sizes = [stop - start for start, stop in ranges[:-1]]
+                assert not sizes or max(sizes) - min(sizes) <= SMALL_BLOCK
+
+
+class TestSharedPass:
+    """One lane draws each block once and runs one kernel pass on it for
+    thm1, thm2 and priors; the chain then reuses the same pool."""
+
+    N = 3 * SMALL_BLOCK + 7
+
+    def test_one_draw_and_one_kernel_pass_per_block(self, monkeypatch):
+        monkeypatch.setattr(sharp, "_BLOCK", SMALL_BLOCK)
+        draws = _counting(monkeypatch, sharp, "sample_ratios")
+        kernel = _counting(monkeypatch, sharp, "_ratio_kernel")
+        arctan = _counting(monkeypatch, np, "arctan")
+        _, _, shared = _shared(self.N, 1, 2, 1e8, {})
+        assert all(r.passed for r in shared)
+        # sample_ratios' first argument is the generator
+        assert len(draws) == 4
+        # four blocks of ratios, then four blocks of the chain's pairs
+        assert len(kernel) == len(arctan) == 8
+        assert sum(kernel) == shared[0].n_samples + shared[3].n_samples
+
+    def test_one_pool_for_every_row_and_the_chain(self, monkeypatch):
+        made = _counting(monkeypatch, sharp, "_workspace")
+        _shared(10**4, 1, 2, 1e8, {})
+        assert made == [1]  # np.size of the row length: one call
+        rows = [sharp._ROWS[name]() for name in ("thm1", "thm2", "priors")]
+        assert 2 + len(sharp._SHARED) + max(row.scratch for row in rows) == sharp._POOL[0]
+        assert 2 + sharp._CHAIN.scratch <= sharp._POOL[0]
+
+    @pytest.mark.parametrize(
+        "fn, floats",
+        [(verify_blend_bounds, 6), (verify_ratio_bounds, 8), (verify_prior_bounds, 12), (verify_ordering_chain, 10)],
+    )
+    def test_a_suite_alone_keeps_its_own_rows(self, monkeypatch, fn, floats):
+        # run alone, thm1 and thm2 write into the kernel rows they no longer
+        # read, so they take no pool rows for the others' sake
+        sizes = []
+        original = sharp._workspace
+
+        def workspace(size, n_floats, n_flags):
+            sizes.append((n_floats, n_flags))
+            return original(size, n_floats, n_flags)
+
+        monkeypatch.setattr(sharp, "_workspace", workspace)
+        assert fn(3_000, seed=2).passed
+        assert sizes == [(floats, 2)]
+
+    def test_memory_bounded_at_1e6_samples(self):
+        rows = [sharp._ROWS[name]() for name in ("thm1", "thm2", "priors")]
+        sharp._lane(rows, 0, 1_000, 1e8, 1e6, 0, 1_000)
+        tracemalloc.start()
+        try:
+            tallies = sharp._lane(rows, 0, 10**6, 1e8, 1e6, 0, 10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(r.passed for r in sharp._finish_lanes(rows, [tallies]))
+        assert peak < 4 * 2**20
