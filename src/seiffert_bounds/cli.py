@@ -9,7 +9,10 @@ Subcommands:
 * ``certify``   — critical-point ladder and its exact proof at the sharp parameter.
 
 Exit codes: 0 pass, 1 violated inequality / constant gap, 2 usage or domain
-error.  Reports are deterministic given the same configuration and seed.
+error, 3 a ``verify all`` lane that ended without a result (a forked lane
+killed by a signal or out of memory, say).  Each error is one ``error:``
+line on stderr.  Reports are deterministic given the same configuration and
+seed.
 
 Only ``verify`` loads numpy: :mod:`seiffert_bounds.sharp` imports it, and
 the bulk kernels, on the first call of a sweep.  ``eval``, ``series``,
@@ -23,6 +26,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 
 from . import means, series, sharp
@@ -82,100 +86,45 @@ def _keywords(name: str, args: argparse.Namespace) -> dict:
     return {}
 
 
-def _run_suite(name: str, args: argparse.Namespace):
-    ratio_max = min(args.ratio_max, _CHAIN_RATIO_MAX) if name == "chain" else args.ratio_max
-    verify = getattr(sharp, _VERIFIERS[name])
-    return verify(args.samples, seed=args.seed, ratio_max=ratio_max, **_keywords(name, args))
-
-
-#: Samples per suite from which ``verify all`` makes one shared pass, in
-#: lanes split by sample range, one per CPU; below it each suite runs through
-#: its public verifier, one by one.  A lane costs a fork and a pipe, and its
-#: child warms up on its own.  Measured when lanes took whole suites, as fresh
-#: ``verify all`` processes on a 2-core host (medians of 15 alternating
-#: pairs): two lanes lost 6 ms at 2e4 and 5e4 samples, broke even from 1e5 to
-#: 2e5, and won 1.05x at 2.6e5 (14 of 15 pairs), 1.11x at 5e5 and 1.22x at 1e6.
+#: Samples per suite from which ``verify all`` makes one shared pass, one
+#: lane per CPU; below it each suite runs through its public verifier.  A lane
+#: costs a fork and a pipe.  Two lanes against one (``taskset -c 0``), fresh
+#: processes on a 2-core shared host, medians of 15 alternating pairs in three
+#: rounds: 0.93-0.96x at 5e4, 0.88-0.99x at 1e5, 0.89-1.07x at 2e5,
+#: 0.90-0.99x at 2.6e5, 0.92-1.02x at 5e5, 1.01-1.06x at 1e6 (two rounds).
 _LANE_MIN_SAMPLES = 1 << 18
 
 
 def _cpus() -> int:
     """CPUs this process may run on."""
-    import os
-
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 def _run_suites(which: list[str], args: argparse.Namespace) -> list:
-    """Run the suites: all four in one shared pass per lane when the run is
-    large enough, else one by one.
-
-    The shared pass splits the samples into ``_BLOCK``-aligned ranges, one
-    per lane (:func:`sharp._lane_ranges`).  Each lane draws its range of the
-    ratio stream once, applies the thm1, thm2 and priors rows to every block
-    and runs the chain over the same range (:func:`sharp._lane`).  Lane 0
-    runs in this process and every other lane in a forked child, which
-    pickles its tallies, or the exception it raised, back through a pipe; the
-    tallies merge in range order into the same bits as a serial run's.
-    """
-    import os
-
-    if len(which) < 2 or args.samples < _LANE_MIN_SAMPLES:
-        return [_run_suite(name, args) for name in which]
-    import pickle
-
-    from . import kernels  # loads numpy once, before the lanes fork, for all of them
-
-    # built before any lane runs, so an invalid constant fails at once
-    rows = [sharp._ROWS[name](**_keywords(name, args)) for name in which if name != "chain"]
-
-    def lane(start: int, stop: int) -> list:
-        chain_ratio_max = min(args.ratio_max, _CHAIN_RATIO_MAX)
-        return sharp._lane(rows, args.seed, args.samples, args.ratio_max, chain_ratio_max, start, stop)
-
-    first, *rest = sharp._lane_ranges(args.samples, _cpus() if hasattr(os, "fork") else 1)
-    children = []  # (pid, read end) per child lane
-    try:
-        for start, stop in rest:
-            read_fd, write_fd = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                try:
-                    os.close(read_fd)
-                    try:
-                        payload = lane(start, stop)
-                    except BaseException as exc:
-                        payload = exc
-                    with os.fdopen(write_fd, "wb") as pipe:
-                        pickle.dump(payload, pipe)
-                finally:
-                    os._exit(0)
-            os.close(write_fd)
-            children.append((pid, os.fdopen(read_fd, "rb")))
-        lanes = [lane(*first)]
-        for _, pipe in children:
-            payload = pickle.load(pipe)
-            if isinstance(payload, BaseException):
-                raise payload
-            lanes.append(payload)
-        return sharp._finish_lanes(rows, lanes)
-    finally:
-        for pid, pipe in children:
-            pipe.close()
-            os.waitpid(pid, 0)
+    """Run the suites: all four in one shared pass when the run is large
+    enough, in one lane per CPU (:func:`sharp._run`), else one by one, each
+    through its public verifier."""
+    chain_ratio_max = min(args.ratio_max, _CHAIN_RATIO_MAX)
+    if len(which) > 1 and args.samples >= _LANE_MIN_SAMPLES:
+        rows = [sharp._ROWS[name](**_keywords(name, args)) for name in which if name != "chain"]
+        return sharp._run(rows, args.samples, args.seed, args.ratio_max, chain_ratio_max, lanes=_cpus())
+    return [
+        getattr(sharp, _VERIFIERS[name])(args.samples, seed=args.seed, **_keywords(name, args),
+                                         ratio_max=chain_ratio_max if name == "chain" else args.ratio_max)
+        for name in which
+    ]
 
 
-def _csv_dump(rows: list[dict]) -> str:
+#: The CSV columns of the ``verify`` and ``constants`` reports.
+_REPORT_FIELDS = ("name", "closed_form", "discovered", "gap", "witness_ratio", "slack")
+
+
+def _csv_dump(rows: list[dict], fieldnames=_REPORT_FIELDS) -> str:
+    """``rows`` as CSV under ``fieldnames``; a column that a row lacks is empty."""
     buf = io.StringIO()
-    writer = csv.DictWriter(
-        buf,
-        fieldnames=["name", "closed_form", "discovered", "gap", "witness_ratio", "slack"],
-        lineterminator="\n",
-    )
+    writer = csv.DictWriter(buf, fieldnames=fieldnames, lineterminator="\n")
     writer.writeheader()
-    for row in rows:
-        writer.writerow(row)
+    writer.writerows(rows)
     return buf.getvalue()
 
 
@@ -202,9 +151,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         rows = [
             {
                 "name": r.suite,
-                "closed_form": "",
-                "discovered": "",
-                "gap": "",
                 "witness_ratio": "" if r.witness is None else repr(r.witness["ratio"]),
                 "slack": repr(min(r.min_slack_left, r.min_slack_right)),
             }
@@ -282,12 +228,7 @@ def _cmd_series(args: argparse.Namespace) -> int:
             payload["radius"] = radius
         print(json.dumps(payload, sort_keys=True))
     elif args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=["n", "coefficient"], lineterminator="\n")
-        writer.writeheader()
-        for term in terms:
-            writer.writerow(term)
-        print(buf.getvalue(), end="")
+        print(_csv_dump(terms, ("n", "coefficient")), end="")
     else:
         print(head)
         for term in terms:
@@ -419,6 +360,9 @@ def main(argv=None) -> int:
     except BracketError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except ChildProcessError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

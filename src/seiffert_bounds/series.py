@@ -161,8 +161,8 @@ def ratio_coefficient(n: int) -> Fraction:
 
 @functools.lru_cache(maxsize=4)
 def _float_coeffs(kind: str) -> tuple[float, ...]:
-    fns = {"cot": cot_coefficient, "csc2": csc2_coefficient, "ratio": ratio_coefficient}
-    return tuple(float(fns[kind](n)) for n in range(1, N_MAX + 1))
+    coefficient = _KINDS[kind][0]
+    return tuple(float(coefficient(n)) for n in range(1, N_MAX + 1))
 
 
 @functools.lru_cache(maxsize=4)
@@ -170,10 +170,10 @@ def _extended_coeffs(kind: str) -> tuple:
     """Coefficients as 80-bit extended floats (hi+lo split of the exact value)."""
     import numpy as np
 
-    fns = {"cot": cot_coefficient, "csc2": csc2_coefficient, "ratio": ratio_coefficient}
+    coefficient = _KINDS[kind][0]
     out = []
     for n in range(1, N_MAX + 1):
-        c = fns[kind](n)
+        c = coefficient(n)
         hi = float(c)
         lo = float(c - Fraction(hi))
         out.append(np.longdouble(hi) + np.longdouble(lo))
@@ -256,11 +256,15 @@ class TruncatedSeries:
     tail_bound: float
 
     def evaluate(self, x: float) -> float:
-        fn = {"cot": cot_series, "csc2": csc2_series, "ratio": ratio_series}[self.kind]
-        return fn(x, self.truncation_order)
+        return _KINDS[self.kind][1](x, self.truncation_order)
 
 
-_DEFAULT_RADIUS = {"cot": _PI / 2.0, "csc2": _PI / 2.0, "ratio": _PI / 4.0}
+#: Each series kind: its exact coefficient, its partial sum and its default radius.
+_KINDS = {
+    "cot": (cot_coefficient, cot_series, _PI / 2.0),
+    "csc2": (csc2_coefficient, csc2_series, _PI / 2.0),
+    "ratio": (ratio_coefficient, ratio_series, _PI / 4.0),
+}
 
 
 def truncated_series(kind: str, order: int, radius: float | None = None) -> TruncatedSeries:
@@ -276,10 +280,10 @@ def truncated_series(kind: str, order: int, radius: float | None = None) -> Trun
     Σ_{n>N} n yⁿ = y^{N+1}((N+1) - N y)/(1-y)².  Each remainder term grows
     with |x|, so the bound at ``radius`` covers the whole interval.
     """
-    if kind not in _DEFAULT_RADIUS:
+    if kind not in _KINDS:
         raise DomainError(f"unknown series kind {kind!r}")
     _check_order(order, what="truncation order")
-    r = _DEFAULT_RADIUS[kind] if radius is None else float(radius)
+    r = _KINDS[kind][2] if radius is None else float(radius)
     hi = _PI / 4.0 if kind == "ratio" else _PI
     if not (0.0 < r <= hi) or (kind != "ratio" and r == _PI):
         raise DomainError(f"radius for {kind!r} must lie in (0, {hi}), got {r!r}")

@@ -56,11 +56,12 @@ into the suite's :class:`VerificationResult`.  The streaming contract:
   pass, which gives t², the margins and q = t/arctan t; the raw-mean check builds
   every mean of the pair (x, 1) from them, the Seiffert mean as A·q.
 
-A public ``verify_*`` is one row over the whole stream.  ``verify all`` at
-scale makes one shared pass instead (``_lane``): over each lane's range, the
-thm1, thm2 and priors rows all read one draw and one kernel pass per block in
-place, then the chain runs over the same range, and the lanes' tallies merge
-in range order into the same reports.
+One driver, ``_run``, runs every suite: it checks the arguments, runs the
+first of the sample ranges (``_lane_ranges``) here and each other one in a
+forked lane, and merges the lanes' tallies in range order.  A public
+``verify_*`` is one ``_run`` in one lane; ``verify all`` at scale is one
+``_run`` of the thm1, thm2 and priors rows, which read one draw and one
+kernel pass per block in place, and the chain, in one lane per CPU.
 
 Every pass writes its blocks into one workspace of block-sized rows, made per
 call and reused by every block and every row (see ``_BLOCK``): the heap is not
@@ -71,8 +72,9 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from . import _OnFirstUse
 from .errors import BracketError, DomainError
@@ -106,6 +108,7 @@ __all__ = [
 np = _OnFirstUse("numpy", globals(), "np")
 auxiliary = _OnFirstUse(".auxiliary", globals(), "auxiliary")
 kernels = _OnFirstUse(".kernels", globals(), "kernels")
+pickle = _OnFirstUse("pickle", globals(), "pickle")
 
 
 def _ratio_kernel(t, out=None):
@@ -200,11 +203,6 @@ def _check_chain_range(ratio_max: float) -> None:
         raise DomainError(f"ratio_max must exceed 1 + 2e-5 for the ordering chain, got {ratio_max}")
 
 
-def _check_seed(seed: int) -> None:
-    if seed < 0:
-        raise DomainError(f"seed must be >= 0, got {seed}")
-
-
 def _rng(seed: int, skip: int = 0) -> np.random.Generator:
     """``default_rng(seed)`` advanced past its first ``skip`` draws."""
     rng = np.random.default_rng(seed)
@@ -292,9 +290,6 @@ _BLOCK = 16_000
 
 #: The kernel rows of a shared block, after x and t, by name: t², r, 1/3 - r and q.
 _SHARED = ("tt", "r", "upper", "q")
-#: Float and bool rows of one lane's pool: the shared block and the scratch of
-#: the widest row (priors' six); the chain's ten float rows reuse it after.
-_POOL = (12, 2)
 
 
 def _workspace(size: int, floats: int, flags: int) -> tuple[list, list]:
@@ -306,7 +301,8 @@ def _workspace(size: int, floats: int, flags: int) -> tuple[list, list]:
     return [np.empty(size) for _ in range(floats)], [np.empty(size, dtype=bool) for _ in range(flags)]
 
 
-def _ratio_blocks(seed: int, n: int, ratio_max: float, start: int, stop: int, work: list, bits: list):
+def _ratio_blocks(seed: int, n: int, ratio_max: float, start: int, stop: int, work: list, bits: list,
+                  alone: tuple | None = None):
     """Blocks ``(x, t, shared, pool, flags)`` of samples [start, stop) of the
     stream ``sample_ratios(default_rng(seed), n, ratio_max)``.
 
@@ -314,7 +310,8 @@ def _ratio_blocks(seed: int, n: int, ratio_max: float, start: int, stop: int, wo
     the block that ends the stream carries the boundary points.  Every block
     is written into the rows of ``work`` and ``bits``, cut to its length: x,
     t, the ``shared`` kernel rows (t², r, 1/3 - r, q), one kernel pass over
-    the block, and the rest as the ``pool`` of scratch rows.
+    the block, and the rest as the ``pool`` of scratch rows; for one row run
+    ``alone`` (see :class:`_Row`), the pool takes the shared rows it names.
 
     t is bit for bit the profile t of the pair (x, 1) (the profile's halvings
     are exact), so the raw-mean checks may build means of (x, 1) from it.
@@ -325,8 +322,10 @@ def _ratio_blocks(seed: int, n: int, ratio_max: float, start: int, stop: int, wo
         t, tt, r, upper, q, *pool = (row[: len(x)] for row in work[1:])
         np.subtract(x, 1.0, out=t)
         t /= np.add(x, 1.0, out=tt)
-        r, upper, q = _ratio_kernel(t, out=(tt, r, upper, q))
-        yield x, t, (tt, r, upper, q), pool, [row[: len(x)] for row in bits]
+        shared = (tt, *_ratio_kernel(t, out=(tt, r, upper, q)))
+        if alone is not None:
+            pool = [pool.pop(0) if name is None else shared[_SHARED.index(name)] for name in alone]
+        yield x, t, shared, pool, [row[: len(x)] for row in bits]
 
 
 def _first(flags: np.ndarray, value: bool = True) -> int | None:
@@ -494,24 +493,6 @@ def _reduce(rows, blocks) -> list[_Tally]:
     return tallies
 
 
-def _verify(row: _Row, samples: int, seed: int, ratio_max: float) -> VerificationResult:
-    """``row`` alone over the whole stream: its pool takes the shared rows
-    named in ``row.alone`` and a row of its own for each None."""
-    _check_seed(seed)
-    _check_range(samples, ratio_max)
-    size = min(samples, _BLOCK) + len(_boundary_points(ratio_max))
-    work, bits = _workspace(size, 2 + len(_SHARED) + row.alone.count(None), 2)
-
-    def alone(x, t, shared, own, flags):
-        own = iter(own)
-        pool = [next(own) if name is None else shared[_SHARED.index(name)] for name in row.alone]
-        return x, t, shared, pool, flags
-
-    blocks = (alone(*blk) for blk in _ratio_blocks(seed, samples, ratio_max, 0, samples, work, bits))
-    tally, = _reduce([row], blocks)
-    return row.finish(tally)
-
-
 def _blend_row(alpha: float | None = None, beta: float = 1.0) -> _Row:
     """thm1: (2α-1)²/3 < r(t) < (2β-1)²/3, and blend(α) < seiffert < blend(β) in raw doubles."""
     alpha = blend_alpha_closed() if alpha is None else float(alpha)
@@ -674,7 +655,7 @@ def verify_blend_bounds(
     values attached; shifting α above the sharp constant is expected to fail
     at large ratios, shifting β below 1 near the diagonal.
     """
-    return _verify(_blend_row(alpha, beta), samples, seed, ratio_max)
+    return _run([_blend_row(alpha, beta)], samples, seed, ratio_max)[0]
 
 
 def verify_ratio_bounds(
@@ -690,7 +671,7 @@ def verify_ratio_bounds(
     Reports the observed infimum/supremum, which approach 4/π-1 and 1/3
     monotonically from inside as the sampling reaches t → 1⁻ and t → 0⁺.
     """
-    return _verify(_ratio_row(alpha1, beta1), samples, seed, ratio_max)
+    return _run([_ratio_row(alpha1, beta1)], samples, seed, ratio_max)[0]
 
 
 def ratio_grid_scan(n: int = 10**6, t_min: float = 1e-7, t_max: float = 1.0 - 1e-7) -> dict:
@@ -732,7 +713,7 @@ def verify_prior_bounds(
     A witness names the first margin, in the order above, that went
     non-positive anywhere, and else the raw-mean check.
     """
-    return _verify(_PRIORS, samples, seed, ratio_max)
+    return _run([_PRIORS], samples, seed, ratio_max)[0]
 
 
 #: The scales k of the ordering chain's pairs (x·k, k) are log-uniform here.
@@ -824,12 +805,7 @@ def verify_ordering_chain(
     raw comparisons are meaningful at every sample; a ``ratio_max`` at or
     below the floor raises :class:`DomainError`.
     """
-    _check_range(samples, ratio_max)
-    _check_chain_range(ratio_max)
-    _check_seed(seed)
-    work = _workspace(min(samples, _BLOCK), 2 + _CHAIN.scratch, 2)
-    tally, = _reduce([_CHAIN], _chain_blocks(seed, samples, ratio_max, 0, samples, *work))
-    return _CHAIN.finish(tally)
+    return _run([], samples, seed, ratio_max, chain_ratio_max=ratio_max)[0]
 
 
 #: The rows of the shared pass, by suite, each built from its verifier's keywords.
@@ -848,27 +824,110 @@ def _lane_ranges(n: int, cpus: int) -> list[tuple[int, int]]:
     return list(zip(edges, edges[1:]))
 
 
-def _lane(rows, seed: int, samples: int, ratio_max: float, chain_ratio_max: float,
+def _lane(rows, seed: int, samples: int, ratio_max: float, chain_ratio_max: float | None,
           start: int, stop: int) -> list[_Tally]:
-    """Tallies of ``rows`` and then of the ordering chain over samples [start, stop).
+    """Tallies of ``rows`` over samples [start, stop), then of the ordering
+    chain over the same range unless ``chain_ratio_max`` is None.
 
     One pass applies every row to one draw and one kernel call per block, then
-    the chain runs over the same range of its own pairs, all in one pool of
-    ``_POOL`` rows.  Merged in range order (:meth:`_Tally.merge`), the lanes'
-    tallies finish into the reports of the suites run one by one, bit for bit.
+    the chain runs over its own pairs, all in one pool sized for what runs:
+    the shared block and the widest row's scratch, or the chain's rows, or for
+    a row alone only the rows that its ``alone`` does not take from the shared
+    block.  Merged in range order (:meth:`_Tally.merge`), the lanes' tallies
+    finish into the reports of the suites run one by one, bit for bit.
     """
-    _check_seed(seed)
-    _check_range(samples, ratio_max)
-    _check_chain_range(chain_ratio_max)
-    pool = _workspace(min(stop - start, _BLOCK) + len(_boundary_points(ratio_max)), *_POOL)
-    tallies = _reduce(rows, _ratio_blocks(seed, samples, ratio_max, start, stop, *pool))
-    return tallies + _reduce([_CHAIN], _chain_blocks(seed, samples, chain_ratio_max, start, stop, *pool))
+    alone = rows[0].alone if len(rows) == 1 and chain_ratio_max is None else None
+    floats = 0 if chain_ratio_max is None else 2 + _CHAIN.scratch
+    if rows:
+        own = max(row.scratch for row in rows) if alone is None else alone.count(None)
+        floats = max(floats, 2 + len(_SHARED) + own)
+    size = min(stop - start, _BLOCK) + (len(_boundary_points(ratio_max)) if rows else 0)
+    work, bits = _workspace(size, floats, 2)
+    blocks = _ratio_blocks(seed, samples, ratio_max, start, stop, work, bits, alone)
+    tallies = _reduce(rows, blocks) if rows else []
+    if chain_ratio_max is not None:
+        tallies += _reduce([_CHAIN], _chain_blocks(seed, samples, chain_ratio_max, start, stop, work, bits))
+    return tallies
 
 
 def _finish_lanes(rows, lanes: list[list[_Tally]]) -> list[VerificationResult]:
-    """The results of ``rows`` and the chain from the tallies of every lane, in range order."""
+    """The results of ``rows``, and of the chain if run, from every lane's tallies in range order."""
     merged = (functools.reduce(_Tally.merge, column, _Tally()) for column in zip(*lanes))
     return [row.finish(tally) for row, tally in zip((*rows, _CHAIN), merged)]
+
+
+def _fork(lane: Callable, start: int, stop: int) -> tuple:
+    """Run ``lane(start, stop)`` in a forked child, which pickles its tallies,
+    or the exception it raised, back through a pipe; returns its pid and the
+    read end.  A payload that does not pickle is not sent."""
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        try:
+            os.close(read_fd)
+            try:
+                payload = lane(start, stop)
+            except BaseException as exc:
+                payload = exc
+            data = pickle.dumps(payload)
+            with os.fdopen(write_fd, "wb") as pipe:
+                pipe.write(data)
+            os._exit(0)
+        finally:
+            os._exit(1)
+    os.close(write_fd)
+    return pid, os.fdopen(read_fd, "rb")
+
+
+def _join(pid: int, pipe, start: int, stop: int) -> list[_Tally]:
+    """Reap the child lane ``pid`` over [start, stop) and return the tallies
+    it sent, or raise the exception it sent; raise :class:`ChildProcessError`,
+    naming the range and the wait status, if it ended without sending either."""
+    try:
+        with pipe:
+            data = pipe.read()
+    finally:
+        status = os.waitpid(pid, 0)[1]
+    if not data:
+        raise ChildProcessError(f"the lane over samples [{start}, {stop}) ended without a result "
+                                f"(wait status {status})")
+    payload = pickle.loads(data)
+    if isinstance(payload, BaseException):
+        raise payload
+    return payload
+
+
+def _run(rows, samples: int, seed: int, ratio_max: float, chain_ratio_max: float | None = None,
+         lanes: int = 1) -> list[VerificationResult]:
+    """The results of ``rows`` over ``sample_ratios(default_rng(seed), samples,
+    ratio_max)``, then of the ordering chain unless ``chain_ratio_max`` is None.
+
+    Every argument is checked before any lane runs.  The first of
+    ``_lane_ranges(samples, lanes)`` runs in this process and every other one
+    in a forked child (:func:`_fork`, :func:`_join`).
+    """
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
+    _check_range(samples, ratio_max)
+    if chain_ratio_max is not None:
+        _check_chain_range(chain_ratio_max)
+    first, *rest = _lane_ranges(samples, lanes if hasattr(os, "fork") else 1)
+    lane = functools.partial(_lane, rows, seed, samples, ratio_max, chain_ratio_max)
+    if rest:
+        # loaded before the lanes fork; pickle first, as after numpy it cost 0.2 MB of peak RSS
+        pickle.dumps, kernels._profile
+    children = []  # (pid, read end, start, stop) of each child lane not yet reaped
+    try:
+        for start, stop in rest:
+            children.append((*_fork(lane, start, stop), start, stop))
+        tallies = [lane(*first)]
+        while children:
+            tallies.append(_join(*children.pop(0)))
+        return _finish_lanes(rows, tallies)
+    finally:
+        for pid, pipe, _, _ in children:
+            pipe.close()
+            os.waitpid(pid, 0)
 
 
 @dataclass(frozen=True)
@@ -892,20 +951,12 @@ class SharpConstantReport:
     witness: SharpnessWitness | None
 
     def as_dict(self) -> dict:
-        w = None
-        if self.witness is not None:
-            w = {
-                "shift": self.witness.shift,
-                "ratio": self.witness.ratio,
-                "lhs": self.witness.lhs,
-                "rhs": self.witness.rhs,
-            }
         return {
             "name": self.name,
             "closed_form": self.closed_form,
             "discovered": self.discovered,
             "gap": self.abs_gap,
-            "witness": w,
+            "witness": None if self.witness is None else asdict(self.witness),
         }
 
 

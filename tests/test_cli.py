@@ -6,6 +6,7 @@ import json
 import math
 import os
 import re
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -354,8 +355,9 @@ class TestLanes:
     @pytest.mark.parametrize("samples, serial", [(5_000, False), (4_999, True)], ids=["shared", "serial"])
     def test_each_verifier_once_below_the_threshold(self, capsys, monkeypatch, cpus, samples, serial):
         # below the lane threshold each suite runs through its public
-        # verifier, once; from it on no verifier runs, only the lanes
-        calls = []
+        # verifier, once, and so through one driver call in one lane; from it
+        # on no verifier runs, only one driver call in a lane per CPU
+        calls, lanes = [], []
 
         def counted(name):
             original = getattr(cli.sharp, name)
@@ -366,8 +368,13 @@ class TestLanes:
 
             return verify
 
-        for name in (*cli._VERIFIERS.values(), "_lane"):
+        def run(*args, _run=cli.sharp._run, **kw):
+            lanes.append(kw.get("lanes", 1))
+            return _run(*args, **kw)
+
+        for name in cli._VERIFIERS.values():
             monkeypatch.setattr(cli.sharp, name, counted(name))
+        monkeypatch.setattr(cli.sharp, "_run", run)
         monkeypatch.setattr(cli.sharp, "_BLOCK", 2_500)
         monkeypatch.setattr(cli, "_LANE_MIN_SAMPLES", 5_000)
         monkeypatch.setattr(cli, "_cpus", lambda: cpus)
@@ -375,8 +382,33 @@ class TestLanes:
         assert code == 0 and out.count("PASS") == 4
         if serial:
             assert sorted(calls) == sorted(cli._VERIFIERS.values())
+            assert lanes == [1] * 4
         else:
-            assert calls == ["_lane"]  # a child lane's call is counted in the child
+            assert calls == []
+            assert lanes == [cpus]  # a child lane runs its range, not the driver
+        self.assert_no_child_left()
+
+    @pytest.mark.parametrize("crash", ["killed", "unpicklable"])
+    def test_crashed_lane_exits_3(self, capsys, monkeypatch, forks, crash):
+        # the child lane over [1000, 2000) ends without a result: killed by
+        # a signal, or raising an exception that does not pickle
+        original = cli.sharp._chain_blocks
+
+        def planted(seed, samples, ratio_max, start, stop, *pool):
+            if start == 1_000:
+                if crash == "killed":
+                    os.kill(os.getpid(), signal.SIGKILL)
+                raise DomainError(lambda: "no pickle")
+            return original(seed, samples, ratio_max, start, stop, *pool)
+
+        monkeypatch.setattr(cli.sharp, "_BLOCK", 1_000)
+        monkeypatch.setattr(cli, "_cpus", lambda: 2)
+        monkeypatch.setattr(cli.sharp, "_chain_blocks", planted)
+        code, out, err = run_cli(capsys, "verify", "all", "--samples", "2000")
+        status = int(signal.SIGKILL) if crash == "killed" else 1 << 8  # the child exits 1
+        assert len(forks) == 1
+        assert code == 3 and out == ""
+        assert err == f"error: the lane over samples [1000, 2000) ended without a result (wait status {status})\n"
         self.assert_no_child_left()
 
     @pytest.mark.parametrize("cpus", [1, 2])

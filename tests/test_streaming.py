@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -226,6 +227,19 @@ def _counting(monkeypatch, owner, name):
 
     monkeypatch.setattr(owner, name, counted)
     return calls
+
+
+def _workspace_sizes(monkeypatch):
+    """The (float, bool) row counts of every workspace made from now on."""
+    sizes = []
+    original = sharp._workspace
+
+    def workspace(size, n_floats, n_flags):
+        sizes.append((n_floats, n_flags))
+        return original(size, n_floats, n_flags)
+
+    monkeypatch.setattr(sharp, "_workspace", workspace)
+    return sizes
 
 
 class TestWorkOncePerBlock:
@@ -582,12 +596,14 @@ class TestSharedPass:
         assert sum(kernel) == shared[0].n_samples + shared[3].n_samples
 
     def test_one_pool_for_every_row_and_the_chain(self, monkeypatch):
-        made = _counting(monkeypatch, sharp, "_workspace")
+        sizes = _workspace_sizes(monkeypatch)
         _shared(10**4, 1, 2, 1e8, {})
-        assert made == [1]  # np.size of the row length: one call
+        assert sizes == [(12, 2)]  # one call
+        # the shared block and the widest scratch (priors' six) hold the
+        # chain's rows too
         rows = [sharp._ROWS[name]() for name in ("thm1", "thm2", "priors")]
-        assert 2 + len(sharp._SHARED) + max(row.scratch for row in rows) == sharp._POOL[0]
-        assert 2 + sharp._CHAIN.scratch <= sharp._POOL[0]
+        assert 2 + len(sharp._SHARED) + max(row.scratch for row in rows) == 12
+        assert 2 + sharp._CHAIN.scratch <= 12
 
     @pytest.mark.parametrize(
         "fn, floats",
@@ -618,3 +634,61 @@ class TestSharedPass:
             tracemalloc.stop()
         assert all(r.passed for r in sharp._finish_lanes(rows, [tallies]))
         assert peak < 4 * 2**20
+
+
+class TestOneDriver:
+    """Every suite reaches its rows through ``sharp._run``, which checks its
+    arguments before any lane forks."""
+
+    @pytest.mark.parametrize(
+        "fn, suites, chain",
+        [
+            (verify_blend_bounds, ["thm1"], None),
+            (verify_ratio_bounds, ["thm2"], None),
+            (verify_prior_bounds, ["priors"], None),
+            (verify_ordering_chain, [], 1e6),
+        ],
+    )
+    def test_each_verifier_is_one_run_in_one_lane(self, monkeypatch, fn, suites, chain):
+        calls = []
+        original = sharp._run
+
+        def run(rows, *args, **kw):
+            calls.append(([row.suite for row in rows], args, kw))
+            return original(rows, *args, **kw)
+
+        def no_fork():
+            raise AssertionError("forked")
+
+        monkeypatch.setattr(sharp, "_run", run)
+        monkeypatch.setattr(os, "fork", no_fork)
+        lanes = _counting(monkeypatch, sharp, "_lane")
+        assert fn(3_000, seed=2).passed
+        kw = {} if chain is None else {"chain_ratio_max": chain}
+        ratio_max = 1e8 if chain is None else 1e6
+        assert calls == [(suites, (3_000, 2, ratio_max), kw)]
+        assert len(lanes) == 1
+
+    @pytest.mark.parametrize(
+        "bad, match",
+        [
+            ({"seed": -1}, "seed"),
+            ({"samples": 0}, "samples"),
+            ({"ratio_max": math.inf}, "ratio_max"),
+            ({"ratio_max": 1.0}, "ratio_max"),
+            ({"chain_ratio_max": 1.00001}, "1 \\+ 2e-5"),
+            ({}, "forked"),
+        ],
+        ids=["seed", "samples", "ratio-max-inf", "ratio-max-one", "chain-floor", "valid"],
+    )
+    def test_arguments_checked_before_any_fork(self, monkeypatch, bad, match):
+        # the valid case shows that two lanes fork
+        def no_fork():
+            raise AssertionError("forked")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        monkeypatch.setattr(sharp, "_BLOCK", SMALL_BLOCK)
+        args = {"samples": 4 * SMALL_BLOCK, "seed": 0, "ratio_max": 1e8, "chain_ratio_max": 1e6, **bad}
+        rows = [sharp._ROWS[name]() for name in ("thm1", "thm2", "priors")]
+        with pytest.raises(AssertionError if not bad else DomainError, match=match):
+            sharp._run(rows, args["samples"], args["seed"], args["ratio_max"], args["chain_ratio_max"], lanes=2)
