@@ -14,9 +14,11 @@ killed by a signal or out of memory, say).  Each error is one ``error:``
 line on stderr.  Reports are deterministic given the same configuration and
 seed.
 
-Only ``verify`` loads numpy: :mod:`seiffert_bounds.sharp` imports it, and
-the bulk kernels, on the first call of a sweep.  ``eval``, ``series``,
-``constants`` and ``certify`` compute with :mod:`math` on floats.
+Only ``verify`` loads numpy: :mod:`seiffert_bounds.sharp` and the bulk
+twins of :mod:`seiffert_bounds.means` import it on the first call of a
+sweep.  ``eval``, ``series``, ``constants`` and ``certify`` compute with
+:mod:`math` on floats.  ``verify all`` forks one lane per CPU from
+``_LANE_MIN_SAMPLES`` (2²⁰) samples per suite up.
 """
 
 from __future__ import annotations
@@ -92,7 +94,9 @@ def _keywords(name: str, args: argparse.Namespace) -> dict:
 #: processes on a 2-core shared host, medians of 15 alternating pairs in three
 #: rounds: 0.93-0.96x at 5e4, 0.88-0.99x at 1e5, 0.89-1.07x at 2e5,
 #: 0.90-0.99x at 2.6e5, 0.92-1.02x at 5e5, 1.01-1.06x at 1e6 (two rounds).
-_LANE_MIN_SAMPLES = 1 << 18
+#: So the threshold is the first power of two at or above the first win,
+#: where two lanes read 1.08-1.19x at 1.1e6 (three rounds; BENCH_15.json).
+_LANE_MIN_SAMPLES = 1 << 20
 
 
 def _cpus() -> int:
@@ -291,6 +295,9 @@ _POSITIVE = _checked(int, lambda n: n >= 1, "be >= 1")
 _SEED = _checked(int, lambda n: n >= 0, "be >= 0")
 _RATIO_MAX = _checked(float, lambda x: math.isfinite(x) and x > 1.0, "be finite and exceed 1")
 _ORDER = _checked(int, lambda n: 1 <= n <= series.N_MAX, f"lie in [1, {series.N_MAX}]")
+#: Oracle digits: on a 2-core host 1e4 take 0.3 s and 1e5 take 14 s, and one
+#: value of 1e11 digits alone would fill about 41 GB.
+_DIGITS = _checked(int, lambda n: 1 <= n <= 10_000, "lie in [1, 10000]")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -314,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--x", type=float, default=None, help="blend parameter in [1/2, 1]")
     p_eval.add_argument("--p", type=float, default=None, help="power-mean exponent")
     p_eval.add_argument("--oracle", action="store_true", help="print the mpmath reference value")
-    p_eval.add_argument("--precision", type=_POSITIVE, default=100, help="oracle digits")
+    p_eval.add_argument("--precision", type=_DIGITS, default=100, help="oracle digits")
     p_eval.set_defaults(func=_cmd_eval)
 
     p_verify = sub.add_parser("verify", help="run bulk inequality suites")

@@ -34,13 +34,18 @@ it, ``1 + t²·r(t)`` from the exact-coefficient series of the excess ratio
 The cores (``*_values``) take one pair of floats, without validation, and
 use only :mod:`math`, so evaluating a mean loads no numpy.  The public API
 takes a validated :class:`PositivePair` and goes through :func:`mean`, which
-looks the core up in :data:`MEANS`.  The sweeps evaluate the same profile,
-factors and series on whole blocks in :mod:`seiffert_bounds.kernels`, in the
-same order: the rational factors give the same bits there, the Seiffert
-mean may differ by one ulp (``math.atan`` against ``np.arctan``).  The
-private ``_ratio`` (r, 1/3 - r and t/arctan t at one t) and ``_geomspace``
-also serve the stdlib scans of ``constants`` and ``certify``.  All
-functions are pure.
+looks the core up in :data:`MEANS`.
+
+Each core has a private bulk twin beside it, which the sweeps of
+:mod:`seiffert_bounds.sharp` run on whole numpy blocks, in the same order of
+operations: ``_profile`` (one function for floats and arrays, in place with
+``out``), the factors ``_*_factor``, ``_geometric`` and the r(t) kernel
+``_ratio_kernel``, the twin of the scalar ``_ratio`` (r, 1/3 - r and
+t/arctan t at one t).  The rational factors give the same bits on both
+paths, the Seiffert mean may differ by one ulp (``math.atan`` against
+``np.arctan``).  numpy loads on the first call of a twin, so importing this
+module loads none.  ``_ratio`` and ``_geomspace`` also serve the stdlib
+scans of ``constants`` and ``certify``.  All functions are pure.
 """
 
 from __future__ import annotations
@@ -50,6 +55,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import _OnFirstUse
 from .errors import DomainError
 
 __all__ = [
@@ -70,6 +76,10 @@ __all__ = [
     "contra_harmonic_values",
     "power_values",
 ]
+
+# Imported on the first call of a bulk twin: importing this module, and
+# every scalar core, loads no numpy.
+np = _OnFirstUse("numpy", globals(), "np")
 
 #: r(t) switches from the exact-coefficient series to the direct quotient here.
 _SERIES_SWITCH = 0.5
@@ -124,25 +134,37 @@ def _ratio_coeffs() -> tuple[float, ...]:
     return tuple(float(c) for c in excess_ratio_taylor(_SERIES_TERMS))
 
 
-def _profile(a: float, b: float) -> tuple[float, float]:
+def _profile(a, b, out=None):
     """A = a/2 + b/2 and t = |a/2 - b/2|/A; halving first keeps both finite.
 
-    A > 0 for a != b, however small the pair.
+    A > 0 for a != b, however small the pair.  Floats or float arrays, with
+    the same operations; ``out``, if given, is two float arrays shaped like a
+    and b that receive A and t, and ``a`` must then be a float array too,
+    which is overwritten.
     """
-    a, b = 0.5 * a, 0.5 * b
-    am = a + b
-    return am, abs(a - b) / am
+    if out is None:
+        a, b = 0.5 * a, 0.5 * b
+        am = a + b
+        return am, abs(a - b) / am
+    am, t = out
+    a *= 0.5
+    np.multiply(b, 0.5, out=am)
+    np.subtract(a, am, out=t)
+    np.add(a, am, out=am)
+    np.abs(t, out=t)
+    t /= am
+    return am, t
 
 
 def _ratio(t: float) -> tuple[float, float, float]:
     """r(t), the upper margin 1/3 - r(t) and q(t) = t/arctan t for t in [0, 1).
 
-    The scalar twin of :func:`seiffert_bounds.kernels._ratio_kernel`, in its
-    order of operations: beyond the switch all three come from the direct
-    quotient q; up to it, with u = t² and the Horner tail
-    Σ_{k>=1} coef[k]·u^{k-1}, 1/3 - r = -u·tail, r = tail·u + coef[0] and
-    q = 1 + u·r.  So the series branch gives the kernel's bits, and the
-    direct one may differ by an ulp (``math.atan`` against ``np.arctan``).
+    The scalar twin of :func:`_ratio_kernel`, in its order of operations:
+    beyond the switch all three come from the direct quotient q; up to it,
+    with u = t² and the Horner tail Σ_{k>=1} coef[k]·u^{k-1},
+    1/3 - r = -u·tail, r = tail·u + coef[0] and q = 1 + u·r.  So the series
+    branch gives the kernel's bits, and the direct one may differ by an ulp
+    (``math.atan`` against ``np.arctan``).
     """
     coeffs = _ratio_coeffs()
     if t > _SERIES_SWITCH:
@@ -155,6 +177,47 @@ def _ratio(t: float) -> tuple[float, float, float]:
         tail = tail * u + c
     r = tail * u + coeffs[0]
     return r, -u * tail, r * u + 1.0
+
+
+def _ratio_kernel(t, out=None):
+    """:func:`_ratio` on a numpy array: r(t), 1/3 - r(t) and q(t) = t/arctan t.
+
+    Any shape; all three arrays take the shape of ``t``.  ``out``, if given,
+    is four float arrays shaped like a 1-d ``t`` that receive t², r, 1/3 - r
+    and q: a sweep passes one set for every block and reads t² from the
+    first.
+
+    The direct quotient runs over the whole array and the series then
+    overwrites the subset up to the switch, with one in-place Horner pass
+    over that subset only.  (Overwriting beats gathering the large-t subset:
+    most sampled t lie above the switch.)
+    """
+    coeffs = _ratio_coeffs()
+    shape = np.shape(t)
+    t = np.reshape(t, -1)
+    tt, r, upper, q = (np.empty(t.shape) for _ in range(4)) if out is None else out
+    np.multiply(t, t, out=tt)
+    # t = 0 divides by zero; t² underflows below ~1e-154
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(t, np.arctan(t, out=q), out=q)
+        np.subtract(q, 1.0, out=r)
+        r /= tt
+    np.subtract(coeffs[0], r, out=upper)
+    small = np.flatnonzero(t <= _SERIES_SWITCH)
+    u = tt[small]
+    tail = u * coeffs[-1]
+    tail += coeffs[-2]
+    for c in coeffs[-3:0:-1]:
+        tail *= u
+        tail += c
+    upper[small] = -u * tail
+    tail *= u
+    tail += coeffs[0]
+    r[small] = tail
+    tail *= u
+    tail += 1.0
+    q[small] = tail
+    return r.reshape(shape), upper.reshape(shape), q.reshape(shape)
 
 
 def _geomspace(start: float, stop: float, num: int) -> list[float]:
@@ -185,6 +248,18 @@ def centroidal_values(a, b):
     return am * (t * t / 3.0 + 1.0)
 
 
+# The bulk twins of the cores: the factor f(t) of A·f(t) on numpy arrays,
+# taken of t² (the blend's of t), for profiles the sweeps already hold and
+# written into ``out`` if given.  Each takes its core's operations in its
+# order, so A·f(t) is the core's value bit for bit.
+
+
+def _centroidal_factor(tt, out=None):
+    f = np.divide(tt, 3.0, out=out)
+    f += 1.0
+    return f
+
+
 def blend_values(x, a, b):
     """Centroidal mean of the blended pair (xa+(1-x)b, xb+(1-x)a).
 
@@ -198,6 +273,12 @@ def blend_values(x, a, b):
     return am * (s * s / 3.0 + 1.0)
 
 
+def _blend_factor(x, t, out=None):
+    s = np.multiply(t, 2.0 * x - 1.0, out=out)
+    s *= s
+    return _centroidal_factor(s, out)
+
+
 def arithmetic_values(a, b):
     return a if a == b else 0.5 * a + 0.5 * b
 
@@ -207,6 +288,15 @@ def geometric_values(a, b):
     return a if a == b else math.sqrt(a) * math.sqrt(b)
 
 
+def _geometric(a, b, out, root, mask):
+    """:func:`geometric_values` on arrays, into ``out``; ``root`` and ``mask``
+    are a float and a bool row shaped like a and b that it overwrites."""
+    g = np.sqrt(a, out=out)
+    g *= np.sqrt(b, out=root)
+    np.copyto(g, a, where=np.equal(a, b, out=mask))
+    return g
+
+
 def root_square_values(a, b):
     if a == b:
         return a
@@ -214,11 +304,19 @@ def root_square_values(a, b):
     return am * math.sqrt(t * t + 1.0)
 
 
+def _root_square_factor(tt, out=None):
+    return np.sqrt(np.add(tt, 1.0, out=out), out=out)
+
+
 def contra_harmonic_values(a, b):
     if a == b:
         return a
     am, t = _profile(a, b)
     return am * (t * t + 1.0)
+
+
+def _contra_harmonic_factor(tt, out=None):
+    return np.add(tt, 1.0, out=out)
 
 
 def _sinh(x: float) -> float:

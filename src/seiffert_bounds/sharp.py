@@ -26,9 +26,9 @@ double-precision means (below that the true slack ~t⁴ falls under one ulp of
 the means themselves and raw doubles tie).  Margins near the limits are
 evaluated through series forms that stay fully accurate, e.g.
 1/3 - r(t) = (4/45)t² - (44/945)t⁴ + … obtained by exact long division of the
-arctan series.  That piecewise r(t) kernel lives in :mod:`seiffert_bounds.kernels`
-with the profile and the factors of the other means; the Seiffert mean of a
-block is A times its q = t/arctan t.
+arctan series.  That piecewise r(t) kernel lives in :mod:`seiffert_bounds.means`
+beside its scalar twin, as do the profile and the factors of the other means;
+the Seiffert mean of a block is A times its q = t/arctan t.
 
 Sampling is log-uniform in a/b over (1, ratio_max] plus deterministic
 near-boundary points {1+10⁻ᵏ} and {10⁺ᵏ} up to ratio_max: sharpness lives at
@@ -76,9 +76,9 @@ import os
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, field
 
-from . import _OnFirstUse
+from . import _OnFirstUse, means
 from .errors import BracketError, DomainError
-from .means import _geomspace, _ratio
+from .means import _geomspace, _ratio, _ratio_kernel
 
 __all__ = [
     "RATIO_LOWER",
@@ -103,17 +103,11 @@ __all__ = [
 
 
 # Importing this module, and with it the CLI, loads none of these: the bulk
-# code loads numpy and the kernels on its first call, and ``constants_report``
-# (stdlib scans only) loads auxiliary.
+# code loads numpy on its first call, and ``constants_report`` (stdlib scans
+# only) loads auxiliary.
 np = _OnFirstUse("numpy", globals(), "np")
 auxiliary = _OnFirstUse(".auxiliary", globals(), "auxiliary")
-kernels = _OnFirstUse(".kernels", globals(), "kernels")
 pickle = _OnFirstUse("pickle", globals(), "pickle")
-
-
-def _ratio_kernel(t, out=None):
-    """:func:`seiffert_bounds.kernels._ratio_kernel`, imported on first use."""
-    return kernels._ratio_kernel(t, out)
 
 #: Sharp bounds of the excess ratio: inf = 4/π - 1, sup = 1/3.
 RATIO_LOWER = 4.0 / math.pi - 1.0
@@ -511,7 +505,7 @@ def _blend_row(alpha: float | None = None, beta: float = 1.0) -> _Row:
 
         def means_at(k, side):
             am = x[k] * 0.5 + 0.5
-            blend = float(am * kernels._blend_factor(alpha if side == "lower" else beta, t[k]))
+            blend = float(am * means._blend_factor(alpha if side == "lower" else beta, t[k]))
             seif = float(am * q[k])
             return (blend, seif) if side == "lower" else (seif, blend)
 
@@ -519,9 +513,9 @@ def _blend_row(alpha: float | None = None, beta: float = 1.0) -> _Row:
             # the margins are spent by now (see _Tally.add): their rows hold
             # the means, and the Seiffert mean takes q's
             arith = _half_sum(x, pool[0])
-            lo_mean = kernels._blend_factor(alpha, t, pool[1])
+            lo_mean = means._blend_factor(alpha, t, pool[1])
             lo_mean *= arith
-            hi_mean = kernels._blend_factor(beta, t, pool[2])
+            hi_mean = means._blend_factor(beta, t, pool[2])
             hi_mean *= arith
             return _raw_mean_witness(x, t, lo_mean, np.multiply(arith, q, out=pool[3]), hi_mean, flags)
 
@@ -550,7 +544,7 @@ def _ratio_row(alpha1: float | None = None, beta1: float | None = None) -> _Row:
             # the margins are spent by now (see _Tally.add): their rows hold
             # the means, and the Seiffert mean takes the contra-harmonic one's
             arith = _half_sum(x, pool[0])
-            contra = kernels._contra_harmonic_factor(tt, pool[1])
+            contra = means._contra_harmonic_factor(tt, pool[1])
             contra *= arith
             lo_mean = _mix(alpha1, contra, arith, pool[2], pool[3])
             hi_mean = _mix(beta1, contra, arith, pool[3], pool[4])
@@ -586,7 +580,7 @@ def _prior_block(x, t, shared, pool, flags):
     """The priors row's block: four named margins, then one raw-mean check."""
     tt, r, upper, q = shared
     u, lower_s, upper_s, lower_c, left, right = pool[:6]
-    kernels._root_square_factor(tt, u)
+    means._root_square_factor(tt, u)
     np.add(u, 1.0, out=upper_s)
     np.subtract(r, np.divide(_PRIOR_ALPHA_S, upper_s, out=lower_s), out=lower_s)
     # (2/3)/(1+u) - r, written against the stable upper margin as
@@ -622,8 +616,8 @@ def _prior_block(x, t, shared, pool, flags):
             pa += 1.0 - p
             pb = np.multiply(x, 1.0 - p, out=w)
             pb += p
-            blend_am, blend_t = kernels._profile(pa, pb, out=(u, lower_c))
-            contra = kernels._contra_harmonic_factor(np.multiply(blend_t, blend_t, out=blend_t), blend_t)
+            blend_am, blend_t = means._profile(pa, pb, out=(u, lower_c))
+            contra = means._contra_harmonic_factor(np.multiply(blend_t, blend_t, out=blend_t), blend_t)
             contra *= blend_am
             ok &= np.less(contra, seif, out=spare) if below else np.less(seif, contra, out=spare)
         k = _first_raw_failure(ok, t, spare)
@@ -751,16 +745,16 @@ def _chain_block(x, k, rows, flags):
     a, g, am, t, tt, r, upper, q = rows[:8]
     # the pair is (a, b) = (x·k, k); G first, as the profile overwrites a,
     # with r and the first flag row, free until the kernel, as scratch
-    g = kernels._geometric(np.multiply(x, k, out=a), k, g, r, flags[0])
-    am, t = kernels._profile(a, k, out=(am, t))
+    g = means._geometric(np.multiply(x, k, out=a), k, g, r, flags[0])
+    am, t = means._profile(a, k, out=(am, t))
     tm = _ratio_kernel(t, out=(tt, r, upper, q))[2]
     tm *= am
     # the other means take the rows of a, t and 1/3 - r, spent by now
-    cb = kernels._centroidal_factor(tt, a)
+    cb = means._centroidal_factor(tt, a)
     cb *= am
-    s = kernels._root_square_factor(tt, t)
+    s = means._root_square_factor(tt, t)
     s *= am
-    c = kernels._contra_harmonic_factor(tt, upper)
+    c = means._contra_harmonic_factor(tt, upper)
     c *= am
     # the two minimum slacks, with r as scratch: A - G, Cbar - A, T - A ...
     left = np.subtract(am, g, out=g)
@@ -915,7 +909,7 @@ def _run(rows, samples: int, seed: int, ratio_max: float, chain_ratio_max: float
     lane = functools.partial(_lane, rows, seed, samples, ratio_max, chain_ratio_max)
     if rest:
         # loaded before the lanes fork; pickle first, as after numpy it cost 0.2 MB of peak RSS
-        pickle.dumps, kernels._profile
+        pickle.dumps, np.empty
     children = []  # (pid, read end, start, stop) of each child lane not yet reaped
     try:
         for start, stop in rest:

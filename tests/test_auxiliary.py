@@ -18,7 +18,7 @@ from seiffert_bounds import (
     ladder_proof,
     locate_critical_points,
 )
-from seiffert_bounds import auxiliary, kernels, means, oracle
+from seiffert_bounds import auxiliary, means, oracle
 
 SHARP = blend_alpha_closed()
 
@@ -415,7 +415,7 @@ class TestWitnesses:
         ],
     )
     def test_scalar_scan_finds_the_bulk_scans_witness(self, side, p):
-        # the bulk scan on the same grid, from the kernels: the first ratio
+        # the bulk scan on the same grid, from the bulk twins: the first ratio
         # where the bound fails, with the blend mean bit for bit and the
         # Seiffert mean within 1 ulp (math.atan against np.arctan)
         p = float(p)
@@ -423,9 +423,9 @@ class TestWitnesses:
             ts = np.array(means._geomspace(1.5, 1e12, 1200))
         else:
             ts = 1.0 + np.array(means._geomspace(1e-9, 10.0, 800))
-        am, t = kernels._profile(ts, 1.0)
-        blend = am * kernels._blend_factor(p, t)
-        seif = am * kernels._ratio_kernel(t)[2]
+        am, t = means._profile(ts, 1.0)
+        blend = am * means._blend_factor(p, t)
+        seif = am * means._ratio_kernel(t)[2]
         fails = blend > seif if side == "above_alpha" else seif - blend >= 4.0 * np.spacing(blend)
         k = int(np.flatnonzero(fails)[0])
         w = counterexample_witness(p, side)

@@ -230,6 +230,7 @@ class TestHardenedInputs:
             (["verify", "chain", "--samples", "1000", "--beta-shift=-1e-3"], "--beta-shift"),
             (["verify", "priors", "--samples", "1000", "--alpha-shift=1e-4"], "--alpha-shift"),
             (["verify", "priors", "--samples", "1000", "--beta-shift", "nan"], "--beta-shift"),
+            (["eval", "seiffert", "1.0", "3.0", "--oracle", "--precision", "10001"], "precision"),
         ],
     )
     def test_exit_2(self, capsys, argv, needle):
@@ -454,6 +455,8 @@ class TestLanes:
     [
         (["-c", "import seiffert_bounds"], 0),
         (["-c", "import seiffert_bounds.cli"], 0),
+        (["-c", "import seiffert_bounds.means, seiffert_bounds.sharp, "
+                "seiffert_bounds.auxiliary, seiffert_bounds.series"], 0),
         (["-m", "seiffert_bounds.cli", "eval", "seiffert", "1", "3"], 0),
         (["-m", "seiffert_bounds.cli", "eval", "power", "1", "3", "--p", "2", "--oracle"], 0),
         (["-m", "seiffert_bounds.cli", "series", "ratio", "--format", "json"], 0),
@@ -462,7 +465,7 @@ class TestLanes:
         *((["-m", "seiffert_bounds.cli", "certify", "--format", fmt], 0) for fmt in ("json", "plain")),
     ],
     ids=[
-        "import-package", "import-cli", "eval", "eval-oracle", "series", "usage-error",
+        "import-package", "import-cli", "import-modules", "eval", "eval-oracle", "series", "usage-error",
         "constants-json", "constants-csv", "constants-plain", "certify-json", "certify-plain",
     ],
 )

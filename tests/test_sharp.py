@@ -284,10 +284,10 @@ class TestConstantsReport:
         # the series branch (t <= 1/2) bit for bit, the direct one within a
         # few ulp of r (math.atan against np.arctan), and each ratio witness
         # at the grid's first violation
-        from seiffert_bounds import kernels, means
+        from seiffert_bounds import means
 
         def r(t):
-            return kernels._ratio_kernel(np.array(t))[0]
+            return means._ratio_kernel(np.array(t))[0]
 
         reports = {rep.name: rep for rep in constants_report()}
         r_small = r(means._geomspace(1e-8, 1e-2, 400))

@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from seiffert_bounds import DomainError, kernels, means, sharp
+from seiffert_bounds import DomainError, means, sharp
 from seiffert_bounds.sharp import (
     RATIO_LOWER,
     RATIO_UPPER,
@@ -72,7 +72,7 @@ def test_report_independent_of_block_size_at_the_default_block(monkeypatch, case
 def test_chain_tie_in_a_later_block_is_its_witness(monkeypatch):
     # G planted equal to A at one sample of the second block: the chain's
     # ordering, read from the signs of its slack minima, must fail there
-    original = kernels._geometric
+    original = means._geometric
     planted = {}
 
     def tied(a, b, *rows):
@@ -84,7 +84,7 @@ def test_chain_tie_in_a_later_block_is_its_witness(monkeypatch):
             g[i] = means.arithmetic_values(float(a[i]), float(b[i]))
         return g
 
-    monkeypatch.setattr(kernels, "_geometric", tied)
+    monkeypatch.setattr(means, "_geometric", tied)
     n = 2 * sharp._BLOCK + 7
     res = verify_ordering_chain(n, seed=5)
     a, b = planted["pair"]
@@ -172,7 +172,7 @@ class TestRawMeanWitness:
         x = w["ratio"]
         contra, arith = means.contra_harmonic_values(x, 1.0), (x + 1.0) / 2.0
         upper_mean = RATIO_UPPER * contra + (1.0 - RATIO_UPPER) * arith
-        q = kernels._ratio_kernel(kernels._profile(x, 1.0)[1])[2]
+        q = means._ratio_kernel(means._profile(x, 1.0)[1])[2]
         assert w["lhs"] == float(arith * (q * (1.0 + 1e-9)))
         assert w["lhs"] >= w["rhs"]
         assert w["rhs"] == pytest.approx(float(upper_mean), rel=1e-15)
@@ -265,7 +265,7 @@ class TestWorkOncePerBlock:
     def test_one_quotient_per_block(self, monkeypatch, fn):
         monkeypatch.setattr(sharp, "_BLOCK", SMALL_BLOCK)
         arctan = _counting(monkeypatch, np, "arctan")
-        profile = _counting(monkeypatch, kernels, "_profile")
+        profile = _counting(monkeypatch, means, "_profile")
         seiffert = _counting(monkeypatch, means, "seiffert_values")
         assert fn(self.N, seed=2).passed
         arctans, profiles = {
@@ -281,7 +281,7 @@ class TestWorkOncePerBlock:
 
 def test_block_profile_means_equal_the_cores(monkeypatch):
     # the raw-mean checks build A·f(t) from the block's own t with the bulk
-    # kernels; that must be the scalar cores' value at (x, 1), bit for bit
+    # twins; that must be the scalar cores' value at (x, 1), bit for bit
     # for the rational factors and the series branch of t/arctan t, and
     # within 1 ulp for its quotient (np.arctan against math.atan), across the
     # whole ratio range and on both sides of the t = 1e-3 floor of the
@@ -296,7 +296,7 @@ def test_block_profile_means_equal_the_cores(monkeypatch):
     monkeypatch.setattr(sharp, "sample_ratios", lambda rng, n, ratio_max, include_boundary, **kw: x)
     monkeypatch.setattr(sharp, "_BLOCK", len(x))
     (xb, t, _, _, _), = sharp._ratio_blocks(0, len(x), 2.0, 0, len(x), *sharp._workspace(len(x), 6, 0))
-    assert np.array_equal(t, kernels._profile(x, 1.0)[1])
+    assert np.array_equal(t, means._profile(x, 1.0)[1])
     assert np.any(t[-34:-17] < 1e-3) and np.any(t[-34:-17] >= 1e-3)
     assert np.any(t[-17:] == 0.5) and np.any(t[-17:] > 0.5)
     am = sharp._half_sum(xb, np.empty(len(x)))
@@ -305,14 +305,14 @@ def test_block_profile_means_equal_the_cores(monkeypatch):
         return np.array([fn(*param, xi, 1.0) for xi in x.tolist()])
 
     for p in (0.5, blend_alpha_closed(), 0.99, 1.0):
-        assert np.array_equal(am * kernels._blend_factor(p, t), cores(means.blend_values, p))
+        assert np.array_equal(am * means._blend_factor(p, t), cores(means.blend_values, p))
     # the sweeps take t² from the kernel pass
     tt, *rest = np.empty((4, len(t)))
-    q = kernels._ratio_kernel(t, out=(tt, *rest))[2]
+    q = means._ratio_kernel(t, out=(tt, *rest))[2]
     assert np.array_equal(tt, t * t)
-    assert np.array_equal(am * kernels._contra_harmonic_factor(tt), cores(means.contra_harmonic_values))
-    assert np.array_equal(am * kernels._root_square_factor(tt), cores(means.root_square_values))
-    assert np.array_equal(am * kernels._centroidal_factor(tt), cores(means.centroidal_values))
+    assert np.array_equal(am * means._contra_harmonic_factor(tt), cores(means.contra_harmonic_values))
+    assert np.array_equal(am * means._root_square_factor(tt), cores(means.root_square_values))
+    assert np.array_equal(am * means._centroidal_factor(tt), cores(means.centroidal_values))
     bulk, scalar = am * q, cores(means.seiffert_values)
     series = t <= 0.5
     assert np.array_equal(bulk[series], scalar[series])
@@ -320,8 +320,16 @@ def test_block_profile_means_equal_the_cores(monkeypatch):
     # the chain's G, pair by pair, the diagonal included
     b = np.concatenate([np.ones(len(x)), x])
     a = np.concatenate([x, x])
-    g = kernels._geometric(a, b, np.empty(len(a)), np.empty(len(a)), np.empty(len(a), dtype=bool))
+    g = means._geometric(a, b, np.empty(len(a)), np.empty(len(a)), np.empty(len(a), dtype=bool))
     assert np.array_equal(g, [means.geometric_values(ai, bi) for ai, bi in zip(a.tolist(), b.tolist())])
+    # the profile's three forms on the same pairs, both ways round: per
+    # float, on the arrays, and in place
+    for lhs, rhs in ((a, b), (b, a)):
+        per_float = np.array([means._profile(ai, bi) for ai, bi in zip(lhs.tolist(), rhs.tolist())]).T
+        on_arrays = means._profile(lhs, rhs)
+        in_place = means._profile(lhs.copy(), rhs, out=(np.empty(len(a)), np.empty(len(a))))
+        for form in (on_arrays, in_place):
+            assert all(np.array_equal(f, p) for f, p in zip(form, per_float))
 
 
 class TestRatioKernel:
@@ -333,14 +341,14 @@ class TestRatioKernel:
         ])
         u = t * t
         series = np.zeros_like(u)
-        for c in kernels._RATIO_COEFFS[::-1]:
+        for c in means._ratio_coeffs()[::-1]:
             series = series * u + c
         tail = np.zeros_like(u)
-        for c in kernels._RATIO_COEFFS[:0:-1]:
+        for c in means._ratio_coeffs()[:0:-1]:
             tail = tail * u + c
         direct = (t / np.arctan(t) - 1.0) / (t * t)
         small = t <= 0.5
-        r, upper, q = kernels._ratio_kernel(t)
+        r, upper, q = means._ratio_kernel(t)
         assert np.array_equal(r, np.where(small, series, direct))
         assert np.array_equal(upper, np.where(small, -u * tail, RATIO_UPPER - direct))
         # q = t/arctan t is 1 + u·r(t) below the switch
@@ -355,7 +363,7 @@ class TestRatioKernel:
             [0.0], np.geomspace(1e-12, 0.5, 2_000), np.linspace(0.5, 1.0 - 1e-12, 2_000),
             0.5 + np.arange(-8, 9) * np.spacing(0.5),
         ])
-        bulk = kernels._ratio_kernel(t)
+        bulk = means._ratio_kernel(t)
         scalar = np.array([means._ratio(x) for x in t.tolist()]).T
         series = t <= 0.5
         for b, s in zip(bulk, scalar):
@@ -379,11 +387,11 @@ class TestRatioKernel:
 
     def test_scalar_and_shaped_input(self):
         grid = np.array([[0.1, 0.6], [0.3, 0.9]])
-        parts = kernels._ratio_kernel(grid)
-        for flat, part in zip(kernels._ratio_kernel(grid.ravel()), parts):
+        parts = means._ratio_kernel(grid)
+        for flat, part in zip(means._ratio_kernel(grid.ravel()), parts):
             assert part.shape == (2, 2)
             assert np.array_equal(part.ravel(), flat)
-        assert kernels._ratio_kernel(0.3)[2] == parts[2][1, 0]
+        assert means._ratio_kernel(0.3)[2] == parts[2][1, 0]
         vals = sharp.excess_ratio(grid)
         assert vals.shape == (2, 2)
         assert vals[1, 0] == sharp.excess_ratio(0.3)
