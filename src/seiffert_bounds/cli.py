@@ -68,8 +68,6 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 _SUITES = ("thm1", "thm2", "priors", "chain")
-#: The ordering chain's pairs stay within ratios of 1e6 whatever --ratio-max is.
-_CHAIN_RATIO_MAX = 1e6
 #: Each suite's public verifier in :mod:`seiffert_bounds.sharp`.
 _VERIFIERS = {
     "thm1": "verify_blend_bounds",
@@ -108,7 +106,7 @@ def _run_suites(which: list[str], args: argparse.Namespace) -> list:
     """Run the suites: all four in one shared pass when the run is large
     enough, in one lane per CPU (:func:`sharp._run`), else one by one, each
     through its public verifier."""
-    chain_ratio_max = min(args.ratio_max, _CHAIN_RATIO_MAX)
+    chain_ratio_max = min(args.ratio_max, sharp._CHAIN_RATIO_MAX)
     if len(which) > 1 and args.samples >= _LANE_MIN_SAMPLES:
         rows = [sharp._ROWS[name](**_keywords(name, args)) for name in which if name != "chain"]
         return sharp._run(rows, args.samples, args.seed, args.ratio_max, chain_ratio_max, lanes=_cpus())
@@ -141,7 +139,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     which = list(_SUITES) if args.which == "all" else [args.which]
     if "chain" in which:
         # before any suite runs, so that no other suite is computed for nothing
-        sharp._check_chain_range(min(args.ratio_max, _CHAIN_RATIO_MAX))
+        sharp._check_chain_range(min(args.ratio_max, sharp._CHAIN_RATIO_MAX))
     results = _run_suites(which, args)
     results.sort(key=lambda r: r.suite)
 

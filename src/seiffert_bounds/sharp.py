@@ -63,15 +63,17 @@ forked lane, and merges the lanes' tallies in range order.  A public
 ``_run`` of the thm1, thm2 and priors rows, which read one draw and one
 kernel pass per block in place, and the chain, in one lane per CPU.
 
-Every pass writes its blocks into one workspace of block-sized rows, made per
-call and reused by every block and every row (see ``_BLOCK``): the heap is not
-re-faulted block by block.  All functions are pure.
+Every lane writes its blocks into one workspace of twelve block-sized float
+rows and two bool rows (see ``_FLOAT_ROWS`` and ``_BLOCK``), made per call and
+reused by every block and every row: the heap is not re-faulted block by block.
+All functions are pure.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import numbers
 import os
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, field
@@ -181,15 +183,25 @@ def blend_alpha_numeric() -> float:
     return _bisect(lambda p: math.pi - 3.0 / (p * p - p + 1.0), 0.5 + 1e-9, 1.0)
 
 
-def _check_range(n: int, ratio_max: float) -> None:
-    if n < 1:
-        raise DomainError(f"samples must be >= 1, got {n}")
+def _count(name: str, value: int, least: int) -> int:
+    """``value`` as an int of at least ``least``: a numpy integer will do, a bool will not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise DomainError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
+def _check_range(n: int, ratio_max: float) -> int:
+    """The sample count ``n`` as an int, once it and ``ratio_max`` are valid."""
+    n = _count("samples", n, 1)
     if not (math.isfinite(ratio_max) and ratio_max > 1.0):
         raise DomainError(f"ratio_max must be finite and exceed 1, got {ratio_max}")
+    return n
 
 
 #: The ordering chain draws its ratios from here up (see verify_ordering_chain).
 _CHAIN_RATIO_FLOOR = 1.0 + 2e-5
+#: The chain's default ratio_max, and its cap in ``verify`` whatever ``--ratio-max`` is.
+_CHAIN_RATIO_MAX = 1e6
 
 
 def _check_chain_range(ratio_max: float) -> None:
@@ -227,7 +239,7 @@ def sample_ratios(
     with the last block and pass one float array as ``_out`` (private) for
     every block, whose head the result then is.
     """
-    _check_range(n, ratio_max)
+    n = _check_range(n, ratio_max)
     extra = _boundary_points(ratio_max) if include_boundary else ()
     x = np.empty(n + len(extra)) if _out is None else _out[: n + len(extra)]
     drawn = x[:n]
@@ -273,8 +285,8 @@ class VerificationResult:
 
 
 #: Samples drawn, checked and reduced per step of a sweep.  Every block is
-#: written into one workspace of 6 to 12 float64 rows and two bool rows (0.8
-#: to 1.6 MB, within one core's 2 MiB L2), so no block allocates or frees a
+#: written into one workspace of 12 float64 rows and two bool rows (1.6 MB,
+#: within one core's 2 MiB L2), so no block allocates or frees a
 #: block-sized array and glibc no longer trims and re-faults the heap block
 #: by block (chain took 13.8k minor faults per 2e6-sample call).  At this
 #: size a row, with room for the boundary points, stays below glibc's
@@ -282,8 +294,10 @@ class VerificationResult:
 #: raised the probe workload's peak RSS by 1.8 MB.  See ``BENCH_10.json``.
 _BLOCK = 16_000
 
-#: The kernel rows of a shared block, after x and t, by name: t², r, 1/3 - r and q.
-_SHARED = ("tt", "r", "upper", "q")
+#: The float rows of every lane's workspace: x, t, the four kernel rows, which
+#: every row reads and none writes, and a pool of six, the only rows a row
+#: writes (priors uses all six); the chain's x, k and eight rows fit in them too.
+_FLOAT_ROWS = 12
 
 
 def _workspace(size: int, floats: int, flags: int) -> tuple[list, list]:
@@ -295,8 +309,7 @@ def _workspace(size: int, floats: int, flags: int) -> tuple[list, list]:
     return [np.empty(size) for _ in range(floats)], [np.empty(size, dtype=bool) for _ in range(flags)]
 
 
-def _ratio_blocks(seed: int, n: int, ratio_max: float, start: int, stop: int, work: list, bits: list,
-                  alone: tuple | None = None):
+def _ratio_blocks(seed: int, n: int, ratio_max: float, start: int, stop: int, work: list, bits: list):
     """Blocks ``(x, t, shared, pool, flags)`` of samples [start, stop) of the
     stream ``sample_ratios(default_rng(seed), n, ratio_max)``.
 
@@ -304,8 +317,7 @@ def _ratio_blocks(seed: int, n: int, ratio_max: float, start: int, stop: int, wo
     the block that ends the stream carries the boundary points.  Every block
     is written into the rows of ``work`` and ``bits``, cut to its length: x,
     t, the ``shared`` kernel rows (t², r, 1/3 - r, q), one kernel pass over
-    the block, and the rest as the ``pool`` of scratch rows; for one row run
-    ``alone`` (see :class:`_Row`), the pool takes the shared rows it names.
+    the block, and the rest as the ``pool`` of spare rows.
 
     t is bit for bit the profile t of the pair (x, 1) (the profile's halvings
     are exact), so the raw-mean checks may build means of (x, 1) from it.
@@ -317,8 +329,6 @@ def _ratio_blocks(seed: int, n: int, ratio_max: float, start: int, stop: int, wo
         np.subtract(x, 1.0, out=t)
         t /= np.add(x, 1.0, out=tt)
         shared = (tt, *_ratio_kernel(t, out=(tt, r, upper, q)))
-        if alone is not None:
-            pool = [pool.pop(0) if name is None else shared[_SHARED.index(name)] for name in alone]
         yield x, t, shared, pool, [row[: len(x)] for row in bits]
 
 
@@ -450,24 +460,14 @@ class _Row:
 
     ``block(*blk)`` takes a block of the stream (for the ratio suites
     ``x, t, shared, pool, flags``: it reads x, t and the shared kernel rows
-    in place and writes only into its first ``scratch`` rows of ``pool`` and
-    into ``flags``) and returns the block's ``(folds, checks)`` for
-    :meth:`_Tally.add`.  ``folds["left"]`` and ``folds["right"]`` are the
-    reported slacks; ``stats`` turns the other ``name -> (value, ratio)``
-    extrema into report fields.
-
-    ``alone`` names, for each pool row, the shared row (of ``_SHARED``) that
-    takes its place when the row runs alone, or None for a row of its own:
-    the row writes such a pool row only once it reads that shared row no
-    more, so a single suite needs no more rows than its own arithmetic.
+    in place and writes only into ``pool`` and ``flags``) and returns the
+    block's ``(folds, checks)`` for :meth:`_Tally.add`.  ``folds["left"]``
+    and ``folds["right"]`` are the reported slacks; ``stats`` turns the
+    other ``name -> (value, ratio)`` extrema into report fields.
     """
 
-    def __init__(self, suite: str, alone: tuple, block: Callable, stats: Callable = lambda best: {}) -> None:
-        self.suite, self.alone, self.block, self.stats = suite, alone, block, stats
-
-    @property
-    def scratch(self) -> int:
-        return len(self.alone)
+    def __init__(self, suite: str, block: Callable, stats: Callable = lambda best: {}) -> None:
+        self.suite, self.block, self.stats = suite, block, stats
 
     def finish(self, tally: _Tally) -> VerificationResult:
         best = dict(tally.best)
@@ -497,8 +497,6 @@ def _blend_row(alpha: float | None = None, beta: float = 1.0) -> _Row:
     hi_const = (2.0 * beta - 1.0) ** 2 / 3.0
 
     def block(x, t, shared, pool, flags):
-        # alone, pool[0] to pool[3] are r, 1/3 - r, t² and q: the right
-        # margin reads r before the left one takes its row
         _, r, upper, q = shared
         right = upper if beta == 1.0 else np.subtract(hi_const, r, out=pool[1])
         left = np.subtract(r, lo_const, out=pool[0])
@@ -511,7 +509,7 @@ def _blend_row(alpha: float | None = None, beta: float = 1.0) -> _Row:
 
         def raw_means():
             # the margins are spent by now (see _Tally.add): their rows hold
-            # the means, and the Seiffert mean takes q's
+            # the means
             arith = _half_sum(x, pool[0])
             lo_mean = means._blend_factor(alpha, t, pool[1])
             lo_mean *= arith
@@ -522,7 +520,7 @@ def _blend_row(alpha: float | None = None, beta: float = 1.0) -> _Row:
         folds = {"left": (left, np.argmin), "right": (right, np.argmin)}
         return folds, (lambda: _margin_witness(x, left, right, means_at, flags), raw_means)
 
-    return _Row("thm1", ("r", "upper", "tt", "q"), block)
+    return _Row("thm1", block)
 
 
 def _ratio_row(alpha1: float | None = None, beta1: float | None = None) -> _Row:
@@ -534,8 +532,6 @@ def _ratio_row(alpha1: float | None = None, beta1: float | None = None) -> _Row:
             raise DomainError(f"{name} must be finite, got {val!r}")
 
     def block(x, t, shared, pool, flags):
-        # alone, pool[1] to pool[3] are 1/3 - r, r and t²: r outlives the
-        # margin check, and t² the contra-harmonic mean
         tt, r, upper, q = shared
         left = np.subtract(r, alpha1, out=pool[0])
         right = upper if beta1 == RATIO_UPPER else np.subtract(beta1, r, out=pool[1])
@@ -563,7 +559,7 @@ def _ratio_row(alpha1: float | None = None, beta1: float | None = None) -> _Row:
         (inf, arg_inf), (sup, arg_sup) = best["inf"], best["sup"]
         return {"inf": inf, "sup": sup, "arg_inf": arg_inf, "arg_sup": arg_sup}
 
-    return _Row("thm2", (None, "upper", "r", "tt", None), block, stats)
+    return _Row("thm2", block, stats)
 
 
 # Prior sharp constants regression-checked against the same mean stack:
@@ -631,7 +627,7 @@ def _prior_block(x, t, shared, pool, flags):
 
 
 #: The priors row: it takes no parameters.
-_PRIORS = _Row("priors", (None,) * 6, _prior_block, lambda best: {name: best[name][0] for name in _PRIOR_NAMES})
+_PRIORS = _Row("priors", _prior_block, lambda best: {name: best[name][0] for name in _PRIOR_NAMES})
 
 
 def verify_blend_bounds(
@@ -744,7 +740,7 @@ def _chain_block(x, k, rows, flags):
     """The chain's block: the slack minima of its ordering, and its one check."""
     a, g, am, t, tt, r, upper, q = rows[:8]
     # the pair is (a, b) = (x·k, k); G first, as the profile overwrites a,
-    # with r and the first flag row, free until the kernel, as scratch
+    # with r and the first flag row, free until the kernel, as spare rows
     g = means._geometric(np.multiply(x, k, out=a), k, g, r, flags[0])
     am, t = means._profile(a, k, out=(am, t))
     tm = _ratio_kernel(t, out=(tt, r, upper, q))[2]
@@ -756,7 +752,7 @@ def _chain_block(x, k, rows, flags):
     s *= am
     c = means._contra_harmonic_factor(tt, upper)
     c *= am
-    # the two minimum slacks, with r as scratch: A - G, Cbar - A, T - A ...
+    # the two minimum slacks, with r as a spare row: A - G, Cbar - A, T - A ...
     left = np.subtract(am, g, out=g)
     np.minimum(left, np.subtract(cb, am, out=r), out=left)
     np.minimum(left, np.subtract(tm, am, out=r), out=left)
@@ -782,14 +778,14 @@ def _chain_block(x, k, rows, flags):
 
 
 #: The ordering chain as a row over its own pairs: x, k and eight rows.
-_CHAIN = _Row("chain", (None,) * 8, _chain_block)
+_CHAIN = _Row("chain", _chain_block)
 
 
 def verify_ordering_chain(
     samples: int = 10**5,
     *,
     seed: int = 0,
-    ratio_max: float = 1e6,
+    ratio_max: float = _CHAIN_RATIO_MAX,
 ) -> VerificationResult:
     """Strict ordering G < A < centroidal < S < C plus A < seiffert < S.
 
@@ -824,21 +820,13 @@ def _lane(rows, seed: int, samples: int, ratio_max: float, chain_ratio_max: floa
     chain over the same range unless ``chain_ratio_max`` is None.
 
     One pass applies every row to one draw and one kernel call per block, then
-    the chain runs over its own pairs, all in one pool sized for what runs:
-    the shared block and the widest row's scratch, or the chain's rows, or for
-    a row alone only the rows that its ``alone`` does not take from the shared
-    block.  Merged in range order (:meth:`_Tally.merge`), the lanes' tallies
-    finish into the reports of the suites run one by one, bit for bit.
+    the chain runs over its own pairs, all in one workspace of
+    ``_FLOAT_ROWS`` float and two bool rows, whatever runs.  Merged in range
+    order (:meth:`_Tally.merge`), the lanes' tallies finish into the reports
+    of the suites run one by one, bit for bit.
     """
-    alone = rows[0].alone if len(rows) == 1 and chain_ratio_max is None else None
-    floats = 0 if chain_ratio_max is None else 2 + _CHAIN.scratch
-    if rows:
-        own = max(row.scratch for row in rows) if alone is None else alone.count(None)
-        floats = max(floats, 2 + len(_SHARED) + own)
-    size = min(stop - start, _BLOCK) + (len(_boundary_points(ratio_max)) if rows else 0)
-    work, bits = _workspace(size, floats, 2)
-    blocks = _ratio_blocks(seed, samples, ratio_max, start, stop, work, bits, alone)
-    tallies = _reduce(rows, blocks) if rows else []
+    work, bits = _workspace(min(stop - start, _BLOCK) + len(_boundary_points(ratio_max)), _FLOAT_ROWS, 2)
+    tallies = _reduce(rows, _ratio_blocks(seed, samples, ratio_max, start, stop, work, bits)) if rows else []
     if chain_ratio_max is not None:
         tallies += _reduce([_CHAIN], _chain_blocks(seed, samples, chain_ratio_max, start, stop, work, bits))
     return tallies
@@ -900,9 +888,7 @@ def _run(rows, samples: int, seed: int, ratio_max: float, chain_ratio_max: float
     ``_lane_ranges(samples, lanes)`` runs in this process and every other one
     in a forked child (:func:`_fork`, :func:`_join`).
     """
-    if seed < 0:
-        raise DomainError(f"seed must be >= 0, got {seed}")
-    _check_range(samples, ratio_max)
+    seed, samples = _count("seed", seed, 0), _check_range(samples, ratio_max)
     if chain_ratio_max is not None:
         _check_chain_range(chain_ratio_max)
     first, *rest = _lane_ranges(samples, lanes if hasattr(os, "fork") else 1)

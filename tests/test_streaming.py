@@ -414,8 +414,16 @@ class TestSamplingInputs:
         "fn", [verify_blend_bounds, verify_ratio_bounds, verify_prior_bounds, verify_ordering_chain]
     )
     def test_negative_seed_rejected(self, fn):
-        with pytest.raises(DomainError, match="seed"):
-            fn(10, seed=-1)
+        # and a seed or a sample count that is no integer, or is a bool, which
+        # numpy would refuse with its own TypeError or take as 1
+        for name, value in (("seed", -1), ("seed", 1.5), ("seed", True),
+                            ("samples", 1e4), ("samples", True), ("samples", np.True_)):
+            with pytest.raises(DomainError, match=f"{name} must be an integer"):
+                fn(**{"samples": 10, name: value})
+        with pytest.raises(DomainError, match="samples must be an integer"):
+            sample_ratios(np.random.default_rng(0), 10.0)
+        # numpy integers are integers
+        assert fn(np.int64(10), seed=np.uint8(2)) == fn(10, seed=2)
 
     @pytest.mark.parametrize("ratio_max", [math.nan, math.inf, 0.5, 1.0])
     def test_chain_ratio_max_must_exceed_one(self, ratio_max):
@@ -603,33 +611,48 @@ class TestSharedPass:
         assert len(kernel) == len(arctan) == 8
         assert sum(kernel) == shared[0].n_samples + shared[3].n_samples
 
-    def test_one_pool_for_every_row_and_the_chain(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda: verify_blend_bounds(3_000, seed=2),
+            lambda: verify_ratio_bounds(3_000, seed=2),
+            lambda: verify_prior_bounds(3_000, seed=2),
+            lambda: verify_ordering_chain(3_000, seed=2),
+            lambda: _shared(10**4, 1, 2, 1e8, {})[2][0],
+        ],
+        ids=["verify_blend_bounds", "verify_ratio_bounds", "verify_prior_bounds", "verify_ordering_chain", "shared"],
+    )
+    def test_one_pool_for_every_row_and_the_chain(self, monkeypatch, run):
+        # x, t, the four kernel rows and priors' six pool rows, which hold
+        # the chain's x, k and eight rows too, whatever runs
         sizes = _workspace_sizes(monkeypatch)
-        _shared(10**4, 1, 2, 1e8, {})
+        assert run().passed
         assert sizes == [(12, 2)]  # one call
-        # the shared block and the widest scratch (priors' six) hold the
-        # chain's rows too
-        rows = [sharp._ROWS[name]() for name in ("thm1", "thm2", "priors")]
-        assert 2 + len(sharp._SHARED) + max(row.scratch for row in rows) == 12
-        assert 2 + sharp._CHAIN.scratch <= 12
 
     @pytest.mark.parametrize(
-        "fn, floats",
-        [(verify_blend_bounds, 6), (verify_ratio_bounds, 8), (verify_prior_bounds, 12), (verify_ordering_chain, 10)],
+        "name, keywords",
+        [
+            ("thm1", {}),
+            ("thm1", {"beta": 1.0 - 1e-12}),
+            ("thm2", {}),
+            ("thm2", {"beta1": RATIO_UPPER + 1e-3}),
+            ("priors", {}),
+        ],
+        ids=["thm1", "thm1-beta", "thm2", "thm2-beta1", "priors"],
     )
-    def test_a_suite_alone_keeps_its_own_rows(self, monkeypatch, fn, floats):
-        # run alone, thm1 and thm2 write into the kernel rows they no longer
-        # read, so they take no pool rows for the others' sake
-        sizes = []
-        original = sharp._workspace
-
-        def workspace(size, n_floats, n_flags):
-            sizes.append((n_floats, n_flags))
-            return original(size, n_floats, n_flags)
-
-        monkeypatch.setattr(sharp, "_workspace", workspace)
-        assert fn(3_000, seed=2).passed
-        assert sizes == [(floats, 2)]
+    def test_rows_leave_the_shared_block_as_it_is(self, monkeypatch, name, keywords):
+        # a row reads x, t and the kernel rows (t², r, 1/3 - r, q), which the
+        # rows after it read too, and writes only its pool and flags; on a
+        # passing block every check runs, the raw-mean one included (the
+        # first block of two, as beta < 1 fails at the boundary points)
+        monkeypatch.setattr(sharp, "_BLOCK", SMALL_BLOCK)
+        work, bits = sharp._workspace(SMALL_BLOCK, sharp._FLOAT_ROWS, 2)
+        (blk,) = sharp._ratio_blocks(0, 2 * SMALL_BLOCK, 1e8, 0, SMALL_BLOCK, work, bits)
+        x, t, shared, _, _ = blk
+        before = [row.tobytes() for row in (x, t, *shared)]
+        _, checks = sharp._ROWS[name](**keywords).block(*blk)
+        assert [check() for check in checks] == [None] * len(checks)
+        assert [row.tobytes() for row in (x, t, *shared)] == before
 
     def test_memory_bounded_at_1e6_samples(self):
         rows = [sharp._ROWS[name]() for name in ("thm1", "thm2", "priors")]
