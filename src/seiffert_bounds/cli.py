@@ -106,13 +106,12 @@ def _run_suites(which: list[str], args: argparse.Namespace) -> list:
     """Run the suites: all four in one shared pass when the run is large
     enough, in one lane per CPU (:func:`sharp._run`), else one by one, each
     through its public verifier."""
-    chain_ratio_max = min(args.ratio_max, sharp._CHAIN_RATIO_MAX)
     if len(which) > 1 and args.samples >= _LANE_MIN_SAMPLES:
-        rows = [sharp._ROWS[name](**_keywords(name, args)) for name in which if name != "chain"]
-        return sharp._run(rows, args.samples, args.seed, args.ratio_max, chain_ratio_max, lanes=_cpus())
+        rows = [sharp._ROWS[name](**_keywords(name, args)) for name in which]
+        return sharp._run(rows, args.samples, args.seed, args.ratio_max, lanes=_cpus())
     return [
-        getattr(sharp, _VERIFIERS[name])(args.samples, seed=args.seed, **_keywords(name, args),
-                                         ratio_max=chain_ratio_max if name == "chain" else args.ratio_max)
+        getattr(sharp, _VERIFIERS[name])(args.samples, seed=args.seed, ratio_max=args.ratio_max,
+                                         **_keywords(name, args))
         for name in which
     ]
 
@@ -137,9 +136,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                 flag = "--" + option.replace("_", "-")
                 raise DomainError(f"{flag} applies to thm1 and thm2 only, not to {args.which}")
     which = list(_SUITES) if args.which == "all" else [args.which]
-    if "chain" in which:
-        # before any suite runs, so that no other suite is computed for nothing
-        sharp._check_chain_range(min(args.ratio_max, sharp._CHAIN_RATIO_MAX))
     results = _run_suites(which, args)
     results.sort(key=lambda r: r.suite)
 

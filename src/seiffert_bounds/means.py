@@ -39,7 +39,7 @@ looks the core up in :data:`MEANS`.
 Each core has a private bulk twin beside it, which the sweeps of
 :mod:`seiffert_bounds.sharp` run on whole numpy blocks, in the same order of
 operations: ``_profile`` (one function for floats and arrays, in place with
-``out``), the factors ``_*_factor``, ``_geometric`` and the r(t) kernel
+``out``), the factors ``_*_factor`` and the r(t) kernel
 ``_ratio_kernel``, the twin of the scalar ``_ratio`` (r, 1/3 - r and
 t/arctan t at one t).  The rational factors give the same bits on both
 paths, the Seiffert mean may differ by one ulp (``math.atan`` against
@@ -286,15 +286,6 @@ def arithmetic_values(a, b):
 def geometric_values(a, b):
     """sqrt(a)·sqrt(b), and a itself on the diagonal (sqrt(a)² may round)."""
     return a if a == b else math.sqrt(a) * math.sqrt(b)
-
-
-def _geometric(a, b, out, root, mask):
-    """:func:`geometric_values` on arrays, into ``out``; ``root`` and ``mask``
-    are a float and a bool row shaped like a and b that it overwrites."""
-    g = np.sqrt(a, out=out)
-    g *= np.sqrt(b, out=root)
-    np.copyto(g, a, where=np.equal(a, b, out=mask))
-    return g
 
 
 def root_square_values(a, b):

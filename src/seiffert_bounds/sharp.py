@@ -22,18 +22,17 @@ which decreases strictly from 1/3 (t→0⁺) to 4/π-1 (t→1⁻):
 
 The verifiers assert strict inequality of the margin functions at every
 sample and, for samples with t >= 1e-3, additionally compare the raw
-double-precision means (below that the true slack ~t⁴ falls under one ulp of
-the means themselves and raw doubles tie).  Margins near the limits are
-evaluated through series forms that stay fully accurate, e.g.
-1/3 - r(t) = (4/45)t² - (44/945)t⁴ + … obtained by exact long division of the
-arctan series.  That piecewise r(t) kernel lives in :mod:`seiffert_bounds.means`
+double-precision means (below that the true slack of the two theorems, ~t⁴,
+falls under one ulp of the means themselves and raw doubles tie).  Margins
+near the limits are evaluated through series forms that stay fully accurate,
+e.g. 1/3 - r(t) = (4/45)t² - (44/945)t⁴ + … obtained by exact long division
+of the arctan series.  That piecewise r(t) kernel lives in :mod:`seiffert_bounds.means`
 beside its scalar twin, as do the profile and the factors of the other means;
 the Seiffert mean of a block is A times its q = t/arctan t.
 
 Sampling is log-uniform in a/b over (1, ratio_max] plus deterministic
 near-boundary points {1+10⁻ᵏ} and {10⁺ᵏ} up to ratio_max: sharpness lives at
-the boundary and uniform sampling would miss it.  Every suite but the ordering
-chain (which draws its own pairs) samples exactly
+the boundary and uniform sampling would miss it.  Every suite samples exactly
 ``sample_ratios(default_rng(seed), samples, ratio_max)``, so no reported ratio
 leaves (1, ratio_max].
 
@@ -60,8 +59,8 @@ One driver, ``_run``, runs every suite: it checks the arguments, runs the
 first of the sample ranges (``_lane_ranges``) here and each other one in a
 forked lane, and merges the lanes' tallies in range order.  A public
 ``verify_*`` is one ``_run`` in one lane; ``verify all`` at scale is one
-``_run`` of the thm1, thm2 and priors rows, which read one draw and one
-kernel pass per block in place, and the chain, in one lane per CPU.
+``_run`` of the thm1, thm2, priors and chain rows, which read one draw and
+one kernel pass per block in place, in one lane per CPU.
 
 Every lane writes its blocks into one workspace of twelve block-sized float
 rows and two bool rows (see ``_FLOAT_ROWS`` and ``_BLOCK``), made per call and
@@ -118,7 +117,8 @@ RATIO_UPPER = 1.0 / 3.0
 #: Largest tolerated |closed_form - discovered| before reports count as failed.
 CONSTANT_GAP_LIMIT = 1e-10
 
-#: Below this t the raw-mean comparisons are skipped (true slack under 1 ulp).
+#: Below this t the raw-mean comparisons are skipped: the true slack of the
+#: theorems, ~t⁴, falls under 1 ulp (the chain's, ~t²/6, only below t ≈ 3e-8).
 _DIRECT_T_FLOOR = 1e-3
 
 #: How far past its optimum ``constants_report`` pushes each constant.
@@ -196,17 +196,6 @@ def _check_range(n: int, ratio_max: float) -> int:
     if not (math.isfinite(ratio_max) and ratio_max > 1.0):
         raise DomainError(f"ratio_max must be finite and exceed 1, got {ratio_max}")
     return n
-
-
-#: The ordering chain draws its ratios from here up (see verify_ordering_chain).
-_CHAIN_RATIO_FLOOR = 1.0 + 2e-5
-#: The chain's default ratio_max, and its cap in ``verify`` whatever ``--ratio-max`` is.
-_CHAIN_RATIO_MAX = 1e6
-
-
-def _check_chain_range(ratio_max: float) -> None:
-    if not ratio_max > _CHAIN_RATIO_FLOOR:
-        raise DomainError(f"ratio_max must exceed 1 + 2e-5 for the ordering chain, got {ratio_max}")
 
 
 def _rng(seed: int, skip: int = 0) -> np.random.Generator:
@@ -296,7 +285,7 @@ _BLOCK = 16_000
 
 #: The float rows of every lane's workspace: x, t, the four kernel rows, which
 #: every row reads and none writes, and a pool of six, the only rows a row
-#: writes (priors uses all six); the chain's x, k and eight rows fit in them too.
+#: writes (priors and the chain use all six).
 _FLOAT_ROWS = 12
 
 
@@ -458,9 +447,9 @@ class _Tally:
 class _Row:
     """One suite as a row of a pass over a block stream.
 
-    ``block(*blk)`` takes a block of the stream (for the ratio suites
-    ``x, t, shared, pool, flags``: it reads x, t and the shared kernel rows
-    in place and writes only into ``pool`` and ``flags``) and returns the
+    ``block(*blk)`` takes a block of the stream (``x, t, shared, pool,
+    flags``: it reads x, t and the shared kernel rows in place and writes
+    only into ``pool`` and ``flags``) and returns the
     block's ``(folds, checks)`` for :meth:`_Tally.add`.  ``folds["left"]``
     and ``folds["right"]`` are the reported slacks; ``stats`` turns the
     other ``name -> (value, ratio)`` extrema into report fields.
@@ -668,8 +657,7 @@ def ratio_grid_scan(n: int = 10**6, t_min: float = 1e-7, t_max: float = 1.0 - 1e
     """Uniform grid scan of r(t) on [t_min, t_max]: extremes + monotonicity."""
     if not (0.0 < t_min < t_max < 1.0):
         raise DomainError("need 0 < t_min < t_max < 1")
-    if n < 2:
-        raise DomainError(f"need at least 2 grid points, got n={n!r}")
+    n = _count("n", n, 2)
     grid = np.linspace(t_min, t_max, n)
     vals = _ratio_kernel(grid)[0]
     diffs = np.diff(vals)
@@ -706,78 +694,55 @@ def verify_prior_bounds(
     return _run([_PRIORS], samples, seed, ratio_max)[0]
 
 
-#: The scales k of the ordering chain's pairs (x·k, k) are log-uniform here.
-_CHAIN_LOG_K = (math.log(1e-3), math.log(1e3))
-
-
-def _chain_blocks(seed: int, samples: int, ratio_max: float, start: int, stop: int, work: list, bits: list):
-    """Blocks ``(x, k, rows, flags)`` of the ordering chain's pairs [start, stop).
-
-    One stream holds every x and then every k; a second generator, advanced
-    past the x draws, reads the k draws block by block alongside.  k is
-    drawn as numpy's ``uniform`` draws it, low + (high - low)·random, but
-    into its row.
-    """
-    log_lo = math.log(_CHAIN_RATIO_FLOOR)
-    log_span = math.log(ratio_max) - log_lo
-    k_lo, k_hi = _CHAIN_LOG_K
-    rng_x, rng_k = _rng(seed, start), _rng(seed, samples + start)
-    for lo in range(start, stop, _BLOCK):
-        m = min(_BLOCK, stop - lo)
-        x, k, *rows = (row[:m] for row in work)
-        rng_x.random(out=x)
-        x *= log_span
-        x += log_lo
-        np.exp(x, out=x)
-        rng_k.random(out=k)
-        k *= k_hi - k_lo
-        k += k_lo
-        np.exp(k, out=k)
-        yield x, k, rows, [row[:m] for row in bits]
-
-
-def _chain_block(x, k, rows, flags):
-    """The chain's block: the slack minima of its ordering, and its one check."""
-    a, g, am, t, tt, r, upper, q = rows[:8]
-    # the pair is (a, b) = (x·k, k); G first, as the profile overwrites a,
-    # with r and the first flag row, free until the kernel, as spare rows
-    g = means._geometric(np.multiply(x, k, out=a), k, g, r, flags[0])
-    am, t = means._profile(a, k, out=(am, t))
-    tm = _ratio_kernel(t, out=(tt, r, upper, q))[2]
-    tm *= am
-    # the other means take the rows of a, t and 1/3 - r, spent by now
-    cb = means._centroidal_factor(tt, a)
-    cb *= am
-    s = means._root_square_factor(tt, t)
-    s *= am
-    c = means._contra_harmonic_factor(tt, upper)
-    c *= am
-    # the two minimum slacks, with r as a spare row: A - G, Cbar - A, T - A ...
-    left = np.subtract(am, g, out=g)
-    np.minimum(left, np.subtract(cb, am, out=r), out=left)
-    np.minimum(left, np.subtract(tm, am, out=r), out=left)
-    # ... and S - Cbar, C - S, S - T
-    right = np.subtract(s, cb, out=cb)
-    np.minimum(right, np.subtract(c, s, out=c), out=right)
-    np.minimum(right, np.subtract(s, tm, out=c), out=right)
-    # every comparison holds iff both minima are positive (for doubles,
-    # p < q iff q - p > 0, and a NaN fails both forms)
-    ok, spare = flags
-    np.greater(left, 0.0, out=ok)
-    ok &= np.greater(right, 0.0, out=spare)
+def _chain_block(x, t, shared, pool, flags):
+    """The chain row's block: the slack minima of its ordering in profile
+    form, then the six comparisons in raw doubles."""
+    tt, r, upper, q = shared
+    u, left, right, w, v = pool[:5]
+    means._root_square_factor(tt, u)
+    # every slack over A is t² times a factor bounded away from 0, and the
+    # minimum of the factors goes times t²: (A - G)/A = t²/(1 + sqrt(1 - t²)),
+    # (Cbar - A)/A = t²/3 and (T - A)/A = t²·r ...
+    np.subtract(1.0, tt, out=left)
+    np.sqrt(left, out=left)
+    left += 1.0
+    np.reciprocal(left, out=left)
+    np.minimum(left, 1.0 / 3.0, out=left)
+    np.minimum(left, r, out=left)
+    left *= tt
+    # ... and (S - Cbar)/A = t²·d, with d = (2 - u)/(3(1 + u)), (C - S)/A =
+    # t²·u/(1 + u) and (S - T)/A = t²·(d + 1/3 - r)
+    np.add(u, 1.0, out=w)
+    np.subtract(2.0, u, out=right)
+    right /= w
+    right /= 3.0
+    np.add(right, upper, out=v)
+    np.minimum(right, np.divide(u, w, out=w), out=right)
+    np.minimum(right, v, out=right)
+    right *= tt
 
     def ordering():
-        j = _first(ok, False)
-        return None if j is None else _mean_side_witness(float(x[j]), "chain", float(x[j] * k[j]), float(k[j]))
+        # the slacks are spent by now (see _Tally.add): their rows hold the
+        # means of (x, 1), S in the place of u
+        am = _half_sum(x, right)
+        cb = means._centroidal_factor(tt, w)
+        cb *= am
+        c = means._contra_harmonic_factor(tt, v)
+        c *= am
+        s, tm = np.multiply(am, u, out=u), np.multiply(am, q, out=pool[5])
+        ok, spare = flags
+        np.less(np.sqrt(x, out=left), am, out=ok)
+        for lo, hi in ((am, cb), (cb, s), (s, c), (am, tm), (tm, s)):
+            ok &= np.less(lo, hi, out=spare)
+        k = _first_raw_failure(ok, t, spare)
+        return None if k is None else _mean_side_witness(float(x[k]), "chain", float(x[k]), 1.0)
 
-    # relative slacks; dividing by am > 0 after the minimum rounds the same
-    # as dividing each slack first (rounding is monotone)
-    left /= am
-    right /= am
-    return {"left": (left, np.argmin), "right": (right, np.argmin)}, (ordering,)
+    at = lambda k, side: (float((left if side == "lower" else right)[k]), 0.0)  # noqa: E731
+    folds = {"left": (left, np.argmin), "right": (right, np.argmin)}
+    return folds, (lambda: _margin_witness(x, left, right, at, flags), ordering)
 
 
-#: The ordering chain as a row over its own pairs: x, k and eight rows.
+#: The ordering chain row: it takes no parameters.
 _CHAIN = _Row("chain", _chain_block)
 
 
@@ -785,21 +750,24 @@ def verify_ordering_chain(
     samples: int = 10**5,
     *,
     seed: int = 0,
-    ratio_max: float = _CHAIN_RATIO_MAX,
+    ratio_max: float = 1e8,
 ) -> VerificationResult:
     """Strict ordering G < A < centroidal < S < C plus A < seiffert < S.
 
-    Pairs are (x·k, k) with x log-uniform in [1+2e-5, ratio_max] and the scale
-    k log-uniform in [1e-3, 1e3].  The ratio floor keeps every consecutive
-    slack (≥ ~t²/6 relative) two orders above double rounding, so the strict
-    raw comparisons are meaningful at every sample; a ``ratio_max`` at or
-    below the floor raises :class:`DomainError`.
+    Over the pairs (x, 1), x from ``sample_ratios`` as for every suite.  The
+    slacks are relative to A and in profile form, each t² times a factor
+    bounded away from 0 (with u = sqrt(1+t²), (T-A)/A = t²·r(t) and
+    (C-S)/A = t²·u/(1+u), say), so they keep full accuracy as t→0⁺: the
+    reported minima are those of (A-G, Cbar-A, T-A)/A (left) and
+    (S-Cbar, C-S, S-T)/A (right).  A witness names the first non-positive
+    slack, and else the first sample with t >= 1e-3 where the six
+    comparisons fail in raw doubles.
     """
-    return _run([], samples, seed, ratio_max, chain_ratio_max=ratio_max)[0]
+    return _run([_CHAIN], samples, seed, ratio_max)[0]
 
 
 #: The rows of the shared pass, by suite, each built from its verifier's keywords.
-_ROWS = {"thm1": _blend_row, "thm2": _ratio_row, "priors": lambda: _PRIORS}
+_ROWS = {"thm1": _blend_row, "thm2": _ratio_row, "priors": lambda: _PRIORS, "chain": lambda: _CHAIN}
 
 
 def _lane_ranges(n: int, cpus: int) -> list[tuple[int, int]]:
@@ -814,28 +782,22 @@ def _lane_ranges(n: int, cpus: int) -> list[tuple[int, int]]:
     return list(zip(edges, edges[1:]))
 
 
-def _lane(rows, seed: int, samples: int, ratio_max: float, chain_ratio_max: float | None,
-          start: int, stop: int) -> list[_Tally]:
-    """Tallies of ``rows`` over samples [start, stop), then of the ordering
-    chain over the same range unless ``chain_ratio_max`` is None.
+def _lane(rows, seed: int, samples: int, ratio_max: float, start: int, stop: int) -> list[_Tally]:
+    """Tallies of ``rows`` over samples [start, stop).
 
-    One pass applies every row to one draw and one kernel call per block, then
-    the chain runs over its own pairs, all in one workspace of
-    ``_FLOAT_ROWS`` float and two bool rows, whatever runs.  Merged in range
-    order (:meth:`_Tally.merge`), the lanes' tallies finish into the reports
-    of the suites run one by one, bit for bit.
+    One pass applies every row to one draw and one kernel call per block, all
+    in one workspace of ``_FLOAT_ROWS`` float and two bool rows.  Merged in
+    range order (:meth:`_Tally.merge`), the lanes' tallies finish into the
+    reports of the suites run one by one, bit for bit.
     """
     work, bits = _workspace(min(stop - start, _BLOCK) + len(_boundary_points(ratio_max)), _FLOAT_ROWS, 2)
-    tallies = _reduce(rows, _ratio_blocks(seed, samples, ratio_max, start, stop, work, bits)) if rows else []
-    if chain_ratio_max is not None:
-        tallies += _reduce([_CHAIN], _chain_blocks(seed, samples, chain_ratio_max, start, stop, work, bits))
-    return tallies
+    return _reduce(rows, _ratio_blocks(seed, samples, ratio_max, start, stop, work, bits))
 
 
 def _finish_lanes(rows, lanes: list[list[_Tally]]) -> list[VerificationResult]:
-    """The results of ``rows``, and of the chain if run, from every lane's tallies in range order."""
+    """The results of ``rows`` from every lane's tallies in range order."""
     merged = (functools.reduce(_Tally.merge, column, _Tally()) for column in zip(*lanes))
-    return [row.finish(tally) for row, tally in zip((*rows, _CHAIN), merged)]
+    return [row.finish(tally) for row, tally in zip(rows, merged)]
 
 
 def _fork(lane: Callable, start: int, stop: int) -> tuple:
@@ -879,20 +841,17 @@ def _join(pid: int, pipe, start: int, stop: int) -> list[_Tally]:
     return payload
 
 
-def _run(rows, samples: int, seed: int, ratio_max: float, chain_ratio_max: float | None = None,
-         lanes: int = 1) -> list[VerificationResult]:
+def _run(rows, samples: int, seed: int, ratio_max: float, lanes: int = 1) -> list[VerificationResult]:
     """The results of ``rows`` over ``sample_ratios(default_rng(seed), samples,
-    ratio_max)``, then of the ordering chain unless ``chain_ratio_max`` is None.
+    ratio_max)``.
 
     Every argument is checked before any lane runs.  The first of
     ``_lane_ranges(samples, lanes)`` runs in this process and every other one
     in a forked child (:func:`_fork`, :func:`_join`).
     """
     seed, samples = _count("seed", seed, 0), _check_range(samples, ratio_max)
-    if chain_ratio_max is not None:
-        _check_chain_range(chain_ratio_max)
     first, *rest = _lane_ranges(samples, lanes if hasattr(os, "fork") else 1)
-    lane = functools.partial(_lane, rows, seed, samples, ratio_max, chain_ratio_max)
+    lane = functools.partial(_lane, rows, seed, samples, ratio_max)
     if rest:
         # loaded before the lanes fork; pickle first, as after numpy it cost 0.2 MB of peak RSS
         pickle.dumps, np.empty

@@ -221,8 +221,8 @@ class TestHardenedInputs:
             (["verify", "thm2", "--samples", "100", "--beta-shift", "nan"], "beta1"),
             (["verify", "thm9"], "thm9"),
             (["constants", "--precision", "5"], "--precision"),
-            (["verify", "chain", "--samples", "100", "--ratio-max", "1.00001"], "1 + 2e-5"),
-            (["verify", "all", "--samples", "100", "--ratio-max", "1.00001"], "1 + 2e-5"),
+            (["verify", "chain", "--samples", "100", "--ratio-max", "1"], "ratio-max"),
+            (["verify", "all", "--samples", "100", "--ratio-max", "0.5"], "ratio-max"),
             (["eval", "seiffert", "1", "3", "--x", "0.7"], "--x"),
             (["eval", "power", "1", "3", "--p", "2", "--x", "0.7"], "--x"),
             (["eval", "blend", "1", "3", "--x", "0.75", "--p", "2"], "--p"),
@@ -248,11 +248,14 @@ class TestHardenedInputs:
             verify_ratio_bounds(100, **kw)
 
     def test_seed_zero_and_large_ratio_max_still_run(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "verify", "chain", "--samples", "100", "--seed", "0", "--ratio-max", "1e300",
-            "--format", "json",
-        )
+        argv = ["verify", "chain", "--samples", "100", "--seed", "0", "--ratio-max", "1e300"]
+        code, out, _ = run_cli(capsys, *argv, "--format", "json")
         assert code == 0 and json.loads(out)["suites"][0]["pass"] is True
+        # the chain samples the whole range, as every suite does
+        code, out, _ = run_cli(capsys, *argv)
+        ratios = [float(x) for x in re.findall(r"at a/b=(\S+)\)", out)]
+        assert code == 0 and len(ratios) == 2
+        assert all(1.0 < x <= 1e300 for x in ratios)
 
 
 class TestProfileRange:
@@ -334,22 +337,22 @@ class TestLanes:
 
     @pytest.mark.parametrize("lane", ["own-lane", "child-lane"])
     def test_suite_error_exits_2(self, capsys, monkeypatch, forks, lane):
-        # a chain that raises over one of two ranges: [0, 1000), run in this
-        # process, or [1000, 2000), run in the child
-        original = cli.sharp._chain_blocks
+        # a block stream that raises over one of two ranges: [0, 1000), run
+        # in this process, or [1000, 2000), run in the child
+        original = cli.sharp._ratio_blocks
 
         def planted(seed, samples, ratio_max, start, stop, *pool):
             if (start == 0) == (lane == "own-lane"):
-                raise DomainError("planted chain error")
+                raise DomainError("planted error")
             return original(seed, samples, ratio_max, start, stop, *pool)
 
         monkeypatch.setattr(cli.sharp, "_BLOCK", 1_000)
         monkeypatch.setattr(cli, "_cpus", lambda: 2)
-        monkeypatch.setattr(cli.sharp, "_chain_blocks", planted)
+        monkeypatch.setattr(cli.sharp, "_ratio_blocks", planted)
         code, out, err = run_cli(capsys, "verify", "all", "--samples", "2000")
         assert len(forks) == 1
         assert code == 2 and out == ""
-        assert err == "error: planted chain error\n"
+        assert err == "error: planted error\n"
         self.assert_no_child_left()
 
     @pytest.mark.parametrize("cpus", [1, 2])
@@ -393,7 +396,7 @@ class TestLanes:
     def test_crashed_lane_exits_3(self, capsys, monkeypatch, forks, crash):
         # the child lane over [1000, 2000) ends without a result: killed by
         # a signal, or raising an exception that does not pickle
-        original = cli.sharp._chain_blocks
+        original = cli.sharp._ratio_blocks
 
         def planted(seed, samples, ratio_max, start, stop, *pool):
             if start == 1_000:
@@ -404,7 +407,7 @@ class TestLanes:
 
         monkeypatch.setattr(cli.sharp, "_BLOCK", 1_000)
         monkeypatch.setattr(cli, "_cpus", lambda: 2)
-        monkeypatch.setattr(cli.sharp, "_chain_blocks", planted)
+        monkeypatch.setattr(cli.sharp, "_ratio_blocks", planted)
         code, out, err = run_cli(capsys, "verify", "all", "--samples", "2000")
         status = int(signal.SIGKILL) if crash == "killed" else 1 << 8  # the child exits 1
         assert len(forks) == 1
@@ -414,20 +417,18 @@ class TestLanes:
 
     @pytest.mark.parametrize("cpus", [1, 2])
     @pytest.mark.parametrize("which", ["chain", "all"])
-    def test_chain_range_rejected_before_any_suite_runs(self, capsys, monkeypatch, forks, cpus, which):
-        def no_fork():
-            raise AssertionError("forked")
-
-        def not_run(*args, **kw):
-            raise AssertionError("a suite ran")
-
-        monkeypatch.setattr(os, "fork", no_fork)
+    def test_near_diagonal_range_runs(self, capsys, monkeypatch, forks, cpus, which):
+        # every suite, the chain too, samples (1, ratio-max], however close
+        # to 1 ratio-max is; verify all in one lane per CPU
+        monkeypatch.setattr(cli.sharp, "_BLOCK", 1_000)
         monkeypatch.setattr(cli, "_cpus", lambda: cpus)
-        for name in ("verify_blend_bounds", "verify_ratio_bounds", "verify_prior_bounds", "verify_ordering_chain"):
-            monkeypatch.setattr(cli.sharp, name, not_run)
         code, out, err = run_cli(capsys, "verify", which, "--samples", "2000", "--ratio-max", "1.00001")
-        assert code == 2 and out == ""
-        assert err.startswith("error: ") and "1 + 2e-5" in err and err.count("\n") == 1
+        assert code == 0 and err == ""
+        assert out.count("PASS") == (4 if which == "all" else 1)
+        assert len(forks) == (cpus - 1 if which == "all" else 0)
+        ratios = [float(x) for x in re.findall(r"at a/b=(\S+)\)", out)]
+        assert ratios and all(1.0 < x <= 1.00001 for x in ratios)
+        self.assert_no_child_left()
 
     @pytest.mark.parametrize(
         "cpus, min_samples, argv",

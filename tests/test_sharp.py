@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -29,7 +30,7 @@ from seiffert_bounds import (
     verify_prior_bounds,
     verify_ratio_bounds,
 )
-from seiffert_bounds import oracle
+from seiffert_bounds import oracle, sharp
 from seiffert_bounds.auxiliary import BlendGapFamily
 
 LAMBDA_REF = 0.9526915711070529  # (1 + sqrt(12/pi - 3))/2, 60-digit oracle
@@ -247,10 +248,51 @@ class TestVerifyPriorsAndChain:
         assert res.passed
         assert res.min_slack_left > 0.0 and res.min_slack_right > 0.0
 
+    @staticmethod
+    def chain_slacks(x):
+        """The chain's relative slacks at the pair (x, 1) in 50 digits: the
+        minima of (A-G, Cbar-A, T-A)/A and of (S-Cbar, C-S, S-T)/A."""
+        with mp.workdps(50):
+            g, a, cb, s, c, t = (fn(x, 1.0, dps=50) for fn in (
+                oracle.geometric, oracle.arithmetic, oracle.centroidal,
+                oracle.root_square, oracle.contra_harmonic, oracle.seiffert,
+            ))
+            return min(a - g, cb - a, t - a) / a, min(s - cb, c - s, s - t) / a
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("ratio_max", [1.00001, 1.5, 1e8, 1e300])
+    def test_chain_slacks_match_the_oracle(self, ratio_max, seed):
+        # the slacks are formed in profile form, not as differences of
+        # rounded means, so they keep full relative accuracy however close
+        # to the diagonal their minimum lies
+        res = verify_ordering_chain(20_000, seed=seed, ratio_max=ratio_max)
+        assert res.passed
+        assert 1.0 < min(res.arg_left, res.arg_right) and max(res.arg_left, res.arg_right) <= ratio_max
+        left, right = self.chain_slacks(res.arg_left)[0], self.chain_slacks(res.arg_right)[1]
+        assert abs(res.min_slack_left - left) <= 1e-14 * left
+        assert abs(res.min_slack_right - right) <= 1e-14 * right
+
+    def test_every_chain_slack_matches_the_oracle(self, monkeypatch):
+        # not only the minima: the chain row's slacks at each ratio of a block
+        # from 1 + 1e-12 to 1e300, near the diagonal and at the far end
+        x = np.concatenate([1.0 + np.geomspace(1e-12, 1.0, 60), np.geomspace(2.5, 1e300, 60)])
+        monkeypatch.setattr(sharp, "sample_ratios", lambda rng, n, ratio_max, include_boundary, **kw: x)
+        monkeypatch.setattr(sharp, "_BLOCK", len(x))
+        (blk,) = sharp._ratio_blocks(0, len(x), 2.0, 0, len(x), *sharp._workspace(len(x), sharp._FLOAT_ROWS, 2))
+        folds, checks = sharp._ROWS["chain"]().block(*blk)
+        slacks = folds["left"][0].tolist(), folds["right"][0].tolist()  # the checks overwrite their rows
+        assert [check() for check in checks] == [None, None]
+        for xi, got_left, got_right in zip(x.tolist(), *slacks):
+            left, right = self.chain_slacks(xi)
+            assert abs(got_left - left) <= 1e-14 * left, xi
+            assert abs(got_right - right) <= 1e-14 * right, xi
+
 
 class TestGridScan:
     def test_monotone_scan(self):
-        scan = ratio_grid_scan(200_000)
+        # a numpy integer is a count too
+        scan = ratio_grid_scan(np.int64(200_000))
+        assert scan["n"] == 200_000 and type(scan["n"]) is int
         assert scan["monotone_decreasing"]
         assert scan["inf"] == pytest.approx(RATIO_LOWER, abs=1e-6)
         assert scan["sup"] == pytest.approx(RATIO_UPPER, abs=1e-6)
@@ -259,9 +301,11 @@ class TestGridScan:
         with pytest.raises(DomainError):
             ratio_grid_scan(100, t_min=0.0)
 
-    @pytest.mark.parametrize("n", [0, 1])
+    @pytest.mark.parametrize("n", [0, 1, 1e4, 2.5, True])
     def test_needs_two_points(self, n):
-        # one point cannot show monotonicity; zero has no extremes
+        # one point cannot show monotonicity; zero has no extremes; and the
+        # count is an integer, which numpy's linspace would refuse with its
+        # own TypeError
         with pytest.raises(DomainError):
             ratio_grid_scan(n)
 

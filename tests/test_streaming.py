@@ -70,31 +70,31 @@ def test_report_independent_of_block_size_at_the_default_block(monkeypatch, case
 
 
 def test_chain_tie_in_a_later_block_is_its_witness(monkeypatch):
-    # G planted equal to A at one sample of the second block: the chain's
-    # ordering, read from the signs of its slack minima, must fail there
-    original = means._geometric
+    # T planted equal to A at one sample of the second block (r = 0 there,
+    # so (T - A)/A = t²·r is 0): the chain's left slack must fail there
+    original = sharp._ratio_kernel
     planted = {}
 
-    def tied(a, b, *rows):
-        g = original(a, b, *rows)
+    def tied(t, **kw):
+        r, upper, q = original(t, **kw)
         planted["calls"] = planted.get("calls", 0) + 1
         if planted["calls"] == 2:
-            i = len(a) // 3
-            planted["pair"] = (float(a[i]), float(b[i]))
-            g[i] = means.arithmetic_values(float(a[i]), float(b[i]))
-        return g
+            i = len(t) // 3
+            planted["t"] = float(t[i])
+            r[i] = 0.0
+        return r, upper, q
 
-    monkeypatch.setattr(means, "_geometric", tied)
+    monkeypatch.setattr(sharp, "_ratio_kernel", tied)
     n = 2 * sharp._BLOCK + 7
     res = verify_ordering_chain(n, seed=5)
-    a, b = planted["pair"]
     assert not res.passed
-    assert res.witness == {"ratio": res.witness["ratio"], "side": "chain", "lhs": a, "rhs": b}
-    assert res.witness["ratio"] == pytest.approx(a / b, rel=1e-15)
-    assert res.min_slack_left == 0.0 and res.arg_left == res.witness["ratio"]
+    assert res.witness == {"ratio": res.witness["ratio"], "side": "lower", "lhs": 0.0, "rhs": 0.0}
+    x = res.witness["ratio"]
+    assert (x - 1.0) / (x + 1.0) == planted["t"]
+    assert res.min_slack_left == 0.0 and res.arg_left == x
 
 
-@pytest.mark.parametrize("ratio_max", [1.5, 10.0, 1e3])
+@pytest.mark.parametrize("ratio_max", [1.00001, 1.5, 10.0, 1e3])
 @pytest.mark.parametrize("case", sorted(case for case in CASES if "ratio_max" not in CASES[case][1]))
 def test_reported_ratios_stay_in_range(case, ratio_max):
     fn, kw = CASES[case]
@@ -110,15 +110,17 @@ class TestUnchangedStream:
     """Reports at 70k samples (two default blocks) match a single full-length scan."""
 
     def test_chain_reads_scales_after_all_ratios(self):
+        # the chain reads the ratios of the other suites, the boundary points
+        # included, and its slacks are within one ulp of their mpmath values
+        # (50 digits) at the arg sample 1 + 1e-9: (T - A)/A on the left and
+        # (S - Cbar)/A on the right
         res = verify_ordering_chain(70_000, seed=11)
-        assert res.passed and res.n_samples == 70_000
-        # (seiffert - A)/A at the arg sample is 8.1152815077968362e-10 (mpmath,
-        # 50 digits); the double slack carries ~1e-7 relative cancellation
-        # noise, so it is pinned together with its distance from that value
-        assert res.min_slack_left == 8.115282212714605e-10
-        assert abs(res.min_slack_left - 8.1152815077968362e-10) <= 4.5e-16
-        assert res.min_slack_right == 4.057640077483373e-10
-        assert res.arg_left == res.arg_right == 1.0000986878862645
+        assert res.passed and res.n_samples == 70_018
+        assert res.min_slack_left == 8.333334704006239e-20
+        assert abs(res.min_slack_left - 8.3333347040062383051e-20) <= math.ulp(res.min_slack_left)
+        assert res.min_slack_right == 4.166667352003119e-20
+        assert abs(res.min_slack_right - 4.166667352003119152e-20) <= math.ulp(res.min_slack_right)
+        assert res.arg_left == res.arg_right == 1.000000001
 
     def test_thm1_shifted_witness(self):
         res = verify_blend_bounds(70_000, seed=11, alpha=blend_alpha_closed() + 1e-4)
@@ -244,12 +246,14 @@ def _workspace_sizes(monkeypatch):
 
 class TestWorkOncePerBlock:
     """Each block runs the r(t) kernel once, which gives its margins and its
-    Seiffert mean, and builds no profile besides chain's own and the blended
-    pairs of priors."""
+    Seiffert mean, and builds no profile besides the blended pairs of
+    priors."""
 
     N = 3 * SMALL_BLOCK + 7
 
-    @pytest.mark.parametrize("fn", [verify_blend_bounds, verify_ratio_bounds, verify_prior_bounds])
+    @pytest.mark.parametrize(
+        "fn", [verify_blend_bounds, verify_ratio_bounds, verify_prior_bounds, verify_ordering_chain]
+    )
     def test_kernel_and_seiffert_core_once(self, monkeypatch, fn):
         # the Seiffert mean is A times the kernel's q
         monkeypatch.setattr(sharp, "_BLOCK", SMALL_BLOCK)
@@ -272,7 +276,7 @@ class TestWorkOncePerBlock:
             verify_blend_bounds: (4, 0),
             verify_ratio_bounds: (4, 0),
             verify_prior_bounds: (4, 2 * 4),
-            verify_ordering_chain: (4, 4),
+            verify_ordering_chain: (4, 0),
         }[fn]
         assert len(arctan) == arctans
         assert len(profile) == profiles
@@ -317,13 +321,12 @@ def test_block_profile_means_equal_the_cores(monkeypatch):
     series = t <= 0.5
     assert np.array_equal(bulk[series], scalar[series])
     assert np.all(np.abs(bulk - scalar) <= np.spacing(scalar))
-    # the chain's G, pair by pair, the diagonal included
+    # the chain's G is sqrt(x)
+    assert np.array_equal(np.sqrt(x), cores(means.geometric_values))
+    # the profile's three forms on pairs (x, 1) and on the diagonal (x, x),
+    # both ways round: per float, on the arrays, and in place
     b = np.concatenate([np.ones(len(x)), x])
     a = np.concatenate([x, x])
-    g = means._geometric(a, b, np.empty(len(a)), np.empty(len(a)), np.empty(len(a), dtype=bool))
-    assert np.array_equal(g, [means.geometric_values(ai, bi) for ai, bi in zip(a.tolist(), b.tolist())])
-    # the profile's three forms on the same pairs, both ways round: per
-    # float, on the arrays, and in place
     for lhs, rhs in ((a, b), (b, a)):
         per_float = np.array([means._profile(ai, bi) for ai, bi in zip(lhs.tolist(), rhs.tolist())]).T
         on_arrays = means._profile(lhs, rhs)
@@ -430,39 +433,6 @@ class TestSamplingInputs:
         with pytest.raises(DomainError, match="ratio_max"):
             verify_ordering_chain(10, ratio_max=ratio_max)
 
-    @pytest.mark.parametrize("ratio_max", [1.00001, 1.0 + 2e-5])
-    def test_chain_ratio_max_must_exceed_its_floor(self, ratio_max):
-        # the chain draws x in [1 + 2e-5, ratio_max]; at or below the floor
-        # that range is empty and the draws would land above ratio_max
-        with pytest.raises(DomainError, match="1 \\+ 2e-5"):
-            verify_ordering_chain(100, ratio_max=ratio_max)
-
-    def test_chain_just_above_its_floor_stays_in_range(self):
-        ratio_max = 1.0000201
-        res = verify_ordering_chain(100, ratio_max=ratio_max)
-        assert res.passed
-        assert 1.0 + 2e-5 <= min(res.arg_left, res.arg_right)
-        assert max(res.arg_left, res.arg_right) <= ratio_max
-
-
-@pytest.mark.parametrize("seed", [0, 1, 7, 2**40 + 3])
-def test_chain_scales_are_numpys_uniform_draws(monkeypatch, seed):
-    # numpy's uniform is low + (high - low)·random(): drawn into the row and
-    # scaled in place, the scales are its bits, block by block
-    lo, hi = sharp._CHAIN_LOG_K
-    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-    k = np.empty(100_000)
-    rng.random(out=k)
-    k *= hi - lo
-    k += lo
-    assert np.array_equal(k, ref.uniform(lo, hi, 100_000))
-    monkeypatch.setattr(sharp, "_BLOCK", SMALL_BLOCK)
-    n = 3 * SMALL_BLOCK + 7
-    work = sharp._workspace(SMALL_BLOCK, 10, 2)
-    drawn = np.concatenate([k.copy() for _, k, _, _ in sharp._chain_blocks(seed, n, 1e6, 0, n, *work)])
-    stream = np.random.default_rng(seed)
-    stream.bit_generator.advance(n)  # the scales follow the n ratios
-    assert np.array_equal(drawn, np.exp(stream.uniform(lo, hi, n)))
 
 
 def _serial(n, seed, ratio_max, keywords):
@@ -471,16 +441,16 @@ def _serial(n, seed, ratio_max, keywords):
         verify_blend_bounds(n, seed=seed, ratio_max=ratio_max, **keywords.get("thm1", {})),
         verify_ratio_bounds(n, seed=seed, ratio_max=ratio_max, **keywords.get("thm2", {})),
         verify_prior_bounds(n, seed=seed, ratio_max=ratio_max),
-        verify_ordering_chain(n, seed=seed, ratio_max=min(ratio_max, 1e6)),
+        verify_ordering_chain(n, seed=seed, ratio_max=ratio_max),
     ]
 
 
 def _shared(n, cpus, seed, ratio_max, keywords):
     """``verify all``'s shared pass in this process: each lane's range in
     turn; returns the ranges, the lanes' tallies and the merged results."""
-    rows = [sharp._ROWS[name](**keywords.get(name, {})) for name in ("thm1", "thm2", "priors")]
+    rows = [sharp._ROWS[name](**keywords.get(name, {})) for name in ("thm1", "thm2", "priors", "chain")]
     ranges = sharp._lane_ranges(n, cpus)
-    lanes = [sharp._lane(rows, seed, n, ratio_max, min(ratio_max, 1e6), *r) for r in ranges]
+    lanes = [sharp._lane(rows, seed, n, ratio_max, *r) for r in ranges]
     return ranges, lanes, sharp._finish_lanes(rows, lanes)
 
 
@@ -546,15 +516,16 @@ class TestRangeMerge:
     @pytest.mark.parametrize("cpus", [1, 2, 3, 4])
     def test_nan_fold_in_a_later_range(self, monkeypatch, cpus):
         # a NaN r(t) in the third block: every fold that reads r keeps it
-        # over the smaller margins of the earlier ranges
+        # over the smaller margins of the earlier ranges, the chain's left
+        # slack (T - A)/A = t²·r too
         n = 3 * SMALL_BLOCK + 7
         x = sample_ratios(np.random.default_rng(self.SEED), n)
         _plant_nan(monkeypatch, float(x[2 * SMALL_BLOCK + 5]))
         monkeypatch.setattr(sharp, "_BLOCK", SMALL_BLOCK)
         _, _, shared = _shared(n, cpus, self.SEED, 1e8, {})
         self.assert_same(shared, _serial(n, self.SEED, 1e8, {}))
-        thm1, thm2, priors, _ = shared
-        for res in (thm1, thm2, priors):
+        thm1, thm2, priors, chain = shared
+        for res in (thm1, thm2, priors, chain):
             assert math.isnan(res.min_slack_left) and res.arg_left == x[2 * SMALL_BLOCK + 5]
         assert math.isnan(thm2.stats["inf"]) and math.isnan(thm2.stats["sup"])
 
@@ -575,9 +546,8 @@ class TestRangeMerge:
         assert [tallies[0].n for tallies in lanes] == [
             stop - start + (extra if stop == n else 0) for start, stop in ranges
         ]
-        # the chain draws no boundary points
-        assert [tallies[-1].n for tallies in lanes] == [stop - start for start, stop in ranges]
-        assert [r.n_samples for r in shared] == [n + extra] * 3 + [n]
+        assert all(len({tally.n for tally in tallies}) == 1 for tallies in lanes)
+        assert [r.n_samples for r in shared] == [n + extra] * 4
 
     def test_ranges_are_block_aligned_and_cover_the_stream(self, monkeypatch):
         monkeypatch.setattr(sharp, "_BLOCK", SMALL_BLOCK)
@@ -594,7 +564,7 @@ class TestRangeMerge:
 
 class TestSharedPass:
     """One lane draws each block once and runs one kernel pass on it for
-    thm1, thm2 and priors; the chain then reuses the same pool."""
+    thm1, thm2, priors and the chain, in one pool."""
 
     N = 3 * SMALL_BLOCK + 7
 
@@ -607,9 +577,9 @@ class TestSharedPass:
         assert all(r.passed for r in shared)
         # sample_ratios' first argument is the generator
         assert len(draws) == 4
-        # four blocks of ratios, then four blocks of the chain's pairs
-        assert len(kernel) == len(arctan) == 8
-        assert sum(kernel) == shared[0].n_samples + shared[3].n_samples
+        # four blocks of ratios, one kernel pass each for all four rows
+        assert len(kernel) == len(arctan) == 4
+        assert sum(kernel) == shared[0].n_samples
 
     @pytest.mark.parametrize(
         "run",
@@ -623,8 +593,8 @@ class TestSharedPass:
         ids=["verify_blend_bounds", "verify_ratio_bounds", "verify_prior_bounds", "verify_ordering_chain", "shared"],
     )
     def test_one_pool_for_every_row_and_the_chain(self, monkeypatch, run):
-        # x, t, the four kernel rows and priors' six pool rows, which hold
-        # the chain's x, k and eight rows too, whatever runs
+        # x, t, the four kernel rows and the six pool rows that priors and
+        # the chain write, whatever runs
         sizes = _workspace_sizes(monkeypatch)
         assert run().passed
         assert sizes == [(12, 2)]  # one call
@@ -637,8 +607,9 @@ class TestSharedPass:
             ("thm2", {}),
             ("thm2", {"beta1": RATIO_UPPER + 1e-3}),
             ("priors", {}),
+            ("chain", {}),
         ],
-        ids=["thm1", "thm1-beta", "thm2", "thm2-beta1", "priors"],
+        ids=["thm1", "thm1-beta", "thm2", "thm2-beta1", "priors", "chain"],
     )
     def test_rows_leave_the_shared_block_as_it_is(self, monkeypatch, name, keywords):
         # a row reads x, t and the kernel rows (t², r, 1/3 - r, q), which the
@@ -655,11 +626,11 @@ class TestSharedPass:
         assert [row.tobytes() for row in (x, t, *shared)] == before
 
     def test_memory_bounded_at_1e6_samples(self):
-        rows = [sharp._ROWS[name]() for name in ("thm1", "thm2", "priors")]
-        sharp._lane(rows, 0, 1_000, 1e8, 1e6, 0, 1_000)
+        rows = [sharp._ROWS[name]() for name in sharp._ROWS]
+        sharp._lane(rows, 0, 1_000, 1e8, 0, 1_000)
         tracemalloc.start()
         try:
-            tallies = sharp._lane(rows, 0, 10**6, 1e8, 1e6, 0, 10**6)
+            tallies = sharp._lane(rows, 0, 10**6, 1e8, 0, 10**6)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -672,15 +643,15 @@ class TestOneDriver:
     arguments before any lane forks."""
 
     @pytest.mark.parametrize(
-        "fn, suites, chain",
+        "fn, suites",
         [
-            (verify_blend_bounds, ["thm1"], None),
-            (verify_ratio_bounds, ["thm2"], None),
-            (verify_prior_bounds, ["priors"], None),
-            (verify_ordering_chain, [], 1e6),
+            (verify_blend_bounds, ["thm1"]),
+            (verify_ratio_bounds, ["thm2"]),
+            (verify_prior_bounds, ["priors"]),
+            (verify_ordering_chain, ["chain"]),
         ],
     )
-    def test_each_verifier_is_one_run_in_one_lane(self, monkeypatch, fn, suites, chain):
+    def test_each_verifier_is_one_run_in_one_lane(self, monkeypatch, fn, suites):
         calls = []
         original = sharp._run
 
@@ -695,9 +666,7 @@ class TestOneDriver:
         monkeypatch.setattr(os, "fork", no_fork)
         lanes = _counting(monkeypatch, sharp, "_lane")
         assert fn(3_000, seed=2).passed
-        kw = {} if chain is None else {"chain_ratio_max": chain}
-        ratio_max = 1e8 if chain is None else 1e6
-        assert calls == [(suites, (3_000, 2, ratio_max), kw)]
+        assert calls == [(suites, (3_000, 2, 1e8), {})]
         assert len(lanes) == 1
 
     @pytest.mark.parametrize(
@@ -707,10 +676,9 @@ class TestOneDriver:
             ({"samples": 0}, "samples"),
             ({"ratio_max": math.inf}, "ratio_max"),
             ({"ratio_max": 1.0}, "ratio_max"),
-            ({"chain_ratio_max": 1.00001}, "1 \\+ 2e-5"),
             ({}, "forked"),
         ],
-        ids=["seed", "samples", "ratio-max-inf", "ratio-max-one", "chain-floor", "valid"],
+        ids=["seed", "samples", "ratio-max-inf", "ratio-max-one", "valid"],
     )
     def test_arguments_checked_before_any_fork(self, monkeypatch, bad, match):
         # the valid case shows that two lanes fork
@@ -719,7 +687,7 @@ class TestOneDriver:
 
         monkeypatch.setattr(os, "fork", no_fork)
         monkeypatch.setattr(sharp, "_BLOCK", SMALL_BLOCK)
-        args = {"samples": 4 * SMALL_BLOCK, "seed": 0, "ratio_max": 1e8, "chain_ratio_max": 1e6, **bad}
-        rows = [sharp._ROWS[name]() for name in ("thm1", "thm2", "priors")]
+        args = {"samples": 4 * SMALL_BLOCK, "seed": 0, "ratio_max": 1e8, **bad}
+        rows = [sharp._ROWS[name]() for name in sharp._ROWS]
         with pytest.raises(AssertionError if not bad else DomainError, match=match):
-            sharp._run(rows, args["samples"], args["seed"], args["ratio_max"], args["chain_ratio_max"], lanes=2)
+            sharp._run(rows, args["samples"], args["seed"], args["ratio_max"], lanes=2)
