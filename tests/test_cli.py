@@ -239,6 +239,13 @@ class TestHardenedInputs:
         assert out == ""
         assert err.startswith("error: ") and needle in err and err.count("\n") == 1
 
+    @pytest.mark.parametrize("which", ["chain", "all"])
+    def test_near_diagonal_ratio_max_runs(self, capsys, which):
+        # no suite, the chain included, has a ratio floor above 1
+        code, out, err = run_cli(capsys, "verify", which, "--samples", "100", "--ratio-max", "1.00001")
+        assert code == 0 and err == ""
+        assert out.count("PASS") == (4 if which == "all" else 1) and "FAIL" not in out
+
     @pytest.mark.parametrize("kw", [{"alpha1": math.nan}, {"beta1": math.inf}, {"beta1": -math.inf}])
     def test_ratio_constants_must_be_finite(self, kw):
         from seiffert_bounds.errors import DomainError
