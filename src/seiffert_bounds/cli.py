@@ -160,8 +160,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             status = "PASS" if r.passed else "FAIL"
             print(
                 f"suite {r.suite}: {status}  n={r.n_samples}  "
-                f"min_slack_left={r.min_slack_left:.6e} (at a/b={r.arg_left:.10g})  "
-                f"min_slack_right={r.min_slack_right:.6e} (at a/b={r.arg_right:.10g})"
+                f"min_slack_left={r.min_slack_left:.6e} (at a/b={r.arg_left!r})  "
+                f"min_slack_right={r.min_slack_right:.6e} (at a/b={r.arg_right!r})"
             )
             if r.stats:
                 print(f"  stats: {json.dumps(r.stats, sort_keys=True)}")

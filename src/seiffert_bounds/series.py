@@ -15,6 +15,10 @@ On top of the table:
 * ``ratio_series``:  R(θ) = cotθ/θ - 1/sin²θ + 1
                           = 1 - Σ_{n≥1} n·2^{2n+1}|B_{2n}|/(2n)! · θ^{2n-2}
 
+The cot and csc² partial sums are formed exactly from the Fraction
+coefficients and rounded once, so they are correctly rounded on every
+platform; the ratio partial sum, whose terms are all O(1), runs in doubles.
+
 Truncation error is controlled through the identity
 ``2^{2n}|B_{2n}|/(2n)! = 2 ζ(2n)/π^{2n} < 2 ζ(2)/π^{2n}``, which bounds every
 remainder by an explicit geometric (or arithmetico-geometric) tail; see
@@ -165,59 +169,50 @@ def _float_coeffs(kind: str) -> tuple[float, ...]:
     return tuple(float(coefficient(n)) for n in range(1, N_MAX + 1))
 
 
-@functools.lru_cache(maxsize=4)
-def _extended_coeffs(kind: str) -> tuple:
-    """Coefficients as 80-bit extended floats (hi+lo split of the exact value)."""
-    import numpy as np
-
+def _exact_sum(kind: str, n: int, x: float) -> tuple[Fraction, Fraction, Fraction]:
+    """x, x² and Σ_{k=1..n} c_k x^{2k-2} over the exact coefficients of ``kind``,
+    all as exact Fractions (Horner in x², no rounding anywhere)."""
     coefficient = _KINDS[kind][0]
-    out = []
-    for n in range(1, N_MAX + 1):
-        c = coefficient(n)
-        hi = float(c)
-        lo = float(c - Fraction(hi))
-        out.append(np.longdouble(hi) + np.longdouble(lo))
-    return tuple(out)
+    xq = Fraction(x)
+    u = xq * xq
+    acc = Fraction(0)
+    for k in range(n, 0, -1):
+        acc = acc * u + coefficient(k)
+    return xq, u, acc
 
 
-def _horner_extended(kind: str, n: int, x: float) -> tuple:
-    """x as an 80-bit extended float and the sum of the first n coefficients
-    times powers of x², in that precision.  numpy provides the type; this
-    helper and ``_extended_coeffs`` import it, and nothing else here does."""
-    import numpy as np
-
-    xl = np.longdouble(x)
-    u = xl * xl
-    acc = u * 0.0
-    for c in _extended_coeffs(kind)[n - 1 :: -1]:
-        acc = acc * u + c
-    return xl, acc
+def _rounded(value: Fraction) -> float:
+    """The correctly rounded double of ``value``, or ±inf beyond the double range."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 def cot_series(x: float, n: int) -> float:
     """Partial sum of the cot expansion: 1/x - Σ_{k=1..n} c_k x^{2k-1}.
 
     Valid pointwise for 0 < |x| < π; see :func:`truncated_series` for the
-    remainder bound on |x| <= r < π.  Accumulated in 80-bit extended
-    precision: near the pole the 1/x term dwarfs one double ulp, and plain
-    double evaluation could not match the true partial sum to 1e-12 absolute.
+    remainder bound on |x| <= r < π.  The sum is formed exactly in rationals
+    and rounded once, so the result is the correctly rounded double of the
+    true partial sum on every platform, or ±inf where that lies beyond the
+    double range (x next to 0, where 1/x does).
     """
     x = _check_x(x)
     _check_order(n, what="truncation order")
-    xl, acc = _horner_extended("cot", n, x)
-    return float(1.0 / xl - xl * acc)
+    xq, _, acc = _exact_sum("cot", n, x)
+    return _rounded(1 / xq - xq * acc)
 
 
 def csc2_series(x: float, n: int) -> float:
     """Partial sum of the 1/sin² expansion: 1/x² + Σ_{k=1..n} (2k-1)c_k x^{2k-2}.
 
-    Extended-precision accumulation, as in :func:`cot_series` (the 1/x² term
-    reaches 10⁴ on the test interval, where a double ulp alone is ~2e-12).
+    Summed exactly and rounded once, as in :func:`cot_series`.
     """
     x = _check_x(x)
     _check_order(n, what="truncation order")
-    xl, acc = _horner_extended("csc2", n, x)
-    return float(1.0 / (xl * xl) + acc)
+    _, u, acc = _exact_sum("csc2", n, x)
+    return _rounded(1 / u + acc)
 
 
 def ratio_series(theta: float, n: int) -> float:

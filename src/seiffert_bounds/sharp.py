@@ -321,18 +321,18 @@ def _ratio_blocks(seed: int, n: int, ratio_max: float, start: int, stop: int, wo
         yield x, t, shared, pool, [row[: len(x)] for row in bits]
 
 
-def _first(flags: np.ndarray, value: bool = True) -> int | None:
-    """Index of the first element of ``flags`` equal to ``value``, or None."""
-    if not flags.size:
+def _first_false(ok: np.ndarray) -> int | None:
+    """Index of the first False element of ``ok``, or None."""
+    if not ok.size:
         return None
-    k = int(np.argmax(flags) if value else np.argmin(flags))
-    return k if flags[k] == value else None
+    k = int(np.argmin(ok))
+    return None if ok[k] else k
 
 
 def _first_raw_failure(ok: np.ndarray, t: np.ndarray, spare: np.ndarray) -> int | None:
     """First sample with t >= 1e-3 where ``ok`` is False, or None; ``ok`` is overwritten."""
     ok |= np.less(t, _DIRECT_T_FLOOR, out=spare)
-    return _first(ok, False)
+    return _first_false(ok)
 
 
 def _half_sum(x: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -354,18 +354,19 @@ def _mean_side_witness(x: float, side: str, lhs: float, rhs: float) -> dict:
 
 
 def _margin_witness(x, left, right, at, flags) -> dict | None:
-    """Witness of the first sample with a non-positive margin, or None.
+    """Witness of the first sample whose margin is not positive (NaN included),
+    or None.
 
     ``at(k, side)`` gives the (lhs, rhs) pair reported for sample k; ``flags``
     are two bool rows it may overwrite.
     """
-    bad, spare = flags
-    np.less_equal(left, 0.0, out=bad)
-    bad |= np.less_equal(right, 0.0, out=spare)
-    k = _first(bad)
+    ok, spare = flags
+    np.greater(left, 0.0, out=ok)
+    ok &= np.greater(right, 0.0, out=spare)
+    k = _first_false(ok)
     if k is None:
         return None
-    side = "lower" if left[k] <= 0.0 else "upper"
+    side = "lower" if not left[k] > 0.0 else "upper"
     return _mean_side_witness(float(x[k]), side, *at(k, side))
 
 
@@ -581,7 +582,7 @@ def _prior_block(x, t, shared, pool, flags):
     margins = (lower_s, upper_s, lower_c, upper)
 
     def margin(name, vals):
-        k = _first(np.less_equal(vals, 0.0, out=flags[0]))
+        k = _first_false(np.greater(vals, 0.0, out=flags[0]))
         return None if k is None else _mean_side_witness(float(x[k]), name, float(vals[k]), 0.0)
 
     def raw_means():
@@ -689,7 +690,7 @@ def verify_prior_bounds(
     Cross-validates the Seiffert/root-square/arithmetic/contra-harmonic stack
     against the literature constants; raw-mean comparisons run for t >= 1e-3.
     A witness names the first margin, in the order above, that went
-    non-positive anywhere, and else the raw-mean check.
+    non-positive (or NaN) anywhere, and else the raw-mean check.
     """
     return _run([_PRIORS], samples, seed, ratio_max)[0]
 

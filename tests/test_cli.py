@@ -258,11 +258,15 @@ class TestHardenedInputs:
         argv = ["verify", "chain", "--samples", "100", "--seed", "0", "--ratio-max", "1e300"]
         code, out, _ = run_cli(capsys, *argv, "--format", "json")
         assert code == 0 and json.loads(out)["suites"][0]["pass"] is True
-        # the chain samples the whole range, as every suite does
-        code, out, _ = run_cli(capsys, *argv)
-        ratios = [float(x) for x in re.findall(r"at a/b=(\S+)\)", out)]
-        assert code == 0 and len(ratios) == 2
-        assert all(1.0 < x <= 1e300 for x in ratios)
+        # the chain samples the whole range, as every suite does, and the plain
+        # report prints each argument in full: next to the diagonal it does
+        # not read as a/b=1
+        near = ["verify", "chain", "--samples", "500000", "--ratio-max", "1.00001"]
+        for cmd, ratio_max in (argv, 1e300), (near, 1.00001):
+            code, out, _ = run_cli(capsys, *cmd)
+            ratios = [float(x) for x in re.findall(r"at a/b=(\S+)\)", out)]
+            assert code == 0 and len(ratios) == 2
+            assert all(1.0 < x <= ratio_max for x in ratios), out
 
 
 class TestProfileRange:
@@ -471,10 +475,12 @@ class TestLanes:
         (["-m", "seiffert_bounds.cli", "eval", "blend", "1", "3"], 2),
         *((["-m", "seiffert_bounds.cli", "constants", "--format", fmt], 0) for fmt in ("json", "csv", "plain")),
         *((["-m", "seiffert_bounds.cli", "certify", "--format", fmt], 0) for fmt in ("json", "plain")),
+        (["-c", "from seiffert_bounds import cot_series, csc2_series; "
+                "cot_series(0.5, 40); csc2_series(0.5, 40)"], 0),
     ],
     ids=[
         "import-package", "import-cli", "import-modules", "eval", "eval-oracle", "series", "usage-error",
-        "constants-json", "constants-csv", "constants-plain", "certify-json", "certify-plain",
+        "constants-json", "constants-csv", "constants-plain", "certify-json", "certify-plain", "series-sums",
     ],
 )
 def test_small_commands_leave_numpy_out(args, returncode):

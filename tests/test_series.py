@@ -1,6 +1,7 @@
 """Bernoulli table, zeta values, and the three trigonometric expansions."""
 
 import math
+import random
 from fractions import Fraction
 
 import mpmath as mp
@@ -144,6 +145,56 @@ class TestCsc2Series:
             for x in xs:
                 ref = float(1 / mp.sin(mp.mpf(x)) ** 2)
                 assert abs(csc2_series(float(x), 40) - ref) < 1e-12
+
+
+def _exact_points() -> list[float]:
+    """About 100 arguments in 0 < |x| < π: a grid to π/2, fixed random points
+    in (1e-6, 3), and the named corners."""
+    rng = random.Random(20120131)
+    grid = [0.01 + k * (math.pi / 2 - 0.01) / 59 for k in range(60)]
+    return grid + [rng.uniform(1e-6, 3.0) for _ in range(36)] + [math.pi / 2, -0.5, 3.0, 1e-6]
+
+
+class TestExactPartialSums:
+    """cot and csc² partial sums equal the correctly rounded exact partial sum."""
+
+    POINTS = _exact_points()
+
+    @staticmethod
+    def _references(n: int, x: float) -> tuple[float, float]:
+        # built apart from the package: mpmath's own Bernoulli numbers at 80 digits
+        with mp.workdps(80):
+            xm = mp.mpf(x)
+            cot = 1 / xm
+            csc2 = 1 / xm**2
+            for k in range(1, n + 1):
+                c = 4**k * abs(mp.bernoulli(2 * k)) / mp.factorial(2 * k)
+                cot -= c * xm ** (2 * k - 1)
+                csc2 += (2 * k - 1) * c * xm ** (2 * k - 2)
+            return float(cot), float(csc2)
+
+    @pytest.mark.parametrize("n", [1, 5, 20, 40, 60])
+    def test_correctly_rounded(self, n):
+        for x in self.POINTS:
+            assert (cot_series(x, n), csc2_series(x, n)) == self._references(n, x), x
+
+    @pytest.mark.parametrize("n", [1, 20])
+    def test_symmetry(self, n):
+        for x in self.POINTS:
+            assert cot_series(-x, n) == -cot_series(x, n)
+            assert csc2_series(-x, n) == csc2_series(x, n)
+
+    @pytest.mark.parametrize(
+        "fn, x, n, want",
+        [
+            (cot_series, 5e-324, 3, math.inf),
+            (cot_series, -5e-324, 3, -math.inf),
+            (csc2_series, 1e-300, 5, math.inf),
+            (csc2_series, -1e-300, 5, math.inf),
+        ],
+    )
+    def test_beyond_the_double_range(self, fn, x, n, want):
+        assert fn(x, n) == want
 
 
 class TestRatioSeries:

@@ -94,6 +94,33 @@ def test_chain_tie_in_a_later_block_is_its_witness(monkeypatch):
     assert res.min_slack_left == 0.0 and res.arg_left == x
 
 
+@pytest.mark.parametrize(
+    "case, side", [("thm1", "lower"), ("thm2", "lower"), ("priors", "lower_S_combination"), ("chain", "lower")],
+)
+def test_nan_margin_is_its_witness(monkeypatch, case, side):
+    # r(t) planted NaN at one sample: a margin that is not positive fails,
+    # NaN included, and names that sample
+    original = sharp._ratio_kernel
+    planted = {}
+
+    def nan_at_one(t, **kw):
+        r, upper, q = original(t, **kw)
+        i = len(t) // 3
+        planted["t"] = float(t[i])
+        r[i] = math.nan
+        return r, upper, q
+
+    monkeypatch.setattr(sharp, "_ratio_kernel", nan_at_one)
+    fn, kw = CASES[case]
+    res = fn(2_989, seed=2, **kw)
+    assert res.n_samples == 3_007
+    assert not res.passed
+    assert res.witness["side"] == side
+    x = res.witness["ratio"]
+    assert (x - 1.0) / (x + 1.0) == planted["t"]
+    assert math.isnan(res.min_slack_left)
+
+
 @pytest.mark.parametrize("ratio_max", [1.00001, 1.5, 10.0, 1e3])
 @pytest.mark.parametrize("case", sorted(case for case in CASES if "ratio_max" not in CASES[case][1]))
 def test_reported_ratios_stay_in_range(case, ratio_max):
