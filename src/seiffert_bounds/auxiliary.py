@@ -49,9 +49,11 @@ its limit, which is 0 at the sharp parameter: there gap < 0 on (1, ∞).
 :func:`ladder_proof` proves the signs and the derivative identity in exact
 arithmetic.
 
-Importing this module loads no numpy.  The scalar methods (``gap``,
-``chain``), the ladder, the proof and :func:`counterexample_witness` compute
-on floats with :mod:`math` or on Fractions; numpy loads on the first call
+Importing this module loads no numpy and no :mod:`fractions`.  The scalar
+methods (``gap``, ``chain``), the ladder, the proof and
+:func:`counterexample_witness` compute on floats with :mod:`math` or on
+Fractions, which the exact routines import where they run, so ``constants``
+(families and witness scans only) loads none.  numpy loads on the first call
 that works on arrays (``gap_values`` or ``chain_values`` on an array,
 ``quadratic_form``, ``difference_factor``,
 :func:`derivative_identity_residual`).  ``gap`` and ``gap_values`` share one
@@ -63,9 +65,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import asdict, dataclass
-from fractions import Fraction
-from typing import Literal
+from collections import namedtuple
 
 from . import _OnFirstUse
 from .errors import BracketError, DomainError
@@ -129,17 +129,21 @@ def _shifted_chain(s, u, level: int):
     return 9 * u + c1 * s
 
 
-@dataclass(frozen=True)
-class BlendGapFamily:
+class BlendGapFamily(namedtuple("BlendGapFamily", "p")):
     """The gap function and its derivative chain for one blend parameter p."""
 
-    p: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        p = float(self.p)
-        if not (math.isfinite(p) and 0.5 < p <= 1.0):
-            raise DomainError(f"blend parameter must lie in (1/2, 1], got {self.p!r}")
-        object.__setattr__(self, "p", p)
+    def __new__(cls, p: float) -> "BlendGapFamily":
+        fp = float(p)
+        if not (math.isfinite(fp) and 0.5 < fp <= 1.0):
+            raise DomainError(f"blend parameter must lie in (1/2, 1], got {p!r}")
+        return super().__new__(cls, fp)
+
+    @classmethod
+    def _make(cls, iterable) -> "BlendGapFamily":
+        # ``_replace`` builds through ``_make``: both check as the constructor does
+        return cls(*iterable)
 
     # -- building blocks ----------------------------------------------------
 
@@ -231,28 +235,19 @@ class BlendGapFamily:
         return _shifted_chain(t - 1.0, self.p * self.p - self.p, level)
 
 
-@dataclass(frozen=True)
-class CriticalPointReport:
+class CriticalPointReport(namedtuple("CriticalPointReport", "t0 t1 t2 t3 residuals")):
     """The ladder 1 < t₀ < t₁ < t₂ < t₃; ``residuals[k]`` is |chain_{4-k}(t_k)|."""
 
-    t0: float
-    t1: float
-    t2: float
-    t3: float
-    residuals: tuple[float, float, float, float]
+    __slots__ = ()
 
     def as_dict(self) -> dict:
-        return {**asdict(self), "residuals": list(self.residuals)}
+        return {**self._asdict(), "residuals": list(self.residuals)}
 
 
-@dataclass(frozen=True)
-class CounterexampleWitness:
+class CounterexampleWitness(namedtuple("CounterexampleWitness", "side t blend_value seiffert_value")):
     """A ratio t = a/b at which a perturbed bound demonstrably fails."""
 
-    side: str
-    t: float
-    blend_value: float
-    seiffert_value: float
+    __slots__ = ()
 
 
 def _identity_residual(p: Fraction, t: Fraction) -> Fraction:
@@ -279,6 +274,8 @@ def derivative_identity_residual(family: BlendGapFamily, grid) -> float:
     t = np.asarray(grid, dtype=float).ravel()
     if t.size == 0 or not np.all(np.isfinite(t) & (t > 1.0)):
         raise DomainError("grid must be non-empty with every point finite and > 1")
+    from fractions import Fraction
+
     p = Fraction(family.p)
     return float(max(abs(_identity_residual(p, Fraction(x))) for x in t.tolist()))
 
@@ -292,6 +289,8 @@ def locate_critical_points(family: BlendGapFamily) -> CriticalPointReport:
     1 + (-k₁u + sqrt((k₁u)² - 4c₁k₀u))/(2c₁) for the quadratic factors
     c₁s² + k₁us + k₀u, where -k₁u > 0 leaves no cancellation.
     """
+    from fractions import Fraction
+
     p = Fraction(family.p)
     u_exact = p * p - p
     c1_exact = 4 * u_exact * u_exact + 14 * u_exact + 1
@@ -307,10 +306,6 @@ def locate_critical_points(family: BlendGapFamily) -> CriticalPointReport:
     return CriticalPointReport(t0=t0, t1=t1, t2=t2, t3=t3, residuals=residuals)
 
 
-#: Archimedes' bounds 223/71 < π < 22/7
-_PI_BOUNDS = (Fraction(223, 71), Fraction(22, 7))
-
-
 def ladder_proof() -> dict:
     """Exact facts that prove gap < 0 on (1, ∞) at the sharp parameter.
 
@@ -324,13 +319,16 @@ def ladder_proof() -> dict:
       polynomial of degree ≤ 4 in p and ≤ 5 in t, so vanishing on that grid
       makes it zero, which ties the sign of gap' to chain₁ for every p.
     """
-    pi_lo, pi_hi = _PI_BOUNDS
+    from fractions import Fraction
+
+    # Archimedes' bounds 223/71 < π < 22/7
+    pi_lo, pi_hi = Fraction(223, 71), Fraction(22, 7)
     u = (3 / pi_hi - 1, 3 / pi_lo - 1)
     c1 = tuple(4 * x * x + 14 * x + 1 for x in u)
     grid_p = [Fraction(k, 8) for k in range(4, 9)]
     grid_t = [Fraction(k, 2) for k in range(3, 9)]
     return {
-        "pi_bounds": _PI_BOUNDS,
+        "pi_bounds": (pi_lo, pi_hi),
         "u": u,
         "c1": c1,
         "signs": u[1] < 0 < c1[0],
@@ -338,10 +336,7 @@ def ladder_proof() -> dict:
     }
 
 
-def counterexample_witness(
-    p: float,
-    side: Literal["above_alpha", "below_one"],
-) -> CounterexampleWitness:
+def counterexample_witness(p: float, side: str) -> CounterexampleWitness:
     """Exhibit a ratio where the blend bound with parameter p fails.
 
     * ``above_alpha`` (sharp-lower-constant < p < 1): the t→∞ limit of gap is

@@ -19,22 +19,32 @@ twins of :mod:`seiffert_bounds.means` import it on the first call of a
 sweep.  ``eval``, ``series``, ``constants`` and ``certify`` compute with
 :mod:`math` on floats.  ``verify all`` forks one lane per CPU from
 ``_LANE_MIN_SAMPLES`` (2²⁰) samples per suite up.
+
+``eval``, ``series``, ``constants`` and ``certify`` load no
+:mod:`dataclasses` or :mod:`inspect` either (numpy loads ``inspect``): the
+records are named tuples.  Only ``series`` and ``certify``, whose job is
+exact arithmetic, load :mod:`fractions`; :mod:`seiffert_bounds.series` and
+:mod:`csv` load on first use.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import math
 import os
 import sys
 
-from . import means, series, sharp
+from . import _OnFirstUse, means, sharp
 from .errors import BracketError, DomainError, RangeError
 
 __all__ = ["main"]
+
+# Bound on first use, so that a command that prints no series or CSV loads
+# neither (series loads fractions).
+series = _OnFirstUse(".series", globals(), "series")
+csv = _OnFirstUse("csv", globals(), "csv")
 
 _SCHEMA = 1
 
@@ -43,6 +53,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     for option, kind in (("x", "blend"), ("p", "power")):
         if getattr(args, option) is not None and args.kind != kind:
             raise DomainError(f"--{option} applies to the {kind} mean only, not to {args.kind}")
+    if args.precision is not None and not args.oracle:
+        raise DomainError("--precision applies to --oracle only")
     pair = means.PositivePair(args.a, args.b)
     param = args.x if args.kind == "blend" else args.p
     value = means.mean(args.kind, pair, param)  # validates the parameter
@@ -55,7 +67,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     from . import oracle
 
     fn = getattr(oracle, args.kind.replace("-", "_"))
-    dps = args.precision
+    dps = 100 if args.precision is None else args.precision
     if param is None:
         val = fn(pair.a, pair.b, dps=dps)
     elif args.kind == "blend":
@@ -288,10 +300,18 @@ def _checked(convert, ok, rule: str):
 _POSITIVE = _checked(int, lambda n: n >= 1, "be >= 1")
 _SEED = _checked(int, lambda n: n >= 0, "be >= 0")
 _RATIO_MAX = _checked(float, lambda x: math.isfinite(x) and x > 1.0, "be finite and exceed 1")
-_ORDER = _checked(int, lambda n: 1 <= n <= series.N_MAX, f"lie in [1, {series.N_MAX}]")
 #: Oracle digits: on a 2-core host 1e4 take 0.3 s and 1e5 take 14 s, and one
 #: value of 1e11 digits alone would fill about 41 GB.
 _DIGITS = _checked(int, lambda n: 1 <= n <= 10_000, "lie in [1, 10000]")
+
+
+def _order(text: str) -> int:
+    """A series order in [1, ``series.N_MAX``], checked as it is parsed: the
+    bound is read then, so that importing the CLI does not load series."""
+    return _checked(int, lambda n: 1 <= n <= series.N_MAX, f"lie in [1, {series.N_MAX}]")(text)
+
+
+_order.__name__ = "int"  # argparse names it in "invalid int value"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -315,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--x", type=float, default=None, help="blend parameter in [1/2, 1]")
     p_eval.add_argument("--p", type=float, default=None, help="power-mean exponent")
     p_eval.add_argument("--oracle", action="store_true", help="print the mpmath reference value")
-    p_eval.add_argument("--precision", type=_DIGITS, default=100, help="oracle digits")
+    p_eval.add_argument("--precision", type=_DIGITS, default=None, help="oracle digits")
     p_eval.set_defaults(func=_cmd_eval)
 
     p_verify = sub.add_parser("verify", help="run bulk inequality suites")
@@ -340,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_series = sub.add_parser("series", help="dump exact series coefficients")
     p_series.add_argument("what", choices=("bernoulli", "cot", "csc2", "ratio"))
-    p_series.add_argument("--order", type=_ORDER, default=40)
+    p_series.add_argument("--order", type=_order, default=40)
     p_series.add_argument("--format", choices=("json", "csv", "plain"), default="plain")
     p_series.set_defaults(func=_cmd_series)
 

@@ -50,10 +50,8 @@ scans of ``constants`` and ``certify``.  All functions are pure.
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import namedtuple
 
 from . import _OnFirstUse
 from .errors import DomainError
@@ -83,7 +81,22 @@ np = _OnFirstUse("numpy", globals(), "np")
 
 #: r(t) switches from the exact-coefficient series to the direct quotient here.
 _SERIES_SWITCH = 0.5
-_SERIES_TERMS = 32
+#: The first 32 Taylor coefficients of r(t) in powers of t², each the
+#: correctly rounded double of ``excess_ratio_taylor(32)``'s exact value (a
+#: test pins them bit for bit), written out so that no run divides Fractions.
+_RATIO_COEFFS = (
+    0.3333333333333333, -0.08888888888888889, 0.04656084656084656,
+    -0.030194003527336862, 0.021796804019026242, -0.016787551856334924,
+    0.013502765051265932, -0.011203745637718733, 0.009516073194527899,
+    -0.008231206567350501, 0.007224464737393906, -0.006417063031397296,
+    0.005756954446288888, -0.005208475658374312, 0.004746430692874202,
+    -0.004352550122988381, 0.004013287468010989, -0.0037184010824199377,
+    0.003460014667462103, -0.0032319788547818702, 0.003029427541561364,
+    -0.0028484633560942837, 0.002685930651641578, -0.0025392490144042017,
+    0.002406289362268139, -0.002285280508802515, 0.0021747378429786955,
+    -0.0020734082816406844, 0.001980227344909481, -0.001894285366846039,
+    0.0018148006632013015, -0.001741098049677998,
+)
 #: power_values takes its geometric-mean form where |p|·ln(max/min) is below
 #: this (the measured point where the two forms' errors cross).
 _POWER_SWITCH = 1.5
@@ -91,25 +104,27 @@ _POWER_SWITCH = 1.5
 _SINH_COEFFS = tuple(1.0 / math.factorial(2 * k + 1) for k in range(1, 8))
 
 
-@dataclass(frozen=True)
-class PositivePair:
+class PositivePair(namedtuple("PositivePair", "a b")):
     """An ordered pair of strictly positive, finite reals.
 
     Raises :class:`DomainError` on non-finite or non-positive entries; ``a == b``
     is allowed (means extend continuously to the diagonal).
     """
 
-    a: float
-    b: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        a, b = float(self.a), float(self.b)
-        if not (math.isfinite(a) and math.isfinite(b)):
-            raise DomainError(f"pair entries must be finite, got ({self.a!r}, {self.b!r})")
-        if a <= 0.0 or b <= 0.0:
-            raise DomainError(f"pair entries must be strictly positive, got ({a}, {b})")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+    def __new__(cls, a: float, b: float) -> "PositivePair":
+        fa, fb = float(a), float(b)
+        if not (math.isfinite(fa) and math.isfinite(fb)):
+            raise DomainError(f"pair entries must be finite, got ({a!r}, {b!r})")
+        if fa <= 0.0 or fb <= 0.0:
+            raise DomainError(f"pair entries must be strictly positive, got ({fa}, {fb})")
+        return super().__new__(cls, fa, fb)
+
+    @classmethod
+    def _make(cls, iterable) -> "PositivePair":
+        # ``_replace`` builds through ``_make``: both check as the constructor does
+        return cls(*iterable)
 
 
 def excess_ratio_taylor(order: int) -> tuple[Fraction, ...]:
@@ -118,6 +133,8 @@ def excess_ratio_taylor(order: int) -> tuple[Fraction, ...]:
     Reciprocal of arctan(t)/t = Σ (-1)^k t^{2k}/(2k+1):  r(t) = Σ_k coef[k]·t^{2k}
     with coef = (1/3, -4/45, 44/945, -428/14175, …).
     """
+    from fractions import Fraction  # here only: no mean or sweep divides Fractions
+
     if order < 1:
         raise DomainError(f"order must be >= 1, got {order}")
     a = [Fraction((-1) ** k, 2 * k + 1) for k in range(order + 1)]
@@ -125,13 +142,6 @@ def excess_ratio_taylor(order: int) -> tuple[Fraction, ...]:
     for n in range(1, order + 1):
         b.append(-sum(a[j] * b[n - j] for j in range(1, n + 1)))
     return tuple(b[1:])
-
-
-@functools.cache
-def _ratio_coeffs() -> tuple[float, ...]:
-    """The coefficients of r(t) as doubles, built on first use (the long
-    division is most of this module's import time otherwise)."""
-    return tuple(float(c) for c in excess_ratio_taylor(_SERIES_TERMS))
 
 
 def _profile(a, b, out=None):
@@ -166,7 +176,7 @@ def _ratio(t: float) -> tuple[float, float, float]:
     branch gives the kernel's bits, and the direct one may differ by an ulp
     (``math.atan`` against ``np.arctan``).
     """
-    coeffs = _ratio_coeffs()
+    coeffs = _RATIO_COEFFS
     if t > _SERIES_SWITCH:
         q = t / math.atan(t)
         r = (q - 1.0) / (t * t)
@@ -192,7 +202,7 @@ def _ratio_kernel(t, out=None):
     over that subset only.  (Overwriting beats gathering the large-t subset:
     most sampled t lie above the switch.)
     """
-    coeffs = _ratio_coeffs()
+    coeffs = _RATIO_COEFFS
     shape = np.shape(t)
     t = np.reshape(t, -1)
     tt, r, upper, q = (np.empty(t.shape) for _ in range(4)) if out is None else out

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import DomainError, RangeError
@@ -62,15 +62,14 @@ _PI = math.pi
 _ZETA2 = _PI * _PI / 6.0
 
 
-@dataclass(frozen=True)
-class BernoulliTable:
+class BernoulliTable(namedtuple("BernoulliTable", "values")):
     """Even-index Bernoulli numbers ``B_0, B_2, …, B_{2·n_max}``, exact.
 
     ``B_1`` participates in the generating recurrence internally but is not
     stored (the table holds even indices only).
     """
 
-    values: tuple[Fraction, ...]
+    __slots__ = ()
 
     @classmethod
     def build(cls, n_max: int = N_MAX) -> "BernoulliTable":
@@ -235,8 +234,7 @@ def ratio_series(theta: float, n: int) -> float:
     return 1.0 - acc
 
 
-@dataclass(frozen=True)
-class TruncatedSeries:
+class TruncatedSeries(namedtuple("TruncatedSeries", "kind coefficients truncation_order radius tail_bound")):
     """A truncated expansion plus a proven remainder bound on an interval.
 
     ``coefficients[k]`` is the float value of the exact term-k+1 coefficient;
@@ -244,11 +242,7 @@ class TruncatedSeries:
     ``(0, radius]``.
     """
 
-    kind: str
-    coefficients: tuple[float, ...]
-    truncation_order: int
-    radius: float
-    tail_bound: float
+    __slots__ = ()
 
     def evaluate(self, x: float) -> float:
         return _KINDS[self.kind][1](x, self.truncation_order)

@@ -74,8 +74,8 @@ import functools
 import math
 import numbers
 import os
+from collections import namedtuple
 from collections.abc import Callable
-from dataclasses import asdict, dataclass, field
 
 from . import _OnFirstUse, means
 from .errors import BracketError, DomainError
@@ -240,25 +240,20 @@ def sample_ratios(
     return x
 
 
-@dataclass(frozen=True)
-class VerificationResult:
+class VerificationResult(namedtuple(
+    "VerificationResult",
+    "suite passed n_samples min_slack_left min_slack_right arg_left arg_right witness stats",
+)):
     """Outcome of one bulk suite.
 
     ``min_slack_left``/``min_slack_right`` are the smallest margins of the
     reduced ratio inequality (left: r - lower constant, right: upper constant
-    - r), with the ratios where they occur; a witness is attached when the
-    suite failed.
+    - r), with the ratios where they occur; ``witness`` is a dict when the
+    suite failed and None otherwise, and ``stats`` a dict of the suite's extra
+    report fields (empty for most suites).
     """
 
-    suite: str
-    passed: bool
-    n_samples: int
-    min_slack_left: float
-    min_slack_right: float
-    arg_left: float
-    arg_right: float
-    witness: dict | None = None
-    stats: dict = field(default_factory=dict)
+    __slots__ = ()
 
     def as_report(self) -> dict:
         rep = {
@@ -870,25 +865,17 @@ def _run(rows, samples: int, seed: int, ratio_max: float, lanes: int = 1) -> lis
             os.waitpid(pid, 0)
 
 
-@dataclass(frozen=True)
-class SharpnessWitness:
+class SharpnessWitness(namedtuple("SharpnessWitness", "shift ratio lhs rhs")):
     """A ratio violating the bound once its constant moves past the optimum."""
 
-    shift: float
-    ratio: float
-    lhs: float
-    rhs: float
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class SharpConstantReport:
-    """A discovered constant next to its closed-form reference."""
+class SharpConstantReport(namedtuple("SharpConstantReport", "name closed_form discovered abs_gap witness")):
+    """A discovered constant next to its closed-form reference; ``witness`` is
+    a :class:`SharpnessWitness` or None."""
 
-    name: str
-    closed_form: float
-    discovered: float
-    abs_gap: float
-    witness: SharpnessWitness | None
+    __slots__ = ()
 
     def as_dict(self) -> dict:
         return {
@@ -896,7 +883,7 @@ class SharpConstantReport:
             "closed_form": self.closed_form,
             "discovered": self.discovered,
             "gap": self.abs_gap,
-            "witness": None if self.witness is None else asdict(self.witness),
+            "witness": None if self.witness is None else self.witness._asdict(),
         }
 
 

@@ -231,6 +231,7 @@ class TestHardenedInputs:
             (["verify", "priors", "--samples", "1000", "--alpha-shift=1e-4"], "--alpha-shift"),
             (["verify", "priors", "--samples", "1000", "--beta-shift", "nan"], "--beta-shift"),
             (["eval", "seiffert", "1.0", "3.0", "--oracle", "--precision", "10001"], "precision"),
+            (["eval", "seiffert", "1", "3", "--precision", "5"], "--precision"),
         ],
     )
     def test_exit_2(self, capsys, argv, needle):
@@ -463,27 +464,27 @@ class TestLanes:
 
 
 @pytest.mark.parametrize(
-    "args, returncode",
+    "args, returncode, exact",
     [
-        (["-c", "import seiffert_bounds"], 0),
-        (["-c", "import seiffert_bounds.cli"], 0),
+        (["-c", "import seiffert_bounds"], 0, False),
+        (["-c", "import seiffert_bounds.cli"], 0, False),
         (["-c", "import seiffert_bounds.means, seiffert_bounds.sharp, "
-                "seiffert_bounds.auxiliary, seiffert_bounds.series"], 0),
-        (["-m", "seiffert_bounds.cli", "eval", "seiffert", "1", "3"], 0),
-        (["-m", "seiffert_bounds.cli", "eval", "power", "1", "3", "--p", "2", "--oracle"], 0),
-        (["-m", "seiffert_bounds.cli", "series", "ratio", "--format", "json"], 0),
-        (["-m", "seiffert_bounds.cli", "eval", "blend", "1", "3"], 2),
-        *((["-m", "seiffert_bounds.cli", "constants", "--format", fmt], 0) for fmt in ("json", "csv", "plain")),
-        *((["-m", "seiffert_bounds.cli", "certify", "--format", fmt], 0) for fmt in ("json", "plain")),
+                "seiffert_bounds.auxiliary, seiffert_bounds.series"], 0, True),
+        (["-m", "seiffert_bounds.cli", "eval", "seiffert", "1", "3"], 0, False),
+        (["-m", "seiffert_bounds.cli", "eval", "power", "1", "3", "--p", "2", "--oracle"], 0, False),
+        (["-m", "seiffert_bounds.cli", "series", "ratio", "--format", "json"], 0, True),
+        (["-m", "seiffert_bounds.cli", "eval", "blend", "1", "3"], 2, False),
+        *((["-m", "seiffert_bounds.cli", "constants", "--format", fmt], 0, False) for fmt in ("json", "csv", "plain")),
+        *((["-m", "seiffert_bounds.cli", "certify", "--format", fmt], 0, True) for fmt in ("json", "plain")),
         (["-c", "from seiffert_bounds import cot_series, csc2_series; "
-                "cot_series(0.5, 40); csc2_series(0.5, 40)"], 0),
+                "cot_series(0.5, 40); csc2_series(0.5, 40)"], 0, True),
     ],
     ids=[
         "import-package", "import-cli", "import-modules", "eval", "eval-oracle", "series", "usage-error",
         "constants-json", "constants-csv", "constants-plain", "certify-json", "certify-plain", "series-sums",
     ],
 )
-def test_small_commands_leave_numpy_out(args, returncode):
+def test_small_commands_leave_numpy_out(args, returncode, exact):
     # -X importtime names every module the process imports on stderr
     out = subprocess.run([sys.executable, "-X", "importtime", *args], capture_output=True, text=True)
     assert out.returncode == returncode, out.stderr
@@ -494,6 +495,11 @@ def test_small_commands_leave_numpy_out(args, returncode):
     }
     assert "seiffert_bounds" in imported
     assert not imported & {"numpy", "scipy"}
+    # the records are named tuples, so nothing loads dataclasses and the
+    # inspect, ast and dis it imports; only the commands whose job is exact
+    # arithmetic load fractions (and decimal with it)
+    assert not imported & {"dataclasses", "inspect"}
+    assert exact or not imported & {"fractions", "decimal"}
 
 
 def test_cli_import_and_verify_leave_mpmath_out():

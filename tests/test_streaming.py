@@ -371,10 +371,10 @@ class TestRatioKernel:
         ])
         u = t * t
         series = np.zeros_like(u)
-        for c in means._ratio_coeffs()[::-1]:
+        for c in means._RATIO_COEFFS[::-1]:
             series = series * u + c
         tail = np.zeros_like(u)
-        for c in means._ratio_coeffs()[:0:-1]:
+        for c in means._RATIO_COEFFS[:0:-1]:
             tail = tail * u + c
         direct = (t / np.arctan(t) - 1.0) / (t * t)
         small = t <= 0.5
@@ -383,6 +383,12 @@ class TestRatioKernel:
         assert np.array_equal(upper, np.where(small, -u * tail, RATIO_UPPER - direct))
         # q = t/arctan t is 1 + u·r(t) below the switch
         assert np.array_equal(q, np.where(small, 1.0 + u * series, t / np.arctan(t)))
+
+    def test_coefficient_table_is_the_long_division(self):
+        # the literal table is the correctly rounded double of every exact
+        # coefficient, bit for bit
+        exact = means.excess_ratio_taylor(32)
+        assert [c.hex() for c in means._RATIO_COEFFS] == [float(c).hex() for c in exact]
 
     def test_scalar_twin_takes_the_same_steps(self):
         # means._ratio, behind the stdlib scans, is the kernel pass on one
