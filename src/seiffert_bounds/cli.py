@@ -9,10 +9,18 @@ Subcommands:
 * ``certify``   — critical-point ladder and its exact proof at the sharp parameter.
 
 Exit codes: 0 pass, 1 violated inequality / constant gap, 2 usage or domain
-error, 3 a ``verify all`` lane that ended without a result (a forked lane
-killed by a signal or out of memory, say).  Each error is one ``error:``
+error, 3 the run could not finish or deliver its result (a forked ``verify
+all`` lane killed by a signal or out of memory, a refused fork, a stdout
+closed early or full: any :class:`OSError`).  Each error is one ``error:``
 line on stderr.  Reports are deterministic given the same configuration and
 seed.
+
+:func:`main` runs one command in the calling process, for tests and
+scripts.  :func:`run` is the process entry of ``seiffert-bounds`` and
+``python -m seiffert_bounds.cli``: it runs :func:`main` with the cyclic GC
+off and ends the process with :func:`os._exit`, after the atexit handlers
+and the final flush, so that no fresh process pays for collections during
+numpy's import or for the interpreter's teardown.
 
 Only ``verify`` loads numpy: :mod:`seiffert_bounds.sharp` and the bulk
 twins of :mod:`seiffert_bounds.means` import it on the first call of a
@@ -30,6 +38,8 @@ exact arithmetic, load :mod:`fractions`; :mod:`seiffert_bounds.series` and
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import io
 import json
 import math
@@ -39,7 +49,7 @@ import sys
 from . import _OnFirstUse, means, sharp
 from .errors import BracketError, DomainError, RangeError
 
-__all__ = ["main"]
+__all__ = ["main", "run"]
 
 # Bound on first use, so that a command that prints no series or CSV loads
 # neither (series loads fractions).
@@ -371,20 +381,65 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _error(exc: Exception, code: int) -> int:
+    """Report ``exc`` as the run's one ``error:`` line on stderr; returns
+    ``code``.  A stderr that cannot take the line (the same closed pipe or
+    full disk as stdout, say) leaves the exit code to tell."""
+    try:
+        print(f"error: {exc}", file=sys.stderr)
+    except OSError:
+        pass
+    return code
+
+
 def main(argv=None) -> int:
+    """Run one command in this process; returns its exit code.
+
+    The in-process entry, for tests and scripts: it leaves the cyclic GC and
+    the process as they are.  :func:`run` is the process entry."""
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
     except (argparse.ArgumentError, DomainError, RangeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _error(exc, 2)
     except BracketError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ChildProcessError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return _error(exc, 1)
+    except OSError as exc:  # a crashed lane, a refused fork, a closed or full stdout
+        return _error(exc, 3)
+
+
+def run():
+    """Process entry of ``seiffert-bounds`` and ``python -m seiffert_bounds.cli``:
+    :func:`main` on ``sys.argv`` with the cyclic GC off, then the end of the
+    process without interpreter teardown.  Never returns.
+
+    Memory stays bounded with the GC off: besides what its imports leave
+    once, each command's only cyclic garbage is its parser, a fixed count
+    whatever the command and the sample count (``tests/test_cli.py`` checks
+    this; timings in ``BENCH_22.json``).  What a normal exit does still
+    happens, in its order: atexit handlers run, then stdout and stderr are
+    flushed.  A stdout that cannot take the report ends the run with one
+    ``error:`` line and exit 3.  An exception escaping :func:`main` ends the
+    process as without this entry, with a traceback and exit 1.  The CLI
+    starts no thread, and ``verify all`` has waited for its forked lanes
+    before it returns.
+    """
+    gc.disable()
+    code = main()
+    atexit._run_exitfuncs()
+    try:
+        if sys.stdout is not None:  # None when the process started without fd 1
+            sys.stdout.flush()
+    except OSError as exc:
+        if code != 3:  # else main has reported why the run delivered nothing
+            code = _error(exc, 3)
+    try:
+        if sys.stderr is not None:
+            sys.stderr.flush()
+    except OSError:
+        pass
+    os._exit(code)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -1,6 +1,7 @@
 """CLI surface: subcommands, formats, exit codes, determinism."""
 
 import csv
+import gc
 import io
 import json
 import math
@@ -533,3 +534,138 @@ def test_console_script_entry_point():
     )
     assert out.returncode == 0
     assert float(out.stdout) == 2.0
+    # the installed script enters where `python -m` does
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    assert 'seiffert-bounds = "seiffert_bounds.cli:run"' in pyproject
+
+
+def cli_process(argv, *, unbuffered=False, stdout=subprocess.PIPE, prog=("-m", "seiffert_bounds.cli")):
+    """Run the CLI in a fresh process with ``PYTHONUNBUFFERED`` set or unset;
+    returns the completed process, its output as bytes."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.run([sys.executable, *prog, *argv], stdout=stdout, stderr=subprocess.PIPE, env=env)
+
+
+class TestProcessEntry:
+    """``python -m seiffert_bounds.cli`` and ``seiffert-bounds`` run through
+    ``cli.run``: the GC off and no interpreter teardown, nothing else changed."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "seiffert", "1", "3"],
+            ["eval", "power", "1", "3", "--p", "0.5", "--oracle", "--precision", "30"],
+            ["verify", "thm2", "--samples", "20000", "--format", "json"],
+            ["verify", "all", "--samples", "20000", "--format", "csv"],
+            ["verify", "thm1", "--samples", "20000", "--alpha-shift=1e-4"],
+            ["constants", "--format", "csv"],
+            ["series", "ratio", "--order", "8"],
+            ["certify"],
+            ["verify", "thm9"],
+            ["eval", "seiffert", "-1", "3"],
+        ],
+        ids=["eval", "eval-oracle", "verify", "verify-all", "verify-fails", "constants", "series", "certify",
+             "usage-error", "domain-error"],
+    )
+    def test_same_bytes_as_main(self, capsys, argv):
+        # stdout is a block-buffered pipe, so the report reaches it only at
+        # run's final flush
+        proc = cli_process(argv)
+        code, out, err = run_cli(capsys, *argv)
+        assert (proc.returncode, proc.stdout.decode(), proc.stderr.decode()) == (code, out, err)
+
+    def test_atexit_handlers_run(self):
+        prog = ("-c", "import atexit; atexit.register(print, 'atexit ran'); "
+                      "from seiffert_bounds.cli import run; run()")
+        proc = cli_process(["eval", "arithmetic", "1", "3"], prog=prog)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"2.0\natexit ran\n", b"")
+
+    def test_exception_escaping_main_ends_with_a_traceback(self):
+        prog = ("-c", "from seiffert_bounds import cli; cli.main = lambda: 1 // 0; cli.run()")
+        proc = cli_process([], prog=prog)
+        assert proc.returncode == 1 and proc.stdout == b""
+        assert proc.stderr.startswith(b"Traceback")
+        assert proc.stderr.endswith(b"ZeroDivisionError: integer division or modulo by zero\n")
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize(
+        "argv", [["eval", "seiffert", "1", "3"], ["verify", "all", "--samples", "100000", "--format", "plain"]],
+        ids=["eval", "verify-all"],
+    )
+    def test_closed_pipe_exits_3(self, argv, unbuffered):
+        # a pipe whose reader has gone before the first write: every write
+        # fails, in print when unbuffered, at run's final flush when buffered
+        read_fd, write_fd = os.pipe()
+        os.close(read_fd)
+        try:
+            proc = cli_process(argv, unbuffered=unbuffered, stdout=write_fd)
+        finally:
+            os.close(write_fd)
+        assert (proc.returncode, proc.stderr) == (3, b"error: [Errno 32] Broken pipe\n")
+
+    def test_no_stdout_fd(self):
+        # started with fd 1 closed, Python sets sys.stdout to None and print
+        # writes nothing; the run still succeeds
+        proc = subprocess.run(
+            [sys.executable, "-m", "seiffert_bounds.cli", "eval", "seiffert", "1", "3"],
+            stderr=subprocess.PIPE, preexec_fn=lambda: os.close(1),
+        )
+        assert (proc.returncode, proc.stderr) == (0, b"")
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="/dev/full is Linux's")
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("argv", [["constants"], ["eval", "seiffert", "1", "3"]], ids=["constants", "eval"])
+    def test_full_disk_exits_3(self, argv, unbuffered):
+        with open("/dev/full", "wb") as full:
+            proc = cli_process(argv, unbuffered=unbuffered, stdout=full)
+        assert (proc.returncode, proc.stderr) == (3, b"error: [Errno 28] No space left on device\n")
+
+
+@pytest.fixture
+def gc_restored():
+    enabled = gc.isenabled()
+    yield
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+def unreachable_after(call) -> int:
+    """Objects the cyclic GC finds unreachable after ``call()`` ran with it off."""
+    gc.collect()
+    gc.disable()
+    call()
+    return gc.collect()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "seiffert", "1", "3"],
+        ["eval", "seiffert", "1", "3", "--oracle"],
+        ["constants"],
+        ["certify"],
+        ["series", "ratio"],
+        ["verify", "thm1", "--samples", "20000", "--alpha-shift=1e-4"],
+        ["verify", "all", "--samples", "20000"],
+        ["verify", "all", "--samples", str(1 << 20)],
+        ["verify", "thm9"],
+    ],
+    ids=["eval", "eval-oracle", "constants", "certify", "series", "verify-fails", "verify-all", "verify-all-lanes",
+         "usage-error"],
+)
+def test_gc_off_leaves_only_the_parser(capsys, gc_restored, argv):
+    # cli.run turns the cyclic GC off for the whole process; this bounds what
+    # it leaves: each command's cyclic garbage is that of its argparse parser,
+    # whatever the sample count, in forked lanes too.  The first call imports
+    # and fills caches, which the process does once.
+    gc.enable()
+    main(argv)
+    assert gc.isenabled()
+    parser = unreachable_after(cli.build_parser)
+    assert unreachable_after(lambda: main(argv)) == parser
+    assert not gc.isenabled()
+    capsys.readouterr()
