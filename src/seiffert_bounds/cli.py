@@ -325,10 +325,19 @@ _order.__name__ = "int"  # argparse names it in "invalid int value"
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reports a usage error as the one-line message of every other invalid input."""
+    """Reports a usage error as the one-line message of every other invalid
+    input, and ends ``--help`` by returning from :func:`main`, not by
+    :class:`SystemExit`."""
+
+    class Done(Exception):
+        """The parse ended after printing help; ``args[0]`` is the exit code."""
 
     def error(self, message):
         raise argparse.ArgumentError(None, message)
+
+    def exit(self, status=0, message=None):
+        # only --help gets here, with no message: error() above never exits
+        raise self.Done(status)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -400,6 +409,8 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
+    except _Parser.Done as done:
+        return done.args[0]
     except (argparse.ArgumentError, DomainError, RangeError) as exc:
         return _error(exc, 2)
     except BracketError as exc:
@@ -414,9 +425,10 @@ def run():
     process without interpreter teardown.  Never returns.
 
     Memory stays bounded with the GC off: besides what its imports leave
-    once, each command's only cyclic garbage is its parser, a fixed count
-    whatever the command and the sample count (``tests/test_cli.py`` checks
-    this; timings in ``BENCH_22.json``).  What a normal exit does still
+    once, each command's only cyclic garbage is its parser (and for
+    ``--help`` the help formatter), a fixed count whatever the command and
+    the sample count (``tests/test_cli.py`` checks this; timings in
+    ``BENCH_22.json``).  What a normal exit does still
     happens, in its order: atexit handlers run, then stdout and stderr are
     flushed.  A stdout that cannot take the report ends the run with one
     ``error:`` line and exit 3.  An exception escaping :func:`main` ends the

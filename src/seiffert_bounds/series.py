@@ -1,10 +1,14 @@
 """Exact Bernoulli numbers and the even-order trigonometric expansions.
 
 Everything is anchored on the Bernoulli numbers B_n defined by
-``x/(e^x - 1) = sum_i B_i x^i / i!``, generated here by the defining
-recurrence ``sum_{k=0}^{m} binom(m+1, k) B_k = 0`` with ``B_0 = 1`` in exact
-rational arithmetic (``fractions.Fraction``).  The even-index values satisfy
-the sign law ``(-1)^(n-1) B_{2n} = |B_{2n}| > 0``.
+``x/(e^x - 1) = sum_i B_i x^i / i!``.  The even-index values come from the
+tangent numbers T_n of ``tan x = sum_n T_n x^(2n-1) / (2n-1)!``, which the
+in-place integer loop of D. E. Knuth and T. J. Buckholtz ("Computation of
+tangent, Euler, and Bernoulli numbers", Math. Comp. 21, 1967) yields, through
+``B_{2n} = (-1)^(n-1) 2n T_n / (4^n (4^n - 1))``: one exact
+``fractions.Fraction`` per entry.  They satisfy the sign law
+``(-1)^(n-1) B_{2n} = |B_{2n}| > 0``; the tests check the table against the
+defining recurrence ``sum_{k=0}^{m} binom(m+1, k) B_k = 0``.
 
 On top of the table:
 
@@ -15,17 +19,17 @@ On top of the table:
 * ``ratio_series``:  R(θ) = cotθ/θ - 1/sin²θ + 1
                           = 1 - Σ_{n≥1} n·2^{2n+1}|B_{2n}|/(2n)! · θ^{2n-2}
 
-The cot and csc² partial sums are formed exactly from the Fraction
-coefficients and rounded once, so they are correctly rounded on every
-platform; the ratio partial sum, whose terms are all O(1), runs in doubles.
+All three partial sums are formed exactly from the Fraction coefficients and
+rounded once, so they are correctly rounded on every platform.
 
 Truncation error is controlled through the identity
 ``2^{2n}|B_{2n}|/(2n)! = 2 ζ(2n)/π^{2n} < 2 ζ(2)/π^{2n}``, which bounds every
 remainder by an explicit geometric (or arithmetico-geometric) tail; see
 :func:`truncated_series`.
 
-The default table covers B_2 … B_120 (``N_MAX = 60``); it is built once and is
-immutable afterwards, so concurrent reads are safe.
+The default table covers B_2 … B_120 (``N_MAX = 60``); it is built whole, in
+about a millisecond, once, and is immutable afterwards, so concurrent reads
+are safe.
 """
 
 from __future__ import annotations
@@ -63,11 +67,7 @@ _ZETA2 = _PI * _PI / 6.0
 
 
 class BernoulliTable(namedtuple("BernoulliTable", "values")):
-    """Even-index Bernoulli numbers ``B_0, B_2, …, B_{2·n_max}``, exact.
-
-    ``B_1`` participates in the generating recurrence internally but is not
-    stored (the table holds even indices only).
-    """
+    """Even-index Bernoulli numbers ``B_0, B_2, …, B_{2·n_max}``, exact."""
 
     __slots__ = ()
 
@@ -75,14 +75,17 @@ class BernoulliTable(namedtuple("BernoulliTable", "values")):
     def build(cls, n_max: int = N_MAX) -> "BernoulliTable":
         if n_max < 1:
             raise RangeError(f"table order must be >= 1, got {n_max}")
-        full = [Fraction(1)]
-        for m in range(1, 2 * n_max + 1):
-            acc = Fraction(0)
-            for k in range(m):
-                if full[k]:
-                    acc += math.comb(m + 1, k) * full[k]
-            full.append(-acc / (m + 1))
-        evens = tuple(full[2 * n] for n in range(n_max + 1))
+        # T_1 … T_n in place (t[0] unused): start from (k-1)! and sweep
+        # the Knuth-Buckholtz recurrence, integers only
+        t = [0, 1]
+        for k in range(2, n_max + 1):
+            t.append((k - 1) * t[k - 1])
+        for k in range(2, n_max + 1):
+            for j in range(k, n_max + 1):
+                t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+        evens = (Fraction(1),) + tuple(
+            Fraction((-1) ** (n - 1) * 2 * n * t[n], 4**n * (4**n - 1)) for n in range(1, n_max + 1)
+        )
         for n in range(1, n_max + 1):
             if (-1) ** (n - 1) * evens[n] <= 0:
                 raise AssertionError(f"Bernoulli sign law failed at n={n}")
@@ -108,7 +111,7 @@ def default_table() -> BernoulliTable:
 def bernoulli_even(n: int) -> Fraction:
     """B_{2n} as an exact Fraction, 1 <= n <= N_MAX.
 
-    Computed by the defining recurrence, independent of any zeta evaluation
+    Computed from the integer tangent numbers, independent of any zeta evaluation
     (so :func:`zeta_even` is a genuine cross-check, not a circular one).
     """
     _check_order(n, what="Bernoulli index")
@@ -160,12 +163,6 @@ def ratio_coefficient(n: int) -> Fraction:
     """
     _check_order(n, what="series term index")
     return Fraction(n * 2 ** (2 * n + 1)) * abs(bernoulli_even(n)) / math.factorial(2 * n)
-
-
-@functools.lru_cache(maxsize=4)
-def _float_coeffs(kind: str) -> tuple[float, ...]:
-    coefficient = _KINDS[kind][0]
-    return tuple(float(coefficient(n)) for n in range(1, N_MAX + 1))
 
 
 def _exact_sum(kind: str, n: int, x: float) -> tuple[Fraction, Fraction, Fraction]:
@@ -220,18 +217,14 @@ def ratio_series(theta: float, n: int) -> float:
     Every coefficient beyond the constant 1 is strictly negative, so the
     partial sum is strictly decreasing in θ for every n >= 1.  The n = 1 term
     is 2/3, hence R(0⁺) = 1/3; at the right endpoint R(π/4) = 4/π - 1.
-    Plain double arithmetic suffices here: the 1/θ² singularities of the two
-    parent expansions cancel exactly in the combination, every term is O(1).
+    Summed exactly and rounded once, as in :func:`cot_series`.
     """
     theta = float(theta)
     if not (0.0 < theta <= _PI / 4.0):
         raise DomainError(f"ratio series argument must lie in (0, π/4], got {theta!r}")
     _check_order(n, what="truncation order")
-    u = theta * theta
-    acc = 0.0
-    for c in _float_coeffs("ratio")[n - 1 :: -1]:
-        acc = acc * u + c
-    return 1.0 - acc
+    _, _, acc = _exact_sum("ratio", n, theta)
+    return _rounded(1 - acc)
 
 
 class TruncatedSeries(namedtuple("TruncatedSeries", "kind coefficients truncation_order radius tail_bound")):
@@ -287,7 +280,7 @@ def truncated_series(kind: str, order: int, radius: float | None = None) -> Trun
         bound = (2.0 * _ZETA2 / (r * r)) * 2.0 * lin
     return TruncatedSeries(
         kind=kind,
-        coefficients=tuple(_float_coeffs(kind)[:order]),
+        coefficients=tuple(float(_KINDS[kind][0](n)) for n in range(1, order + 1)),
         truncation_order=order,
         radius=r,
         tail_bound=bound,

@@ -565,9 +565,12 @@ class TestProcessEntry:
             ["certify"],
             ["verify", "thm9"],
             ["eval", "seiffert", "-1", "3"],
+            ["--help"],
+            ["verify", "--help"],
+            ["eval", "-h"],
         ],
         ids=["eval", "eval-oracle", "verify", "verify-all", "verify-fails", "constants", "series", "certify",
-             "usage-error", "domain-error"],
+             "usage-error", "domain-error", "help", "verify-help", "eval-help"],
     )
     def test_same_bytes_as_main(self, capsys, argv):
         # stdout is a block-buffered pipe, so the report reaches it only at

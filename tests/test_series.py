@@ -17,6 +17,7 @@ from seiffert_bounds import (
     cot_series,
     csc2_coefficient,
     csc2_series,
+    default_table,
     ratio_coefficient,
     ratio_series,
     truncated_series,
@@ -61,6 +62,21 @@ class TestBernoulli:
     def test_range_errors(self, n):
         with pytest.raises(RangeError):
             bernoulli_even(n)
+
+    def test_defining_recurrence(self):
+        # the table against the definition it is not built from:
+        # sum_{k=0}^{m} binom(m+1, k) B_k = 0 for m >= 1, with B_1 = -1/2
+        # and every other odd B_k = 0
+        full = [Fraction(0)] * (2 * N_MAX + 1)
+        full[1] = Fraction(-1, 2)
+        full[::2] = default_table().values
+        for m in range(1, 2 * N_MAX + 1):
+            assert sum(math.comb(m + 1, k) * full[k] for k in range(m + 1)) == 0, m
+
+    def test_every_table_is_a_prefix_of_the_default(self):
+        values = default_table().values
+        for n in range(1, N_MAX + 1):
+            assert BernoulliTable.build(n).values == values[: n + 1]
 
     def test_table(self):
         table = BernoulliTable.build(5)
@@ -156,27 +172,32 @@ def _exact_points() -> list[float]:
 
 
 class TestExactPartialSums:
-    """cot and csc² partial sums equal the correctly rounded exact partial sum."""
+    """cot, csc² and ratio partial sums equal the correctly rounded exact partial sum."""
 
     POINTS = _exact_points()
 
     @staticmethod
-    def _references(n: int, x: float) -> tuple[float, float]:
+    def _references(n: int, x: float) -> tuple[float, float, float]:
         # built apart from the package: mpmath's own Bernoulli numbers at 80 digits
         with mp.workdps(80):
             xm = mp.mpf(x)
             cot = 1 / xm
             csc2 = 1 / xm**2
+            ratio = mp.mpf(1)
             for k in range(1, n + 1):
                 c = 4**k * abs(mp.bernoulli(2 * k)) / mp.factorial(2 * k)
                 cot -= c * xm ** (2 * k - 1)
                 csc2 += (2 * k - 1) * c * xm ** (2 * k - 2)
-            return float(cot), float(csc2)
+                ratio -= 2 * k * c * xm ** (2 * k - 2)
+            return float(cot), float(csc2), float(ratio)
 
     @pytest.mark.parametrize("n", [1, 5, 20, 40, 60])
     def test_correctly_rounded(self, n):
         for x in self.POINTS:
-            assert (cot_series(x, n), csc2_series(x, n)) == self._references(n, x), x
+            cot, csc2, ratio = self._references(n, x)
+            assert (cot_series(x, n), csc2_series(x, n)) == (cot, csc2), x
+            if 0.0 < x <= math.pi / 4:  # the ratio series' domain
+                assert ratio_series(x, n) == ratio, x
 
     @pytest.mark.parametrize("n", [1, 20])
     def test_symmetry(self, n):
