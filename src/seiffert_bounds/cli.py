@@ -172,7 +172,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             {
                 "name": r.suite,
                 "witness_ratio": "" if r.witness is None else repr(r.witness["ratio"]),
-                "slack": repr(min(r.min_slack_left, r.min_slack_right)),
+                # min drops a NaN that comes second
+                "slack": repr(math.nan if math.isnan(r.min_slack_right) else min(r.min_slack_left, r.min_slack_right)),
             }
             for r in results
         ]

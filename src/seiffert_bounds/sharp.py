@@ -20,10 +20,10 @@ which decreases strictly from 1/3 (t→0⁺) to 4/π-1 (t→1⁻):
 * ratio bounds:  α₁C + (1-α₁)A < seiffert < β₁C + (1-β₁)A  ⇔  α₁ < r(t) < β₁,
   sharp at α₁ = 4/π-1 and β₁ = 1/3.
 
-The verifiers assert strict inequality of the margin functions at every
-sample and, for samples with t >= 1e-3, additionally compare the raw
-double-precision means (below that the true slack of the two theorems, ~t⁴,
-falls under one ulp of the means themselves and raw doubles tie).  Margins
+Every check of every suite applies one rule, ``_first_broken``: it fails at
+the first sample where a strict lo < hi fails, NaN on either side included,
+and it compares raw double-precision means only for t >= 1e-3, where their
+true slack (~t⁴ for the theorems) exceeds one ulp of the means.  Margins
 near the limits are evaluated through series forms that stay fully accurate,
 e.g. 1/3 - r(t) = (4/45)t² - (44/945)t⁴ + … obtained by exact long division
 of the arctan series.  That piecewise r(t) kernel lives in :mod:`seiffert_bounds.means`
@@ -316,18 +316,20 @@ def _ratio_blocks(seed: int, n: int, ratio_max: float, start: int, stop: int, wo
         yield x, t, shared, pool, [row[: len(x)] for row in bits]
 
 
-def _first_false(ok: np.ndarray) -> int | None:
-    """Index of the first False element of ``ok``, or None."""
-    if not ok.size:
-        return None
+def _first_broken(pairs, flags, t=None) -> int | None:
+    """Index of the first sample where ``lo < hi`` fails (NaN included) for
+    some ``(lo, hi)`` of ``pairs``, a generator that reuses rows if need be, or
+    None.  A margin enters as ``(0.0, margin)``; given ``t``, samples with t <
+    ``_DIRECT_T_FLOOR`` hold.  ``flags`` are two bool rows it overwrites."""
+    ok, spare = flags
+    pairs = iter(pairs)
+    np.less(*next(pairs), out=ok)
+    for lo, hi in pairs:
+        ok &= np.less(lo, hi, out=spare)
+    if t is not None:
+        ok |= np.less(t, _DIRECT_T_FLOOR, out=spare)
     k = int(np.argmin(ok))
     return None if ok[k] else k
-
-
-def _first_raw_failure(ok: np.ndarray, t: np.ndarray, spare: np.ndarray) -> int | None:
-    """First sample with t >= 1e-3 where ``ok`` is False, or None; ``ok`` is overwritten."""
-    ok |= np.less(t, _DIRECT_T_FLOOR, out=spare)
-    return _first_false(ok)
 
 
 def _half_sum(x: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -349,16 +351,12 @@ def _mean_side_witness(x: float, side: str, lhs: float, rhs: float) -> dict:
 
 
 def _margin_witness(x, left, right, at, flags) -> dict | None:
-    """Witness of the first sample whose margin is not positive (NaN included),
-    or None.
+    """Witness of the first sample whose margin is not positive, or None.
 
     ``at(k, side)`` gives the (lhs, rhs) pair reported for sample k; ``flags``
     are two bool rows it may overwrite.
     """
-    ok, spare = flags
-    np.greater(left, 0.0, out=ok)
-    ok &= np.greater(right, 0.0, out=spare)
-    k = _first_false(ok)
+    k = _first_broken(((0.0, left), (0.0, right)), flags)
     if k is None:
         return None
     side = "lower" if not left[k] > 0.0 else "upper"
@@ -366,16 +364,12 @@ def _margin_witness(x, left, right, at, flags) -> dict | None:
 
 
 def _raw_mean_witness(x, t, lo, mid, hi, flags) -> dict | None:
-    """Witness of the first sample with t >= 1e-3 breaking lo < mid < hi in raw
-    doubles, or None.
+    """Witness of the first sample over the floor breaking lo < mid < hi in raw doubles, or None.
 
     It names the broken side with its own pair: (lo, mid) for ``lower``,
     (mid, hi) for ``upper``.  ``flags`` are two bool rows it may overwrite.
     """
-    ok, spare = flags
-    np.less(lo, mid, out=ok)
-    ok &= np.less(mid, hi, out=spare)
-    k = _first_raw_failure(ok, t, spare)
+    k = _first_broken(((lo, mid), (mid, hi)), flags, t)
     if k is None:
         return None
     if not lo[k] < mid[k]:
@@ -486,24 +480,23 @@ def _blend_row(alpha: float | None = None, beta: float = 1.0) -> _Row:
         right = upper if beta == 1.0 else np.subtract(hi_const, r, out=pool[1])
         left = np.subtract(r, lo_const, out=pool[0])
 
-        def means_at(k, side):
-            am = x[k] * 0.5 + 0.5
-            blend = float(am * means._blend_factor(alpha if side == "lower" else beta, t[k]))
-            seif = float(am * q[k])
-            return (blend, seif) if side == "lower" else (seif, blend)
-
         def raw_means():
-            # the margins are spent by now (see _Tally.add): their rows hold
-            # the means
+            # the margins are spent by now (see _Tally.add; the margin witness
+            # takes its side first): their rows hold A and blend(α)
             arith = _half_sum(x, pool[0])
             lo_mean = means._blend_factor(alpha, t, pool[1])
             lo_mean *= arith
             hi_mean = means._blend_factor(beta, t, pool[2])
             hi_mean *= arith
-            return _raw_mean_witness(x, t, lo_mean, np.multiply(arith, q, out=pool[3]), hi_mean, flags)
+            return lo_mean, np.multiply(arith, q, out=pool[3]), hi_mean
+
+        def at(k, side):
+            lo_mean, seif, hi_mean = (float(row[k]) for row in raw_means())
+            return (lo_mean, seif) if side == "lower" else (seif, hi_mean)
 
         folds = {"left": (left, np.argmin), "right": (right, np.argmin)}
-        return folds, (lambda: _margin_witness(x, left, right, means_at, flags), raw_means)
+        raw = lambda: _raw_mean_witness(x, t, *raw_means(), flags)  # noqa: E731
+        return folds, (lambda: _margin_witness(x, left, right, at, flags), raw)
 
     return _Row("thm1", block)
 
@@ -577,32 +570,33 @@ def _prior_block(x, t, shared, pool, flags):
     margins = (lower_s, upper_s, lower_c, upper)
 
     def margin(name, vals):
-        k = _first_false(np.greater(vals, 0.0, out=flags[0]))
+        k = _first_broken([(0.0, vals)], flags)
         return None if k is None else _mean_side_witness(float(x[k]), name, float(vals[k]), 0.0)
 
-    def raw_means():
+    def raw_pairs():
         # the margins are spent by now (see _Tally.add): their rows hold the
-        # means, the root-square mean in the place of u
+        # means, the root-square mean in the place of u and the Seiffert mean
+        # in that of right, and each pair is written over the one before
         arith = _half_sum(x, left)
         seif = np.multiply(arith, q, out=right)
         rootsq = np.multiply(arith, u, out=u)
-        v, w = lower_s, upper_s
-        ok, spare = flags
-        np.less(_mix(_PRIOR_ALPHA_S, rootsq, arith, v, w), seif, out=ok)
-        ok &= np.less(seif, _mix(_PRIOR_BETA_S, rootsq, arith, v, w), out=spare)
+        yield _mix(_PRIOR_ALPHA_S, rootsq, arith, lower_s, upper_s), seif
+        yield seif, _mix(_PRIOR_BETA_S, rootsq, arith, lower_s, upper_s)
         # the blended pairs round differently from (x, 1), so they keep
         # their own profile, in the rows of u and lower_c
         for p, below in ((_PRIOR_ALPHA_2, True), (_PRIOR_BETA_2, False)):
-            pa = np.multiply(x, p, out=v)
+            pa = np.multiply(x, p, out=lower_s)
             pa += 1.0 - p
-            pb = np.multiply(x, 1.0 - p, out=w)
+            pb = np.multiply(x, 1.0 - p, out=upper_s)
             pb += p
             blend_am, blend_t = means._profile(pa, pb, out=(u, lower_c))
             contra = means._contra_harmonic_factor(np.multiply(blend_t, blend_t, out=blend_t), blend_t)
             contra *= blend_am
-            ok &= np.less(contra, seif, out=spare) if below else np.less(seif, contra, out=spare)
-        k = _first_raw_failure(ok, t, spare)
-        return None if k is None else _mean_side_witness(float(x[k]), "raw-mean", float(seif[k]), 0.0)
+            yield (contra, seif) if below else (seif, contra)
+
+    def raw_means():
+        k = _first_broken(raw_pairs(), flags, t)
+        return None if k is None else _mean_side_witness(float(x[k]), "raw-mean", float(right[k]), 0.0)
 
     folds = {name: (vals, np.argmin) for name, vals in zip(_PRIOR_NAMES, margins)}
     folds["left"] = (np.minimum(lower_s, lower_c, out=left), np.argmin)
@@ -683,8 +677,8 @@ def verify_prior_bounds(
     * upper C-blend:        r(t) < (2·beta_2-1)²  = 1/3
 
     Cross-validates the Seiffert/root-square/arithmetic/contra-harmonic stack
-    against the literature constants; raw-mean comparisons run for t >= 1e-3.
-    A witness names the first margin, in the order above, that went
+    against the literature constants, under the check rule of the module
+    docstring.  A witness names the first margin, in the order above, that went
     non-positive (or NaN) anywhere, and else the raw-mean check.
     """
     return _run([_PRIORS], samples, seed, ratio_max)[0]
@@ -726,11 +720,7 @@ def _chain_block(x, t, shared, pool, flags):
         c = means._contra_harmonic_factor(tt, v)
         c *= am
         s, tm = np.multiply(am, u, out=u), np.multiply(am, q, out=pool[5])
-        ok, spare = flags
-        np.less(np.sqrt(x, out=left), am, out=ok)
-        for lo, hi in ((am, cb), (cb, s), (s, c), (am, tm), (tm, s)):
-            ok &= np.less(lo, hi, out=spare)
-        k = _first_raw_failure(ok, t, spare)
+        k = _first_broken(((np.sqrt(x, out=left), am), (am, cb), (cb, s), (s, c), (am, tm), (tm, s)), flags, t)
         return None if k is None else _mean_side_witness(float(x[k]), "chain", float(x[k]), 1.0)
 
     at = lambda k, side: (float((left if side == "lower" else right)[k]), 0.0)  # noqa: E731
@@ -756,8 +746,8 @@ def verify_ordering_chain(
     (C-S)/A = t²·u/(1+u), say), so they keep full accuracy as t→0⁺: the
     reported minima are those of (A-G, Cbar-A, T-A)/A (left) and
     (S-Cbar, C-S, S-T)/A (right).  A witness names the first non-positive
-    slack, and else the first sample with t >= 1e-3 where the six
-    comparisons fail in raw doubles.
+    slack, and else the first sample where the six comparisons fail in raw
+    doubles, under the check rule of the module docstring.
     """
     return _run([_CHAIN], samples, seed, ratio_max)[0]
 

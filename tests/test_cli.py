@@ -121,6 +121,28 @@ class TestVerify:
         assert rows[0]["name"] == "thm1"
         assert set(rows[0]) == {"name", "closed_form", "discovered", "gap", "witness_ratio", "slack"}
 
+    @pytest.mark.parametrize("row", [0, 1], ids=["left", "right"])
+    def test_csv_slack_is_nan_when_either_slack_is(self, capsys, monkeypatch, row):
+        # the kernel's r (left slack) or 1/3 - r (right slack) planted NaN at
+        # one sample; min(a, nan) is a, so the NaN must come through either way
+        from seiffert_bounds import sharp
+
+        original = sharp._ratio_kernel
+
+        def planted(t, **kw):
+            rows = original(t, **kw)
+            rows[row][len(t) // 3] = math.nan
+            return rows
+
+        monkeypatch.setattr(sharp, "_ratio_kernel", planted)
+        code, out, _ = run_cli(capsys, "verify", "thm2", "--samples", "3000", "--format", "csv")
+        assert code == 1
+        (report,) = csv.DictReader(io.StringIO(out))
+        assert report["slack"] == "nan"
+        code, out, _ = run_cli(capsys, "verify", "thm2", "--samples", "3000", "--format", "json")
+        (suite,) = json.loads(out)["suites"]
+        assert math.isnan(suite["min_slack_left" if row == 0 else "min_slack_right"])
+
     def test_bad_samples_exit_2(self, capsys):
         code, _, _ = run_cli(capsys, "verify", "thm1", "--samples", "0")
         assert code == 2

@@ -190,6 +190,70 @@ def _inflated_seiffert(monkeypatch, factor):
     monkeypatch.setattr(sharp, "_ratio_kernel", inflated)
 
 
+class TestFirstBroken:
+    """The one check rule of every suite: the first sample where some lo < hi fails."""
+
+    @staticmethod
+    def first(pairs, t=None):
+        # every row of these tests holds six samples
+        return sharp._first_broken(pairs, [np.empty(6, dtype=bool), np.empty(6, dtype=bool)], t)
+
+    def test_every_pair_holds(self):
+        lo = np.arange(6.0)
+        assert self.first([(lo, lo + 1.0), (0.0, lo + 0.5), (-lo - 1.0, lo)]) is None
+
+    @pytest.mark.parametrize(
+        "lo_at, hi_at", [(1.0, 1.0), (math.nan, 2.0), (0.0, math.nan), (math.nan, math.nan)],
+        ids=["tie", "nan-lo", "nan-hi", "nan-both"],
+    )
+    def test_ties_and_nan_fail(self, lo_at, hi_at):
+        lo, hi = np.zeros(6), np.ones(6)
+        lo[4], hi[4] = lo_at, hi_at
+        assert self.first([(lo, hi)]) == 4
+        assert self.first([(hi - 2.0, hi), (lo, hi)]) == 4
+
+    def test_margin_enters_against_zero(self):
+        margin = np.array([1.0, 2e-300, 3.0, 0.0, -1.0, math.nan])
+        assert self.first([(0.0, margin)]) == 3
+        assert self.first([(0.0, np.abs(margin))]) == 3
+        margin[3] = 1.0
+        assert self.first([(0.0, margin)]) == 4
+
+    def test_the_first_sample_over_all_pairs_wins(self):
+        ones = np.ones(6)
+        late, early = ones.copy(), ones.copy()
+        late[1], early[4] = 0.0, 0.0
+        # the pair that breaks later comes first, and the other breaks earlier
+        assert self.first([(0.0, early), (0.0, late)]) == 1
+        assert self.first([(0.0, late), (0.0, early)]) == 1
+
+    def test_floor_of_t(self):
+        below = np.nextafter(sharp._DIRECT_T_FLOOR, 0.0)
+        t = np.array([0.5, below, sharp._DIRECT_T_FLOOR, 0.5, 0.5, 0.5])
+        lo, hi = np.zeros(6), np.ones(6)
+        lo[1] = math.nan
+        assert self.first([(lo, hi)], t) is None
+        assert self.first([(lo, hi)]) == 1
+        lo[2] = 1.0
+        assert self.first([(lo, hi)], t) == 2
+
+    def test_a_generator_that_reuses_one_row(self):
+        # every pair is written into the same row before it is compared
+        row, hi = np.empty(6), np.full(6, 10.0)
+
+        def pairs(*shifts):
+            for shift in shifts:
+                np.add(np.arange(6.0), shift, out=row)
+                yield row, hi
+
+        # arange + 9 ties 10 at sample 1 and arange + 5 first at sample 5;
+        # arange + 0 holds everywhere, so a pair compared only after the
+        # next one overwrote the row would go unseen
+        assert self.first(pairs(9.0, 0.0)) == 1
+        assert self.first(pairs(0.0, 5.0, 0.0)) == 5
+        assert self.first(pairs(0.0, 4.0)) is None
+
+
 class TestRawMeanWitness:
     """The raw-mean check reports the broken side's own pair of means."""
 
