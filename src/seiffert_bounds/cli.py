@@ -9,9 +9,9 @@ Subcommands:
 * ``certify``   — critical-point ladder and its exact proof at the sharp parameter.
 
 Exit codes: 0 pass, 1 violated inequality / constant gap, 2 usage or domain
-error, 3 the run could not finish or deliver its result (a forked ``verify
-all`` lane killed by a signal or out of memory, a refused fork, a stdout
-closed early or full: any :class:`OSError`).  Each error is one ``error:``
+error, 3 the run could not finish or deliver its result (a forked ``verify``
+lane killed by a signal or out of memory, a refused fork, a stdout closed
+early or full: any :class:`OSError`).  Each error is one ``error:``
 line on stderr.  Reports are deterministic given the same configuration and
 seed.
 
@@ -25,8 +25,10 @@ numpy's import or for the interpreter's teardown.
 Only ``verify`` loads numpy: :mod:`seiffert_bounds.sharp` and the bulk
 twins of :mod:`seiffert_bounds.means` import it on the first call of a
 sweep.  ``eval``, ``series``, ``constants`` and ``certify`` compute with
-:mod:`math` on floats.  ``verify all`` forks one lane per CPU from
-``_LANE_MIN_SAMPLES`` (2²⁰) samples per suite up.
+:mod:`math` on floats.  ``verify`` runs in one lane per CPU from
+``sharp._LANE_MIN_SAMPLES`` (10⁶) samples per suite up, a single suite and
+``verify all`` alike, and in one lane below it; it forks the other lanes
+once and stops them before :func:`main` returns.
 
 ``eval``, ``series``, ``constants`` and ``certify`` load no
 :mod:`dataclasses` or :mod:`inspect` either (numpy loads ``inspect``): the
@@ -108,33 +110,16 @@ def _keywords(name: str, args: argparse.Namespace) -> dict:
     return {}
 
 
-#: Samples per suite from which ``verify all`` makes one shared pass, one
-#: lane per CPU; below it each suite runs through its public verifier.  A lane
-#: costs a fork and a pipe.  Two lanes against one (``taskset -c 0``), fresh
-#: processes on a 2-core shared host, medians of 15 alternating pairs in three
-#: rounds: 0.93-0.96x at 5e4, 0.88-0.99x at 1e5, 0.89-1.07x at 2e5,
-#: 0.90-0.99x at 2.6e5, 0.92-1.02x at 5e5, 1.01-1.06x at 1e6 (two rounds).
-#: So the threshold is the first power of two at or above the first win,
-#: where two lanes read 1.08-1.19x at 1.1e6 (three rounds; BENCH_15.json).
-_LANE_MIN_SAMPLES = 1 << 20
-
-
-def _cpus() -> int:
-    """CPUs this process may run on."""
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-
-
 def _run_suites(which: list[str], args: argparse.Namespace) -> list:
-    """Run the suites: all four in one shared pass when the run is large
-    enough, in one lane per CPU (:func:`sharp._run`), else one by one, each
-    through its public verifier."""
-    if len(which) > 1 and args.samples >= _LANE_MIN_SAMPLES:
-        rows = [sharp._ROWS[name](**_keywords(name, args)) for name in which]
-        return sharp._run(rows, args.samples, args.seed, args.ratio_max, lanes=_cpus())
+    """Run the suites: all four in one shared pass (:func:`sharp._run`) from
+    ``sharp._LANE_MIN_SAMPLES`` samples, where runs take lanes, else one by
+    one, each through its public verifier."""
+    suites = [(name, _keywords(name, args)) for name in which]
+    if len(which) > 1 and args.samples >= sharp._LANE_MIN_SAMPLES:
+        return sharp._run(suites, args.samples, args.seed, args.ratio_max)
     return [
-        getattr(sharp, _VERIFIERS[name])(args.samples, seed=args.seed, ratio_max=args.ratio_max,
-                                         **_keywords(name, args))
-        for name in which
+        getattr(sharp, _VERIFIERS[name])(args.samples, seed=args.seed, ratio_max=args.ratio_max, **keywords)
+        for name, keywords in suites
     ]
 
 
@@ -406,7 +391,9 @@ def main(argv=None) -> int:
     """Run one command in this process; returns its exit code.
 
     The in-process entry, for tests and scripts: it leaves the cyclic GC and
-    the process as they are.  :func:`run` is the process entry."""
+    the process as they are, and it has closed the standing lanes of
+    :mod:`seiffert_bounds.sharp` before it returns, so a command forks and
+    reaps its lanes within the call.  :func:`run` is the process entry."""
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
@@ -418,6 +405,8 @@ def main(argv=None) -> int:
         return _error(exc, 1)
     except OSError as exc:  # a crashed lane, a refused fork, a closed or full stdout
         return _error(exc, 3)
+    finally:
+        sharp._close_lanes()
 
 
 def run():
@@ -434,8 +423,9 @@ def run():
     flushed.  A stdout that cannot take the report ends the run with one
     ``error:`` line and exit 3.  An exception escaping :func:`main` ends the
     process as without this entry, with a traceback and exit 1.  The CLI
-    starts no thread, and ``verify all`` has waited for its forked lanes
-    before it returns.
+    starts no thread, and every ``verify`` from ``sharp._LANE_MIN_SAMPLES``
+    samples has stopped and waited for its forked lanes before :func:`main`
+    returns.
     """
     gc.disable()
     code = main()

@@ -55,21 +55,31 @@ into the suite's :class:`VerificationResult`.  The streaming contract:
   pass, which gives t², the margins and q = t/arctan t; the raw-mean check builds
   every mean of the pair (x, 1) from them, the Seiffert mean as A·q.
 
-One driver, ``_run``, runs every suite: it checks the arguments, runs the
-first of the sample ranges (``_lane_ranges``) here and each other one in a
-forked lane, and merges the lanes' tallies in range order.  A public
-``verify_*`` is one ``_run`` in one lane; ``verify all`` at scale is one
-``_run`` of the thm1, thm2, priors and chain rows, which read one draw and
-one kernel pass per block in place, in one lane per CPU.
+One entry, ``_run``, runs every suite: it checks the arguments, splits
+the samples into ranges (``_lane_ranges``), runs the first here and each
+other one in a standing lane, and merges the lanes' tallies in range order.
+One rule sets the lanes of every run, the public ``verify_*`` and ``verify
+all`` alike: one lane per CPU from ``_LANE_MIN_SAMPLES`` samples on, else
+one.  ``verify all`` at scale is one ``_run`` of the thm1, thm2, priors and
+chain rows, which read one draw and one kernel pass per block in place.
 
 Every lane writes its blocks into one workspace of twelve block-sized float
 rows and two bool rows (see ``_FLOAT_ROWS`` and ``_BLOCK``), made per call and
 reused by every block and every row: the heap is not re-faulted block by block.
-All functions are pure.
+
+The standing lanes are the module's one piece of process state.  The first
+run that needs k > 1 lanes forks k - 1 of them, once per process, and every
+later run sends each its range through a pipe and reads back its tallies; a
+run below ``_LANE_MIN_SAMPLES`` forks nothing.  They are closed by
+``_close_lanes``, which ``cli.main`` calls before it returns and an atexit
+handler calls at the latest; a lane that dies is dropped and replaced by the
+next run.  A process forked from their owner does not use them and makes its
+own.  Everything else is pure.
 """
 
 from __future__ import annotations
 
+import _thread
 import functools
 import math
 import numbers
@@ -109,6 +119,7 @@ __all__ = [
 np = _OnFirstUse("numpy", globals(), "np")
 auxiliary = _OnFirstUse(".auxiliary", globals(), "auxiliary")
 pickle = _OnFirstUse("pickle", globals(), "pickle")
+atexit = _OnFirstUse("atexit", globals(), "atexit")
 
 #: Sharp bounds of the excess ratio: inf = 4/π - 1, sup = 1/3.
 RATIO_LOWER = 4.0 / math.pi - 1.0
@@ -624,7 +635,7 @@ def verify_blend_bounds(
     values attached; shifting α above the sharp constant is expected to fail
     at large ratios, shifting β below 1 near the diagonal.
     """
-    return _run([_blend_row(alpha, beta)], samples, seed, ratio_max)[0]
+    return _run([("thm1", {"alpha": alpha, "beta": beta})], samples, seed, ratio_max)[0]
 
 
 def verify_ratio_bounds(
@@ -640,7 +651,7 @@ def verify_ratio_bounds(
     Reports the observed infimum/supremum, which approach 4/π-1 and 1/3
     monotonically from inside as the sampling reaches t → 1⁻ and t → 0⁺.
     """
-    return _run([_ratio_row(alpha1, beta1)], samples, seed, ratio_max)[0]
+    return _run([("thm2", {"alpha1": alpha1, "beta1": beta1})], samples, seed, ratio_max)[0]
 
 
 def ratio_grid_scan(n: int = 10**6, t_min: float = 1e-7, t_max: float = 1.0 - 1e-7) -> dict:
@@ -681,7 +692,7 @@ def verify_prior_bounds(
     docstring.  A witness names the first margin, in the order above, that went
     non-positive (or NaN) anywhere, and else the raw-mean check.
     """
-    return _run([_PRIORS], samples, seed, ratio_max)[0]
+    return _run([("priors", {})], samples, seed, ratio_max)[0]
 
 
 def _chain_block(x, t, shared, pool, flags):
@@ -749,11 +760,33 @@ def verify_ordering_chain(
     slack, and else the first sample where the six comparisons fail in raw
     doubles, under the check rule of the module docstring.
     """
-    return _run([_CHAIN], samples, seed, ratio_max)[0]
+    return _run([("chain", {})], samples, seed, ratio_max)[0]
 
 
-#: The rows of the shared pass, by suite, each built from its verifier's keywords.
+#: The rows of every run, by suite, each built from its verifier's keywords.
 _ROWS = {"thm1": _blend_row, "thm2": _ratio_row, "priors": lambda: _PRIORS, "chain": lambda: _CHAIN}
+
+#: Samples per suite from which a run takes one lane per CPU (``_cpus``):
+#: this process and a standing lane for each other CPU.  Below it a run takes
+#: one lane and forks nothing.  Fresh processes on a 2-core shared host, time
+#: in one lane (``taskset -c 0``) over time in two, medians of 9 and of 11
+#: alternating runs in two rounds (BENCH_27.json):
+#:
+#:     samples        5e5         7.5e5       1e6         1.5e6       2e6
+#:     verify thm2    0.96-1.02   1.01-1.02   0.99        1.04-1.05   1.04-1.07
+#:     verify all     1.00-1.01   1.04-1.10   1.11-1.38   1.17-1.18   1.14-1.23
+#:
+#: A fresh process pays the fork (1.5-2.6 ms for a bare fork, exit and wait
+#: here); a long-lived caller pays it once, and its 1e6-sample call in two
+#: standing lanes took 23 ms against 41-44 ms in one.  So the threshold is
+#: 10⁶, the default sample count, where a single suite in a fresh process is
+#: even (within 1%) and ``verify all`` wins.
+_LANE_MIN_SAMPLES = 10**6
+
+
+def _cpus() -> int:
+    """CPUs this process may run on."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 def _lane_ranges(n: int, cpus: int) -> list[tuple[int, int]]:
@@ -786,73 +819,197 @@ def _finish_lanes(rows, lanes: list[list[_Tally]]) -> list[VerificationResult]:
     return [row.finish(tally) for row, tally in zip(rows, merged)]
 
 
-def _fork(lane: Callable, start: int, stop: int) -> tuple:
-    """Run ``lane(start, stop)`` in a forked child, which pickles its tallies,
-    or the exception it raised, back through a pipe; returns its pid and the
-    read end.  A payload that does not pickle is not sent."""
-    read_fd, write_fd = os.pipe()
-    pid = os.fork()
-    if pid == 0:
-        try:
-            os.close(read_fd)
+class _Lane:
+    """A standing lane: a forked child that serves one sample range of a run
+    at a time (:func:`_serve`), by its pid and the owner's ends of its request
+    and reply pipes.  The lanes belong to the process ``_owner`` and are made,
+    used and closed under ``_lock``."""
+
+    __slots__ = ("pid", "requests", "replies")
+
+    def __init__(self, pid: int, requests: int, replies: int) -> None:
+        self.pid, self.requests, self.replies = pid, requests, replies
+
+
+_lanes: list[_Lane] = []
+_owner = None  # the pid that owns ``_lanes``; None until a lane is first made
+_lock = _thread.allocate_lock()
+
+
+def _send(fd: int, data: bytes) -> None:
+    """Write ``data`` to ``fd`` as one message: its length, then its bytes."""
+    data = memoryview(len(data).to_bytes(8, "little") + data)
+    while data:
+        data = data[os.write(fd, data):]
+
+
+def _read(fd: int, size: int) -> bytes:
+    """Exactly ``size`` bytes from ``fd``, or b"" if it ends first."""
+    data = b""
+    while len(data) < size:
+        chunk = os.read(fd, size - len(data))
+        if not chunk:
+            return b""
+        data += chunk
+    return data
+
+
+def _receive(fd: int) -> bytes:
+    """The next message on ``fd``; b"" for the empty message (a stop), at the
+    end of the pipe and where the writer ended within a message."""
+    head = _read(fd, 8)
+    return head and _read(fd, int.from_bytes(head, "little"))
+
+
+def _serve(requests: int, replies: int) -> None:
+    """The body of a standing lane; never returns.
+
+    Each request names its rows by suite and keywords (``_ROWS``) and gives
+    seed, samples, ratio_max and the range; the reply is the tallies
+    (:func:`_lane`) or the exception the rows raised.  A stop or the end of
+    the request pipe ends the lane with exit 0; a reply that does not pickle,
+    a reply pipe with no reader or a ``KeyboardInterrupt`` while idle ends it
+    with exit 1, quietly.  It ends through :func:`os._exit`, so it never
+    flushes the stdio or runs the atexit handlers it inherited.
+    """
+    try:
+        while request := _receive(requests):
+            suites, *args = pickle.loads(request)
             try:
-                payload = lane(start, stop)
+                payload = _lane([_ROWS[name](**keywords) for name, keywords in suites], *args)
             except BaseException as exc:
                 payload = exc
-            data = pickle.dumps(payload)
-            with os.fdopen(write_fd, "wb") as pipe:
-                pipe.write(data)
-            os._exit(0)
+            _send(replies, pickle.dumps(payload))
+        os._exit(0)
+    finally:
+        os._exit(1)
+
+
+def _forget() -> None:
+    """Close this process's copies of the owner's ends of the standing lanes
+    and own none: run in every child forked from their owner, so that a lane
+    or any other child never reads, writes or waits on them and makes its own."""
+    global _owner, _lock
+    for lane in _lanes:
+        os.close(lane.requests)
+        os.close(lane.replies)
+    _lanes.clear()
+    _owner, _lock = os.getpid(), _thread.allocate_lock()
+
+
+def _spawn() -> _Lane:
+    """Fork a standing lane (:func:`_serve`)."""
+    # loaded here, not in each lane; pickle first, as after numpy it cost 0.2 MB of peak RSS
+    pickle.dumps, np.empty
+    requests, replies = os.pipe(), os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        for fd in (*requests, *replies):
+            os.close(fd)
+        raise
+    if pid == 0:  # the at-fork hook has closed the ends of the earlier lanes
+        try:
+            os.close(requests[1])
+            os.close(replies[0])
+            _serve(requests[0], replies[1])
         finally:
             os._exit(1)
-    os.close(write_fd)
-    return pid, os.fdopen(read_fd, "rb")
+    os.close(requests[0])
+    os.close(replies[1])
+    return _Lane(pid, requests[1], replies[0])
 
 
-def _join(pid: int, pipe, start: int, stop: int) -> list[_Tally]:
-    """Reap the child lane ``pid`` over [start, stop) and return the tallies
-    it sent, or raise the exception it sent; raise :class:`ChildProcessError`,
-    naming the range and the wait status, if it ended without sending either."""
-    try:
-        with pipe:
-            data = pipe.read()
-    finally:
-        status = os.waitpid(pid, 0)[1]
+def _standing(k: int) -> list[_Lane]:
+    """``k`` standing lanes of this process, forking those it lacks.  The first
+    call registers the atexit handler that closes them and the at-fork hook
+    that keeps them from a forked child, and records their owner."""
+    global _owner
+    if _owner is None:
+        atexit.register(_close_lanes)
+        os.register_at_fork(after_in_child=_forget)
+        _owner = os.getpid()
+    elif _owner != os.getpid():  # forked by code that bypasses os.fork and its hooks
+        _forget()
+    while len(_lanes) < k:
+        _lanes.append(_spawn())
+    return _lanes[:k]
+
+
+def _close(lanes) -> list[int]:
+    """Stop and reap those of ``lanes`` that still stand; returns their wait
+    statuses.  Every lane is sent an empty message and the owner's ends of
+    its pipes are closed before the first wait, so that an idle lane stops
+    and a lane still running its range ends at its reply, not blocked on it."""
+    lanes = [lane for lane in lanes if lane in _lanes]
+    for lane in lanes:
+        _lanes.remove(lane)
+        try:
+            _send(lane.requests, b"")
+        except BrokenPipeError:  # the lane has died
+            pass
+        os.close(lane.requests)
+        os.close(lane.replies)
+    return [os.waitpid(lane.pid, 0)[1] for lane in lanes]
+
+
+def _close_lanes() -> None:
+    """Stop and reap every standing lane of this process.  ``cli.main`` calls
+    it before it returns, and the atexit handler at the latest."""
+    with _lock:
+        if _owner == os.getpid():
+            _close(_lanes)
+
+
+def _answer(lane: _Lane, start: int, stop: int):
+    """The reply of ``lane`` over samples [start, stop): its tallies or the
+    exception its rows raised.  A lane that ended without a reply is reaped
+    and dropped, and :class:`ChildProcessError` names the range and the wait
+    status."""
+    data = _receive(lane.replies)
     if not data:
+        (status,) = _close([lane])
         raise ChildProcessError(f"the lane over samples [{start}, {stop}) ended without a result "
                                 f"(wait status {status})")
-    payload = pickle.loads(data)
-    if isinstance(payload, BaseException):
-        raise payload
-    return payload
+    return pickle.loads(data)
 
 
-def _run(rows, samples: int, seed: int, ratio_max: float, lanes: int = 1) -> list[VerificationResult]:
-    """The results of ``rows`` over ``sample_ratios(default_rng(seed), samples,
+def _run(suites, samples: int, seed: int, ratio_max: float) -> list[VerificationResult]:
+    """The results of the rows ``suites`` names, each a ``(suite, keywords)``
+    pair of ``_ROWS``, over ``sample_ratios(default_rng(seed), samples,
     ratio_max)``.
 
-    Every argument is checked before any lane runs.  The first of
-    ``_lane_ranges(samples, lanes)`` runs in this process and every other one
-    in a forked child (:func:`_fork`, :func:`_join`).
+    Every argument is checked before any lane runs.  From
+    ``_LANE_MIN_SAMPLES`` samples on, where the process may fork, there is a
+    lane per CPU (``_lane_ranges(samples, _cpus())``): the first range runs
+    here and every other one in a standing lane, which is sent its range and
+    answers with its tallies; else the one range runs here.  A lane's
+    exception is raised once every lane has answered.  A call that ends
+    between its requests and its replies closes its lanes, so that no later
+    call reads a stale reply.
     """
+    rows = [_ROWS[name](**keywords) for name, keywords in suites]
     seed, samples = _count("seed", seed, 0), _check_range(samples, ratio_max)
-    first, *rest = _lane_ranges(samples, lanes if hasattr(os, "fork") else 1)
-    lane = functools.partial(_lane, rows, seed, samples, ratio_max)
-    if rest:
-        # loaded before the lanes fork; pickle first, as after numpy it cost 0.2 MB of peak RSS
-        pickle.dumps, np.empty
-    children = []  # (pid, read end, start, stop) of each child lane not yet reaped
-    try:
-        for start, stop in rest:
-            children.append((*_fork(lane, start, stop), start, stop))
-        tallies = [lane(*first)]
-        while children:
-            tallies.append(_join(*children.pop(0)))
-        return _finish_lanes(rows, tallies)
-    finally:
-        for pid, pipe, _, _ in children:
-            pipe.close()
-            os.waitpid(pid, 0)
+    first, *rest = _lane_ranges(samples, _cpus() if samples >= _LANE_MIN_SAMPLES and hasattr(os, "fork") else 1)
+    if not rest:
+        return _finish_lanes(rows, [_lane(rows, seed, samples, ratio_max, *first)])
+    with _lock:
+        lanes = _standing(len(rest))
+        try:
+            for lane, span in zip(lanes, rest):
+                try:
+                    _send(lane.requests, pickle.dumps((suites, seed, samples, ratio_max, *span)))
+                except BrokenPipeError:  # the lane has died: _answer reports it
+                    pass
+            tallies = [_lane(rows, seed, samples, ratio_max, *first)]
+            tallies += [_answer(lane, *span) for lane, span in zip(lanes, rest)]
+        except BaseException:
+            _close(lanes)
+            raise
+    for payload in tallies:
+        if isinstance(payload, BaseException):
+            raise payload
+    return _finish_lanes(rows, tallies)
 
 
 class SharpnessWitness(namedtuple("SharpnessWitness", "shift ratio lhs rhs")):

@@ -326,12 +326,12 @@ class TestProfileRange:
 
 
 class TestLanes:
-    """``verify all`` in forked lanes prints what one process prints."""
+    """``verify`` in forked lanes prints what one process prints."""
 
     @pytest.fixture
     def forks(self, monkeypatch):
         """Lanes from one sample on; returns the pids forked so far."""
-        monkeypatch.setattr(cli, "_LANE_MIN_SAMPLES", 1)
+        monkeypatch.setattr(cli.sharp, "_LANE_MIN_SAMPLES", 1)
         pids = []
         fork = os.fork
 
@@ -358,12 +358,12 @@ class TestLanes:
         argv = ["verify", "all", "--samples", "20000", "--seed", "5", "--format", fmt, *shift]
         runs = {}
         for cpus in (1, 2, 3, 4):
-            monkeypatch.setattr(cli, "_cpus", lambda: cpus)
+            monkeypatch.setattr(cli.sharp, "_cpus", lambda: cpus)
             del forks[:]
             runs[cpus] = run_cli(capsys, *argv)
             assert len(forks) == cpus - 1
             self.assert_no_child_left()
-        monkeypatch.setattr(cli, "_LANE_MIN_SAMPLES", 20_001)
+        monkeypatch.setattr(cli.sharp, "_LANE_MIN_SAMPLES", 20_001)
         del forks[:]
         serial = run_cli(capsys, *argv)
         assert forks == []
@@ -382,7 +382,7 @@ class TestLanes:
             return original(seed, samples, ratio_max, start, stop, *pool)
 
         monkeypatch.setattr(cli.sharp, "_BLOCK", 1_000)
-        monkeypatch.setattr(cli, "_cpus", lambda: 2)
+        monkeypatch.setattr(cli.sharp, "_cpus", lambda: 2)
         monkeypatch.setattr(cli.sharp, "_ratio_blocks", planted)
         code, out, err = run_cli(capsys, "verify", "all", "--samples", "2000")
         assert len(forks) == 1
@@ -392,11 +392,11 @@ class TestLanes:
 
     @pytest.mark.parametrize("cpus", [1, 2])
     @pytest.mark.parametrize("samples, serial", [(5_000, False), (4_999, True)], ids=["shared", "serial"])
-    def test_each_verifier_once_below_the_threshold(self, capsys, monkeypatch, cpus, samples, serial):
+    def test_each_verifier_once_below_the_threshold(self, capsys, monkeypatch, forks, cpus, samples, serial):
         # below the lane threshold each suite runs through its public
         # verifier, once, and so through one driver call in one lane; from it
         # on no verifier runs, only one driver call in a lane per CPU
-        calls, lanes = [], []
+        calls, runs = [], []
 
         def counted(name):
             original = getattr(cli.sharp, name)
@@ -407,24 +407,26 @@ class TestLanes:
 
             return verify
 
-        def run(*args, _run=cli.sharp._run, **kw):
-            lanes.append(kw.get("lanes", 1))
-            return _run(*args, **kw)
+        def run(suites, *args, _run=cli.sharp._run):
+            runs.append([name for name, _ in suites])
+            return _run(suites, *args)
 
         for name in cli._VERIFIERS.values():
             monkeypatch.setattr(cli.sharp, name, counted(name))
         monkeypatch.setattr(cli.sharp, "_run", run)
         monkeypatch.setattr(cli.sharp, "_BLOCK", 2_500)
-        monkeypatch.setattr(cli, "_LANE_MIN_SAMPLES", 5_000)
-        monkeypatch.setattr(cli, "_cpus", lambda: cpus)
+        monkeypatch.setattr(cli.sharp, "_LANE_MIN_SAMPLES", 5_000)
+        monkeypatch.setattr(cli.sharp, "_cpus", lambda: cpus)
         code, out, _ = run_cli(capsys, "verify", "all", "--samples", str(samples))
         assert code == 0 and out.count("PASS") == 4
         if serial:
             assert sorted(calls) == sorted(cli._VERIFIERS.values())
-            assert lanes == [1] * 4
+            assert sorted(runs) == [[name] for name in sorted(cli._SUITES)]
+            assert forks == []
         else:
             assert calls == []
-            assert lanes == [cpus]  # a child lane runs its range, not the driver
+            assert runs == [list(cli._SUITES)]
+            assert len(forks) == cpus - 1  # a child lane runs its range, not _run
         self.assert_no_child_left()
 
     @pytest.mark.parametrize("crash", ["killed", "unpicklable"])
@@ -441,7 +443,7 @@ class TestLanes:
             return original(seed, samples, ratio_max, start, stop, *pool)
 
         monkeypatch.setattr(cli.sharp, "_BLOCK", 1_000)
-        monkeypatch.setattr(cli, "_cpus", lambda: 2)
+        monkeypatch.setattr(cli.sharp, "_cpus", lambda: 2)
         monkeypatch.setattr(cli.sharp, "_ratio_blocks", planted)
         code, out, err = run_cli(capsys, "verify", "all", "--samples", "2000")
         status = int(signal.SIGKILL) if crash == "killed" else 1 << 8  # the child exits 1
@@ -454,13 +456,14 @@ class TestLanes:
     @pytest.mark.parametrize("which", ["chain", "all"])
     def test_near_diagonal_range_runs(self, capsys, monkeypatch, forks, cpus, which):
         # every suite, the chain too, samples (1, ratio-max], however close
-        # to 1 ratio-max is; verify all in one lane per CPU
+        # to 1 ratio-max is; a single suite and verify all alike in one lane
+        # per CPU
         monkeypatch.setattr(cli.sharp, "_BLOCK", 1_000)
-        monkeypatch.setattr(cli, "_cpus", lambda: cpus)
+        monkeypatch.setattr(cli.sharp, "_cpus", lambda: cpus)
         code, out, err = run_cli(capsys, "verify", which, "--samples", "2000", "--ratio-max", "1.00001")
         assert code == 0 and err == ""
         assert out.count("PASS") == (4 if which == "all" else 1)
-        assert len(forks) == (cpus - 1 if which == "all" else 0)
+        assert len(forks) == cpus - 1
         ratios = [float(x) for x in re.findall(r"at a/b=(\S+)\)", out)]
         assert ratios and all(1.0 < x <= 1.00001 for x in ratios)
         self.assert_no_child_left()
@@ -475,13 +478,15 @@ class TestLanes:
         ids=["one-cpu", "below-threshold", "one-suite"],
     )
     def test_one_lane_never_forks(self, capsys, monkeypatch, cpus, min_samples, argv):
+        # 5,000 samples are one block, so a run that may take four lanes
+        # takes one (one-suite)
         def no_fork():
             raise AssertionError("forked")
 
         monkeypatch.setattr(os, "fork", no_fork)
-        monkeypatch.setattr(cli, "_cpus", lambda: cpus)
+        monkeypatch.setattr(cli.sharp, "_cpus", lambda: cpus)
         if min_samples is not None:
-            monkeypatch.setattr(cli, "_LANE_MIN_SAMPLES", min_samples)
+            monkeypatch.setattr(cli.sharp, "_LANE_MIN_SAMPLES", min_samples)
         code, out, _ = run_cli(capsys, "verify", *argv, "--samples", "5000")
         assert code == 0 and "PASS" in out
 

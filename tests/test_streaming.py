@@ -3,6 +3,9 @@
 import json
 import math
 import os
+import signal
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -752,9 +755,9 @@ class TestOneDriver:
         calls = []
         original = sharp._run
 
-        def run(rows, *args, **kw):
-            calls.append(([row.suite for row in rows], args, kw))
-            return original(rows, *args, **kw)
+        def run(suites, *args, **kw):
+            calls.append(([name for name, _ in suites], args, kw))
+            return original(suites, *args, **kw)
 
         def no_fork():
             raise AssertionError("forked")
@@ -773,9 +776,10 @@ class TestOneDriver:
             ({"samples": 0}, "samples"),
             ({"ratio_max": math.inf}, "ratio_max"),
             ({"ratio_max": 1.0}, "ratio_max"),
+            ({"alpha": 2.0}, "alpha"),
             ({}, "forked"),
         ],
-        ids=["seed", "samples", "ratio-max-inf", "ratio-max-one", "valid"],
+        ids=["seed", "samples", "ratio-max-inf", "ratio-max-one", "alpha", "valid"],
     )
     def test_arguments_checked_before_any_fork(self, monkeypatch, bad, match):
         # the valid case shows that two lanes fork
@@ -784,7 +788,221 @@ class TestOneDriver:
 
         monkeypatch.setattr(os, "fork", no_fork)
         monkeypatch.setattr(sharp, "_BLOCK", SMALL_BLOCK)
-        args = {"samples": 4 * SMALL_BLOCK, "seed": 0, "ratio_max": 1e8, **bad}
-        rows = [sharp._ROWS[name]() for name in sharp._ROWS]
+        monkeypatch.setattr(sharp, "_LANE_MIN_SAMPLES", 1)
+        monkeypatch.setattr(sharp, "_cpus", lambda: 2)
+        args = {"samples": 4 * SMALL_BLOCK, "seed": 0, "ratio_max": 1e8, "alpha": None, **bad}
+        suites = [(name, {"alpha": args["alpha"]} if name == "thm1" else {}) for name in sharp._ROWS]
         with pytest.raises(AssertionError if not bad else DomainError, match=match):
-            sharp._run(rows, args["samples"], args["seed"], args["ratio_max"], lanes=2)
+            sharp._run(suites, args["samples"], args["seed"], args["ratio_max"])
+        assert sharp._lanes == []
+
+
+#: The modules that ``import seiffert_bounds.sharp`` may add to a fresh
+#: interpreter, on any supported Python: its own package and the stdlib that
+#: its imports load.  No lane machinery (pickle, atexit, threading, signal)
+#: and no numpy loads at import.
+_SHARP_IMPORTS = {
+    "__future__", "_collections", "_functools", "_operator", "collections", "collections.abc", "functools",
+    "importlib", "importlib._bootstrap", "importlib._bootstrap_external", "itertools", "keyword", "math",
+    "numbers", "operator", "reprlib", "types", "warnings",
+    "seiffert_bounds", "seiffert_bounds.errors", "seiffert_bounds.means", "seiffert_bounds.sharp",
+}
+
+
+def _python(code: str) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+
+
+def test_probe_set_up_loads_and_forks_nothing_new():
+    # the set-up of a long-lived caller: the import, a 1e4-sample warm-up
+    # and calls just below the lane threshold fork no lane, even with two
+    # CPUs; at the threshold a call forks one
+    code = (
+        "import os, sys\n"
+        "before = set(sys.modules)\n"
+        "from seiffert_bounds import sharp\n"
+        "print(sorted(set(sys.modules) - before))\n"
+        "forks, fork = [], os.fork\n"
+        "os.fork = lambda: forks.append(1) or fork()\n"
+        "sharp._cpus = lambda: 2\n"
+        "assert sharp.verify_blend_bounds(10_000).passed\n"
+        "for fn in (sharp.verify_blend_bounds, sharp.verify_ratio_bounds, sharp.verify_prior_bounds,\n"
+        "           sharp.verify_ordering_chain):\n"
+        "    assert fn(sharp._LANE_MIN_SAMPLES - 1).passed\n"
+        "print(len(forks))\n"
+        "assert sharp.verify_ratio_bounds(sharp._LANE_MIN_SAMPLES).passed\n"
+        "print(len(forks))\n"
+    )
+    proc = _python(code)
+    assert proc.returncode == 0, proc.stderr
+    added, below, at = proc.stdout.splitlines()
+    assert set(eval(added)) <= _SHARP_IMPORTS
+    assert (below, at) == ("0", "1")
+
+
+class TestStandingLanes:
+    """Lanes forked once per process and reused by every run that needs them."""
+
+    N = 4 * SMALL_BLOCK + 7
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """Two lanes from one sample on; returns the pids forked so far."""
+        monkeypatch.setattr(sharp, "_BLOCK", SMALL_BLOCK)
+        monkeypatch.setattr(sharp, "_LANE_MIN_SAMPLES", 1)
+        monkeypatch.setattr(sharp, "_cpus", lambda: 2)
+        pids, fork = [], os.fork
+
+        def counting_fork():
+            pid = fork()
+            if pid:
+                pids.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", counting_fork)
+        return pids
+
+    @staticmethod
+    def one_lane(monkeypatch, call):
+        """``repr`` of ``call()`` in one lane, which forks nothing."""
+        with monkeypatch.context() as patch:
+            patch.setattr(sharp, "_cpus", lambda: 1)
+            return repr(call())
+
+    @staticmethod
+    def assert_reaped(pid):
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+    CALLS = [
+        lambda n: verify_blend_bounds(n, seed=1),
+        lambda n: verify_ratio_bounds(n, seed=2, alpha1=RATIO_LOWER + 1e-6),
+        lambda n: verify_prior_bounds(n, seed=3, ratio_max=1e300),
+        lambda n: verify_ordering_chain(n, seed=4),
+        lambda n: verify_blend_bounds(n, seed=5, alpha=blend_alpha_closed() + 1e-4),
+        lambda n: sharp._run([(name, {}) for name in sharp._ROWS], n, 6, 1e13),
+    ]
+
+    def test_consecutive_runs_fork_once(self, monkeypatch, forks):
+        # different suites and constants; each report is the one-lane one
+        reports = [repr(call(self.N)) for call in self.CALLS]
+        assert len(forks) == 1 and [lane.pid for lane in sharp._lanes] == forks
+        assert reports == [self.one_lane(monkeypatch, lambda: call(self.N)) for call in self.CALLS]
+        assert not all("passed=True" in r for r in reports)
+
+    def test_a_killed_lane_is_reported_once_and_replaced(self, monkeypatch, forks):
+        verify_ratio_bounds(self.N)
+        (dead,) = forks
+        os.kill(dead, signal.SIGKILL)
+        if hasattr(os, "waitid"):  # dead, not reaped: the request meets a closed pipe
+            os.waitid(os.P_PID, dead, os.WEXITED | os.WNOWAIT)
+        with pytest.raises(ChildProcessError, match=rf"^the lane over samples \[2000, {self.N}\) ended without "
+                                                    rf"a result \(wait status {int(signal.SIGKILL)}\)$"):
+            verify_ratio_bounds(self.N, seed=1)
+        self.assert_reaped(dead)
+        assert sharp._lanes == [] and len(forks) == 1
+        report = repr(verify_ratio_bounds(self.N, seed=1))
+        assert len(forks) == 2 and [lane.pid for lane in sharp._lanes] == forks[1:]
+        assert report == self.one_lane(monkeypatch, lambda: verify_ratio_bounds(self.N, seed=1))
+
+    def test_a_lane_exception_is_raised_and_the_lane_kept(self, monkeypatch, forks):
+        # the lane's range fails for seed 1 only
+        original = sharp._ratio_blocks
+
+        def planted(seed, samples, ratio_max, start, stop, *pool):
+            if seed == 1 and start > 0:
+                raise DomainError(f"planted error over [{start}, {stop})")
+            return original(seed, samples, ratio_max, start, stop, *pool)
+
+        monkeypatch.setattr(sharp, "_ratio_blocks", planted)
+        with pytest.raises(DomainError, match=rf"^planted error over \[2000, {self.N}\)$"):
+            verify_prior_bounds(self.N, seed=1)
+        assert len(forks) == 1 and [lane.pid for lane in sharp._lanes] == forks
+        report = repr(verify_prior_bounds(self.N, seed=2))
+        assert len(forks) == 1 and [lane.pid for lane in sharp._lanes] == forks
+        assert report == self.one_lane(monkeypatch, lambda: verify_prior_bounds(self.N, seed=2))
+
+    def test_a_forked_child_makes_its_own_lane(self, monkeypatch, forks):
+        verify_ordering_chain(self.N)
+        (owned,) = sharp._lanes
+        expected = self.one_lane(monkeypatch, lambda: verify_ordering_chain(self.N, seed=7))
+        pid = os.fork()
+        if pid == 0:  # the child reports through its exit code alone
+            code = 1
+            try:
+                closed = []
+                for fd in (owned.requests, owned.replies):
+                    try:
+                        os.fstat(fd)
+                    except OSError:
+                        closed.append(fd)
+                inherited = sharp._lanes == [] and len(closed) == 2
+                same = repr(verify_ordering_chain(self.N, seed=7)) == expected
+                (own,) = sharp._lanes
+                sharp._close_lanes()
+                code = 0 if inherited and same and own.pid != owned.pid and sharp._lanes == [] else 2
+            finally:
+                os._exit(code)
+        assert os.waitpid(pid, 0)[1] == 0
+        assert repr(verify_ordering_chain(self.N, seed=7)) == expected
+        assert sharp._lanes == [owned] and len(forks) == 2  # the child's fork and ours
+
+    @pytest.mark.parametrize("exc", [KeyboardInterrupt, DomainError])
+    def test_an_interrupted_run_closes_its_lanes(self, monkeypatch, forks, exc):
+        # the lane is forked first, so only this process's own range fails
+        verify_ratio_bounds(self.N)
+        (lane,) = sharp._lanes
+        original = sharp._ratio_blocks
+
+        def planted(seed, samples, ratio_max, start, stop, *pool):
+            if start == 0:
+                raise exc("planted")
+            return original(seed, samples, ratio_max, start, stop, *pool)
+
+        monkeypatch.setattr(sharp, "_ratio_blocks", planted)
+        with pytest.raises(exc, match="planted"):
+            verify_ratio_bounds(self.N, seed=1)
+        assert sharp._lanes == []
+        self.assert_reaped(lane.pid)
+        monkeypatch.setattr(sharp, "_ratio_blocks", original)
+        # a stale reply would be seed 1's tallies
+        report = repr(verify_ratio_bounds(self.N, seed=2, beta1=RATIO_UPPER - 1e-6))
+        assert len(forks) == 2
+        assert report == self.one_lane(monkeypatch, lambda: verify_ratio_bounds(self.N, seed=2,
+                                                                                 beta1=RATIO_UPPER - 1e-6))
+
+    @pytest.mark.parametrize("end", ["close", "end-of-pipe", "exit"])
+    def test_three_lanes_end_without_hanging(self, end):
+        # closed by _close_lanes, by the end of their request pipes alone,
+        # closed and reaped lane by lane (no lane holds an earlier one's
+        # ends), or at exit by the atexit handler; the timeout turns a hang
+        # into a failure
+        code = (
+            "import os\n"
+            "from seiffert_bounds import sharp\n"
+            "sharp._cpus, sharp._LANE_MIN_SAMPLES, sharp._BLOCK = (lambda: 3), 1, 1_000\n"
+            "assert sharp.verify_blend_bounds(3_000).passed\n"
+            "print(*(lane.pid for lane in sharp._lanes))\n"
+            f"end = {end!r}\n"
+            "if end == 'close':\n"
+            "    sharp._close_lanes()\n"
+            "elif end == 'end-of-pipe':\n"
+            "    for lane in sharp._lanes:  # one by one\n"
+            "        os.close(lane.requests)\n"
+            "        os.close(lane.replies)\n"
+            "        print(os.waitpid(lane.pid, 0)[1])\n"
+            "    sharp._lanes.clear()\n"
+            "if end != 'exit':\n"
+            "    try:\n"
+            "        os.waitpid(-1, os.WNOHANG)\n"
+            "    except ChildProcessError:\n"
+            "        print('no child left')\n"
+        )
+        proc = _python(code)
+        assert proc.returncode == 0 and proc.stderr == ""
+        pids, *rest = proc.stdout.splitlines()
+        assert len(pids.split()) == 2
+        assert rest == {"close": ["no child left"], "end-of-pipe": ["0", "0", "no child left"], "exit": []}[end]
+        for pid in map(int, pids.split()):  # reaped before the process ended
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
