@@ -52,7 +52,7 @@ arithmetic.
 Importing this module loads no numpy and no :mod:`fractions`.  The scalar
 methods (``gap``, ``chain``), the ladder, the proof and
 :func:`counterexample_witness` compute on floats with :mod:`math` or on
-Fractions, which the exact routines import where they run, so ``constants``
+Fractions, whose module the exact routines load on first use, so ``constants``
 (families and witness scans only) loads none.  numpy loads on the first call
 that works on arrays (``gap_values`` or ``chain_values`` on an array,
 ``quadratic_form``, ``difference_factor``,
@@ -84,6 +84,7 @@ __all__ = [
 _PI = math.pi
 
 np = _OnFirstUse("numpy", globals(), "np")
+fractions = _OnFirstUse("fractions", globals(), "fractions")
 
 
 def _quadratic_form(p, t):
@@ -250,7 +251,7 @@ class CounterexampleWitness(namedtuple("CounterexampleWitness", "side t blend_va
     __slots__ = ()
 
 
-def _identity_residual(p: Fraction, t: Fraction) -> Fraction:
+def _identity_residual(p: fractions.Fraction, t: fractions.Fraction) -> fractions.Fraction:
     """gap'(t)·Q(t)²(1+t²) - chain₁(t), exactly.
 
     With gap = 4·arctan((t-1)/(t+1)) - 3(t²-1)/Q and d/dt arctan((t-1)/(t+1))
@@ -274,10 +275,8 @@ def derivative_identity_residual(family: BlendGapFamily, grid) -> float:
     t = np.asarray(grid, dtype=float).ravel()
     if t.size == 0 or not np.all(np.isfinite(t) & (t > 1.0)):
         raise DomainError("grid must be non-empty with every point finite and > 1")
-    from fractions import Fraction
-
-    p = Fraction(family.p)
-    return float(max(abs(_identity_residual(p, Fraction(x))) for x in t.tolist()))
+    p = fractions.Fraction(family.p)
+    return float(max(abs(_identity_residual(p, fractions.Fraction(x))) for x in t.tolist()))
 
 
 def locate_critical_points(family: BlendGapFamily) -> CriticalPointReport:
@@ -289,9 +288,7 @@ def locate_critical_points(family: BlendGapFamily) -> CriticalPointReport:
     1 + (-k₁u + sqrt((k₁u)² - 4c₁k₀u))/(2c₁) for the quadratic factors
     c₁s² + k₁us + k₀u, where -k₁u > 0 leaves no cancellation.
     """
-    from fractions import Fraction
-
-    p = Fraction(family.p)
+    p = fractions.Fraction(family.p)
     u_exact = p * p - p
     c1_exact = 4 * u_exact * u_exact + 14 * u_exact + 1
     if not u_exact < 0 < c1_exact:
@@ -319,14 +316,12 @@ def ladder_proof() -> dict:
       polynomial of degree ≤ 4 in p and ≤ 5 in t, so vanishing on that grid
       makes it zero, which ties the sign of gap' to chain₁ for every p.
     """
-    from fractions import Fraction
-
     # Archimedes' bounds 223/71 < π < 22/7
-    pi_lo, pi_hi = Fraction(223, 71), Fraction(22, 7)
+    pi_lo, pi_hi = fractions.Fraction(223, 71), fractions.Fraction(22, 7)
     u = (3 / pi_hi - 1, 3 / pi_lo - 1)
     c1 = tuple(4 * x * x + 14 * x + 1 for x in u)
-    grid_p = [Fraction(k, 8) for k in range(4, 9)]
-    grid_t = [Fraction(k, 2) for k in range(3, 9)]
+    grid_p = [fractions.Fraction(k, 8) for k in range(4, 9)]
+    grid_t = [fractions.Fraction(k, 2) for k in range(3, 9)]
     return {
         "pi_bounds": (pi_lo, pi_hi),
         "u": u,

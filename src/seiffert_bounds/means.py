@@ -76,8 +76,10 @@ __all__ = [
 ]
 
 # Imported on the first call of a bulk twin: importing this module, and
-# every scalar core, loads no numpy.
+# every scalar core, loads no numpy.  No mean or sweep divides Fractions, so
+# only ``excess_ratio_taylor`` loads fractions.
 np = _OnFirstUse("numpy", globals(), "np")
+fractions = _OnFirstUse("fractions", globals(), "fractions")
 
 #: r(t) switches from the exact-coefficient series to the direct quotient here.
 _SERIES_SWITCH = 0.5
@@ -127,18 +129,16 @@ class PositivePair(namedtuple("PositivePair", "a b")):
         return cls(*iterable)
 
 
-def excess_ratio_taylor(order: int) -> tuple[Fraction, ...]:
+def excess_ratio_taylor(order: int) -> tuple[fractions.Fraction, ...]:
     """Exact Taylor coefficients of r(t) in powers of t², by long division.
 
     Reciprocal of arctan(t)/t = Σ (-1)^k t^{2k}/(2k+1):  r(t) = Σ_k coef[k]·t^{2k}
     with coef = (1/3, -4/45, 44/945, -428/14175, …).
     """
-    from fractions import Fraction  # here only: no mean or sweep divides Fractions
-
     if order < 1:
         raise DomainError(f"order must be >= 1, got {order}")
-    a = [Fraction((-1) ** k, 2 * k + 1) for k in range(order + 1)]
-    b = [Fraction(1)]
+    a = [fractions.Fraction((-1) ** k, 2 * k + 1) for k in range(order + 1)]
+    b = [fractions.Fraction(1)]
     for n in range(1, order + 1):
         b.append(-sum(a[j] * b[n - j] for j in range(1, n + 1)))
     return tuple(b[1:])

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from collections import namedtuple
 from fractions import Fraction
 
@@ -114,7 +115,7 @@ def bernoulli_even(n: int) -> Fraction:
     Computed from the integer tangent numbers, independent of any zeta evaluation
     (so :func:`zeta_even` is a genuine cross-check, not a circular one).
     """
-    _check_order(n, what="Bernoulli index")
+    n = _check_order(n, what="Bernoulli index")
     return default_table().even(n)
 
 
@@ -128,7 +129,7 @@ def zeta_even(q: int) -> float:
     """
     import mpmath as mp  # here only, so importing the package does not load mpmath
 
-    _check_order(q, what="zeta argument")
+    q = _check_order(q, what="zeta argument")
     b = abs(bernoulli_even(q))
     with mp.workdps(50):
         val = (
@@ -143,14 +144,14 @@ def zeta_even(q: int) -> float:
 @functools.lru_cache(maxsize=None)
 def cot_coefficient(n: int) -> Fraction:
     """Exact coefficient 2^{2n}|B_{2n}|/(2n)! of x^{2n-1} in the cot tail."""
-    _check_order(n, what="series term index")
+    n = _check_order(n, what="series term index")
     return Fraction(4**n) * abs(bernoulli_even(n)) / math.factorial(2 * n)
 
 
 @functools.lru_cache(maxsize=None)
 def csc2_coefficient(n: int) -> Fraction:
     """Exact coefficient 2^{2n}(2n-1)|B_{2n}|/(2n)! of x^{2n-2} in the 1/sin² tail."""
-    _check_order(n, what="series term index")
+    n = _check_order(n, what="series term index")
     return Fraction(4**n * (2 * n - 1)) * abs(bernoulli_even(n)) / math.factorial(2 * n)
 
 
@@ -161,7 +162,7 @@ def ratio_coefficient(n: int) -> Fraction:
     Equals cot_coefficient(n) + csc2_coefficient(n): the two expansions merge
     term by term when forming cotθ/θ - 1/sin²θ + 1.
     """
-    _check_order(n, what="series term index")
+    n = _check_order(n, what="series term index")
     return Fraction(n * 2 ** (2 * n + 1)) * abs(bernoulli_even(n)) / math.factorial(2 * n)
 
 
@@ -195,7 +196,7 @@ def cot_series(x: float, n: int) -> float:
     double range (x next to 0, where 1/x does).
     """
     x = _check_x(x)
-    _check_order(n, what="truncation order")
+    n = _check_order(n, what="truncation order")
     xq, _, acc = _exact_sum("cot", n, x)
     return _rounded(1 / xq - xq * acc)
 
@@ -206,7 +207,7 @@ def csc2_series(x: float, n: int) -> float:
     Summed exactly and rounded once, as in :func:`cot_series`.
     """
     x = _check_x(x)
-    _check_order(n, what="truncation order")
+    n = _check_order(n, what="truncation order")
     _, u, acc = _exact_sum("csc2", n, x)
     return _rounded(1 / u + acc)
 
@@ -222,7 +223,7 @@ def ratio_series(theta: float, n: int) -> float:
     theta = float(theta)
     if not (0.0 < theta <= _PI / 4.0):
         raise DomainError(f"ratio series argument must lie in (0, π/4], got {theta!r}")
-    _check_order(n, what="truncation order")
+    n = _check_order(n, what="truncation order")
     _, _, acc = _exact_sum("ratio", n, theta)
     return _rounded(1 - acc)
 
@@ -264,7 +265,7 @@ def truncated_series(kind: str, order: int, radius: float | None = None) -> Trun
     """
     if kind not in _KINDS:
         raise DomainError(f"unknown series kind {kind!r}")
-    _check_order(order, what="truncation order")
+    order = _check_order(order, what="truncation order")
     r = _KINDS[kind][2] if radius is None else float(radius)
     hi = _PI / 4.0 if kind == "ratio" else _PI
     if not (0.0 < r <= hi) or (kind != "ratio" and r == _PI):
@@ -287,11 +288,13 @@ def truncated_series(kind: str, order: int, radius: float | None = None) -> Trun
     )
 
 
-def _check_order(n: int, *, what: str) -> None:
-    if not isinstance(n, int) or isinstance(n, bool):
+def _check_order(n: int, *, what: str) -> int:
+    """``n`` as an int in [1, N_MAX]: a numpy integer will do, a bool will not."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
         raise RangeError(f"{what} must be an integer, got {n!r}")
     if not 1 <= n <= N_MAX:
         raise RangeError(f"{what} must lie in [1, {N_MAX}], got {n}")
+    return int(n)
 
 
 def _check_x(x: float) -> float:

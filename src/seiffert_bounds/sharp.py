@@ -40,7 +40,7 @@ Each suite is a row (``_Row``): a block function that names its margins,
 its folds (the reported minima and maxima) and its checks, the raw-mean
 comparison among them, over one block.  The engine streams rows through
 blocks of ``_BLOCK`` samples, so memory is O(block) and time linear in the
-sample count, in three steps: ``_reduce`` turns a range of the samples into
+sample count, in three steps: ``_lane`` turns a range of the samples into
 one partial ``_Tally`` (count, extrema, witness) per row, ``_Tally.merge``
 joins the tallies of consecutive ranges, and ``_Row.finish`` turns a tally
 into the suite's :class:`VerificationResult`.  The streaming contract:
@@ -70,7 +70,10 @@ reused by every block and every row: the heap is not re-faulted block by block.
 The standing lanes are the module's one piece of process state.  The first
 run that needs k > 1 lanes forks k - 1 of them, once per process, and every
 later run sends each its range through a pipe and reads back its tallies; a
-run below ``_LANE_MIN_SAMPLES`` forks nothing.  They are closed by
+run below ``_LANE_MIN_SAMPLES`` forks nothing.  Every message is one pickle,
+which marks its own end, and the stop message is ``None``.  The pipes are
+plain ``os.pipe`` ends, not ``multiprocessing``, whose import after numpy
+took 15-18 ms and loaded 19 modules.  The lanes are closed by
 ``_close_lanes``, which ``cli.main`` calls before it returns and an atexit
 handler calls at the latest; a lane that dies is dropped and replaced by the
 next run.  A process forked from their owner does not use them and makes its
@@ -468,15 +471,6 @@ class _Row:
         )
 
 
-def _reduce(rows, blocks) -> list[_Tally]:
-    """One tally per row over ``blocks``: every row takes each block in turn."""
-    tallies = [_Tally() for _ in rows]
-    for blk in blocks:
-        for row, tally in zip(rows, tallies):
-            tally.add(blk[0], *row.block(*blk))
-    return tallies
-
-
 def _blend_row(alpha: float | None = None, beta: float = 1.0) -> _Row:
     """thm1: (2α-1)²/3 < r(t) < (2β-1)²/3, and blend(α) < seiffert < blend(β) in raw doubles."""
     alpha = blend_alpha_closed() if alpha is None else float(alpha)
@@ -810,7 +804,11 @@ def _lane(rows, seed: int, samples: int, ratio_max: float, start: int, stop: int
     reports of the suites run one by one, bit for bit.
     """
     work, bits = _workspace(min(stop - start, _BLOCK) + len(_boundary_points(ratio_max)), _FLOAT_ROWS, 2)
-    return _reduce(rows, _ratio_blocks(seed, samples, ratio_max, start, stop, work, bits))
+    tallies = [_Tally() for _ in rows]
+    for blk in _ratio_blocks(seed, samples, ratio_max, start, stop, work, bits):
+        for row, tally in zip(rows, tallies):
+            tally.add(blk[0], *row.block(*blk))
+    return tallies
 
 
 def _finish_lanes(rows, lanes: list[list[_Tally]]) -> list[VerificationResult]:
@@ -819,67 +817,48 @@ def _finish_lanes(rows, lanes: list[list[_Tally]]) -> list[VerificationResult]:
     return [row.finish(tally) for row, tally in zip(rows, merged)]
 
 
-class _Lane:
-    """A standing lane: a forked child that serves one sample range of a run
-    at a time (:func:`_serve`), by its pid and the owner's ends of its request
-    and reply pipes.  The lanes belong to the process ``_owner`` and are made,
-    used and closed under ``_lock``."""
-
-    __slots__ = ("pid", "requests", "replies")
-
-    def __init__(self, pid: int, requests: int, replies: int) -> None:
-        self.pid, self.requests, self.replies = pid, requests, replies
-
+#: A standing lane: a forked child that serves one sample range of a run at a
+#: time (:func:`_serve`), by its pid, the owner's end of its request pipe and
+#: the one reader of its reply pipe.  The lanes belong to the process
+#: ``_owner`` and are made, used and closed under ``_lock``.
+_Lane = namedtuple("_Lane", "pid requests replies")
 
 _lanes: list[_Lane] = []
 _owner = None  # the pid that owns ``_lanes``; None until a lane is first made
 _lock = _thread.allocate_lock()
 
 
-def _send(fd: int, data: bytes) -> None:
-    """Write ``data`` to ``fd`` as one message: its length, then its bytes."""
-    data = memoryview(len(data).to_bytes(8, "little") + data)
+def _send(fd: int, message) -> None:
+    """Write ``message`` to ``fd`` as one pickle, which marks its own end."""
+    data = memoryview(pickle.dumps(message))
     while data:
         data = data[os.write(fd, data):]
-
-
-def _read(fd: int, size: int) -> bytes:
-    """Exactly ``size`` bytes from ``fd``, or b"" if it ends first."""
-    data = b""
-    while len(data) < size:
-        chunk = os.read(fd, size - len(data))
-        if not chunk:
-            return b""
-        data += chunk
-    return data
-
-
-def _receive(fd: int) -> bytes:
-    """The next message on ``fd``; b"" for the empty message (a stop), at the
-    end of the pipe and where the writer ended within a message."""
-    head = _read(fd, 8)
-    return head and _read(fd, int.from_bytes(head, "little"))
 
 
 def _serve(requests: int, replies: int) -> None:
     """The body of a standing lane; never returns.
 
-    Each request names its rows by suite and keywords (``_ROWS``) and gives
-    seed, samples, ratio_max and the range; the reply is the tallies
-    (:func:`_lane`) or the exception the rows raised.  A stop or the end of
-    the request pipe ends the lane with exit 0; a reply that does not pickle,
-    a reply pipe with no reader or a ``KeyboardInterrupt`` while idle ends it
-    with exit 1, quietly.  It ends through :func:`os._exit`, so it never
-    flushes the stdio or runs the atexit handlers it inherited.
+    Each message on either pipe is one pickle, read by one reader kept for
+    the pipe's life.  Each request names its rows by suite and keywords
+    (``_ROWS``) and gives seed, samples, ratio_max and the range; the reply is
+    the tallies (:func:`_lane`) or the exception the rows raised.  A stop
+    (``None``) or the end of the request pipe ends the lane with exit 0; a
+    reply that does not pickle, a reply pipe with no reader or a
+    ``KeyboardInterrupt`` while idle ends it with exit 1, quietly.  It ends
+    through :func:`os._exit`, so it never flushes the stdio or runs the atexit
+    handlers it inherited.
     """
     try:
-        while request := _receive(requests):
-            suites, *args = pickle.loads(request)
+        reader = open(requests, "rb")
+        while (request := pickle.load(reader)) is not None:
+            suites, *args = request
             try:
                 payload = _lane([_ROWS[name](**keywords) for name, keywords in suites], *args)
             except BaseException as exc:
                 payload = exc
-            _send(replies, pickle.dumps(payload))
+            _send(replies, payload)
+        os._exit(0)
+    except EOFError:  # the end of the request pipe
         os._exit(0)
     finally:
         os._exit(1)
@@ -892,7 +871,8 @@ def _forget() -> None:
     global _owner, _lock
     for lane in _lanes:
         os.close(lane.requests)
-        os.close(lane.replies)
+        # the raw file: a thread of the owner, absent here, may hold the reader's lock
+        lane.replies.raw.close()
     _lanes.clear()
     _owner, _lock = os.getpid(), _thread.allocate_lock()
 
@@ -917,7 +897,7 @@ def _spawn() -> _Lane:
             os._exit(1)
     os.close(requests[0])
     os.close(replies[1])
-    return _Lane(pid, requests[1], replies[0])
+    return _Lane(pid, requests[1], open(replies[0], "rb"))
 
 
 def _standing(k: int) -> list[_Lane]:
@@ -938,18 +918,18 @@ def _standing(k: int) -> list[_Lane]:
 
 def _close(lanes) -> list[int]:
     """Stop and reap those of ``lanes`` that still stand; returns their wait
-    statuses.  Every lane is sent an empty message and the owner's ends of
+    statuses.  Every lane is sent a stop (``None``) and the owner's ends of
     its pipes are closed before the first wait, so that an idle lane stops
     and a lane still running its range ends at its reply, not blocked on it."""
     lanes = [lane for lane in lanes if lane in _lanes]
     for lane in lanes:
         _lanes.remove(lane)
         try:
-            _send(lane.requests, b"")
+            _send(lane.requests, None)
         except BrokenPipeError:  # the lane has died
             pass
         os.close(lane.requests)
-        os.close(lane.replies)
+        lane.replies.close()
     return [os.waitpid(lane.pid, 0)[1] for lane in lanes]
 
 
@@ -963,15 +943,15 @@ def _close_lanes() -> None:
 
 def _answer(lane: _Lane, start: int, stop: int):
     """The reply of ``lane`` over samples [start, stop): its tallies or the
-    exception its rows raised.  A lane that ended without a reply is reaped
-    and dropped, and :class:`ChildProcessError` names the range and the wait
-    status."""
-    data = _receive(lane.replies)
-    if not data:
+    exception its rows raised.  A lane that ended without a whole reply is
+    reaped and dropped, and :class:`ChildProcessError` names the range and the
+    wait status."""
+    try:
+        return pickle.load(lane.replies)
+    except (EOFError, pickle.UnpicklingError):
         (status,) = _close([lane])
-        raise ChildProcessError(f"the lane over samples [{start}, {stop}) ended without a result "
-                                f"(wait status {status})")
-    return pickle.loads(data)
+    raise ChildProcessError(f"the lane over samples [{start}, {stop}) ended without a result "
+                            f"(wait status {status})")
 
 
 def _run(suites, samples: int, seed: int, ratio_max: float) -> list[VerificationResult]:
@@ -998,7 +978,7 @@ def _run(suites, samples: int, seed: int, ratio_max: float) -> list[Verification
         try:
             for lane, span in zip(lanes, rest):
                 try:
-                    _send(lane.requests, pickle.dumps((suites, seed, samples, ratio_max, *span)))
+                    _send(lane.requests, (suites, seed, samples, ratio_max, *span))
                 except BrokenPipeError:  # the lane has died: _answer reports it
                     pass
             tallies = [_lane(rows, seed, samples, ratio_max, *first)]

@@ -1,7 +1,9 @@
-"""Every exported name resolves and is public."""
+"""Every exported name resolves and is public, and so do its annotations."""
 
 import importlib
+import inspect
 import pkgutil
+import typing
 
 import pytest
 
@@ -20,3 +22,8 @@ def test_all_resolves_to_public_names(module):
     for name in names:
         assert hasattr(module, name), name
         assert not name.startswith("_") or (name.startswith("__") and name.endswith("__")), name
+        obj = getattr(module, name)
+        for member in vars(obj).values() if inspect.isclass(obj) else [obj]:
+            fn = getattr(member, "__func__", member)  # a classmethod's or staticmethod's function
+            if inspect.isfunction(fn):
+                typing.get_type_hints(fn)

@@ -370,15 +370,21 @@ class TestLanes:
         assert serial[0] == code and serial[1] and serial[2] == ""
         assert all(run == serial for run in runs.values())
 
-    @pytest.mark.parametrize("lane", ["own-lane", "child-lane"])
-    def test_suite_error_exits_2(self, capsys, monkeypatch, forks, lane):
+    @pytest.mark.parametrize(
+        "lane, message",
+        [("own-lane", "planted error"), ("child-lane", "planted error"),
+         ("child-lane", "planted error " + "x" * (256 << 10))],
+        ids=["own-lane", "child-lane", "child-lane-256KiB"],
+    )
+    def test_suite_error_exits_2(self, capsys, monkeypatch, forks, lane, message):
         # a block stream that raises over one of two ranges: [0, 1000), run
-        # in this process, or [1000, 2000), run in the child
+        # in this process, or [1000, 2000), run in the child; a 256 KiB
+        # message takes the reply past a pipe buffer, into several reads
         original = cli.sharp._ratio_blocks
 
         def planted(seed, samples, ratio_max, start, stop, *pool):
             if (start == 0) == (lane == "own-lane"):
-                raise DomainError("planted error")
+                raise DomainError(message)
             return original(seed, samples, ratio_max, start, stop, *pool)
 
         monkeypatch.setattr(cli.sharp, "_BLOCK", 1_000)
@@ -387,7 +393,7 @@ class TestLanes:
         code, out, err = run_cli(capsys, "verify", "all", "--samples", "2000")
         assert len(forks) == 1
         assert code == 2 and out == ""
-        assert err == "error: planted error\n"
+        assert err == f"error: {message}\n"
         self.assert_no_child_left()
 
     @pytest.mark.parametrize("cpus", [1, 2])

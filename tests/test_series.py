@@ -63,6 +63,19 @@ class TestBernoulli:
         with pytest.raises(RangeError):
             bernoulli_even(n)
 
+    def test_numpy_integers_are_integers(self):
+        # a numpy integer passes as the int it equals; a float or a bool does not
+        n = np.int64(3)
+        assert bernoulli_even(n) == bernoulli_even(3)
+        assert cot_series(0.5, n) == cot_series(0.5, 3)
+        assert truncated_series("cot", n) == truncated_series("cot", 3)
+        assert type(truncated_series("cot", n).truncation_order) is int
+        for bad in (2.0, True):
+            with pytest.raises(RangeError):
+                cot_series(0.5, bad)
+            with pytest.raises(RangeError):
+                truncated_series("cot", bad)
+
     def test_defining_recurrence(self):
         # the table against the definition it is not built from:
         # sum_{k=0}^{m} binom(m+1, k) B_k = 0 for m >= 1, with B_1 = -1/2

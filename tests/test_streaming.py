@@ -6,6 +6,8 @@ import os
 import signal
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -925,13 +927,14 @@ class TestStandingLanes:
     def test_a_forked_child_makes_its_own_lane(self, monkeypatch, forks):
         verify_ordering_chain(self.N)
         (owned,) = sharp._lanes
+        owned_fds = (owned.requests, owned.replies.fileno())
         expected = self.one_lane(monkeypatch, lambda: verify_ordering_chain(self.N, seed=7))
         pid = os.fork()
         if pid == 0:  # the child reports through its exit code alone
             code = 1
             try:
                 closed = []
-                for fd in (owned.requests, owned.replies):
+                for fd in owned_fds:
                     try:
                         os.fstat(fd)
                     except OSError:
@@ -946,6 +949,28 @@ class TestStandingLanes:
         assert os.waitpid(pid, 0)[1] == 0
         assert repr(verify_ordering_chain(self.N, seed=7)) == expected
         assert sharp._lanes == [owned] and len(forks) == 2  # the child's fork and ours
+
+    def test_a_fork_while_a_thread_waits_for_a_reply(self, forks):
+        # a thread blocked on the idle lane's reply pipe holds the lock of its
+        # reader; the forked child, which lacks that thread, must not wait
+        # for the lock to drop the reader
+        verify_ordering_chain(self.N)
+        (lane,) = sharp._lanes
+        waiting = threading.Thread(target=lane.replies.peek)  # returns when the lane ends
+        waiting.start()
+        time.sleep(0.2)  # for the thread to block in the read
+        pid = os.fork()
+        if pid == 0:
+            os._exit(0)
+        deadline = time.monotonic() + 30
+        while not os.waitpid(pid, os.WNOHANG)[0]:
+            if time.monotonic() > deadline:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                pytest.fail("the forked child hung in the at-fork hook")
+            time.sleep(0.01)
+        sharp._close_lanes()
+        waiting.join()
 
     @pytest.mark.parametrize("exc", [KeyboardInterrupt, DomainError])
     def test_an_interrupted_run_closes_its_lanes(self, monkeypatch, forks, exc):
@@ -989,7 +1014,7 @@ class TestStandingLanes:
             "elif end == 'end-of-pipe':\n"
             "    for lane in sharp._lanes:  # one by one\n"
             "        os.close(lane.requests)\n"
-            "        os.close(lane.replies)\n"
+            "        lane.replies.close()\n"
             "        print(os.waitpid(lane.pid, 0)[1])\n"
             "    sharp._lanes.clear()\n"
             "if end != 'exit':\n"
