@@ -2,8 +2,10 @@
 """Certifying the structure behind the sharp lower blend bound.
 
 blend(p) - seiffert factorizes as a positive factor times the gap function
-gap(t) = 4 arctan((t-1)/(t+1)) - 3(t^2-1)/Q(t).  At the sharp parameter the
-gap vanishes at both ends (t -> 1 and t -> infinity) and stays negative in
+gap(t) = 4 arctan((t-1)/(t+1)) - 3(t^2-1)/Q(t), which the library evaluates on
+tau = (t-1)/(t+1) as 4(arctan tau - tau) + 4 tau k^2/(3 + k^2), k = (2p-1) tau,
+for every t up to the largest double.  At the sharp parameter the gap
+vanishes at both ends (t -> 1 and t -> infinity) and stays negative in
 between; the derivative chain chain_4 -> chain_1 pins down the turning
 points 1 < t0 < t1 < t2 < t3 that force that shape, and a few exact
 rational facts prove it.

@@ -14,6 +14,20 @@ the sign of ``gap`` decides the inequality.  gap(1⁺) = 0 and
 gap(t) → π - 3/(p²-p+1) as t → ∞, which vanishes exactly at the sharp
 parameter p = (1 + sqrt(12/π - 3))/2.
 
+Both are evaluated on the pair's profile τ = (t-1)/(t+1) in [0, 1), with
+A = t/2 + 1/2 and k = (2p-1)·τ: Q = A²(3 + k²) and 3(t²-1) = 12A²τ, so
+
+    gap = 4·(arctan τ - τ) + 4τ·k²/(3 + k²),
+    difference_factor = A·((3 + k²)/(12·arctan τ)).
+
+No square of t is formed, so both stay finite up to the largest double, and
+one expression serves every t.  With q = τ/arctan τ = 1 + τ²·r(τ), the
+excess ratio r of :mod:`seiffert_bounds.sharp`,
+
+    gap = 4τ³((2p-1)²/3 - r(τ)) / (q·(1 + k²/3)),
+
+so gap < 0 exactly where thm1's lower margin r - (2p-1)²/3 is positive.
+
 Differentiating, ``gap'(t) = chain₁(t) / (Q(t)²(1+t²))`` where chain₁ is an
 explicit quartic, and the scaled derivatives
 
@@ -56,15 +70,15 @@ Fractions, whose module the exact routines load on first use, so ``constants``
 (families and witness scans only) loads none.  numpy loads on the first call
 that works on arrays (``gap_values`` or ``chain_values`` on an array,
 ``quadratic_form``, ``difference_factor``,
-:func:`derivative_identity_residual`).  ``gap`` and ``gap_values`` share one
-written form of each branch, evaluated with ``math.atan`` on a float and
+:func:`derivative_identity_residual`).  ``gap`` and ``gap_values`` share the
+one expression above, evaluated with ``math.atan`` on a float and
 ``np.arctan`` on an array.
 """
 
 from __future__ import annotations
 
 import math
-import sys
+import numbers
 from collections import namedtuple
 
 from . import _OnFirstUse
@@ -81,8 +95,6 @@ __all__ = [
     "counterexample_witness",
 ]
 
-_PI = math.pi
-
 np = _OnFirstUse("numpy", globals(), "np")
 fractions = _OnFirstUse("fractions", globals(), "fractions")
 
@@ -94,28 +106,11 @@ def _quadratic_form(p, t):
     return u1 * u1 + u1 * u2 + u2 * u2
 
 
-# gap's two forms, each right on its own side of t = 2 (see gap_values), for
-# a float t with math.atan or an array t with np.arctan
-
-
-def _gap_near(p, t, atan):
-    s = t - 1.0
-    return 4.0 * atan(s / (t + 1.0)) - 3.0 * s * (t + 1.0) / _quadratic_form(p, t)
-
-
-#: Beyond this t, t·t overflows.
-_SQUARE_MAX = math.sqrt(sys.float_info.max)
-
-
-def _gap_far(p, t, atan, huge=False):
-    w = p * p - p + 1.0
-    m = 1.0 + 2.0 * p * (1.0 - p)
-    if huge:
-        # numerator and Q(t) divided by t², where t·t would overflow; Q is
-        # symmetric, Q(t)/t² = Q(1/t)
-        s = 1.0 / t
-        return ((_PI * w - 3.0) + _PI * m * s + (_PI * w + 3.0) * (s * s)) / _quadratic_form(p, s) - 4.0 * atan(s)
-    return ((_PI * w - 3.0) * t * t + _PI * m * t + (_PI * w + 3.0)) / _quadratic_form(p, t) - 4.0 * atan(1.0 / t)
+def _gap_at(p, t, atan):
+    """gap at p for a float t with math.atan or an array t with np.arctan."""
+    _, tau = _profile(t, 1.0)
+    k = (2.0 * p - 1.0) * tau
+    return 4.0 * (atan(tau) - tau) + 4.0 * tau * (k * k) / (3.0 + k * k)
 
 
 def _shifted_chain(s, u, level: int):
@@ -165,7 +160,7 @@ class BlendGapFamily(namedtuple("BlendGapFamily", "p")):
     def limit_at_infinity(self) -> float:
         """lim_{t→∞} gap(t) = π - 3/(p²-p+1)."""
         p = self.p
-        return _PI - 3.0 / (p * p - p + 1.0)
+        return math.pi - 3.0 / (p * p - p + 1.0)
 
     # -- gap ------------------------------------------------------------------
 
@@ -173,37 +168,18 @@ class BlendGapFamily(namedtuple("BlendGapFamily", "p")):
         """gap(t) on arrays, no domain validation; a float t gives a float,
         computed with :mod:`math`.
 
-        Two branches keep the evaluation fully accurate:
-
-        * t < 2:  4·arctan(s/(t+1)) - 3s(t+1)/Q with s = t-1, so both terms
-          vanish with s and no t²-1 cancellation occurs near the diagonal;
-        * t >= 2: with w = p²-p+1 and m = 1+2p(1-p), Q = wt² + mt + w and
-          4·arctan((t-1)/(t+1)) = π - 4·arctan(1/t), giving
-          gap = [(πw-3)t² + πm·t + (πw+3)]/Q - 4·arctan(1/t); the leading
-          coefficient πw-3 vanishes at the sharp parameter, which removes the
-          large-t cancellation exactly where the sign checks are hardest.
-          Beyond t ≈ 1.34e154, where t·t overflows, the numerator and Q are
-          both divided by t² first, so gap stays finite up to the largest
-          double.
+        One expression in τ = (t-1)/(t+1) (module docstring) for every t, with
+        no branch: near the diagonal its error is about that of rounding
+        arctan τ (1e-16·τ), and beyond t ≈ 2⁵³, where τ rounds to 1, it
+        returns the limit π - 3/(p²-p+1) within rounding.
         """
         if isinstance(t, float):
             return self._gap(t)
-        t = np.asarray(t, dtype=float)
-        # the t >= 2 form everywhere, then the t < 2 entries and those whose
-        # square overflows overwritten
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            val = np.asarray(_gap_far(self.p, t, np.arctan))  # a 0-d t gives a numpy scalar
-        small = t < 2.0
-        val[small] = _gap_near(self.p, t[small], np.arctan)
-        huge = t > _SQUARE_MAX
-        val[huge] = _gap_far(self.p, t[huge], np.arctan, huge=True)
-        return val
+        return _gap_at(self.p, np.asarray(t, dtype=float), np.arctan)
 
     def _gap(self, t: float) -> float:
-        """gap at a float t in the branch :meth:`gap_values` picks, with math.atan."""
-        if t < 2.0:
-            return _gap_near(self.p, t, math.atan)
-        return _gap_far(self.p, t, math.atan, t > _SQUARE_MAX)
+        """gap at a float t with math.atan, as :meth:`gap_values` computes it."""
+        return _gap_at(self.p, t, math.atan)
 
     def gap(self, t: float) -> float:
         """gap(t) for scalar t > 1 (domain-checked)."""
@@ -213,9 +189,14 @@ class BlendGapFamily(namedtuple("BlendGapFamily", "p")):
         return self.gap_values(t)
 
     def difference_factor(self, t):
-        """Strictly positive F(t) with blend(p) - seiffert = F·gap on t > 1."""
-        t = np.asarray(t, dtype=float)
-        return self.quadratic_form(t) / (6.0 * (1.0 + t) * np.arctan((t - 1.0) / (t + 1.0)))
+        """Strictly positive F(t) with blend(p) - seiffert = F·gap on t > 1.
+
+        A·((3 + k²)/(12·arctan τ)) in the profile (module docstring), with A
+        multiplied last: A·(3 + k²) would overflow at the largest double.
+        """
+        am, tau = _profile(np.asarray(t, dtype=float), 1.0)
+        k = (2.0 * self.p - 1.0) * tau
+        return am * ((3.0 + k * k) / (12.0 * np.arctan(tau)))
 
     # -- derivative chain -----------------------------------------------------
 
@@ -227,12 +208,14 @@ class BlendGapFamily(namedtuple("BlendGapFamily", "p")):
         """Scalar chain polynomial at level 1..4, in floats."""
         try:
             return self._chain(float(t), level)
-        except OverflowError:  # a float power beyond the double range: numpy's ±inf
-            return float(self.chain_values(float(t), level))
+        except OverflowError:  # a float power beyond the double range: numpy's ±inf or nan
+            with np.errstate(over="ignore", invalid="ignore"):
+                return float(self.chain_values(float(t), level))
 
     def _chain(self, t, level: int):
-        if level not in (1, 2, 3, 4):
-            raise DomainError(f"chain level must be in 1..4, got {level!r}")
+        # an integer as in series._check_order: a numpy integer will do, a bool or 1.0 will not
+        if isinstance(level, bool) or not isinstance(level, numbers.Integral) or not 1 <= level <= 4:
+            raise DomainError(f"chain level must be an integer in 1..4, got {level!r}")
         return _shifted_chain(t - 1.0, self.p * self.p - self.p, level)
 
 

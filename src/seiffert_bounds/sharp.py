@@ -117,8 +117,8 @@ __all__ = [
 
 
 # Importing this module, and with it the CLI, loads none of these: the bulk
-# code loads numpy on its first call, and ``constants_report`` (stdlib scans
-# only) loads auxiliary.
+# code loads numpy on its first call, and ``blend_alpha_numeric`` and
+# ``constants_report`` (stdlib scans only) load auxiliary.
 np = _OnFirstUse("numpy", globals(), "np")
 auxiliary = _OnFirstUse(".auxiliary", globals(), "auxiliary")
 pickle = _OnFirstUse("pickle", globals(), "pickle")
@@ -189,12 +189,13 @@ def _bisect(fn, lo: float, hi: float) -> float:
 def blend_alpha_numeric() -> float:
     """The same constant recovered by root-finding, not by the closed form.
 
-    Bisects π - 3/(p²-p+1) (the t→∞ limit of the blend gap) on (1/2, 1) down
-    to adjacent doubles; the limit is strictly increasing there with a sign
-    change, so the bracket cannot fail.  Agrees with
-    :func:`blend_alpha_closed` to well under 1e-12.
+    Bisects the t→∞ limit of the blend gap,
+    :meth:`seiffert_bounds.auxiliary.BlendGapFamily.limit_at_infinity`
+    (π - 3/(p²-p+1)), on (1/2, 1) down to adjacent doubles; the limit is
+    strictly increasing there with a sign change, so the bracket cannot fail.
+    Agrees with :func:`blend_alpha_closed` to well under 1e-12.
     """
-    return _bisect(lambda p: math.pi - 3.0 / (p * p - p + 1.0), 0.5 + 1e-9, 1.0)
+    return _bisect(lambda p: auxiliary.BlendGapFamily(p).limit_at_infinity(), 0.5 + 1e-9, 1.0)
 
 
 def _count(name: str, value: int, least: int) -> int:

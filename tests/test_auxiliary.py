@@ -142,6 +142,29 @@ class TestChainPolynomials:
             with pytest.raises(DomainError):
                 fam.chain(2.0, level)
 
+    def test_level_must_be_an_integer(self):
+        # a bool or a float is no level, even where it equals one; a numpy
+        # integer is
+        fam = BlendGapFamily(0.8)
+        for level in (True, 1.0, 2.0, np.float64(3.0)):
+            with pytest.raises(DomainError):
+                fam.chain(3.0, level)
+            with pytest.raises(DomainError):
+                fam.chain_values([3.0], level)
+        assert fam.chain(3.0, np.int64(2)) == fam.chain(3.0, 2)
+        assert fam.chain_values([3.0, 7.0], np.int64(2)).tolist() == fam.chain_values([3.0, 7.0], 2).tolist()
+
+    @pytest.mark.parametrize("p", [0.8, SHARP])
+    def test_scalar_chain_beyond_the_float_power_range_warns_nothing(self, p):
+        # s⁴ raises OverflowError in floats; numpy's ±inf (or nan, where the
+        # two infinite terms meet) comes back without a RuntimeWarning
+        fam = BlendGapFamily(p)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = [fam.chain(t, 1) for t in (1e100, 1e200)]
+        assert values[0] == (-math.inf if p == 0.8 else math.inf)
+        assert not math.isfinite(values[1])
+
 
 class TestFamilyBasics:
     @pytest.mark.parametrize("p", [0.5, 0.4, 1.2, -1.0, math.nan])
@@ -194,27 +217,43 @@ class TestFamilyBasics:
                     ref = 4 * mp.atan((tm - 1) / (tm + 1)) - 3 * (tm * tm - 1) / q
                     assert abs(fam.gap(t) - float(ref)) < 1e-14 + 1e-13 * abs(float(ref))
 
-    def test_gap_values_match_two_branch_evaluation(self):
-        # the t >= 2 form over the whole array with the t < 2 entries
-        # overwritten equals picking each entry's branch from two full passes,
-        # up to the largest t whose square is finite
+    def test_gap_family_over_the_whole_double_range(self):
+        # one expression for every t: finite and warning-free up to the
+        # largest double, the float and array paths within one ulp of 4·atan
+        # (math.atan against np.arctan), the factorization still exact where
+        # Q(t) would overflow, and gap within 1e-15 of 50 digits at t - 1
+        # log-uniform from 1e-6 to 1e300
+        rng = np.random.default_rng(29)
+        sample = 1.0 + np.exp(rng.uniform(math.log(1e-6), math.log(1e300), 300))
         t = np.concatenate([
             1.0 + np.geomspace(1e-12, 1e12, 20_001),
             [2.0, np.nextafter(2.0, 0.0), np.nextafter(2.0, 3.0)],
             2.0 + np.linspace(-1e-6, 1e-6, 101),
             [1e150, SQUARE_EDGE],
+            np.geomspace(1e12, 1e308, 297), [1e200, np.finfo(float).max],
         ])
-        for p in (0.6, SHARP, 1.0):
+        for p in (0.6, 0.8, SHARP, 1.0):
             fam = BlendGapFamily(p)
-            w, m = p * p - p + 1.0, 1.0 + 2.0 * p * (1.0 - p)
-            s = t - 1.0
-            with np.errstate(over="ignore"):  # at the edge, discarded below
-                small = 4.0 * np.arctan(s / (t + 1.0)) - 3.0 * s * (t + 1.0) / fam.quadratic_form(t)
-            big = (
-                ((math.pi * w - 3.0) * t * t + math.pi * m * t + (math.pi * w + 3.0)) / fam.quadratic_form(t)
-                - 4.0 * np.arctan(1.0 / t)
-            )
-            assert np.array_equal(fam.gap_values(t), np.where(t >= 2.0, big, small))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                bulk = fam.gap_values(t)
+                scalar = np.array([fam.gap(x) for x in t.tolist()])
+                factor = fam.difference_factor(t)
+            assert np.all(np.isfinite(bulk)) and np.all(np.isfinite(factor)) and np.all(factor > 0.0)
+            assert np.max(np.abs(bulk - scalar)) <= 4.5e-16
+            for x in (1e200, float(np.finfo(float).max)):
+                lhs = means.blend_values(p, x, 1.0) - means.seiffert_values(x, 1.0)
+                rhs = float(fam.difference_factor(x)) * fam.gap(x)
+                assert abs(lhs - rhs) <= 1e-15 * means.seiffert_values(x, 1.0)
+            with mp.workdps(50):
+                pm = mp.mpf(p)
+                for x in sample.tolist():
+                    tm = mp.mpf(x)
+                    u1 = pm * tm + 1 - pm
+                    u2 = pm + (1 - pm) * tm
+                    q = u1 * u1 + u1 * u2 + u2 * u2
+                    ref = 4 * mp.atan((tm - 1) / (tm + 1)) - 3 * (tm * tm - 1) / q
+                    assert abs(fam.gap(x) - ref) <= 1e-15
 
     @pytest.mark.parametrize("p", [0.8, SHARP, 1.0])
     def test_gap_finite_where_t_squared_overflows(self, p):
