@@ -64,7 +64,6 @@ _EXPORTS = {
         "blend_alpha_numeric",
         "constants_report",
         "excess_ratio",
-        "excess_ratio_lower_margin",
         "excess_ratio_upper_margin",
         "ratio_grid_scan",
         "sample_ratios",

@@ -69,10 +69,9 @@ methods (``gap``, ``chain``), the ladder, the proof and
 Fractions, whose module the exact routines load on first use, so ``constants``
 (families and witness scans only) loads none.  numpy loads on the first call
 that works on arrays (``gap_values`` or ``chain_values`` on an array,
-``quadratic_form``, ``difference_factor``,
-:func:`derivative_identity_residual`).  ``gap`` and ``gap_values`` share the
-one expression above, evaluated with ``math.atan`` on a float and
-``np.arctan`` on an array.
+``difference_factor``, :func:`derivative_identity_residual`).  ``gap`` and
+``gap_values`` share the one expression above, evaluated with ``math.atan``
+on a float and ``np.arctan`` on an array.
 """
 
 from __future__ import annotations
@@ -97,13 +96,6 @@ __all__ = [
 
 np = _OnFirstUse("numpy", globals(), "np")
 fractions = _OnFirstUse("fractions", globals(), "fractions")
-
-
-def _quadratic_form(p, t):
-    """Q(t) at the blend parameter p (float or array t)."""
-    u1 = p * t + (1.0 - p)
-    u2 = p + (1.0 - p) * t
-    return u1 * u1 + u1 * u2 + u2 * u2
 
 
 def _gap_at(p, t, atan):
@@ -143,20 +135,6 @@ class BlendGapFamily(namedtuple("BlendGapFamily", "p")):
 
     # -- building blocks ----------------------------------------------------
 
-    def chain_coefficients(self) -> tuple[float, float, float]:
-        """(c₁, c₂, c₃) as printed above."""
-        p = self.p
-        base = 4 * p**4 - 8 * p**3
-        return (
-            base + 18 * p**2 - 14 * p + 1,
-            base + 9 * p**2 - 5 * p + 1,
-            base + 6 * p**2 - 2 * p + 1,
-        )
-
-    def quadratic_form(self, t):
-        """Q(t): the symmetric quadratic form of the blended pair (array-ok)."""
-        return _quadratic_form(self.p, np.asarray(t, dtype=float))
-
     def limit_at_infinity(self) -> float:
         """lim_{t→∞} gap(t) = π - 3/(p²-p+1)."""
         p = self.p
@@ -174,12 +152,8 @@ class BlendGapFamily(namedtuple("BlendGapFamily", "p")):
         returns the limit π - 3/(p²-p+1) within rounding.
         """
         if isinstance(t, float):
-            return self._gap(t)
+            return _gap_at(self.p, t, math.atan)
         return _gap_at(self.p, np.asarray(t, dtype=float), np.arctan)
-
-    def _gap(self, t: float) -> float:
-        """gap at a float t with math.atan, as :meth:`gap_values` computes it."""
-        return _gap_at(self.p, t, math.atan)
 
     def gap(self, t: float) -> float:
         """gap(t) for scalar t > 1 (domain-checked)."""

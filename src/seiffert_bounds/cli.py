@@ -22,8 +22,8 @@ off and ends the process with :func:`os._exit`, after the atexit handlers
 and the final flush, so that no fresh process pays for collections during
 numpy's import or for the interpreter's teardown.
 
-Only ``verify`` loads numpy: :mod:`seiffert_bounds.sharp` and the bulk
-twins of :mod:`seiffert_bounds.means` import it on the first call of a
+Only ``verify`` loads numpy: :mod:`seiffert_bounds.sharp` and the array
+paths of :mod:`seiffert_bounds.means` import it on the first call of a
 sweep.  ``eval``, ``series``, ``constants`` and ``certify`` compute with
 :mod:`math` on floats.  ``verify`` runs in one lane per CPU from
 ``sharp._LANE_MIN_SAMPLES`` (10⁶) samples per suite up, a single suite and
@@ -49,7 +49,7 @@ import os
 import sys
 
 from . import _OnFirstUse, means, sharp
-from .errors import BracketError, DomainError, RangeError
+from .errors import BracketError, DomainError
 
 __all__ = ["main", "run"]
 
@@ -250,7 +250,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
     family = auxiliary.BlendGapFamily(sharp.blend_alpha_closed())
     report = auxiliary.locate_critical_points(family)
     proof = auxiliary.ladder_proof()
-    gap_negative = all(family._gap(1.0 + s) < 0.0 for s in means._geomspace(1e-5, 1e8 - 1.0, 10**4))
+    gap_negative = all(family.gap_values(1.0 + s) < 0.0 for s in means._geomspace(1e-5, 1e8 - 1.0, 10**4))
     gap_at_big = family.gap(1e8)
     ok = (
         gap_negative
@@ -399,7 +399,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except _Parser.Done as done:
         return done.args[0]
-    except (argparse.ArgumentError, DomainError, RangeError) as exc:
+    except (argparse.ArgumentError, DomainError) as exc:  # a RangeError is a DomainError
         return _error(exc, 2)
     except BracketError as exc:
         return _error(exc, 1)

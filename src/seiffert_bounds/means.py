@@ -29,23 +29,24 @@ its larger (p > 0) or smaller (p < 0) entry for the same reason.
 
 ``t/arctan t`` is piecewise: the direct quotient beyond t = 1/2 and, up to
 it, ``1 + t²·r(t)`` from the exact-coefficient series of the excess ratio
-``r(t) = (t/arctan t - 1)/t²`` of :mod:`seiffert_bounds.sharp`.
+``r(t) = (t/arctan t - 1)/t²`` of :mod:`seiffert_bounds.sharp`.  One
+function, ``_ratio``, gives r, 1/3 - r and t/arctan t.
 
 The cores (``*_values``) take one pair of floats, without validation, and
 use only :mod:`math`, so evaluating a mean loads no numpy.  The public API
 takes a validated :class:`PositivePair` and goes through :func:`mean`, which
 looks the core up in :data:`MEANS`.
 
-Each core has a private bulk twin beside it, which the sweeps of
-:mod:`seiffert_bounds.sharp` run on whole numpy blocks, in the same order of
-operations: ``_profile`` (one function for floats and arrays, in place with
-``out``), the factors ``_*_factor`` and the r(t) kernel
-``_ratio_kernel``, the twin of the scalar ``_ratio`` (r, 1/3 - r and
-t/arctan t at one t).  The rational factors give the same bits on both
-paths, the Seiffert mean may differ by one ulp (``math.atan`` against
-``np.arctan``).  numpy loads on the first call of a twin, so importing this
-module loads none.  ``_ratio`` and ``_geomspace`` also serve the stdlib
-scans of ``constants`` and ``certify``.  All functions are pure.
+The sweeps of :mod:`seiffert_bounds.sharp` run the cores' steps on whole
+numpy blocks, in the same order of operations.  ``_profile`` and
+``_ratio`` serve floats and arrays alike (an array in place, with ``out``);
+each factor of the other means has a private bulk twin, ``_*_factor``,
+beside its core.  The rational factors and the series branch of r give the
+same bits on both paths; the direct quotient, and so the Seiffert mean, may
+differ by one ulp (``math.atan`` against ``np.arctan``).  numpy loads on
+the first call on an array, so importing this module loads none.
+``_ratio`` and ``_geomspace`` also serve the stdlib scans of ``constants``
+and ``certify``.  All functions are pure.
 """
 
 from __future__ import annotations
@@ -75,8 +76,8 @@ __all__ = [
     "power_values",
 ]
 
-# Imported on the first call of a bulk twin: importing this module, and
-# every scalar core, loads no numpy.  No mean or sweep divides Fractions, so
+# Imported on the first call on an array: importing this module, and every
+# scalar core, loads no numpy.  No mean or sweep divides Fractions, so
 # only ``excess_ratio_taylor`` loads fractions.
 np = _OnFirstUse("numpy", globals(), "np")
 fractions = _OnFirstUse("fractions", globals(), "fractions")
@@ -166,43 +167,51 @@ def _profile(a, b, out=None):
     return am, t
 
 
-def _ratio(t: float) -> tuple[float, float, float]:
+def _ratio_series(u):
+    """r, 1/3 - r and q = 1 + u·r from the series at u = t² (t up to the switch).
+
+    With the Horner tail Σ_{k>=1} coef[k]·u^{k-1}: 1/3 - r = -u·tail, r =
+    tail·u + coef[0] and q = r·u + 1.  A float or an array, with the same
+    operations in the same order; an array is updated in place, so the
+    Horner pass makes no temporary per step.
+    """
+    coeffs = _RATIO_COEFFS
+    tail = u * coeffs[-1]
+    tail += coeffs[-2]
+    for c in coeffs[-3:0:-1]:
+        tail *= u
+        tail += c
+    upper = -u * tail
+    tail *= u
+    tail += coeffs[0]
+    q = tail * u
+    q += 1.0
+    return tail, upper, q
+
+
+def _ratio(t, out=None):
     """r(t), the upper margin 1/3 - r(t) and q(t) = t/arctan t for t in [0, 1).
 
-    The scalar twin of :func:`_ratio_kernel`, in its order of operations:
-    beyond the switch all three come from the direct quotient q; up to it,
-    with u = t² and the Horner tail Σ_{k>=1} coef[k]·u^{k-1},
-    1/3 - r = -u·tail, r = tail·u + coef[0] and q = 1 + u·r.  So the series
-    branch gives the kernel's bits, and the direct one may differ by an ulp
-    (``math.atan`` against ``np.arctan``).
+    Beyond the switch all three come from the direct quotient q, up to it
+    from :func:`_ratio_series`.  A float takes :mod:`math` and loads no
+    numpy; NaN takes the series and gives NaN.  An array of any shape gives
+    three arrays of its shape: the direct quotient runs over the whole array
+    and the series then overwrites the subset up to the switch.
+    (Overwriting beats gathering the large-t subset: most sampled t lie
+    above the switch.)  So the series branch gives the same bits on both
+    paths, and the direct one may differ by an ulp (``math.atan`` against
+    ``np.arctan``).
+
+    ``out``, if given, is four float arrays shaped like a 1-d ``t`` that
+    receive t², r, 1/3 - r and q: a sweep passes one set for every block and
+    reads t² from the first.
     """
-    coeffs = _RATIO_COEFFS
-    if t > _SERIES_SWITCH:
-        q = t / math.atan(t)
-        r = (q - 1.0) / (t * t)
-        return r, coeffs[0] - r, q
-    u = t * t
-    tail = u * coeffs[-1] + coeffs[-2]
-    for c in coeffs[-3:0:-1]:
-        tail = tail * u + c
-    r = tail * u + coeffs[0]
-    return r, -u * tail, r * u + 1.0
-
-
-def _ratio_kernel(t, out=None):
-    """:func:`_ratio` on a numpy array: r(t), 1/3 - r(t) and q(t) = t/arctan t.
-
-    Any shape; all three arrays take the shape of ``t``.  ``out``, if given,
-    is four float arrays shaped like a 1-d ``t`` that receive t², r, 1/3 - r
-    and q: a sweep passes one set for every block and reads t² from the
-    first.
-
-    The direct quotient runs over the whole array and the series then
-    overwrites the subset up to the switch, with one in-place Horner pass
-    over that subset only.  (Overwriting beats gathering the large-t subset:
-    most sampled t lie above the switch.)
-    """
-    coeffs = _RATIO_COEFFS
+    if isinstance(t, float):
+        if t > _SERIES_SWITCH:
+            q = t / math.atan(t)
+            r = (q - 1.0) / (t * t)
+            return r, _RATIO_COEFFS[0] - r, q
+        return _ratio_series(t * t)
     shape = np.shape(t)
     t = np.reshape(t, -1)
     tt, r, upper, q = (np.empty(t.shape) for _ in range(4)) if out is None else out
@@ -212,21 +221,9 @@ def _ratio_kernel(t, out=None):
         np.divide(t, np.arctan(t, out=q), out=q)
         np.subtract(q, 1.0, out=r)
         r /= tt
-    np.subtract(coeffs[0], r, out=upper)
+    np.subtract(_RATIO_COEFFS[0], r, out=upper)
     small = np.flatnonzero(t <= _SERIES_SWITCH)
-    u = tt[small]
-    tail = u * coeffs[-1]
-    tail += coeffs[-2]
-    for c in coeffs[-3:0:-1]:
-        tail *= u
-        tail += c
-    upper[small] = -u * tail
-    tail *= u
-    tail += coeffs[0]
-    r[small] = tail
-    tail *= u
-    tail += 1.0
-    q[small] = tail
+    r[small], upper[small], q[small] = _ratio_series(tt[small])
     return r.reshape(shape), upper.reshape(shape), q.reshape(shape)
 
 

@@ -26,9 +26,10 @@ and it compares raw double-precision means only for t >= 1e-3, where their
 true slack (~t⁴ for the theorems) exceeds one ulp of the means.  Margins
 near the limits are evaluated through series forms that stay fully accurate,
 e.g. 1/3 - r(t) = (4/45)t² - (44/945)t⁴ + … obtained by exact long division
-of the arctan series.  That piecewise r(t) kernel lives in :mod:`seiffert_bounds.means`
-beside its scalar twin, as do the profile and the factors of the other means;
-the Seiffert mean of a block is A times its q = t/arctan t.
+of the arctan series.  That piecewise r(t), one function for floats and
+arrays, lives in :mod:`seiffert_bounds.means`, as do the profile and the
+factors of the other means; the Seiffert mean of a block is A times its
+q = t/arctan t.
 
 Sampling is log-uniform in a/b over (1, ratio_max] plus deterministic
 near-boundary points {1+10⁻ᵏ} and {10⁺ᵏ} up to ratio_max: sharpness lives at
@@ -92,7 +93,7 @@ from collections.abc import Callable
 
 from . import _OnFirstUse, means
 from .errors import BracketError, DomainError
-from .means import _geomspace, _ratio, _ratio_kernel
+from .means import _geomspace, _ratio
 
 __all__ = [
     "RATIO_LOWER",
@@ -101,7 +102,6 @@ __all__ = [
     "blend_alpha_numeric",
     "excess_ratio",
     "excess_ratio_upper_margin",
-    "excess_ratio_lower_margin",
     "ratio_grid_scan",
     "sample_ratios",
     "VerificationResult",
@@ -145,7 +145,7 @@ def _on_profile(t, pick):
     if arr.size and not np.all((arr > 0.0) & (arr < 1.0)):
         bad = arr[~((arr > 0.0) & (arr < 1.0))].ravel()
         raise DomainError(f"t must lie in (0, 1), got e.g. {bad[:3]}")
-    out = pick(*_ratio_kernel(arr)[:2])
+    out = pick(*_ratio(arr)[:2])
     return float(out) if np.isscalar(t) or arr.ndim == 0 else out
 
 
@@ -161,11 +161,6 @@ def excess_ratio(t):
 def excess_ratio_upper_margin(t):
     """1/3 - r(t), strictly positive on (0, 1), fully accurate as t→0⁺."""
     return _on_profile(t, lambda r, upper: upper)
-
-
-def excess_ratio_lower_margin(t):
-    """r(t) - (4/π - 1), strictly positive on (0, 1), → 0 as t→1⁻."""
-    return _on_profile(t, lambda r, upper: r - RATIO_LOWER)
 
 
 def blend_alpha_closed() -> float:
@@ -327,7 +322,7 @@ def _ratio_blocks(seed: int, n: int, ratio_max: float, start: int, stop: int, wo
         t, tt, r, upper, q, *pool = (row[: len(x)] for row in work[1:])
         np.subtract(x, 1.0, out=t)
         t /= np.add(x, 1.0, out=tt)
-        shared = (tt, *_ratio_kernel(t, out=(tt, r, upper, q)))
+        shared = (tt, *_ratio(t, out=(tt, r, upper, q)))
         yield x, t, shared, pool, [row[: len(x)] for row in bits]
 
 
@@ -655,7 +650,7 @@ def ratio_grid_scan(n: int = 10**6, t_min: float = 1e-7, t_max: float = 1.0 - 1e
         raise DomainError("need 0 < t_min < t_max < 1")
     n = _count("n", n, 2)
     grid = np.linspace(t_min, t_max, n)
-    vals = _ratio_kernel(grid)[0]
+    vals = _ratio(grid)[0]
     diffs = np.diff(vals)
     return {
         "inf": float(vals[-1]),

@@ -127,14 +127,14 @@ class TestVerify:
         # one sample; min(a, nan) is a, so the NaN must come through either way
         from seiffert_bounds import sharp
 
-        original = sharp._ratio_kernel
+        original = sharp._ratio
 
         def planted(t, **kw):
             rows = original(t, **kw)
             rows[row][len(t) // 3] = math.nan
             return rows
 
-        monkeypatch.setattr(sharp, "_ratio_kernel", planted)
+        monkeypatch.setattr(sharp, "_ratio", planted)
         code, out, _ = run_cli(capsys, "verify", "thm2", "--samples", "3000", "--format", "csv")
         assert code == 1
         (report,) = csv.DictReader(io.StringIO(out))

@@ -17,7 +17,6 @@ from seiffert_bounds import (
     blend_alpha_numeric,
     constants_report,
     excess_ratio,
-    excess_ratio_lower_margin,
     excess_ratio_taylor,
     excess_ratio_upper_margin,
     mean,
@@ -106,7 +105,7 @@ class TestExcessRatio:
 
     def test_margins_positive_and_consistent(self):
         for t in (1e-9, 1e-4, 0.3, 0.9, 1.0 - 1e-9):
-            um, lm = excess_ratio_upper_margin(t), excess_ratio_lower_margin(t)
+            um, lm = excess_ratio_upper_margin(t), excess_ratio(t) - RATIO_LOWER
             assert um > 0.0 and lm > 0.0
             assert um + lm == pytest.approx(RATIO_UPPER - RATIO_LOWER, rel=1e-12)
 
@@ -331,7 +330,7 @@ class TestConstantsReport:
         from seiffert_bounds import means
 
         def r(t):
-            return means._ratio_kernel(np.array(t))[0]
+            return means._ratio(np.array(t))[0]
 
         reports = {rep.name: rep for rep in constants_report()}
         r_small = r(means._geomspace(1e-8, 1e-2, 400))

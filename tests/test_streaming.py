@@ -77,7 +77,7 @@ def test_report_independent_of_block_size_at_the_default_block(monkeypatch, case
 def test_chain_tie_in_a_later_block_is_its_witness(monkeypatch):
     # T planted equal to A at one sample of the second block (r = 0 there,
     # so (T - A)/A = t²·r is 0): the chain's left slack must fail there
-    original = sharp._ratio_kernel
+    original = sharp._ratio
     planted = {}
 
     def tied(t, **kw):
@@ -89,7 +89,7 @@ def test_chain_tie_in_a_later_block_is_its_witness(monkeypatch):
             r[i] = 0.0
         return r, upper, q
 
-    monkeypatch.setattr(sharp, "_ratio_kernel", tied)
+    monkeypatch.setattr(sharp, "_ratio", tied)
     n = 2 * sharp._BLOCK + 7
     res = verify_ordering_chain(n, seed=5)
     assert not res.passed
@@ -105,7 +105,7 @@ def test_chain_tie_in_a_later_block_is_its_witness(monkeypatch):
 def test_nan_margin_is_its_witness(monkeypatch, case, side):
     # r(t) planted NaN at one sample: a margin that is not positive fails,
     # NaN included, and names that sample
-    original = sharp._ratio_kernel
+    original = sharp._ratio
     planted = {}
 
     def nan_at_one(t, **kw):
@@ -115,7 +115,7 @@ def test_nan_margin_is_its_witness(monkeypatch, case, side):
         r[i] = math.nan
         return r, upper, q
 
-    monkeypatch.setattr(sharp, "_ratio_kernel", nan_at_one)
+    monkeypatch.setattr(sharp, "_ratio", nan_at_one)
     fn, kw = CASES[case]
     res = fn(2_989, seed=2, **kw)
     assert res.n_samples == 3_007
@@ -186,13 +186,13 @@ class TestUnchangedStream:
 
 def _inflated_seiffert(monkeypatch, factor):
     # the suites build the raw Seiffert mean as A·q from the kernel's q
-    original = sharp._ratio_kernel
+    original = sharp._ratio
 
     def inflated(t, **kw):
         r, upper, q = original(t, **kw)
         return r, upper, q * factor
 
-    monkeypatch.setattr(sharp, "_ratio_kernel", inflated)
+    monkeypatch.setattr(sharp, "_ratio", inflated)
 
 
 class TestFirstBroken:
@@ -270,7 +270,7 @@ class TestRawMeanWitness:
         x = w["ratio"]
         contra, arith = means.contra_harmonic_values(x, 1.0), (x + 1.0) / 2.0
         upper_mean = RATIO_UPPER * contra + (1.0 - RATIO_UPPER) * arith
-        q = means._ratio_kernel(means._profile(x, 1.0)[1])[2]
+        q = means._ratio(means._profile(x, 1.0)[1])[2]
         assert w["lhs"] == float(arith * (q * (1.0 + 1e-9)))
         assert w["lhs"] >= w["rhs"]
         assert w["rhs"] == pytest.approx(float(upper_mean), rel=1e-15)
@@ -353,7 +353,7 @@ class TestWorkOncePerBlock:
     def test_kernel_and_seiffert_core_once(self, monkeypatch, fn):
         # the Seiffert mean is A times the kernel's q
         monkeypatch.setattr(sharp, "_BLOCK", SMALL_BLOCK)
-        kernel = _counting(monkeypatch, sharp, "_ratio_kernel")
+        kernel = _counting(monkeypatch, sharp, "_ratio")
         res = fn(self.N, seed=2)
         assert res.passed
         assert len(kernel) == 4
@@ -408,7 +408,7 @@ def test_block_profile_means_equal_the_cores(monkeypatch):
         assert np.array_equal(am * means._blend_factor(p, t), cores(means.blend_values, p))
     # the sweeps take t² from the kernel pass
     tt, *rest = np.empty((4, len(t)))
-    q = means._ratio_kernel(t, out=(tt, *rest))[2]
+    q = means._ratio(t, out=(tt, *rest))[2]
     assert np.array_equal(tt, t * t)
     assert np.array_equal(am * means._contra_harmonic_factor(tt), cores(means.contra_harmonic_values))
     assert np.array_equal(am * means._root_square_factor(tt), cores(means.root_square_values))
@@ -447,7 +447,7 @@ class TestRatioKernel:
             tail = tail * u + c
         direct = (t / np.arctan(t) - 1.0) / (t * t)
         small = t <= 0.5
-        r, upper, q = means._ratio_kernel(t)
+        r, upper, q = means._ratio(t)
         assert np.array_equal(r, np.where(small, series, direct))
         assert np.array_equal(upper, np.where(small, -u * tail, RATIO_UPPER - direct))
         # q = t/arctan t is 1 + u·r(t) below the switch
@@ -459,21 +459,25 @@ class TestRatioKernel:
         exact = means.excess_ratio_taylor(32)
         assert [c.hex() for c in means._RATIO_COEFFS] == [float(c).hex() for c in exact]
 
-    def test_scalar_twin_takes_the_same_steps(self):
-        # means._ratio, behind the stdlib scans, is the kernel pass on one
-        # float: the series branch bit for bit, and the direct one too
-        # wherever math.atan and np.arctan round t/arctan t alike (q within
-        # 1 ulp everywhere)
+    def test_ratio_takes_the_same_steps_on_floats_and_arrays(self):
+        # means._ratio on one float, behind the stdlib scans, takes the steps
+        # of its array pass: the series branch bit for bit, down to the
+        # smallest subnormal and past 1e-160, where t² underflows to 0, and
+        # the direct one too wherever math.atan and np.arctan round
+        # t/arctan t alike (q within 1 ulp everywhere, 1 - 2⁻⁵³ included);
+        # NaN gives NaN on both paths
         t = np.concatenate([
-            [0.0], np.geomspace(1e-12, 0.5, 2_000), np.linspace(0.5, 1.0 - 1e-12, 2_000),
-            0.5 + np.arange(-8, 9) * np.spacing(0.5),
+            [0.0, 5e-324, 1e-160], np.geomspace(1e-12, 0.5, 2_000), np.linspace(0.5, 1.0 - 1e-12, 2_000),
+            0.5 + np.arange(-8, 9) * np.spacing(0.5), [1.0 - 2.0**-53, math.nan],
         ])
-        bulk = means._ratio_kernel(t)
+        bulk = means._ratio(t)
         scalar = np.array([means._ratio(x) for x in t.tolist()]).T
+        nan = np.isnan(t)
         series = t <= 0.5
         for b, s in zip(bulk, scalar):
             assert np.array_equal(b[series], s[series])
-        assert np.all(np.abs(bulk[2] - scalar[2]) <= np.spacing(bulk[2]))
+            assert np.isnan(b[nan]).all() and np.isnan(s[nan]).all()
+        assert np.all(np.abs(bulk[2] - scalar[2])[~nan] <= np.spacing(bulk[2][~nan]))
         same_q = bulk[2] == scalar[2]
         assert np.count_nonzero(same_q & ~series) > 1_000
         for b, s in zip(bulk, scalar):
@@ -492,11 +496,11 @@ class TestRatioKernel:
 
     def test_scalar_and_shaped_input(self):
         grid = np.array([[0.1, 0.6], [0.3, 0.9]])
-        parts = means._ratio_kernel(grid)
-        for flat, part in zip(means._ratio_kernel(grid.ravel()), parts):
+        parts = means._ratio(grid)
+        for flat, part in zip(means._ratio(grid.ravel()), parts):
             assert part.shape == (2, 2)
             assert np.array_equal(part.ravel(), flat)
-        assert means._ratio_kernel(0.3)[2] == parts[2][1, 0]
+        assert means._ratio(0.3)[2] == parts[2][1, 0]
         vals = sharp.excess_ratio(grid)
         assert vals.shape == (2, 2)
         assert vals[1, 0] == sharp.excess_ratio(0.3)
@@ -558,7 +562,7 @@ def _shared(n, cpus, seed, ratio_max, keywords):
 
 def _plant_nan(monkeypatch, x_at):
     """r(t) reads NaN at the sample with ratio ``x_at``, in every pass."""
-    original = sharp._ratio_kernel
+    original = sharp._ratio
     t_at = (x_at - 1.0) / (x_at + 1.0)
 
     def planted(t, **kw):
@@ -566,7 +570,7 @@ def _plant_nan(monkeypatch, x_at):
         r[t == t_at] = math.nan
         return r, upper, q
 
-    monkeypatch.setattr(sharp, "_ratio_kernel", planted)
+    monkeypatch.setattr(sharp, "_ratio", planted)
 
 
 class TestRangeMerge:
@@ -673,7 +677,7 @@ class TestSharedPass:
     def test_one_draw_and_one_kernel_pass_per_block(self, monkeypatch):
         monkeypatch.setattr(sharp, "_BLOCK", SMALL_BLOCK)
         draws = _counting(monkeypatch, sharp, "sample_ratios")
-        kernel = _counting(monkeypatch, sharp, "_ratio_kernel")
+        kernel = _counting(monkeypatch, sharp, "_ratio")
         arctan = _counting(monkeypatch, np, "arctan")
         _, _, shared = _shared(self.N, 1, 2, 1e8, {})
         assert all(r.passed for r in shared)
