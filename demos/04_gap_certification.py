@@ -11,13 +11,10 @@ points 1 < t0 < t1 < t2 < t3 that force that shape, and a few exact
 rational facts prove it.
 """
 
-import numpy as np
-
 from seiffert_bounds import (
     BlendGapFamily,
     blend_alpha_closed,
     counterexample_witness,
-    derivative_identity_residual,
     ladder_proof,
     locate_critical_points,
 )
@@ -38,10 +35,6 @@ print(f"  t1 = {report.t1:.12f}   (chain_3 sign change; chain_2 turns here)")
 print(f"  t2 = {report.t2:.12f}   (chain_2 sign change; chain_1 turns here)")
 print(f"  t3 = {report.t3:.12f}   (chain_1 sign change; gap minimum)")
 print(f"  max root residual = {max(report.residuals):.2e}")
-
-grid = np.geomspace(1.0001, 50.0, 100)
-resid = derivative_identity_residual(fam, grid)
-print(f"\nexact identity gap' * Q^2(1+t^2) = chain_1 on 100 points: residual {resid}")
 
 proof = ladder_proof()
 lo, hi = proof["pi_bounds"]

@@ -19,16 +19,7 @@ __version__ = "0.1.0"
 #: and no numpy until a name that needs it is read.
 _EXPORTS = {
     "errors": ("BracketError", "DomainError", "RangeError"),
-    "means": (
-        "MEANS",
-        "PositivePair",
-        "blend_mean",
-        "centroidal_mean",
-        "excess_ratio_taylor",
-        "mean",
-        "power_mean",
-        "seiffert_mean",
-    ),
+    "means": ("MEANS", "PositivePair", "excess_ratio_taylor", "mean"),
     "series": (
         "N_MAX",
         "BernoulliTable",
@@ -49,7 +40,6 @@ _EXPORTS = {
         "CounterexampleWitness",
         "CriticalPointReport",
         "counterexample_witness",
-        "derivative_identity_residual",
         "ladder_proof",
         "locate_critical_points",
     ),

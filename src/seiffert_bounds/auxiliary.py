@@ -7,7 +7,7 @@ For a blend parameter p in (1/2, 1] and the normalized pair (t, 1), t > 1, let
 
 The blend/Seiffert difference factorizes through it:
 
-    blend_mean(p,(t,1)) - seiffert_mean((t,1)) = difference_factor(t)·gap(t)
+    blend_values(p, t, 1) - seiffert_values(t, 1) = difference_factor(t)·gap(t)
 
 with ``difference_factor = Q / (6(1+t)·arctan((t-1)/(t+1))) > 0`` on t > 1, so
 the sign of ``gap`` decides the inequality.  gap(1⁺) = 0 and
@@ -67,28 +67,27 @@ Importing this module loads no numpy and no :mod:`fractions`.  The scalar
 methods (``gap``, ``chain``), the ladder, the proof and
 :func:`counterexample_witness` compute on floats with :mod:`math` or on
 Fractions, whose module the exact routines load on first use, so ``constants``
-(families and witness scans only) loads none.  numpy loads on the first call
-that works on arrays (``gap_values`` or ``chain_values`` on an array,
-``difference_factor``, :func:`derivative_identity_residual`).  ``gap`` and
-``gap_values`` share the one expression above, evaluated with ``math.atan``
-on a float and ``np.arctan`` on an array.
+(families and witness scans only) loads none.  The witness scans take both
+means from the float cores of :mod:`seiffert_bounds.means`
+(``blend_values``, ``seiffert_values``).  numpy loads on the first call that
+works on arrays (``gap_values`` or ``chain_values`` on an array,
+``difference_factor``).  ``gap`` and ``gap_values`` share the one expression
+above, evaluated with ``math.atan`` on a float and ``np.arctan`` on an array.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 from collections import namedtuple
 
 from . import _OnFirstUse
-from .errors import BracketError, DomainError
-from .means import _geomspace, _profile, _ratio
+from .errors import BracketError, DomainError, _is_integer
+from .means import _geomspace, _profile, blend_values, seiffert_values
 
 __all__ = [
     "BlendGapFamily",
     "CriticalPointReport",
     "CounterexampleWitness",
-    "derivative_identity_residual",
     "ladder_proof",
     "locate_critical_points",
     "counterexample_witness",
@@ -187,8 +186,7 @@ class BlendGapFamily(namedtuple("BlendGapFamily", "p")):
                 return float(self.chain_values(float(t), level))
 
     def _chain(self, t, level: int):
-        # an integer as in series._check_order: a numpy integer will do, a bool or 1.0 will not
-        if isinstance(level, bool) or not isinstance(level, numbers.Integral) or not 1 <= level <= 4:
+        if not _is_integer(level) or not 1 <= level <= 4:
             raise DomainError(f"chain level must be an integer in 1..4, got {level!r}")
         return _shifted_chain(t - 1.0, self.p * self.p - self.p, level)
 
@@ -220,20 +218,6 @@ def _identity_residual(p: fractions.Fraction, t: fractions.Fraction) -> fraction
     dq = (2 * u1 + u2) * p + (u1 + 2 * u2) * (1 - p)
     lhs = 4 * q * q - 3 * (1 + t * t) * (2 * t * q - (t * t - 1) * dq)
     return lhs - _shifted_chain(t - 1, p * p - p, 1)
-
-
-def derivative_identity_residual(family: BlendGapFamily, grid) -> float:
-    """Max |gap'(t)·Q(t)²(1+t²) - chain₁(t)| over the grid.
-
-    Both sides are evaluated exactly in rational arithmetic at the family's p
-    and each grid point, so the result is exactly 0.0 when the identity holds.
-    The grid must be non-empty with every point finite and > 1.
-    """
-    t = np.asarray(grid, dtype=float).ravel()
-    if t.size == 0 or not np.all(np.isfinite(t) & (t > 1.0)):
-        raise DomainError("grid must be non-empty with every point finite and > 1")
-    p = fractions.Fraction(family.p)
-    return float(max(abs(_identity_residual(p, fractions.Fraction(x))) for x in t.tolist()))
 
 
 def locate_critical_points(family: BlendGapFamily) -> CriticalPointReport:
@@ -304,10 +288,10 @@ def counterexample_witness(p: float, side: str) -> CounterexampleWitness:
       p up to about 1 - 1.3e-8; closer to 1 the scan raises BracketError.
 
     Each scan walks a geometric grid of ratios one float at a time, with the
-    means' profile and ``t/arctan t`` from :mod:`seiffert_bounds.means`, and
-    stops at the first violation.  The witness carries both mean values so
-    the violated inequality can be re-checked directly.  A failed search
-    raises :class:`BracketError`.
+    blend and Seiffert cores of :mod:`seiffert_bounds.means`, and stops at the
+    first violation.  The witness carries both mean values so the violated
+    inequality can be re-checked directly.  A failed search raises
+    :class:`BracketError`.
     """
     if side == "above_alpha":
         family = BlendGapFamily(p)
@@ -324,13 +308,8 @@ def counterexample_witness(p: float, side: str) -> CounterexampleWitness:
     else:
         raise DomainError(f"unknown side {side!r}")
 
-    # the blend mean multiplies the profile t of the pair (x, 1) by 2p-1
-    k = 2.0 * float(p) - 1.0
     for x in ts:
-        am, t = _profile(x, 1.0)
-        s = t * k
-        blend = am * (s * s / 3.0 + 1.0)
-        seif = am * _ratio(t)[2]
+        blend, seif = blend_values(float(p), x, 1.0), seiffert_values(x, 1.0)
         if blend > seif if side == "above_alpha" else seif - blend >= 4.0 * math.ulp(blend):
             return CounterexampleWitness(side=side, t=x, blend_value=blend, seiffert_value=seif)
     raise BracketError(f"no witness found on the {side} scan up to t={ts[-1]:.3g}")

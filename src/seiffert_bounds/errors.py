@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer rule that
+their argument checks apply."""
+
+import numbers
 
 __all__ = ["BracketError", "DomainError", "RangeError"]
 
@@ -18,3 +21,9 @@ class BracketError(RuntimeError):
     empty; it signals either a numerical bug or a violated structural claim,
     and is therefore never silently swallowed.
     """
+
+
+def _is_integer(value) -> bool:
+    """A :class:`numbers.Integral` that is not a bool: a numpy integer will do,
+    a bool or 1.0 will not."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)

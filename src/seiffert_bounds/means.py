@@ -33,9 +33,9 @@ it, ``1 + t²·r(t)`` from the exact-coefficient series of the excess ratio
 function, ``_ratio``, gives r, 1/3 - r and t/arctan t.
 
 The cores (``*_values``) take one pair of floats, without validation, and
-use only :mod:`math`, so evaluating a mean loads no numpy.  The public API
-takes a validated :class:`PositivePair` and goes through :func:`mean`, which
-looks the core up in :data:`MEANS`.
+use only :mod:`math`, so evaluating a mean loads no numpy.  The one public
+entry, :func:`mean`, takes a validated :class:`PositivePair` and looks the
+core up in :data:`MEANS`.
 
 The sweeps of :mod:`seiffert_bounds.sharp` run the cores' steps on whole
 numpy blocks, in the same order of operations.  ``_profile`` and
@@ -46,7 +46,8 @@ same bits on both paths; the direct quotient, and so the Seiffert mean, may
 differ by one ulp (``math.atan`` against ``np.arctan``).  numpy loads on
 the first call on an array, so importing this module loads none.
 ``_ratio`` and ``_geomspace`` also serve the stdlib scans of ``constants``
-and ``certify``.  All functions are pure.
+and ``certify``, and the Seiffert and blend cores the witness scans of
+:mod:`seiffert_bounds.auxiliary`.  All functions are pure.
 """
 
 from __future__ import annotations
@@ -61,10 +62,6 @@ __all__ = [
     "MEANS",
     "PositivePair",
     "mean",
-    "seiffert_mean",
-    "centroidal_mean",
-    "power_mean",
-    "blend_mean",
     "excess_ratio_taylor",
     "seiffert_values",
     "centroidal_values",
@@ -398,30 +395,3 @@ def mean(name: str, pair: PositivePair, param: float | None = None) -> float:
     if not (math.isfinite(param) and 0.5 <= param <= 1.0):
         raise DomainError(f"blend parameter must lie in [1/2, 1], got {param!r}")
     return float(fn(param, pair.a, pair.b))
-
-
-def seiffert_mean(pair: PositivePair) -> float:
-    """Seiffert mean ``(a-b) / (2 arctan((a-b)/(a+b)))``, = a on the diagonal.
-
-    Lies strictly between the arithmetic and root-square means for a != b.
-    """
-    return mean("seiffert", pair)
-
-
-def centroidal_mean(pair: PositivePair) -> float:
-    """Centroidal mean ``2(a² + ab + b²) / (3(a+b))``."""
-    return mean("centroidal", pair)
-
-
-def power_mean(pair: PositivePair, p: float) -> float:
-    """p-th power mean, continuous and strictly increasing in p; M_0 = G."""
-    return mean("power", pair, p)
-
-
-def blend_mean(x: float, pair: PositivePair) -> float:
-    """Blend mean J(x): centroidal mean of (xa+(1-x)b, xb+(1-x)a).
-
-    Requires 1/2 <= x <= 1.  J(1/2) = A(a,b) and J(1) = Cbar(a,b); J is
-    continuous and strictly increasing on [1/2, 1] for a != b.
-    """
-    return mean("blend", pair, x)

@@ -36,11 +36,10 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from collections import namedtuple
 from fractions import Fraction
 
-from .errors import DomainError, RangeError
+from .errors import DomainError, RangeError, _is_integer
 
 __all__ = [
     "N_MAX",
@@ -289,8 +288,8 @@ def truncated_series(kind: str, order: int, radius: float | None = None) -> Trun
 
 
 def _check_order(n: int, *, what: str) -> int:
-    """``n`` as an int in [1, N_MAX]: a numpy integer will do, a bool will not."""
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+    """``n`` as an int in [1, N_MAX]."""
+    if not _is_integer(n):
         raise RangeError(f"{what} must be an integer, got {n!r}")
     if not 1 <= n <= N_MAX:
         raise RangeError(f"{what} must lie in [1, {N_MAX}], got {n}")

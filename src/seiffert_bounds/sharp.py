@@ -86,13 +86,12 @@ from __future__ import annotations
 import _thread
 import functools
 import math
-import numbers
 import os
 from collections import namedtuple
 from collections.abc import Callable
 
 from . import _OnFirstUse, means
-from .errors import BracketError, DomainError
+from .errors import BracketError, DomainError, _is_integer
 from .means import _geomspace, _ratio
 
 __all__ = [
@@ -194,8 +193,8 @@ def blend_alpha_numeric() -> float:
 
 
 def _count(name: str, value: int, least: int) -> int:
-    """``value`` as an int of at least ``least``: a numpy integer will do, a bool will not."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+    """``value`` as an int of at least ``least``."""
+    if not _is_integer(value) or value < least:
         raise DomainError(f"{name} must be an integer >= {least}, got {value!r}")
     return int(value)
 
@@ -245,7 +244,9 @@ def sample_ratios(
     rng.random(out=drawn)
     drawn *= math.log(ratio_max)
     np.exp(drawn, out=drawn)
-    np.clip(drawn, 1.0 + 1e-12, ratio_max, out=drawn)
+    # exp rounds the smallest draws to 1: they take the next double up, which
+    # no valid ratio_max lies below
+    np.clip(drawn, 1.0 + 2.0**-52, ratio_max, out=drawn)
     x[n:] = extra
     return x
 

@@ -184,7 +184,7 @@ def test_criterion_9_near_diagonal_stability():
     """Seiffert value at |a-b|/(a+b) = 1e-12 matches the 100-digit oracle."""
     t = 1e-12
     a = (1.0 + t) / (1.0 - t)
-    got = sb.seiffert_mean(sb.PositivePair(a, 1.0))
+    got = sb.mean("seiffert", sb.PositivePair(a, 1.0))
     ref = oracle.seiffert(a, 1.0, dps=100)
     rel = abs((got - ref) / ref)
     _report(

@@ -14,7 +14,6 @@ from seiffert_bounds import (
     DomainError,
     blend_alpha_closed,
     counterexample_witness,
-    derivative_identity_residual,
     ladder_proof,
     locate_critical_points,
 )
@@ -311,34 +310,10 @@ class TestFactorization:
 
 
 class TestDerivativeIdentity:
-    @pytest.mark.parametrize("p", [0.8, 1.0, SHARP])
-    def test_residual_contract(self, p):
-        fam = BlendGapFamily(p)
-        grid = np.geomspace(1.0001, 50.0, 100)
-        assert derivative_identity_residual(fam, grid) <= 1e-6
-        assert derivative_identity_residual(fam, grid) == 0.0
-
-    def test_near_diagonal_points(self):
-        fam = BlendGapFamily(SHARP)
-        grid = np.geomspace(1.001, 1.1, 50)
-        assert derivative_identity_residual(fam, grid) <= 1e-6
-        assert derivative_identity_residual(fam, grid) == 0.0
-
-    def test_grid_validation(self):
-        fam = BlendGapFamily(0.8)
-        for grid in ([], [math.nan, 2.0], [1.0, 2.0], [2.0, 0.5], [2.0, math.inf]):
-            with pytest.raises(DomainError):
-                derivative_identity_residual(fam, grid)
-
-    def test_points_next_to_one_are_valid(self):
-        # exact evaluation has no step to cross t = 1
-        assert derivative_identity_residual(BlendGapFamily(0.8), [1.0000001, 2.0]) == 0.0
-
     def test_wrong_chain_is_caught(self, monkeypatch):
         # a chain₁ off by s⁴ (its leading coefficient off by one) breaks the identity
         chain = auxiliary._shifted_chain
         monkeypatch.setattr(auxiliary, "_shifted_chain", lambda s, u, level: chain(s, u, level) + s**4)
-        assert derivative_identity_residual(BlendGapFamily(SHARP), [2.0]) > 0.0
         assert ladder_proof()["identity_exact"] is False
 
 

@@ -8,15 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seiffert_bounds import (
-    DomainError,
-    PositivePair,
-    blend_mean,
-    centroidal_mean,
-    mean,
-    power_mean,
-    seiffert_mean,
-)
+from seiffert_bounds import DomainError, PositivePair, mean
 from seiffert_bounds import means, oracle
 
 # Frozen from the high-precision oracles (mpmath, 60 digits, rounded to double).
@@ -30,19 +22,19 @@ def test_frozen_value_matches_oracle():
 
 class TestSeiffert:
     def test_diagonal_extension(self):
-        assert seiffert_mean(PositivePair(1.0, 1.0)) == 1.0
-        assert seiffert_mean(PositivePair(3.7, 3.7)) == 3.7
+        assert mean("seiffert", PositivePair(1.0, 1.0)) == 1.0
+        assert mean("seiffert", PositivePair(3.7, 3.7)) == 3.7
 
     def test_example_1_3(self):
-        assert seiffert_mean(PositivePair(1, 3)) == pytest.approx(SEIFFERT_1_3, rel=1e-15)
+        assert mean("seiffert", PositivePair(1, 3)) == pytest.approx(SEIFFERT_1_3, rel=1e-15)
 
     def test_symmetry_example(self):
-        assert seiffert_mean(PositivePair(3, 1)) == pytest.approx(
-            seiffert_mean(PositivePair(1, 3)), rel=1e-15
+        assert mean("seiffert", PositivePair(3, 1)) == pytest.approx(
+            mean("seiffert", PositivePair(1, 3)), rel=1e-15
         )
 
     def test_between_arguments(self):
-        v = seiffert_mean(PositivePair(2, 5))
+        v = mean("seiffert", PositivePair(2, 5))
         assert 2 < v < 5
 
     @pytest.mark.parametrize("bad", [(0.0, 1.0), (-1.0, 2.0), (math.nan, 1.0), (math.inf, 1.0), (1.0, -3.0)])
@@ -54,7 +46,7 @@ class TestSeiffert:
         # relative agreement <= 1e-12 down to |a-b|/(a+b) = 1e-14
         for t in 10.0 ** np.linspace(-14, -3, 34):
             a = (1.0 + t) / (1.0 - t)
-            got = seiffert_mean(PositivePair(a, 1.0))
+            got = mean("seiffert", PositivePair(a, 1.0))
             ref = oracle.seiffert(a, 1.0, dps=100)
             assert abs((got - ref) / ref) < 1e-12
 
@@ -62,10 +54,10 @@ class TestSeiffert:
         # a = 3b puts t = (a-b)/(a+b) on the kernel's series/quotient switch at 1/2
         below, above = PositivePair(3.0, 1.0), PositivePair(math.nextafter(3.0, 4.0), 1.0)
         assert means._profile(below.a, below.b)[1] == 0.5 < means._profile(above.a, above.b)[1]
-        lo = seiffert_mean(below)
-        hi = seiffert_mean(above)
+        lo = mean("seiffert", below)
+        hi = mean("seiffert", above)
         assert lo == pytest.approx(hi, rel=1e-13)
-        assert seiffert_mean(PositivePair(1.0, 1.0)) == 1.0
+        assert mean("seiffert", PositivePair(1.0, 1.0)) == 1.0
 
 
 @pytest.mark.parametrize("a", [5e-324, 1.5e-323, 2.2250738585072014e-308, 1.0, 3.7, 1.7976931348623157e308])
@@ -80,15 +72,15 @@ def test_every_mean_returns_a_on_the_diagonal(a):
 
 class TestCentroidal:
     def test_diagonal(self):
-        assert centroidal_mean(PositivePair(1, 1)) == 1.0
+        assert mean("centroidal", PositivePair(1, 1)) == 1.0
 
     def test_example_1_2(self):
-        assert centroidal_mean(PositivePair(1, 2)) == pytest.approx(14 / 9, rel=1e-15)
+        assert mean("centroidal", PositivePair(1, 2)) == pytest.approx(14 / 9, rel=1e-15)
 
     def test_homogeneity_k7(self):
         k = 7.0
-        assert centroidal_mean(PositivePair(k * 1, k * 2)) == pytest.approx(
-            k * centroidal_mean(PositivePair(1, 2)), rel=1e-14
+        assert mean("centroidal", PositivePair(k * 1, k * 2)) == pytest.approx(
+            k * mean("centroidal", PositivePair(1, 2)), rel=1e-14
         )
 
 
@@ -116,7 +108,7 @@ class TestClassical:
         with pytest.raises(DomainError):
             mean("arithmetic", PositivePair(1, 2), 2.0)
         with pytest.raises(DomainError):
-            power_mean(PositivePair(1, 2), math.inf)
+            mean("power", PositivePair(1, 2), math.inf)
 
     def test_rejects_unknown_name(self):
         with pytest.raises(DomainError):
@@ -124,8 +116,8 @@ class TestClassical:
 
     def test_power_overflow_guard(self):
         pair = PositivePair(1e-8, 1e8)
-        hi = power_mean(pair, 600.0)
-        lo = power_mean(pair, -600.0)
+        hi = mean("power", pair, 600.0)
+        lo = mean("power", pair, -600.0)
         assert math.isfinite(hi) and math.isfinite(lo)
         assert 1e-8 <= lo < hi <= 1e8
         assert hi == pytest.approx(1e8, rel=1e-2)
@@ -134,36 +126,37 @@ class TestClassical:
     def test_power_monotone_in_p(self):
         pair = PositivePair(2, 5)
         ps = np.linspace(-10, 10, 41)
-        vals = [power_mean(pair, p) for p in ps]
+        vals = [mean("power", pair, p) for p in ps]
         assert all(a < b for a, b in zip(vals, vals[1:]))
 
     def test_mean_value_dispatch(self):
         pair = PositivePair(1, 3)
-        assert mean("seiffert", pair) == seiffert_mean(pair)
-        assert mean("centroidal", pair) == centroidal_mean(pair)
-        assert mean("power", pair, 2.0) == power_mean(pair, 2.0)
+        assert mean("seiffert", pair) == means.seiffert_values(1.0, 3.0)
+        assert mean("centroidal", pair) == means.centroidal_values(1.0, 3.0)
+        assert mean("power", pair, 2.0) == means.power_values(1.0, 3.0, 2.0)
+        assert mean("blend", pair, 0.75) == means.blend_values(0.75, 1.0, 3.0)
 
 
 class TestBlend:
     def test_half_is_arithmetic(self):
-        assert blend_mean(0.5, PositivePair(1, 3)) == 2.0
+        assert mean("blend", PositivePair(1, 3), 0.5) == 2.0
 
     def test_one_is_centroidal(self):
-        assert blend_mean(1.0, PositivePair(1, 2)) == centroidal_mean(PositivePair(1, 2))
+        assert mean("blend", PositivePair(1, 2), 1.0) == mean("centroidal", PositivePair(1, 2))
 
     def test_example_three_quarters(self):
         # = centroidal(2.5, 1.5) = 49/24
-        assert blend_mean(0.75, PositivePair(1, 3)) == pytest.approx(49 / 24, rel=1e-15)
+        assert mean("blend", PositivePair(1, 3), 0.75) == pytest.approx(49 / 24, rel=1e-15)
 
     @pytest.mark.parametrize("x", [0.49, 1.01, -0.5, math.nan])
     def test_domain(self, x):
         with pytest.raises(DomainError):
-            blend_mean(x, PositivePair(1, 3))
+            mean("blend", PositivePair(1, 3), x)
 
     def test_monotone_in_x(self):
         for a, b in [(1.0, 3.0), (2.0, 3.0), (1.0, 100.0)]:
             xs = np.linspace(0.5, 1.0, 101)
-            vals = [blend_mean(x, PositivePair(a, b)) for x in xs]
+            vals = [mean("blend", PositivePair(a, b), x) for x in xs]
             assert all(u < v for u, v in zip(vals, vals[1:]))
 
 
@@ -247,10 +240,10 @@ def test_mean_property_hypothesis(a, b):
     pair = PositivePair(a, b)
     lo, hi = min(a, b), max(a, b)
     for v in (
-        seiffert_mean(pair),
-        centroidal_mean(pair),
+        mean("seiffert", pair),
+        mean("centroidal", pair),
         mean("geometric", pair),
-        blend_mean(0.75, pair),
+        mean("blend", pair, 0.75),
     ):
         assert lo <= v <= hi
 

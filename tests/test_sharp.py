@@ -23,7 +23,6 @@ from seiffert_bounds import (
     ratio_grid_scan,
     ratio_series,
     sample_ratios,
-    seiffert_mean,
     verify_blend_bounds,
     verify_ordering_chain,
     verify_prior_bounds,
@@ -73,7 +72,7 @@ class TestExcessRatio:
         for x in (1.25, 2.0, 10.0, 1e3):
             pair = PositivePair(x, 1.0)
             t = (x - 1.0) / (x + 1.0)
-            comp = (seiffert_mean(pair) - mean("arithmetic", pair)) / (
+            comp = (mean("seiffert", pair) - mean("arithmetic", pair)) / (
                 mean("contra-harmonic", pair) - mean("arithmetic", pair)
             )
             assert excess_ratio(t) == pytest.approx(comp, rel=1e-12)
@@ -131,6 +130,14 @@ class TestSampling:
         assert np.all((x > 1.0) & (x <= 1e8))
         for pt in (1.0 + 1e-9, 1e8, 10.0):
             assert pt in x
+        # the draws spread over (1, ratio_max] however close ratio_max is to 1
+        for ratio_max in (1.0 + 2.0**-52, 1.0 + 1e-13, 1.0 + 1e-12, 1.0 + 1e-11, 1.00001, 1.5, 1e300):
+            drawn = sample_ratios(np.random.default_rng(0), 1000, ratio_max, include_boundary=False)
+            assert np.all((drawn > 1.0) & (drawn <= ratio_max)), ratio_max
+        drawn = sample_ratios(np.random.default_rng(0), 1000, 1.0 + 1e-13, include_boundary=False)
+        assert len(np.unique(drawn)) > 100
+        drawn = sample_ratios(np.random.default_rng(0), 1000, 1.0 + 1e-11, include_boundary=False)
+        assert np.count_nonzero(drawn == drawn.min()) < 10
 
     def test_determinism(self):
         a = sample_ratios(np.random.default_rng(5), 100)
@@ -231,7 +238,7 @@ class TestSharpBlendAsymptote:
         lam = blend_alpha_closed()
         x = 1e10
         pair = PositivePair(x, 1.0)
-        ratio = sb.blend_mean(lam, pair) / seiffert_mean(pair)
+        ratio = mean("blend", pair, lam) / mean("seiffert", pair)
         assert abs(ratio - 1.0) < 1e-8
         assert ratio < 1.0  # still strictly below
 
