@@ -53,8 +53,9 @@ into the suite's :class:`VerificationResult`.  The streaming contract:
   violation of each check, and the lowest-ranked check that fired), so the
   report equals that of a single unblocked scan, bit for bit;
 * each block's work is done once: one profile (A, t) and one r(t) kernel
-  pass, which gives t², the margins and q = t/arctan t; the raw-mean check builds
-  every mean of the pair (x, 1) from them, the Seiffert mean as A·q.
+  pass, which gives t², the margins and q = t/arctan t, and then the Seiffert
+  mean T = A·q; every row's raw-mean check reads A and T and builds the
+  other means of the pair (x, 1) that it compares from A and t.
 
 One entry, ``_run``, runs every suite: it checks the arguments, splits
 the samples into ranges (``_lane_ranges``), runs the first here and each
@@ -64,9 +65,10 @@ all`` alike: one lane per CPU from ``_LANE_MIN_SAMPLES`` samples on, else
 one.  ``verify all`` at scale is one ``_run`` of the thm1, thm2, priors and
 chain rows, which read one draw and one kernel pass per block in place.
 
-Every lane writes its blocks into one workspace of twelve block-sized float
-rows and two bool rows (see ``_FLOAT_ROWS`` and ``_BLOCK``), made per call and
-reused by every block and every row: the heap is not re-faulted block by block.
+Every lane writes its blocks into one workspace of fourteen block-sized
+float rows and two bool rows (see ``_FLOAT_ROWS`` and ``_BLOCK``), made per
+call and reused by every block and every row: the heap is not re-faulted
+block by block.
 
 The standing lanes are the module's one piece of process state.  The first
 run that needs k > 1 lanes forks k - 1 of them, once per process, and every
@@ -280,7 +282,7 @@ class VerificationResult(namedtuple(
 
 
 #: Samples drawn, checked and reduced per step of a sweep.  Every block is
-#: written into one workspace of 12 float64 rows and two bool rows (1.6 MB,
+#: written into one workspace of 14 float64 rows and two bool rows (1.8 MB,
 #: within one core's 2 MiB L2), so no block allocates or frees a
 #: block-sized array and glibc no longer trims and re-faults the heap block
 #: by block (chain took 13.8k minor faults per 2e6-sample call).  At this
@@ -289,10 +291,10 @@ class VerificationResult(namedtuple(
 #: raised the probe workload's peak RSS by 1.8 MB.  See ``BENCH_10.json``.
 _BLOCK = 16_000
 
-#: The float rows of every lane's workspace: x, t, the four kernel rows, which
-#: every row reads and none writes, and a pool of six, the only rows a row
-#: writes (priors and the chain use all six).
-_FLOAT_ROWS = 12
+#: The float rows of every lane's workspace: x, t, the shared rows (A, the
+#: four kernel rows and T = A·q), which every row reads and none writes, and
+#: a pool of six, the only rows a row writes (priors uses all six).
+_FLOAT_ROWS = 14
 
 
 def _workspace(size: int, floats: int, flags: int) -> tuple[list, list]:
@@ -311,19 +313,23 @@ def _ratio_blocks(seed: int, n: int, ratio_max: float, start: int, stop: int, wo
     Each ratio takes one draw, so the generator starts ``start`` draws in, and
     the block that ends the stream carries the boundary points.  Every block
     is written into the rows of ``work`` and ``bits``, cut to its length: x,
-    t, the ``shared`` kernel rows (t², r, 1/3 - r, q), one kernel pass over
-    the block, and the rest as the ``pool`` of spare rows.
+    t, the ``shared`` rows (A, then t², r, 1/3 - r and q from one kernel
+    pass, then the Seiffert mean T = A·q), and the rest as the ``pool`` of
+    spare rows.
 
-    t is bit for bit the profile t of the pair (x, 1) (the profile's halvings
-    are exact), so the raw-mean checks may build means of (x, 1) from it.
+    A and t are bit for bit the profile of the pair (x, 1) (the profile's
+    halvings are exact, so fl(x/2 + 1/2) = fl(x + 1)/2), so the raw-mean
+    checks may build means of (x, 1) from them.
     """
     rng = _rng(seed, start)
     for lo in range(start, stop, _BLOCK):
         x = sample_ratios(rng, min(_BLOCK, stop - lo), ratio_max, lo + _BLOCK >= n, _out=work[0])
-        t, tt, r, upper, q, *pool = (row[: len(x)] for row in work[1:])
+        t, am, tt, r, upper, q, seif, *pool = (row[: len(x)] for row in work[1:])
         np.subtract(x, 1.0, out=t)
-        t /= np.add(x, 1.0, out=tt)
-        shared = (tt, *_ratio(t, out=(tt, r, upper, q)))
+        t /= np.add(x, 1.0, out=am)
+        am *= 0.5
+        r, upper, q = _ratio(t, out=(tt, r, upper, q))
+        shared = (am, tt, r, upper, q, np.multiply(am, q, out=seif))
         yield x, t, shared, pool, [row[: len(x)] for row in bits]
 
 
@@ -341,13 +347,6 @@ def _first_broken(pairs, flags, t=None) -> int | None:
         ok |= np.less(t, _DIRECT_T_FLOOR, out=spare)
     k = int(np.argmin(ok))
     return None if ok[k] else k
-
-
-def _half_sum(x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """The arithmetic mean of the pairs (x, 1), rounded as the arithmetic core rounds it."""
-    np.multiply(x, 0.5, out=out)
-    out += 0.5
-    return out
 
 
 def _mix(c: float, m: np.ndarray, am: np.ndarray, out: np.ndarray, spare: np.ndarray) -> np.ndarray:
@@ -478,23 +477,22 @@ def _blend_row(alpha: float | None = None, beta: float = 1.0) -> _Row:
     hi_const = (2.0 * beta - 1.0) ** 2 / 3.0
 
     def block(x, t, shared, pool, flags):
-        _, r, upper, q = shared
+        arith, _, r, upper, _, seif = shared
         right = upper if beta == 1.0 else np.subtract(hi_const, r, out=pool[1])
         left = np.subtract(r, lo_const, out=pool[0])
 
         def raw_means():
             # the margins are spent by now (see _Tally.add; the margin witness
-            # takes its side first): their rows hold A and blend(α)
-            arith = _half_sum(x, pool[0])
-            lo_mean = means._blend_factor(alpha, t, pool[1])
+            # takes its side first): their rows hold the blends
+            lo_mean = means._blend_factor(alpha, t, pool[0])
             lo_mean *= arith
-            hi_mean = means._blend_factor(beta, t, pool[2])
+            hi_mean = means._blend_factor(beta, t, pool[1])
             hi_mean *= arith
-            return lo_mean, np.multiply(arith, q, out=pool[3]), hi_mean
+            return lo_mean, seif, hi_mean
 
         def at(k, side):
-            lo_mean, seif, hi_mean = (float(row[k]) for row in raw_means())
-            return (lo_mean, seif) if side == "lower" else (seif, hi_mean)
+            lo, mid, hi = (float(row[k]) for row in raw_means())
+            return (lo, mid) if side == "lower" else (mid, hi)
 
         folds = {"left": (left, np.argmin), "right": (right, np.argmin)}
         raw = lambda: _raw_mean_witness(x, t, *raw_means(), flags)  # noqa: E731
@@ -512,19 +510,18 @@ def _ratio_row(alpha1: float | None = None, beta1: float | None = None) -> _Row:
             raise DomainError(f"{name} must be finite, got {val!r}")
 
     def block(x, t, shared, pool, flags):
-        tt, r, upper, q = shared
+        arith, tt, r, upper, _, seif = shared
         left = np.subtract(r, alpha1, out=pool[0])
         right = upper if beta1 == RATIO_UPPER else np.subtract(beta1, r, out=pool[1])
 
         def raw_means():
             # the margins are spent by now (see _Tally.add): their rows hold
-            # the means, and the Seiffert mean takes the contra-harmonic one's
-            arith = _half_sum(x, pool[0])
-            contra = means._contra_harmonic_factor(tt, pool[1])
+            # the means
+            contra = means._contra_harmonic_factor(tt, pool[0])
             contra *= arith
-            lo_mean = _mix(alpha1, contra, arith, pool[2], pool[3])
-            hi_mean = _mix(beta1, contra, arith, pool[3], pool[4])
-            return _raw_mean_witness(x, t, lo_mean, np.multiply(arith, q, out=pool[1]), hi_mean, flags)
+            lo_mean = _mix(alpha1, contra, arith, pool[1], pool[2])
+            hi_mean = _mix(beta1, contra, arith, pool[2], pool[3])
+            return _raw_mean_witness(x, t, lo_mean, seif, hi_mean, flags)
 
         folds = {
             "left": (left, np.argmin),
@@ -554,7 +551,7 @@ _PRIOR_NAMES = ("lower_S_combination", "upper_S_combination", "lower_C_blend", "
 
 def _prior_block(x, t, shared, pool, flags):
     """The priors row's block: four named margins, then one raw-mean check."""
-    tt, r, upper, q = shared
+    arith, tt, r, upper, _, seif = shared
     u, lower_s, upper_s, lower_c, left, right = pool[:6]
     means._root_square_factor(tt, u)
     np.add(u, 1.0, out=upper_s)
@@ -577,10 +574,8 @@ def _prior_block(x, t, shared, pool, flags):
 
     def raw_pairs():
         # the margins are spent by now (see _Tally.add): their rows hold the
-        # means, the root-square mean in the place of u and the Seiffert mean
-        # in that of right, and each pair is written over the one before
-        arith = _half_sum(x, left)
-        seif = np.multiply(arith, q, out=right)
+        # means, the root-square mean in the place of u, and each pair is
+        # written over the one before
         rootsq = np.multiply(arith, u, out=u)
         yield _mix(_PRIOR_ALPHA_S, rootsq, arith, lower_s, upper_s), seif
         yield seif, _mix(_PRIOR_BETA_S, rootsq, arith, lower_s, upper_s)
@@ -598,7 +593,7 @@ def _prior_block(x, t, shared, pool, flags):
 
     def raw_means():
         k = _first_broken(raw_pairs(), flags, t)
-        return None if k is None else _mean_side_witness(float(x[k]), "raw-mean", float(right[k]), 0.0)
+        return None if k is None else _mean_side_witness(float(x[k]), "raw-mean", float(seif[k]), 0.0)
 
     folds = {name: (vals, np.argmin) for name, vals in zip(_PRIOR_NAMES, margins)}
     folds["left"] = (np.minimum(lower_s, lower_c, out=left), np.argmin)
@@ -689,7 +684,7 @@ def verify_prior_bounds(
 def _chain_block(x, t, shared, pool, flags):
     """The chain row's block: the slack minima of its ordering in profile
     form, then the six comparisons in raw doubles."""
-    tt, r, upper, q = shared
+    am, tt, r, upper, _, tm = shared
     u, left, right, w, v = pool[:5]
     means._root_square_factor(tt, u)
     # every slack over A is t² times a factor bounded away from 0, and the
@@ -716,12 +711,11 @@ def _chain_block(x, t, shared, pool, flags):
     def ordering():
         # the slacks are spent by now (see _Tally.add): their rows hold the
         # means of (x, 1), S in the place of u
-        am = _half_sum(x, right)
         cb = means._centroidal_factor(tt, w)
         cb *= am
         c = means._contra_harmonic_factor(tt, v)
         c *= am
-        s, tm = np.multiply(am, u, out=u), np.multiply(am, q, out=pool[5])
+        s = np.multiply(am, u, out=u)
         k = _first_broken(((np.sqrt(x, out=left), am), (am, cb), (cb, s), (s, c), (am, tm), (tm, s)), flags, t)
         return None if k is None else _mean_side_witness(float(x[k]), "chain", float(x[k]), 1.0)
 

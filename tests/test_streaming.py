@@ -185,7 +185,7 @@ class TestUnchangedStream:
 
 
 def _inflated_seiffert(monkeypatch, factor):
-    # the suites build the raw Seiffert mean as A·q from the kernel's q
+    # each block forms the raw Seiffert mean T = A·q from the kernel's q
     original = sharp._ratio
 
     def inflated(t, **kw):
@@ -378,14 +378,35 @@ class TestWorkOncePerBlock:
         assert len(profile) == profiles
         assert seiffert == []
 
+    @pytest.mark.parametrize("index", [0, 5], ids=["A", "T"])
+    @pytest.mark.parametrize(
+        "name, side", [("thm1", "lower"), ("thm2", "lower"), ("priors", "raw-mean"), ("chain", "chain")]
+    )
+    def test_every_raw_mean_check_reads_the_block_a_and_t(self, monkeypatch, index, name, side):
+        # a NaN planted in the block's A or T row after the kernel pass
+        # breaks every suite's raw-mean check, and no margin: no row forms A
+        # or A·q of its own
+        original = sharp._ratio_blocks
+
+        def planted(*args):
+            for blk in original(*args):
+                blk[2][index][:] = np.nan
+                yield blk
+
+        monkeypatch.setattr(sharp, "_ratio_blocks", planted)
+        res = sharp._run([(name, {})], 3_000, 2, 1e8)[0]
+        assert res.min_slack_left > 0.0 and res.min_slack_right > 0.0
+        assert res.witness is not None and res.witness["side"] == side
+
 
 def test_block_profile_means_equal_the_cores(monkeypatch):
-    # the raw-mean checks build A·f(t) from the block's own t with the bulk
-    # twins; that must be the scalar cores' value at (x, 1), bit for bit
-    # for the rational factors and the series branch of t/arctan t, and
-    # within 1 ulp for its quotient (np.arctan against math.atan), across the
-    # whole ratio range and on both sides of the t = 1e-3 floor of the
-    # raw-mean check and of the series switch at t = 1/2 (x = 3)
+    # the raw-mean checks read the block's A and T = A·q and build A·f(t)
+    # from its own t with the bulk twins; that must be the scalar cores'
+    # value at (x, 1), bit for bit for A, the rational factors and the series
+    # branch of t/arctan t, and within 1 ulp for its quotient (np.arctan
+    # against math.atan), across the whole ratio range and on both sides of
+    # the t = 1e-3 floor of the raw-mean check and of the series switch at
+    # t = 1/2 (x = 3)
     floor_x = (1.0 + 1e-3) / (1.0 - 1e-3)
     x = np.concatenate([
         1.0 + np.geomspace(1e-12, 1e-2, 5_000),
@@ -395,25 +416,27 @@ def test_block_profile_means_equal_the_cores(monkeypatch):
     ])
     monkeypatch.setattr(sharp, "sample_ratios", lambda rng, n, ratio_max, include_boundary, **kw: x)
     monkeypatch.setattr(sharp, "_BLOCK", len(x))
-    (xb, t, _, _, _), = sharp._ratio_blocks(0, len(x), 2.0, 0, len(x), *sharp._workspace(len(x), 6, 0))
+    (_, t, (am, tt, _, _, q, seif), _, _), = sharp._ratio_blocks(
+        0, len(x), 2.0, 0, len(x), *sharp._workspace(len(x), sharp._FLOAT_ROWS, 0)
+    )
     assert np.array_equal(t, means._profile(x, 1.0)[1])
     assert np.any(t[-34:-17] < 1e-3) and np.any(t[-34:-17] >= 1e-3)
     assert np.any(t[-17:] == 0.5) and np.any(t[-17:] > 0.5)
-    am = sharp._half_sum(xb, np.empty(len(x)))
 
     def cores(fn, *param):
         return np.array([fn(*param, xi, 1.0) for xi in x.tolist()])
 
+    # A = fl(x + 1)/2 is the core's x/2 + 1/2, and T is A·q, formed once
+    assert np.array_equal(am, cores(means.arithmetic_values))
+    assert np.array_equal(seif, am * q)
     for p in (0.5, blend_alpha_closed(), 0.99, 1.0):
         assert np.array_equal(am * means._blend_factor(p, t), cores(means.blend_values, p))
     # the sweeps take t² from the kernel pass
-    tt, *rest = np.empty((4, len(t)))
-    q = means._ratio(t, out=(tt, *rest))[2]
     assert np.array_equal(tt, t * t)
     assert np.array_equal(am * means._contra_harmonic_factor(tt), cores(means.contra_harmonic_values))
     assert np.array_equal(am * means._root_square_factor(tt), cores(means.root_square_values))
     assert np.array_equal(am * means._centroidal_factor(tt), cores(means.centroidal_values))
-    bulk, scalar = am * q, cores(means.seiffert_values)
+    bulk, scalar = seif, cores(means.seiffert_values)
     series = t <= 0.5
     assert np.array_equal(bulk[series], scalar[series])
     assert np.all(np.abs(bulk - scalar) <= np.spacing(scalar))
@@ -699,11 +722,11 @@ class TestSharedPass:
         ids=["verify_blend_bounds", "verify_ratio_bounds", "verify_prior_bounds", "verify_ordering_chain", "shared"],
     )
     def test_one_pool_for_every_row_and_the_chain(self, monkeypatch, run):
-        # x, t, the four kernel rows and the six pool rows that priors and
-        # the chain write, whatever runs
+        # x, t, A, the four kernel rows, T and the six pool rows that priors
+        # writes (the chain five), whatever runs
         sizes = _workspace_sizes(monkeypatch)
         assert run().passed
-        assert sizes == [(12, 2)]  # one call
+        assert sizes == [(14, 2)]  # one call
 
     @pytest.mark.parametrize(
         "name, keywords",
@@ -718,14 +741,18 @@ class TestSharedPass:
         ids=["thm1", "thm1-beta", "thm2", "thm2-beta1", "priors", "chain"],
     )
     def test_rows_leave_the_shared_block_as_it_is(self, monkeypatch, name, keywords):
-        # a row reads x, t and the kernel rows (t², r, 1/3 - r, q), which the
-        # rows after it read too, and writes only its pool and flags; on a
-        # passing block every check runs, the raw-mean one included (the
-        # first block of two, as beta < 1 fails at the boundary points)
+        # a row reads x, t and the shared rows (A, the kernel's t², r,
+        # 1/3 - r and q, and T = A·q), which the rows after it read too, and
+        # writes only its pool and flags; on a passing block every check
+        # runs, the raw-mean one included (the first block of two, as beta < 1
+        # fails at the boundary points)
         monkeypatch.setattr(sharp, "_BLOCK", SMALL_BLOCK)
         work, bits = sharp._workspace(SMALL_BLOCK, sharp._FLOAT_ROWS, 2)
         (blk,) = sharp._ratio_blocks(0, 2 * SMALL_BLOCK, 1e8, 0, SMALL_BLOCK, work, bits)
-        x, t, shared, _, _ = blk
+        x, t, shared, pool, _ = blk
+        assert len(shared) == 6
+        # no shared row is a pool row
+        assert not any(np.shares_memory(row, spare) for row in (x, t, *shared) for spare in pool)
         before = [row.tobytes() for row in (x, t, *shared)]
         _, checks = sharp._ROWS[name](**keywords).block(*blk)
         assert [check() for check in checks] == [None] * len(checks)
