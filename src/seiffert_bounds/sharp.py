@@ -53,9 +53,9 @@ into the suite's :class:`VerificationResult`.  The streaming contract:
   violation of each check, and the lowest-ranked check that fired), so the
   report equals that of a single unblocked scan, bit for bit;
 * each block's work is done once: one profile (A, t) and one r(t) kernel
-  pass, which gives t², the margins and q = t/arctan t, and then the Seiffert
-  mean T = A·q; every row's raw-mean check reads A and T and builds the
-  other means of the pair (x, 1) that it compares from A and t.
+  pass, which gives t², the margins and q = t/arctan t, which the Seiffert
+  mean T = A·q then overwrites; every row's raw-mean check reads A and T and
+  builds the other means of the pair (x, 1) that it compares from A and t.
 
 One entry, ``_run``, runs every suite: it checks the arguments, splits
 the samples into ranges (``_lane_ranges``), runs the first here and each
@@ -65,10 +65,10 @@ all`` alike: one lane per CPU from ``_LANE_MIN_SAMPLES`` samples on, else
 one.  ``verify all`` at scale is one ``_run`` of the thm1, thm2, priors and
 chain rows, which read one draw and one kernel pass per block in place.
 
-Every lane writes its blocks into one workspace of fourteen block-sized
-float rows and two bool rows (see ``_FLOAT_ROWS`` and ``_BLOCK``), made per
-call and reused by every block and every row: the heap is not re-faulted
-block by block.
+Every lane writes its blocks into one workspace of 13 block-sized float
+rows, five shared, and two bool rows (see ``_FLOAT_ROWS`` and ``_BLOCK``),
+which ``_ratio_blocks`` makes per call and every block and every row reuse:
+the heap is not re-faulted block by block.
 
 The standing lanes are the module's one piece of process state.  The first
 run that needs k > 1 lanes forks k - 1 of them, once per process, and every
@@ -209,13 +209,6 @@ def _check_range(n: int, ratio_max: float) -> int:
     return n
 
 
-def _rng(seed: int, skip: int = 0) -> np.random.Generator:
-    """``default_rng(seed)`` advanced past its first ``skip`` draws."""
-    rng = np.random.default_rng(seed)
-    rng.bit_generator.advance(skip)
-    return rng
-
-
 def _boundary_points(ratio_max: float) -> np.ndarray:
     """The near-boundary ratios {1+10⁻ᵏ} and {10⁺ᵏ} up to ratio_max, and ratio_max."""
     near = 1.0 + 10.0 ** -np.arange(1.0, 10.0)
@@ -282,7 +275,7 @@ class VerificationResult(namedtuple(
 
 
 #: Samples drawn, checked and reduced per step of a sweep.  Every block is
-#: written into one workspace of 14 float64 rows and two bool rows (1.8 MB,
+#: written into one workspace of 13 float64 rows and two bool rows (1.7 MB,
 #: within one core's 2 MiB L2), so no block allocates or frees a
 #: block-sized array and glibc no longer trims and re-faults the heap block
 #: by block (chain took 13.8k minor faults per 2e6-sample call).  At this
@@ -291,45 +284,42 @@ class VerificationResult(namedtuple(
 #: raised the probe workload's peak RSS by 1.8 MB.  See ``BENCH_10.json``.
 _BLOCK = 16_000
 
-#: The float rows of every lane's workspace: x, t, the shared rows (A, the
-#: four kernel rows and T = A·q), which every row reads and none writes, and
-#: a pool of six, the only rows a row writes (priors uses all six).
-_FLOAT_ROWS = 14
+#: The float rows of every lane's workspace: x, t, the five shared rows (A,
+#: t², r, 1/3 - r and T = A·q), which every row reads and none writes, and a
+#: pool of six, the only rows a row writes (priors uses all six).
+_FLOAT_ROWS = 13
 
 
-def _workspace(size: int, floats: int, flags: int) -> tuple[list, list]:
-    """``floats`` float64 and ``flags`` bool rows of ``size`` for one sweep.
-
-    Each row is an array of its own, so that each stays below glibc's 128 KiB
-    mmap threshold (see ``_BLOCK``).
-    """
-    return [np.empty(size) for _ in range(floats)], [np.empty(size, dtype=bool) for _ in range(flags)]
-
-
-def _ratio_blocks(seed: int, n: int, ratio_max: float, start: int, stop: int, work: list, bits: list):
+def _ratio_blocks(seed: int, n: int, ratio_max: float, start: int, stop: int):
     """Blocks ``(x, t, shared, pool, flags)`` of samples [start, stop) of the
     stream ``sample_ratios(default_rng(seed), n, ratio_max)``.
 
     Each ratio takes one draw, so the generator starts ``start`` draws in, and
     the block that ends the stream carries the boundary points.  Every block
-    is written into the rows of ``work`` and ``bits``, cut to its length: x,
-    t, the ``shared`` rows (A, then t², r, 1/3 - r and q from one kernel
-    pass, then the Seiffert mean T = A·q), and the rest as the ``pool`` of
-    spare rows.
+    is written into one workspace made per call, of ``_FLOAT_ROWS`` float and
+    two bool rows, each an array of its own so that each stays below glibc's
+    128 KiB mmap threshold (see ``_BLOCK``), and cut to the block's length:
+    x, t, the ``shared`` rows (A, then t², r and 1/3 - r from one kernel
+    pass, and the Seiffert mean T = A·q, formed over the kernel's q), and the
+    rest as the ``pool`` of spare rows.
 
     A and t are bit for bit the profile of the pair (x, 1) (the profile's
     halvings are exact, so fl(x/2 + 1/2) = fl(x + 1)/2), so the raw-mean
     checks may build means of (x, 1) from them.
     """
-    rng = _rng(seed, start)
+    size = min(stop - start, _BLOCK) + len(_boundary_points(ratio_max))
+    work = [np.empty(size) for _ in range(_FLOAT_ROWS)]
+    bits = [np.empty(size, dtype=bool) for _ in range(2)]
+    rng = np.random.default_rng(seed)
+    rng.bit_generator.advance(start)
     for lo in range(start, stop, _BLOCK):
         x = sample_ratios(rng, min(_BLOCK, stop - lo), ratio_max, lo + _BLOCK >= n, _out=work[0])
-        t, am, tt, r, upper, q, seif, *pool = (row[: len(x)] for row in work[1:])
+        t, am, tt, r, upper, seif, *pool = (row[: len(x)] for row in work[1:])
         np.subtract(x, 1.0, out=t)
         t /= np.add(x, 1.0, out=am)
         am *= 0.5
-        r, upper, q = _ratio(t, out=(tt, r, upper, q))
-        shared = (am, tt, r, upper, q, np.multiply(am, q, out=seif))
+        r, upper, q = _ratio(t, out=(tt, r, upper, seif))
+        shared = (am, tt, r, upper, np.multiply(am, q, out=q))
         yield x, t, shared, pool, [row[: len(x)] for row in bits]
 
 
@@ -477,7 +467,7 @@ def _blend_row(alpha: float | None = None, beta: float = 1.0) -> _Row:
     hi_const = (2.0 * beta - 1.0) ** 2 / 3.0
 
     def block(x, t, shared, pool, flags):
-        arith, _, r, upper, _, seif = shared
+        arith, _, r, upper, seif = shared
         right = upper if beta == 1.0 else np.subtract(hi_const, r, out=pool[1])
         left = np.subtract(r, lo_const, out=pool[0])
 
@@ -510,7 +500,7 @@ def _ratio_row(alpha1: float | None = None, beta1: float | None = None) -> _Row:
             raise DomainError(f"{name} must be finite, got {val!r}")
 
     def block(x, t, shared, pool, flags):
-        arith, tt, r, upper, _, seif = shared
+        arith, tt, r, upper, seif = shared
         left = np.subtract(r, alpha1, out=pool[0])
         right = upper if beta1 == RATIO_UPPER else np.subtract(beta1, r, out=pool[1])
 
@@ -551,7 +541,7 @@ _PRIOR_NAMES = ("lower_S_combination", "upper_S_combination", "lower_C_blend", "
 
 def _prior_block(x, t, shared, pool, flags):
     """The priors row's block: four named margins, then one raw-mean check."""
-    arith, tt, r, upper, _, seif = shared
+    arith, tt, r, upper, seif = shared
     u, lower_s, upper_s, lower_c, left, right = pool[:6]
     means._root_square_factor(tt, u)
     np.add(u, 1.0, out=upper_s)
@@ -684,7 +674,7 @@ def verify_prior_bounds(
 def _chain_block(x, t, shared, pool, flags):
     """The chain row's block: the slack minima of its ordering in profile
     form, then the six comparisons in raw doubles."""
-    am, tt, r, upper, _, tm = shared
+    am, tt, r, upper, tm = shared
     u, left, right, w, v = pool[:5]
     means._root_square_factor(tt, u)
     # every slack over A is t² times a factor bounded away from 0, and the
@@ -790,13 +780,12 @@ def _lane(rows, seed: int, samples: int, ratio_max: float, start: int, stop: int
     """Tallies of ``rows`` over samples [start, stop).
 
     One pass applies every row to one draw and one kernel call per block, all
-    in one workspace of ``_FLOAT_ROWS`` float and two bool rows.  Merged in
+    in one workspace (:func:`_ratio_blocks`).  Merged in
     range order (:meth:`_Tally.merge`), the lanes' tallies finish into the
     reports of the suites run one by one, bit for bit.
     """
-    work, bits = _workspace(min(stop - start, _BLOCK) + len(_boundary_points(ratio_max)), _FLOAT_ROWS, 2)
     tallies = [_Tally() for _ in rows]
-    for blk in _ratio_blocks(seed, samples, ratio_max, start, stop, work, bits):
+    for blk in _ratio_blocks(seed, samples, ratio_max, start, stop):
         for row, tally in zip(rows, tallies):
             tally.add(blk[0], *row.block(*blk))
     return tallies

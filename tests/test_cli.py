@@ -382,10 +382,10 @@ class TestLanes:
         # message takes the reply past a pipe buffer, into several reads
         original = cli.sharp._ratio_blocks
 
-        def planted(seed, samples, ratio_max, start, stop, *pool):
+        def planted(seed, samples, ratio_max, start, stop):
             if (start == 0) == (lane == "own-lane"):
                 raise DomainError(message)
-            return original(seed, samples, ratio_max, start, stop, *pool)
+            return original(seed, samples, ratio_max, start, stop)
 
         monkeypatch.setattr(cli.sharp, "_BLOCK", 1_000)
         monkeypatch.setattr(cli.sharp, "_cpus", lambda: 2)
@@ -441,12 +441,12 @@ class TestLanes:
         # a signal, or raising an exception that does not pickle
         original = cli.sharp._ratio_blocks
 
-        def planted(seed, samples, ratio_max, start, stop, *pool):
+        def planted(seed, samples, ratio_max, start, stop):
             if start == 1_000:
                 if crash == "killed":
                     os.kill(os.getpid(), signal.SIGKILL)
                 raise DomainError(lambda: "no pickle")
-            return original(seed, samples, ratio_max, start, stop, *pool)
+            return original(seed, samples, ratio_max, start, stop)
 
         monkeypatch.setattr(cli.sharp, "_BLOCK", 1_000)
         monkeypatch.setattr(cli.sharp, "_cpus", lambda: 2)

@@ -284,7 +284,7 @@ class TestVerifyPriorsAndChain:
         x = np.concatenate([1.0 + np.geomspace(1e-12, 1.0, 60), np.geomspace(2.5, 1e300, 60)])
         monkeypatch.setattr(sharp, "sample_ratios", lambda rng, n, ratio_max, include_boundary, **kw: x)
         monkeypatch.setattr(sharp, "_BLOCK", len(x))
-        (blk,) = sharp._ratio_blocks(0, len(x), 2.0, 0, len(x), *sharp._workspace(len(x), sharp._FLOAT_ROWS, 2))
+        (blk,) = sharp._ratio_blocks(0, len(x), 2.0, 0, len(x))
         folds, checks = sharp._ROWS["chain"]().block(*blk)
         slacks = folds["left"][0].tolist(), folds["right"][0].tolist()  # the checks overwrite their rows
         assert [check() for check in checks] == [None, None]

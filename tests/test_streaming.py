@@ -312,7 +312,7 @@ def test_memory_bounded_at_1e6_samples(fn):
     finally:
         tracemalloc.stop()
     assert res.passed
-    assert peak < 4 * 2**20  # cache-sized blocks; was 32 MiB at blocks of 1 << 16
+    assert peak < 2 * 2**20  # one core's L2 (see sharp._BLOCK); was 32 MiB at blocks of 1 << 16
 
 
 def _counting(monkeypatch, owner, name):
@@ -328,16 +328,35 @@ def _counting(monkeypatch, owner, name):
 
 
 def _workspace_sizes(monkeypatch):
-    """The (float, bool) row counts of every workspace made from now on."""
+    """The (float, bool) row counts of the workspace of every block stream
+    run from now on: the arrays that its blocks' rows are views of."""
     sizes = []
-    original = sharp._workspace
+    original = sharp._ratio_blocks
 
-    def workspace(size, n_floats, n_flags):
-        sizes.append((n_floats, n_flags))
-        return original(size, n_floats, n_flags)
+    def blocks(*args):
+        floats, flags = {}, {}
+        for blk in original(*args):
+            x, t, shared, pool, bits = blk
+            floats.update((id(row.base), row.base) for row in (x, t, *shared, *pool))
+            flags.update((id(row.base), row.base) for row in bits)
+            yield blk
+        sizes.append((len(floats), len(flags)))
 
-    monkeypatch.setattr(sharp, "_workspace", workspace)
+    monkeypatch.setattr(sharp, "_ratio_blocks", blocks)
     return sizes
+
+
+def _plant_shared_nan(monkeypatch, index):
+    """Every block stream from now on fills its shared row ``index`` with NaN
+    as it yields each block."""
+    original = sharp._ratio_blocks
+
+    def planted(*args):
+        for blk in original(*args):
+            blk[2][index][:] = np.nan
+            yield blk
+
+    monkeypatch.setattr(sharp, "_ratio_blocks", planted)
 
 
 class TestWorkOncePerBlock:
@@ -378,7 +397,7 @@ class TestWorkOncePerBlock:
         assert len(profile) == profiles
         assert seiffert == []
 
-    @pytest.mark.parametrize("index", [0, 5], ids=["A", "T"])
+    @pytest.mark.parametrize("index", [0, 4], ids=["A", "T"])
     @pytest.mark.parametrize(
         "name, side", [("thm1", "lower"), ("thm2", "lower"), ("priors", "raw-mean"), ("chain", "chain")]
     )
@@ -386,14 +405,7 @@ class TestWorkOncePerBlock:
         # a NaN planted in the block's A or T row after the kernel pass
         # breaks every suite's raw-mean check, and no margin: no row forms A
         # or A·q of its own
-        original = sharp._ratio_blocks
-
-        def planted(*args):
-            for blk in original(*args):
-                blk[2][index][:] = np.nan
-                yield blk
-
-        monkeypatch.setattr(sharp, "_ratio_blocks", planted)
+        _plant_shared_nan(monkeypatch, index)
         res = sharp._run([(name, {})], 3_000, 2, 1e8)[0]
         assert res.min_slack_left > 0.0 and res.min_slack_right > 0.0
         assert res.witness is not None and res.witness["side"] == side
@@ -416,9 +428,7 @@ def test_block_profile_means_equal_the_cores(monkeypatch):
     ])
     monkeypatch.setattr(sharp, "sample_ratios", lambda rng, n, ratio_max, include_boundary, **kw: x)
     monkeypatch.setattr(sharp, "_BLOCK", len(x))
-    (_, t, (am, tt, _, _, q, seif), _, _), = sharp._ratio_blocks(
-        0, len(x), 2.0, 0, len(x), *sharp._workspace(len(x), sharp._FLOAT_ROWS, 0)
-    )
+    (_, t, (am, tt, _, _, seif), _, _), = sharp._ratio_blocks(0, len(x), 2.0, 0, len(x))
     assert np.array_equal(t, means._profile(x, 1.0)[1])
     assert np.any(t[-34:-17] < 1e-3) and np.any(t[-34:-17] >= 1e-3)
     assert np.any(t[-17:] == 0.5) and np.any(t[-17:] > 0.5)
@@ -428,7 +438,7 @@ def test_block_profile_means_equal_the_cores(monkeypatch):
 
     # A = fl(x + 1)/2 is the core's x/2 + 1/2, and T is A·q, formed once
     assert np.array_equal(am, cores(means.arithmetic_values))
-    assert np.array_equal(seif, am * q)
+    assert np.array_equal(seif, am * means._ratio(t)[2])
     for p in (0.5, blend_alpha_closed(), 0.99, 1.0):
         assert np.array_equal(am * means._blend_factor(p, t), cores(means.blend_values, p))
     # the sweeps take t² from the kernel pass
@@ -722,11 +732,13 @@ class TestSharedPass:
         ids=["verify_blend_bounds", "verify_ratio_bounds", "verify_prior_bounds", "verify_ordering_chain", "shared"],
     )
     def test_one_pool_for_every_row_and_the_chain(self, monkeypatch, run):
-        # x, t, A, the four kernel rows, T and the six pool rows that priors
-        # writes (the chain five), whatever runs
+        # x, t, the five shared rows (A, t², r, 1/3 - r and T) and the six
+        # pool rows that priors writes (the chain five), whatever runs, and
+        # reused by every block
+        monkeypatch.setattr(sharp, "_BLOCK", SMALL_BLOCK)
         sizes = _workspace_sizes(monkeypatch)
         assert run().passed
-        assert sizes == [(14, 2)]  # one call
+        assert sizes == [(13, 2)]  # one call
 
     @pytest.mark.parametrize(
         "name, keywords",
@@ -741,22 +753,33 @@ class TestSharedPass:
         ids=["thm1", "thm1-beta", "thm2", "thm2-beta1", "priors", "chain"],
     )
     def test_rows_leave_the_shared_block_as_it_is(self, monkeypatch, name, keywords):
-        # a row reads x, t and the shared rows (A, the kernel's t², r,
-        # 1/3 - r and q, and T = A·q), which the rows after it read too, and
+        # a row reads x, t and the shared rows (A, the kernel's t², r and
+        # 1/3 - r, and T = A·q), which the rows after it read too, and
         # writes only its pool and flags; on a passing block every check
         # runs, the raw-mean one included (the first block of two, as beta < 1
         # fails at the boundary points)
         monkeypatch.setattr(sharp, "_BLOCK", SMALL_BLOCK)
-        work, bits = sharp._workspace(SMALL_BLOCK, sharp._FLOAT_ROWS, 2)
-        (blk,) = sharp._ratio_blocks(0, 2 * SMALL_BLOCK, 1e8, 0, SMALL_BLOCK, work, bits)
+        (blk,) = sharp._ratio_blocks(0, 2 * SMALL_BLOCK, 1e8, 0, SMALL_BLOCK)
         x, t, shared, pool, _ = blk
-        assert len(shared) == 6
+        assert len(shared) == 5
         # no shared row is a pool row
         assert not any(np.shares_memory(row, spare) for row in (x, t, *shared) for spare in pool)
         before = [row.tobytes() for row in (x, t, *shared)]
         _, checks = sharp._ROWS[name](**keywords).block(*blk)
         assert [check() for check in checks] == [None] * len(checks)
         assert [row.tobytes() for row in (x, t, *shared)] == before
+
+    @pytest.mark.parametrize("index", range(5), ids=["A", "tt", "r", "upper", "T"])
+    def test_every_shared_row_is_read(self, monkeypatch, index):
+        # a NaN planted in any shared row after the block stream yields it
+        # changes the report of the four suites: the block holds no row that
+        # no suite reads
+        def run():
+            return [r.as_report() for r in sharp._run([(name, {}) for name in sharp._ROWS], 3_000, 2, 1e8)]
+
+        clean = run()
+        _plant_shared_nan(monkeypatch, index)
+        assert repr(run()) != repr(clean)
 
     def test_memory_bounded_at_1e6_samples(self):
         rows = [sharp._ROWS[name]() for name in sharp._ROWS]
@@ -768,7 +791,7 @@ class TestSharedPass:
         finally:
             tracemalloc.stop()
         assert all(r.passed for r in sharp._finish_lanes(rows, [tallies]))
-        assert peak < 4 * 2**20
+        assert peak < 2 * 2**20  # one core's L2 (see sharp._BLOCK)
 
 
 class TestOneDriver:
@@ -942,10 +965,10 @@ class TestStandingLanes:
         # the lane's range fails for seed 1 only
         original = sharp._ratio_blocks
 
-        def planted(seed, samples, ratio_max, start, stop, *pool):
+        def planted(seed, samples, ratio_max, start, stop):
             if seed == 1 and start > 0:
                 raise DomainError(f"planted error over [{start}, {stop})")
-            return original(seed, samples, ratio_max, start, stop, *pool)
+            return original(seed, samples, ratio_max, start, stop)
 
         monkeypatch.setattr(sharp, "_ratio_blocks", planted)
         with pytest.raises(DomainError, match=rf"^planted error over \[2000, {self.N}\)$"):
@@ -1010,10 +1033,10 @@ class TestStandingLanes:
         (lane,) = sharp._lanes
         original = sharp._ratio_blocks
 
-        def planted(seed, samples, ratio_max, start, stop, *pool):
+        def planted(seed, samples, ratio_max, start, stop):
             if start == 0:
                 raise exc("planted")
-            return original(seed, samples, ratio_max, start, stop, *pool)
+            return original(seed, samples, ratio_max, start, stop)
 
         monkeypatch.setattr(sharp, "_ratio_blocks", planted)
         with pytest.raises(exc, match="planted"):
