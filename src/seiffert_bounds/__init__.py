@@ -18,11 +18,10 @@ __version__ = "0.1.0"
 #: first access (PEP 562), so ``import seiffert_bounds`` loads no submodule
 #: and no numpy until a name that needs it is read.
 _EXPORTS = {
-    "errors": ("BracketError", "DomainError", "RangeError"),
+    "errors": ("BracketError", "DomainError"),
     "means": ("MEANS", "PositivePair", "excess_ratio_taylor", "mean"),
     "series": (
         "N_MAX",
-        "BernoulliTable",
         "TruncatedSeries",
         "bernoulli_even",
         "cot_coefficient",

@@ -81,7 +81,7 @@ import math
 from collections import namedtuple
 
 from . import _OnFirstUse
-from .errors import BracketError, DomainError, _is_integer
+from .errors import BracketError, DomainError, _as_float, _is_integer
 from .means import _geomspace, _profile, blend_values, seiffert_values
 
 __all__ = [
@@ -122,7 +122,7 @@ class BlendGapFamily(namedtuple("BlendGapFamily", "p")):
     __slots__ = ()
 
     def __new__(cls, p: float) -> "BlendGapFamily":
-        fp = float(p)
+        fp = _as_float(p)
         if not (math.isfinite(fp) and 0.5 < fp <= 1.0):
             raise DomainError(f"blend parameter must lie in (1/2, 1], got {p!r}")
         return super().__new__(cls, fp)
@@ -156,7 +156,7 @@ class BlendGapFamily(namedtuple("BlendGapFamily", "p")):
 
     def gap(self, t: float) -> float:
         """gap(t) for scalar t > 1 (domain-checked)."""
-        t = float(t)
+        t = _as_float(t)
         if not (math.isfinite(t) and t > 1.0):
             raise DomainError(f"gap is defined for t > 1, got {t!r}")
         return self.gap_values(t)
@@ -293,6 +293,7 @@ def counterexample_witness(p: float, side: str) -> CounterexampleWitness:
     inequality can be re-checked directly.  A failed search raises
     :class:`BracketError`.
     """
+    p = _as_float(p)
     if side == "above_alpha":
         family = BlendGapFamily(p)
         if p >= 1.0 or family.limit_at_infinity() <= 0.0:
@@ -309,7 +310,7 @@ def counterexample_witness(p: float, side: str) -> CounterexampleWitness:
         raise DomainError(f"unknown side {side!r}")
 
     for x in ts:
-        blend, seif = blend_values(float(p), x, 1.0), seiffert_values(x, 1.0)
+        blend, seif = blend_values(p, x, 1.0), seiffert_values(x, 1.0)
         if blend > seif if side == "above_alpha" else seif - blend >= 4.0 * math.ulp(blend):
             return CounterexampleWitness(side=side, t=x, blend_value=blend, seiffert_value=seif)
     raise BracketError(f"no witness found on the {side} scan up to t={ts[-1]:.3g}")

@@ -399,7 +399,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except _Parser.Done as done:
         return done.args[0]
-    except (argparse.ArgumentError, DomainError) as exc:  # a RangeError is a DomainError
+    except (argparse.ArgumentError, DomainError) as exc:
         return _error(exc, 2)
     except BracketError as exc:
         return _error(exc, 1)

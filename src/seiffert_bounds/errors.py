@@ -1,17 +1,15 @@
-"""Exception types shared across the package, and the integer rule that
-their argument checks apply."""
+"""Exception types shared across the package, and the integer and float rules
+that their argument checks apply."""
 
+import math
 import numbers
 
-__all__ = ["BracketError", "DomainError", "RangeError"]
+__all__ = ["BracketError", "DomainError"]
 
 
 class DomainError(ValueError):
-    """An argument lies outside the mathematical domain of an operation."""
-
-
-class RangeError(DomainError):
-    """An order or index exceeds the supported table range."""
+    """An argument lies outside the mathematical domain of an operation, or
+    an order or index outside the supported table range."""
 
 
 class BracketError(RuntimeError):
@@ -27,3 +25,12 @@ def _is_integer(value) -> bool:
     """A :class:`numbers.Integral` that is not a bool: a numpy integer will do,
     a bool or 1.0 will not."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _as_float(value) -> float:
+    """``float(value)``, or ±inf for a number beyond the double range (an int
+    or a Fraction), so that a finite or range check rejects it."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf

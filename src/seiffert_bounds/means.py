@@ -56,7 +56,7 @@ import math
 from collections import namedtuple
 
 from . import _OnFirstUse
-from .errors import DomainError
+from .errors import DomainError, _as_float, _is_integer
 
 __all__ = [
     "MEANS",
@@ -114,7 +114,7 @@ class PositivePair(namedtuple("PositivePair", "a b")):
     __slots__ = ()
 
     def __new__(cls, a: float, b: float) -> "PositivePair":
-        fa, fb = float(a), float(b)
+        fa, fb = _as_float(a), _as_float(b)
         if not (math.isfinite(fa) and math.isfinite(fb)):
             raise DomainError(f"pair entries must be finite, got ({a!r}, {b!r})")
         if fa <= 0.0 or fb <= 0.0:
@@ -133,8 +133,8 @@ def excess_ratio_taylor(order: int) -> tuple[fractions.Fraction, ...]:
     Reciprocal of arctan(t)/t = Σ (-1)^k t^{2k}/(2k+1):  r(t) = Σ_k coef[k]·t^{2k}
     with coef = (1/3, -4/45, 44/945, -428/14175, …).
     """
-    if order < 1:
-        raise DomainError(f"order must be >= 1, got {order}")
+    if not _is_integer(order) or order < 1:
+        raise DomainError(f"order must be an integer >= 1, got {order!r}")
     a = [fractions.Fraction((-1) ** k, 2 * k + 1) for k in range(order + 1)]
     b = [fractions.Fraction(1)]
     for n in range(1, order + 1):
@@ -387,7 +387,7 @@ def mean(name: str, pair: PositivePair, param: float | None = None) -> float:
         return float(fn(pair.a, pair.b))
     if param is None:
         raise DomainError(f"the {name} mean requires a parameter")
-    param = float(param)
+    param = _as_float(param)
     if name == "power":
         if not math.isfinite(param):
             raise DomainError(f"power exponent must be finite, got {param!r}")

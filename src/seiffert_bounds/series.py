@@ -27,9 +27,11 @@ Truncation error is controlled through the identity
 remainder by an explicit geometric (or arithmetico-geometric) tail; see
 :func:`truncated_series`.
 
-The default table covers B_2 … B_120 (``N_MAX = 60``); it is built whole, in
-about a millisecond, once, and is immutable afterwards, so concurrent reads
-are safe.
+There is one table, ``default_table()``: the tuple B_0, B_2, …, B_120
+(``N_MAX = 60``) of exact Fractions.  It is built whole, in about a
+millisecond, on first use and is immutable afterwards, so concurrent reads
+are safe.  An order or index outside [1, N_MAX], or one that is not an
+integer, raises :class:`~seiffert_bounds.errors.DomainError`.
 """
 
 from __future__ import annotations
@@ -39,11 +41,10 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
-from .errors import DomainError, RangeError, _is_integer
+from .errors import DomainError, _as_float, _is_integer
 
 __all__ = [
     "N_MAX",
-    "BernoulliTable",
     "default_table",
     "bernoulli_even",
     "zeta_even",
@@ -66,46 +67,24 @@ _PI = math.pi
 _ZETA2 = _PI * _PI / 6.0
 
 
-class BernoulliTable(namedtuple("BernoulliTable", "values")):
-    """Even-index Bernoulli numbers ``B_0, B_2, …, B_{2·n_max}``, exact."""
-
-    __slots__ = ()
-
-    @classmethod
-    def build(cls, n_max: int = N_MAX) -> "BernoulliTable":
-        if n_max < 1:
-            raise RangeError(f"table order must be >= 1, got {n_max}")
-        # T_1 … T_n in place (t[0] unused): start from (k-1)! and sweep
-        # the Knuth-Buckholtz recurrence, integers only
-        t = [0, 1]
-        for k in range(2, n_max + 1):
-            t.append((k - 1) * t[k - 1])
-        for k in range(2, n_max + 1):
-            for j in range(k, n_max + 1):
-                t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
-        evens = (Fraction(1),) + tuple(
-            Fraction((-1) ** (n - 1) * 2 * n * t[n], 4**n * (4**n - 1)) for n in range(1, n_max + 1)
-        )
-        for n in range(1, n_max + 1):
-            if (-1) ** (n - 1) * evens[n] <= 0:
-                raise AssertionError(f"Bernoulli sign law failed at n={n}")
-        return cls(values=evens)
-
-    @property
-    def n_max(self) -> int:
-        return len(self.values) - 1
-
-    def even(self, n: int) -> Fraction:
-        """Return B_{2n} (n = 0 gives B_0 = 1)."""
-        if not 0 <= n <= self.n_max:
-            raise RangeError(f"B_{{2n}} available for 0 <= n <= {self.n_max}, got n={n}")
-        return self.values[n]
-
-
 @functools.lru_cache(maxsize=1)
-def default_table() -> BernoulliTable:
-    """The shared immutable table up to ``N_MAX``."""
-    return BernoulliTable.build(N_MAX)
+def default_table() -> tuple[Fraction, ...]:
+    """The shared immutable tuple B_0, B_2, …, B_{2·N_MAX}, exact."""
+    # T_1 … T_N in place (t[0] unused): start from (k-1)! and sweep
+    # the Knuth-Buckholtz recurrence, integers only
+    t = [0, 1]
+    for k in range(2, N_MAX + 1):
+        t.append((k - 1) * t[k - 1])
+    for k in range(2, N_MAX + 1):
+        for j in range(k, N_MAX + 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    evens = (Fraction(1),) + tuple(
+        Fraction((-1) ** (n - 1) * 2 * n * t[n], 4**n * (4**n - 1)) for n in range(1, N_MAX + 1)
+    )
+    for n in range(1, N_MAX + 1):
+        if (-1) ** (n - 1) * evens[n] <= 0:
+            raise AssertionError(f"Bernoulli sign law failed at n={n}")
+    return evens
 
 
 def bernoulli_even(n: int) -> Fraction:
@@ -115,7 +94,7 @@ def bernoulli_even(n: int) -> Fraction:
     (so :func:`zeta_even` is a genuine cross-check, not a circular one).
     """
     n = _check_order(n, what="Bernoulli index")
-    return default_table().even(n)
+    return default_table()[n]
 
 
 def zeta_even(q: int) -> float:
@@ -177,14 +156,6 @@ def _exact_sum(kind: str, n: int, x: float) -> tuple[Fraction, Fraction, Fractio
     return xq, u, acc
 
 
-def _rounded(value: Fraction) -> float:
-    """The correctly rounded double of ``value``, or ±inf beyond the double range."""
-    try:
-        return float(value)
-    except OverflowError:
-        return math.inf if value > 0 else -math.inf
-
-
 def cot_series(x: float, n: int) -> float:
     """Partial sum of the cot expansion: 1/x - Σ_{k=1..n} c_k x^{2k-1}.
 
@@ -197,7 +168,7 @@ def cot_series(x: float, n: int) -> float:
     x = _check_x(x)
     n = _check_order(n, what="truncation order")
     xq, _, acc = _exact_sum("cot", n, x)
-    return _rounded(1 / xq - xq * acc)
+    return _as_float(1 / xq - xq * acc)
 
 
 def csc2_series(x: float, n: int) -> float:
@@ -208,7 +179,7 @@ def csc2_series(x: float, n: int) -> float:
     x = _check_x(x)
     n = _check_order(n, what="truncation order")
     _, u, acc = _exact_sum("csc2", n, x)
-    return _rounded(1 / u + acc)
+    return _as_float(1 / u + acc)
 
 
 def ratio_series(theta: float, n: int) -> float:
@@ -219,12 +190,12 @@ def ratio_series(theta: float, n: int) -> float:
     is 2/3, hence R(0⁺) = 1/3; at the right endpoint R(π/4) = 4/π - 1.
     Summed exactly and rounded once, as in :func:`cot_series`.
     """
-    theta = float(theta)
+    theta = _as_float(theta)
     if not (0.0 < theta <= _PI / 4.0):
         raise DomainError(f"ratio series argument must lie in (0, π/4], got {theta!r}")
     n = _check_order(n, what="truncation order")
     _, _, acc = _exact_sum("ratio", n, theta)
-    return _rounded(1 - acc)
+    return _as_float(1 - acc)
 
 
 class TruncatedSeries(namedtuple("TruncatedSeries", "kind coefficients truncation_order radius tail_bound")):
@@ -237,15 +208,12 @@ class TruncatedSeries(namedtuple("TruncatedSeries", "kind coefficients truncatio
 
     __slots__ = ()
 
-    def evaluate(self, x: float) -> float:
-        return _KINDS[self.kind][1](x, self.truncation_order)
 
-
-#: Each series kind: its exact coefficient, its partial sum and its default radius.
+#: Each series kind: its exact coefficient and its default radius.
 _KINDS = {
-    "cot": (cot_coefficient, cot_series, _PI / 2.0),
-    "csc2": (csc2_coefficient, csc2_series, _PI / 2.0),
-    "ratio": (ratio_coefficient, ratio_series, _PI / 4.0),
+    "cot": (cot_coefficient, _PI / 2.0),
+    "csc2": (csc2_coefficient, _PI / 2.0),
+    "ratio": (ratio_coefficient, _PI / 4.0),
 }
 
 
@@ -265,7 +233,7 @@ def truncated_series(kind: str, order: int, radius: float | None = None) -> Trun
     if kind not in _KINDS:
         raise DomainError(f"unknown series kind {kind!r}")
     order = _check_order(order, what="truncation order")
-    r = _KINDS[kind][2] if radius is None else float(radius)
+    r = _KINDS[kind][1] if radius is None else _as_float(radius)
     hi = _PI / 4.0 if kind == "ratio" else _PI
     if not (0.0 < r <= hi) or (kind != "ratio" and r == _PI):
         raise DomainError(f"radius for {kind!r} must lie in (0, {hi}), got {r!r}")
@@ -290,14 +258,14 @@ def truncated_series(kind: str, order: int, radius: float | None = None) -> Trun
 def _check_order(n: int, *, what: str) -> int:
     """``n`` as an int in [1, N_MAX]."""
     if not _is_integer(n):
-        raise RangeError(f"{what} must be an integer, got {n!r}")
+        raise DomainError(f"{what} must be an integer, got {n!r}")
     if not 1 <= n <= N_MAX:
-        raise RangeError(f"{what} must lie in [1, {N_MAX}], got {n}")
+        raise DomainError(f"{what} must lie in [1, {N_MAX}], got {n}")
     return int(n)
 
 
 def _check_x(x: float) -> float:
-    x = float(x)
+    x = _as_float(x)
     if not (0.0 < abs(x) < _PI):
         raise DomainError(f"series argument must satisfy 0 < |x| < π, got {x!r}")
     return x

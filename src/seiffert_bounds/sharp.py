@@ -93,7 +93,7 @@ from collections import namedtuple
 from collections.abc import Callable
 
 from . import _OnFirstUse, means
-from .errors import BracketError, DomainError, _is_integer
+from .errors import BracketError, DomainError, _as_float, _is_integer
 from .means import _geomspace, _ratio
 
 __all__ = [
@@ -142,7 +142,10 @@ _PROBE_SHIFT = 1e-6
 
 def _on_profile(t, pick):
     """``pick(r, 1/3 - r)`` at validated t in (0, 1); a float for scalar t."""
-    arr = np.asarray(t, dtype=float)
+    try:
+        arr = np.asarray(t, dtype=float)
+    except OverflowError:
+        raise DomainError("t must lie in (0, 1), got a number beyond the double range") from None
     if arr.size and not np.all((arr > 0.0) & (arr < 1.0)):
         bad = arr[~((arr > 0.0) & (arr < 1.0))].ravel()
         raise DomainError(f"t must lie in (0, 1), got e.g. {bad[:3]}")
@@ -203,7 +206,7 @@ def _count(name: str, value: int, least: int) -> int:
 
 def _check_range(n: int, ratio_max: float) -> int:
     """The sample count ``n`` as an int, once it and ``ratio_max`` are valid."""
-    n = _count("samples", n, 1)
+    n, ratio_max = _count("samples", n, 1), _as_float(ratio_max)
     if not (math.isfinite(ratio_max) and ratio_max > 1.0):
         raise DomainError(f"ratio_max must be finite and exceed 1, got {ratio_max}")
     return n
@@ -459,7 +462,8 @@ class _Row:
 
 def _blend_row(alpha: float | None = None, beta: float = 1.0) -> _Row:
     """thm1: (2α-1)²/3 < r(t) < (2β-1)²/3, and blend(α) < seiffert < blend(β) in raw doubles."""
-    alpha = blend_alpha_closed() if alpha is None else float(alpha)
+    alpha = blend_alpha_closed() if alpha is None else _as_float(alpha)
+    beta = _as_float(beta)
     for name, val in (("alpha", alpha), ("beta", beta)):
         if not (math.isfinite(val) and 0.5 <= val <= 1.0):
             raise DomainError(f"{name} must lie in [1/2, 1], got {val!r}")
@@ -493,8 +497,8 @@ def _blend_row(alpha: float | None = None, beta: float = 1.0) -> _Row:
 
 def _ratio_row(alpha1: float | None = None, beta1: float | None = None) -> _Row:
     """thm2: α₁ < r(t) < β₁, and α₁C + (1-α₁)A < seiffert < β₁C + (1-β₁)A in raw doubles."""
-    alpha1 = RATIO_LOWER if alpha1 is None else float(alpha1)
-    beta1 = RATIO_UPPER if beta1 is None else float(beta1)
+    alpha1 = RATIO_LOWER if alpha1 is None else _as_float(alpha1)
+    beta1 = RATIO_UPPER if beta1 is None else _as_float(beta1)
     for name, val in (("alpha1", alpha1), ("beta1", beta1)):
         if not math.isfinite(val):
             raise DomainError(f"{name} must be finite, got {val!r}")

@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 
 from seiffert_bounds import (
-    BernoulliTable,
     BlendGapFamily,
     CounterexampleWitness,
     CriticalPointReport,
@@ -21,7 +20,6 @@ from seiffert_bounds import (
 #: Each record with its fields in order and one set of values for them.
 RECORDS = [
     (PositivePair, ("a", "b"), (1.0, 3.0)),
-    (BernoulliTable, ("values",), ((Fraction(1), Fraction(1, 6)),)),
     (TruncatedSeries, ("kind", "coefficients", "truncation_order", "radius", "tail_bound"),
      ("ratio", (0.5,), 1, 0.5, 1e-3)),
     (VerificationResult,

@@ -91,6 +91,15 @@ class TestExcessRatio:
             Fraction(-428, 14175),
         )
 
+    @pytest.mark.parametrize("order", [True, 2.5, 3.0, None, "3", 0, -1])
+    def test_taylor_order_is_an_integer(self, order):
+        # the package's one integer rule: a bool, a float or None is no order
+        with pytest.raises(DomainError, match="order must be an integer >= 1"):
+            excess_ratio_taylor(order)
+
+    def test_taylor_takes_a_numpy_integer(self):
+        assert excess_ratio_taylor(np.int64(3)) == excess_ratio_taylor(3)
+
     def test_series_direct_switch(self):
         for t in (0.5 * (1 - 1e-9), 0.5 * (1 + 1e-9)):
             direct = (t / math.atan(t) - 1.0) / (t * t)
