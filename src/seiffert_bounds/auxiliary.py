@@ -178,12 +178,14 @@ class BlendGapFamily(namedtuple("BlendGapFamily", "p")):
         return self._chain(np.asarray(t, dtype=float), level)
 
     def chain(self, t: float, level: int) -> float:
-        """Scalar chain polynomial at level 1..4, in floats."""
+        """Scalar chain polynomial at level 1..4, in floats; an int or
+        Fraction t beyond the double range reads as ±inf."""
+        t = _as_float(t)
         try:
-            return self._chain(float(t), level)
+            return self._chain(t, level)
         except OverflowError:  # a float power beyond the double range: numpy's ±inf or nan
             with np.errstate(over="ignore", invalid="ignore"):
-                return float(self.chain_values(float(t), level))
+                return float(self.chain_values(t, level))
 
     def _chain(self, t, level: int):
         if not _is_integer(level) or not 1 <= level <= 4:

@@ -131,10 +131,15 @@ def excess_ratio_taylor(order: int) -> tuple[fractions.Fraction, ...]:
     """Exact Taylor coefficients of r(t) in powers of t², by long division.
 
     Reciprocal of arctan(t)/t = Σ (-1)^k t^{2k}/(2k+1):  r(t) = Σ_k coef[k]·t^{2k}
-    with coef = (1/3, -4/45, 44/945, -428/14175, …).
+    with coef = (1/3, -4/45, 44/945, -428/14175, …).  The order is at most
+    ``series.N_MAX``, the cap of every series order.
     """
+    from . import series
+
     if not _is_integer(order) or order < 1:
         raise DomainError(f"order must be an integer >= 1, got {order!r}")
+    if order > series.N_MAX:
+        raise DomainError(f"order must lie in [1, {series.N_MAX}], got {order}")
     a = [fractions.Fraction((-1) ** k, 2 * k + 1) for k in range(order + 1)]
     b = [fractions.Fraction(1)]
     for n in range(1, order + 1):

@@ -20,13 +20,14 @@ which decreases strictly from 1/3 (t→0⁺) to 4/π-1 (t→1⁻):
 * ratio bounds:  α₁C + (1-α₁)A < seiffert < β₁C + (1-β₁)A  ⇔  α₁ < r(t) < β₁,
   sharp at α₁ = 4/π-1 and β₁ = 1/3.
 
-Every check of every suite applies one rule, ``_first_broken``: it fails at
-the first sample where a strict lo < hi fails, NaN on either side included,
-and it compares raw double-precision means only for t >= 1e-3, where their
-true slack (~t⁴ for the theorems) exceeds one ulp of the means.  Margins
-near the limits are evaluated through series forms that stay fully accurate,
-e.g. 1/3 - r(t) = (4/45)t² - (44/945)t⁴ + … obtained by exact long division
-of the arctan series.  That piecewise r(t), one function for floats and
+Every check of every suite is scanned by one loop, ``_Tally.add``, under one
+rule, ``_first_broken``: a check fails at the first sample where a strict
+lo < hi fails, NaN on either side included, and raw double-precision means
+are compared only for t >= 1e-3, where their true slack (~t⁴ for the
+theorems) exceeds one ulp of the means.  Margins near the limits are
+evaluated through series forms that keep their relative accuracy, e.g.
+1/3 - r(t) = (4/45)t² - (44/945)t⁴ + … obtained by exact long division of
+the arctan series.  That piecewise r(t), one function for floats and
 arrays, lives in :mod:`seiffert_bounds.means`, as do the profile and the
 factors of the other means; the Seiffert mean of a block is A times its
 q = t/arctan t.
@@ -39,12 +40,15 @@ leaves (1, ratio_max].
 
 Each suite is a row (``_Row``): a block function that names its margins,
 its folds (the reported minima and maxima) and its checks, the raw-mean
-comparison among them, over one block.  The engine streams rows through
-blocks of ``_BLOCK`` samples, so memory is O(block) and time linear in the
-sample count, in three steps: ``_lane`` turns a range of the samples into
-one partial ``_Tally`` (count, extrema, witness) per row, ``_Tally.merge``
-joins the tallies of consecutive ranges, and ``_Row.finish`` turns a tally
-into the suite's :class:`VerificationResult`.  The streaming contract:
+comparison among them, over one block.  A check is data, its (lo, hi) pairs
+or a callable that builds them, whether the raw-mean floor applies and a
+witness function of the first broken sample and pair; no row scans its own.
+The engine streams rows through blocks of ``_BLOCK`` samples, so memory is
+O(block) and time linear in the sample count, in three steps: ``_lane``
+turns a range of the samples into one partial ``_Tally`` (count, extrema,
+witness) per row, ``_Tally.merge`` joins the tallies of consecutive ranges,
+and ``_Row.finish`` turns a tally into the suite's
+:class:`VerificationResult`.  The streaming contract:
 
 * the blocks continue one random stream, so a suite sees exactly the samples
   of one full-length draw, whatever the block size or the range split (each
@@ -157,13 +161,15 @@ def excess_ratio(t):
     """r(t) = (t/arctan t - 1)/t² for t in (0, 1).  Scalar or array.
 
     Equals the mean composite (seiffert - A)/(contra-harmonic - A) at the pair
-    ((1+t)/(1-t), 1).  Accurate to a few 1e-15 relative over the whole domain.
+    ((1+t)/(1-t), 1).  Within 5e-16 relative up to t = 1/2 and 6e-15 beyond,
+    from the t whose t² is the smallest normal to 1 - 2⁻⁵³ (a test holds both).
     """
     return _on_profile(t, lambda r, upper: r)
 
 
 def excess_ratio_upper_margin(t):
-    """1/3 - r(t), strictly positive on (0, 1), fully accurate as t→0⁺."""
+    """1/3 - r(t), strictly positive on (0, 1): within 4e-15 relative up to
+    t = 1/2, down to the t whose t² is the smallest normal, and 8e-14 beyond."""
     return _on_profile(t, lambda r, upper: upper)
 
 
@@ -204,12 +210,12 @@ def _count(name: str, value: int, least: int) -> int:
     return int(value)
 
 
-def _check_range(n: int, ratio_max: float) -> int:
-    """The sample count ``n`` as an int, once it and ``ratio_max`` are valid."""
+def _check_range(n: int, ratio_max: float) -> tuple[int, float]:
+    """The sample count ``n`` as an int and ``ratio_max`` as a float, once both are valid."""
     n, ratio_max = _count("samples", n, 1), _as_float(ratio_max)
     if not (math.isfinite(ratio_max) and ratio_max > 1.0):
         raise DomainError(f"ratio_max must be finite and exceed 1, got {ratio_max}")
-    return n
+    return n, ratio_max
 
 
 def _boundary_points(ratio_max: float) -> np.ndarray:
@@ -235,7 +241,7 @@ def sample_ratios(
     with the last block and pass one float array as ``_out`` (private) for
     every block, whose head the result then is.
     """
-    n = _check_range(n, ratio_max)
+    n, ratio_max = _check_range(n, ratio_max)
     extra = _boundary_points(ratio_max) if include_boundary else ()
     x = np.empty(n + len(extra)) if _out is None else _out[: n + len(extra)]
     drawn = x[:n]
@@ -349,35 +355,24 @@ def _mix(c: float, m: np.ndarray, am: np.ndarray, out: np.ndarray, spare: np.nda
     return out
 
 
-def _mean_side_witness(x: float, side: str, lhs: float, rhs: float) -> dict:
-    return {"ratio": x, "side": side, "lhs": lhs, "rhs": rhs}
+#: The sides of a two-pair check, by the index of its first broken pair.
+_SIDES = ("lower", "upper")
 
 
-def _margin_witness(x, left, right, at, flags) -> dict | None:
-    """Witness of the first sample whose margin is not positive, or None.
-
-    ``at(k, side)`` gives the (lhs, rhs) pair reported for sample k; ``flags``
-    are two bool rows it may overwrite.
-    """
-    k = _first_broken(((0.0, left), (0.0, right)), flags)
-    if k is None:
-        return None
-    side = "lower" if not left[k] > 0.0 else "upper"
-    return _mean_side_witness(float(x[k]), side, *at(k, side))
+def _witness(x: float, side: str, lhs: float, rhs: float) -> dict:
+    """The witness of a broken check: the ratio, the side and the two values reported there."""
+    return {"ratio": float(x), "side": side, "lhs": float(lhs), "rhs": float(rhs)}
 
 
-def _raw_mean_witness(x, t, lo, mid, hi, flags) -> dict | None:
-    """Witness of the first sample over the floor breaking lo < mid < hi in raw doubles, or None.
+def _reading(side: str, row, rhs: float) -> Callable:
+    """A check's witness function that names ``side`` and reports ``row`` at
+    the broken sample against ``rhs``, whichever pair broke."""
+    return lambda k, i: (side, row[k], rhs)
 
-    It names the broken side with its own pair: (lo, mid) for ``lower``,
-    (mid, hi) for ``upper``.  ``flags`` are two bool rows it may overwrite.
-    """
-    k = _first_broken(((lo, mid), (mid, hi)), flags, t)
-    if k is None:
-        return None
-    if not lo[k] < mid[k]:
-        return _mean_side_witness(float(x[k]), "lower", float(lo[k]), float(mid[k]))
-    return _mean_side_witness(float(x[k]), "upper", float(mid[k]), float(hi[k]))
+
+def _pair_reading(build: Callable) -> Callable:
+    """A two-pair check's witness function: the broken pair's side and values, of the pairs ``build()`` makes."""
+    return lambda k, i: (_SIDES[i], *(row[k] for row in build()[i]))
 
 
 class _Tally:
@@ -402,25 +397,33 @@ class _Tally:
             self.best[name] = (value, ratio)
         self.picks[name] = pick
 
-    def add(self, x, folds: dict, checks) -> None:
-        """Reduce one block of ratios ``x``.
+    def add(self, blk, folds: dict, checks) -> None:
+        """Reduce one block ``blk`` of the stream (:func:`_ratio_blocks`).
 
-        ``folds`` maps a name to ``(values, pick)``.  ``checks`` are callables
-        returning the witness of their first violation in the block or None.
-        An earlier check outranks a later one wherever the two fire, and
-        within a check the earlier sample wins, so once a check has fired
-        neither it nor any later check runs again.  The folds are taken
-        before the checks run, in order, so a check may overwrite the arrays
-        that the folds and the checks before it read.
+        ``folds`` maps a name to ``(values, pick)``.  Each check is ``(pairs,
+        floor, witness)``, and this one loop scans them by ``_first_broken``:
+        the ``(lo, hi)`` pairs that must hold strictly, or a callable that
+        builds them in the pool (a generator may write each over the one
+        before); whether samples under ``_DIRECT_T_FLOOR`` hold; and
+        ``witness(k, i)``, the ``(side, lhs, rhs)`` reported at the first
+        broken sample k, where i is the first pair broken there (None after
+        a generator), found before the witness runs.  An earlier check
+        outranks a later one wherever the two fire, and within a check the
+        earlier sample wins, so once a check has fired neither it nor any
+        later check runs again.  The folds are taken first and the checks run
+        in order, so a check may overwrite what the folds and earlier checks read.
         """
+        x, t, _, _, flags = blk
         self.n += len(x)
         for name, (vals, pick) in folds.items():
             k = int(pick(vals))
             self._keep(name, float(vals[k]), float(x[k]), pick)
-        for rank, check in enumerate(checks[: len(checks) if self.found is None else self.found[0]]):
-            witness = check()
-            if witness is not None:
-                self.found = (rank, witness)
+        for rank, (pairs, floor, witness) in enumerate(checks[: len(checks) if self.found is None else self.found[0]]):
+            pairs = pairs() if callable(pairs) else pairs
+            k = _first_broken(pairs, flags, t if floor else None)
+            if k is not None:
+                i = next((i for i, (lo, hi) in enumerate(pairs) if not (lo[k] if np.ndim(lo) else lo) < hi[k]), None)
+                self.found = (rank, _witness(x[k], *witness(k, i)))
                 break
 
     def merge(self, later: "_Tally") -> "_Tally":
@@ -440,12 +443,13 @@ class _Tally:
 class _Row:
     """One suite as a row of a pass over a block stream.
 
-    ``block(*blk)`` takes a block of the stream (``x, t, shared, pool,
-    flags``: it reads x, t and the shared kernel rows in place and writes
-    only into ``pool`` and ``flags``) and returns the
-    block's ``(folds, checks)`` for :meth:`_Tally.add`.  ``folds["left"]``
-    and ``folds["right"]`` are the reported slacks; ``stats`` turns the
-    other ``name -> (value, ratio)`` extrema into report fields.
+    ``block(x, t, shared, pool)`` takes a block of the stream, reads x, t
+    and the shared kernel rows in place, writes only into ``pool`` and
+    returns the block's ``(folds, checks)`` for :meth:`_Tally.add`.
+    ``folds["left"]`` and ``folds["right"]`` are the reported slacks, and
+    ``stats`` turns the other ``name -> (value, ratio)`` extrema into report
+    fields.  Each check is data, ``(pairs, floor, witness)``, which the one
+    loop of :meth:`_Tally.add` scans.
     """
 
     def __init__(self, suite: str, block: Callable, stats: Callable = lambda best: {}) -> None:
@@ -470,27 +474,24 @@ def _blend_row(alpha: float | None = None, beta: float = 1.0) -> _Row:
     lo_const = (2.0 * alpha - 1.0) ** 2 / 3.0
     hi_const = (2.0 * beta - 1.0) ** 2 / 3.0
 
-    def block(x, t, shared, pool, flags):
+    def block(x, t, shared, pool):
         arith, _, r, upper, seif = shared
         right = upper if beta == 1.0 else np.subtract(hi_const, r, out=pool[1])
         left = np.subtract(r, lo_const, out=pool[0])
 
-        def raw_means():
-            # the margins are spent by now (see _Tally.add; the margin witness
-            # takes its side first): their rows hold the blends
+        def raw_pairs():
+            # the margins are spent by now (see _Tally.add, which takes the
+            # side of a broken margin first): their rows hold the blends
             lo_mean = means._blend_factor(alpha, t, pool[0])
             lo_mean *= arith
             hi_mean = means._blend_factor(beta, t, pool[1])
             hi_mean *= arith
-            return lo_mean, seif, hi_mean
+            return (lo_mean, seif), (seif, hi_mean)
 
-        def at(k, side):
-            lo, mid, hi = (float(row[k]) for row in raw_means())
-            return (lo, mid) if side == "lower" else (mid, hi)
-
+        # either check reports the blend and Seiffert means of its side
+        means_at = _pair_reading(raw_pairs)
         folds = {"left": (left, np.argmin), "right": (right, np.argmin)}
-        raw = lambda: _raw_mean_witness(x, t, *raw_means(), flags)  # noqa: E731
-        return folds, (lambda: _margin_witness(x, left, right, at, flags), raw)
+        return folds, ((((0.0, left), (0.0, right)), False, means_at), (raw_pairs, True, means_at))
 
     return _Row("thm1", block)
 
@@ -503,19 +504,18 @@ def _ratio_row(alpha1: float | None = None, beta1: float | None = None) -> _Row:
         if not math.isfinite(val):
             raise DomainError(f"{name} must be finite, got {val!r}")
 
-    def block(x, t, shared, pool, flags):
+    def block(x, t, shared, pool):
         arith, tt, r, upper, seif = shared
         left = np.subtract(r, alpha1, out=pool[0])
         right = upper if beta1 == RATIO_UPPER else np.subtract(beta1, r, out=pool[1])
 
-        def raw_means():
+        def raw_pairs():
             # the margins are spent by now (see _Tally.add): their rows hold
             # the means
             contra = means._contra_harmonic_factor(tt, pool[0])
             contra *= arith
             lo_mean = _mix(alpha1, contra, arith, pool[1], pool[2])
-            hi_mean = _mix(beta1, contra, arith, pool[2], pool[3])
-            return _raw_mean_witness(x, t, lo_mean, seif, hi_mean, flags)
+            return (lo_mean, seif), (seif, _mix(beta1, contra, arith, pool[2], pool[3]))
 
         folds = {
             "left": (left, np.argmin),
@@ -523,8 +523,8 @@ def _ratio_row(alpha1: float | None = None, beta1: float | None = None) -> _Row:
             "inf": (r, np.argmin),
             "sup": (r, np.argmax),
         }
-        at = lambda k, side: (float(r[k]), alpha1 if side == "lower" else beta1)  # noqa: E731
-        return folds, (lambda: _margin_witness(x, left, right, at, flags), raw_means)
+        margins = (((0.0, left), (0.0, right)), False, lambda k, i: (_SIDES[i], r[k], (alpha1, beta1)[i]))
+        return folds, (margins, (raw_pairs, True, _pair_reading(raw_pairs)))
 
     def stats(best):
         (inf, arg_inf), (sup, arg_sup) = best["inf"], best["sup"]
@@ -543,7 +543,7 @@ _PRIOR_BETA_2 = (3.0 + math.sqrt(3.0)) / 6.0
 _PRIOR_NAMES = ("lower_S_combination", "upper_S_combination", "lower_C_blend", "upper_C_blend")
 
 
-def _prior_block(x, t, shared, pool, flags):
+def _prior_block(x, t, shared, pool):
     """The priors row's block: four named margins, then one raw-mean check."""
     arith, tt, r, upper, seif = shared
     u, lower_s, upper_s, lower_c, left, right = pool[:6]
@@ -561,10 +561,6 @@ def _prior_block(x, t, shared, pool, flags):
     # sharp ends).
     np.subtract(r, RATIO_LOWER, out=lower_c)
     margins = (lower_s, upper_s, lower_c, upper)
-
-    def margin(name, vals):
-        k = _first_broken([(0.0, vals)], flags)
-        return None if k is None else _mean_side_witness(float(x[k]), name, float(vals[k]), 0.0)
 
     def raw_pairs():
         # the margins are spent by now (see _Tally.add): their rows hold the
@@ -585,15 +581,11 @@ def _prior_block(x, t, shared, pool, flags):
             contra *= blend_am
             yield (contra, seif) if below else (seif, contra)
 
-    def raw_means():
-        k = _first_broken(raw_pairs(), flags, t)
-        return None if k is None else _mean_side_witness(float(x[k]), "raw-mean", float(seif[k]), 0.0)
-
     folds = {name: (vals, np.argmin) for name, vals in zip(_PRIOR_NAMES, margins)}
     folds["left"] = (np.minimum(lower_s, lower_c, out=left), np.argmin)
     folds["right"] = (np.minimum(upper_s, upper, out=right), np.argmin)
-    checks = [functools.partial(margin, name, vals) for name, vals in zip(_PRIOR_NAMES, margins)]
-    return folds, (*checks, raw_means)
+    checks = [(((0.0, vals),), False, _reading(name, vals, 0.0)) for name, vals in zip(_PRIOR_NAMES, margins)]
+    return folds, (*checks, (raw_pairs, True, _reading("raw-mean", seif, 0.0)))
 
 
 #: The priors row: it takes no parameters.
@@ -675,7 +667,7 @@ def verify_prior_bounds(
     return _run([("priors", {})], samples, seed, ratio_max)[0]
 
 
-def _chain_block(x, t, shared, pool, flags):
+def _chain_block(x, t, shared, pool):
     """The chain row's block: the slack minima of its ordering in profile
     form, then the six comparisons in raw doubles."""
     am, tt, r, upper, tm = shared
@@ -710,12 +702,11 @@ def _chain_block(x, t, shared, pool, flags):
         c = means._contra_harmonic_factor(tt, v)
         c *= am
         s = np.multiply(am, u, out=u)
-        k = _first_broken(((np.sqrt(x, out=left), am), (am, cb), (cb, s), (s, c), (am, tm), (tm, s)), flags, t)
-        return None if k is None else _mean_side_witness(float(x[k]), "chain", float(x[k]), 1.0)
+        return (np.sqrt(x, out=left), am), (am, cb), (cb, s), (s, c), (am, tm), (tm, s)
 
-    at = lambda k, side: (float((left if side == "lower" else right)[k]), 0.0)  # noqa: E731
     folds = {"left": (left, np.argmin), "right": (right, np.argmin)}
-    return folds, (lambda: _margin_witness(x, left, right, at, flags), ordering)
+    slacks = (((0.0, left), (0.0, right)), False, lambda k, i: (_SIDES[i], (left, right)[i][k], 0.0))
+    return folds, (slacks, (ordering, True, _reading("chain", x, 1.0)))
 
 
 #: The ordering chain row: it takes no parameters.
@@ -791,7 +782,7 @@ def _lane(rows, seed: int, samples: int, ratio_max: float, start: int, stop: int
     tallies = [_Tally() for _ in rows]
     for blk in _ratio_blocks(seed, samples, ratio_max, start, stop):
         for row, tally in zip(rows, tallies):
-            tally.add(blk[0], *row.block(*blk))
+            tally.add(blk, *row.block(*blk[:4]))
     return tallies
 
 
@@ -953,7 +944,7 @@ def _run(suites, samples: int, seed: int, ratio_max: float) -> list[Verification
     call reads a stale reply.
     """
     rows = [_ROWS[name](**keywords) for name, keywords in suites]
-    seed, samples = _count("seed", seed, 0), _check_range(samples, ratio_max)
+    seed, (samples, ratio_max) = _count("seed", seed, 0), _check_range(samples, ratio_max)
     first, *rest = _lane_ranges(samples, _cpus() if samples >= _LANE_MIN_SAMPLES and hasattr(os, "fork") else 1)
     if not rest:
         return _finish_lanes(rows, [_lane(rows, seed, samples, ratio_max, *first)])
@@ -998,20 +989,28 @@ class SharpConstantReport(namedtuple("SharpConstantReport", "name closed_form di
         }
 
 
-def _ratio_violation_witness(const: float, side: str, shift: float) -> SharpnessWitness:
+def _ratio_violation_witness(const: float, shift: float) -> SharpnessWitness:
     """The first t of a geometric grid where r(t) is on the wrong side of
-    ``const``: the grid runs up from t = 1e-6 for the upper side and down from
-    t = 1 - 1e-10 for the lower."""
-    if side == "upper":
-        ts = _geomspace(1e-6, 1.0 - 1e-10, 2000)
-    else:
-        ts = [1.0 - s for s in _geomspace(1e-10, 0.5, 2000)]
+    ``const``, a sharp bound moved by ``shift``: the grid runs down from
+    t = 1 - 1e-10 for the lower bound (``shift`` > 0) and up from t = 1e-6
+    for the upper."""
+    side = "lower" if shift > 0.0 else "upper"
+    ts = _geomspace(1e-6, 1.0 - 1e-10, 2000) if side == "upper" else [1.0 - s for s in _geomspace(1e-10, 0.5, 2000)]
     for t in ts:
         r = _ratio(t)[0]
         if r >= const if side == "upper" else r <= const:
             lhs, rhs = (r, const) if side == "upper" else (const, r)
             return SharpnessWitness(shift=shift, ratio=(1.0 + t) / (1.0 - t), lhs=lhs, rhs=rhs)
     raise BracketError(f"no ratio violation found for constant {const} ({side})")
+
+
+def _blend_violation_witness(p: float, shift: float) -> SharpnessWitness:
+    """:func:`seiffert_bounds.auxiliary.counterexample_witness` at the blend
+    constant ``p``, a sharp one moved by ``shift`` (α up, β = 1 down), with
+    its means as the two sides of the broken blend(α) < seiffert < blend(β)."""
+    w = auxiliary.counterexample_witness(p, "above_alpha" if shift > 0.0 else "below_one")
+    lhs, rhs = (w.blend_value, w.seiffert_value) if shift > 0.0 else (w.seiffert_value, w.blend_value)
+    return SharpnessWitness(shift, w.t, lhs, rhs)
 
 
 def constants_report() -> list[SharpConstantReport]:
@@ -1029,42 +1028,13 @@ def constants_report() -> list[SharpConstantReport]:
     """
     r_small = [_ratio(t)[0] for t in _geomspace(1e-8, 1e-2, 400)]
     r_big = [_ratio(1.0 - s)[0] for s in _geomspace(1e-10, 1e-2, 400)]
-
-    lam_c = blend_alpha_closed()
-    lam_n = blend_alpha_numeric()
-    above = auxiliary.counterexample_witness(lam_c + _PROBE_SHIFT, "above_alpha")
-    rep_alpha = SharpConstantReport(
-        name="blend_alpha",
-        closed_form=lam_c,
-        discovered=lam_n,
-        abs_gap=abs(lam_c - lam_n),
-        witness=SharpnessWitness(_PROBE_SHIFT, above.t, above.blend_value, above.seiffert_value),
+    # name, closed form, discovered value, probe shift and witness search
+    table = (
+        ("blend_alpha", blend_alpha_closed(), blend_alpha_numeric(), _PROBE_SHIFT, _blend_violation_witness),
+        ("blend_beta", 1.0, max(0.5 * (1.0 + math.sqrt(3.0 * r)) for r in r_small), -_PROBE_SHIFT,
+         _blend_violation_witness),
+        ("ratio_alpha", RATIO_LOWER, min(r_big), _PROBE_SHIFT, _ratio_violation_witness),
+        ("ratio_beta", RATIO_UPPER, max(r_small), -_PROBE_SHIFT, _ratio_violation_witness),
     )
-
-    beta_disc = max(0.5 * (1.0 + math.sqrt(3.0 * r)) for r in r_small)
-    below = auxiliary.counterexample_witness(1.0 - _PROBE_SHIFT, "below_one")
-    rep_beta = SharpConstantReport(
-        name="blend_beta",
-        closed_form=1.0,
-        discovered=beta_disc,
-        abs_gap=abs(1.0 - beta_disc),
-        witness=SharpnessWitness(-_PROBE_SHIFT, below.t, below.seiffert_value, below.blend_value),
-    )
-
-    inf_disc = min(r_big)
-    rep_a1 = SharpConstantReport(
-        name="ratio_alpha",
-        closed_form=RATIO_LOWER,
-        discovered=inf_disc,
-        abs_gap=abs(RATIO_LOWER - inf_disc),
-        witness=_ratio_violation_witness(RATIO_LOWER + _PROBE_SHIFT, "lower", _PROBE_SHIFT),
-    )
-    sup_disc = max(r_small)
-    rep_b1 = SharpConstantReport(
-        name="ratio_beta",
-        closed_form=RATIO_UPPER,
-        discovered=sup_disc,
-        abs_gap=abs(RATIO_UPPER - sup_disc),
-        witness=_ratio_violation_witness(RATIO_UPPER - _PROBE_SHIFT, "upper", -_PROBE_SHIFT),
-    )
-    return [rep_alpha, rep_beta, rep_a1, rep_b1]
+    return [SharpConstantReport(name, closed, found, abs(closed - found), search(closed + shift, shift))
+            for name, closed, found, shift, search in table]

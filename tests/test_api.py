@@ -5,6 +5,7 @@ import importlib
 import inspect
 import pkgutil
 import typing
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -77,3 +78,10 @@ def test_every_real_parameter_takes_the_same_conversion():
     assert seiffert_bounds.counterexample_witness("0.97", "above_alpha") == seiffert_bounds.counterexample_witness(
         0.97, "above_alpha"
     )
+    # and so does ratio_max, whose converted float is what numpy receives
+    for given, value in ((Fraction(3, 2), 1.5), ("2", 2.0)):
+        assert seiffert_bounds.verify_ratio_bounds(100, ratio_max=given) == seiffert_bounds.verify_ratio_bounds(
+            100, ratio_max=value
+        )
+        drawn = seiffert_bounds.sample_ratios(np.random.default_rng(0), 100, given)
+        assert drawn.tolist() == seiffert_bounds.sample_ratios(np.random.default_rng(0), 100, value).tolist()

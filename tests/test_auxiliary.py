@@ -165,6 +165,11 @@ class TestChainPolynomials:
         assert values[0] == (-math.inf if p == 0.8 else math.inf)
         assert not math.isfinite(values[1])
 
+    def test_scalar_chain_reads_an_int_beyond_the_double_range_as_inf(self):
+        fam = BlendGapFamily(0.9)
+        values = [fam.chain(10**400, level) for level in range(1, 5)]
+        assert values == [fam.chain(math.inf, level) for level in range(1, 5)] == [-math.inf] * 4
+
 
 class TestFamilyBasics:
     @pytest.mark.parametrize("p", [0.5, 0.4, 1.2, -1.0, math.nan])

@@ -28,7 +28,7 @@ from seiffert_bounds import (
     verify_prior_bounds,
     verify_ratio_bounds,
 )
-from seiffert_bounds import oracle, sharp
+from seiffert_bounds import means, oracle, series, sharp
 from seiffert_bounds.auxiliary import BlendGapFamily
 
 LAMBDA_REF = 0.9526915711070529  # (1 + sqrt(12/pi - 3))/2, 60-digit oracle
@@ -97,8 +97,48 @@ class TestExcessRatio:
         with pytest.raises(DomainError, match="order must be an integer >= 1"):
             excess_ratio_taylor(order)
 
+    def test_taylor_order_is_capped(self):
+        # the cap of every series order; 10**400 took no end of time
+        assert len(excess_ratio_taylor(series.N_MAX)) == series.N_MAX
+        for order in (series.N_MAX + 1, 10**400):
+            with pytest.raises(DomainError, match=r"order must lie in \[1, 60\]"):
+                excess_ratio_taylor(order)
+
     def test_taylor_takes_a_numpy_integer(self):
         assert excess_ratio_taylor(np.int64(3)) == excess_ratio_taylor(3)
+
+    def test_accuracy_over_the_whole_domain(self):
+        # from the smallest t whose t² is normal up to 1 - 2⁻⁵³, on the array
+        # path (the public functions) and the float path (means._ratio),
+        # against the exact Taylor series up to the switch (no fixed-digit
+        # quotient resolves 1/3 - r down to t ≈ 1.5e-154; at t = 1/2 the
+        # series' 60th term is 3e-38 of the margin) and the 60-digit quotient
+        # beyond it; the bounds are the docstrings', measured worst 1.4e-16
+        # and 1.1e-15 up to the switch, 1.8e-15 and 2.1e-14 beyond
+        t_min = math.sqrt(2.0**-1022)
+        ts = np.unique(np.concatenate([
+            np.geomspace(t_min, 0.5, 1600), 1.0 - np.geomspace(2.0**-53, 0.5, 1600), [np.nextafter(0.5, 1.0)],
+        ]))
+        assert ts[0] == t_min and t_min * t_min == 2.0**-1022 and ts[-1] == 1.0 - 2.0**-53
+        paths = [
+            (excess_ratio(ts), excess_ratio_upper_margin(ts)),
+            tuple(zip(*(means._ratio(float(t))[:2] for t in ts))),
+        ]
+        with mp.workdps(60):
+            coeffs = [mp.mpf(c.numerator) / c.denominator for c in excess_ratio_taylor(60)]
+            exact = []
+            for t in map(mp.mpf, ts):
+                if t <= 0.5:
+                    upper = -mp.fsum(c * (t * t) ** k for k, c in enumerate(coeffs[1:], 1))
+                    exact.append((coeffs[0] - upper, upper))
+                else:
+                    r = (t / mp.atan(t) - 1) / (t * t)
+                    exact.append((r, mp.mpf(1) / 3 - r))
+            for r, upper in paths:
+                for t, got_r, got_upper, (want_r, want_upper) in zip(ts, r, upper, exact):
+                    below = t <= 0.5
+                    assert abs(got_r - want_r) <= (5e-16 if below else 6e-15) * want_r, t
+                    assert abs(got_upper - want_upper) <= (4e-15 if below else 8e-14) * want_upper, t
 
     def test_series_direct_switch(self):
         for t in (0.5 * (1 - 1e-9), 0.5 * (1 + 1e-9)):
@@ -294,9 +334,11 @@ class TestVerifyPriorsAndChain:
         monkeypatch.setattr(sharp, "sample_ratios", lambda rng, n, ratio_max, include_boundary, **kw: x)
         monkeypatch.setattr(sharp, "_BLOCK", len(x))
         (blk,) = sharp._ratio_blocks(0, len(x), 2.0, 0, len(x))
-        folds, checks = sharp._ROWS["chain"]().block(*blk)
+        folds, checks = sharp._ROWS["chain"]().block(*blk[:4])
         slacks = folds["left"][0].tolist(), folds["right"][0].tolist()  # the checks overwrite their rows
-        assert [check() for check in checks] == [None, None]
+        tally = sharp._Tally()
+        tally.add(blk, folds, checks)
+        assert len(checks) == 2 and tally.found is None
         for xi, got_left, got_right in zip(x.tolist(), *slacks):
             left, right = self.chain_slacks(xi)
             assert abs(got_left - left) <= 1e-14 * left, xi

@@ -755,9 +755,9 @@ class TestSharedPass:
     def test_rows_leave_the_shared_block_as_it_is(self, monkeypatch, name, keywords):
         # a row reads x, t and the shared rows (A, the kernel's t², r and
         # 1/3 - r, and T = A·q), which the rows after it read too, and
-        # writes only its pool and flags; on a passing block every check
-        # runs, the raw-mean one included (the first block of two, as beta < 1
-        # fails at the boundary points)
+        # writes only its pool and flags; on a passing block the one check
+        # loop runs every check, the raw-mean one included, and none fires
+        # (the first block of two, as beta < 1 fails at the boundary points)
         monkeypatch.setattr(sharp, "_BLOCK", SMALL_BLOCK)
         (blk,) = sharp._ratio_blocks(0, 2 * SMALL_BLOCK, 1e8, 0, SMALL_BLOCK)
         x, t, shared, pool, _ = blk
@@ -765,8 +765,9 @@ class TestSharedPass:
         # no shared row is a pool row
         assert not any(np.shares_memory(row, spare) for row in (x, t, *shared) for spare in pool)
         before = [row.tobytes() for row in (x, t, *shared)]
-        _, checks = sharp._ROWS[name](**keywords).block(*blk)
-        assert [check() for check in checks] == [None] * len(checks)
+        tally = sharp._Tally()
+        tally.add(blk, *sharp._ROWS[name](**keywords).block(*blk[:4]))
+        assert tally.found is None
         assert [row.tobytes() for row in (x, t, *shared)] == before
 
     @pytest.mark.parametrize("index", range(5), ids=["A", "tt", "r", "upper", "T"])
